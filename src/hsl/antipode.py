@@ -13,17 +13,17 @@ the two disagree already on two-element chains; see the discrepancy tests.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import factorial
 
 from .errors import (DEFAULT_BUDGET, CarrierOverflow, EngineError,
                      NonUniqueFactorization, NotSelfAdjoint)
 from .posets import (CarrierPoset, PosetView, ProductPoset, GaloisReport,
                      check_galois, graded_char_eval)
-from .species import (Family, UnorderedSetPartition, compositions,
-                      compose_mult, fubini, reassemble, set_partitions,
-                      subsets)
+from .species import (Family, UnorderedSetPartition,
+                      check_set_partition_budget, compositions, compose_mult,
+                      fubini, reassemble, set_partitions, subsets)
 from .vectors import FreeVector, inverted_basis
 
 
@@ -34,10 +34,7 @@ from .vectors import FreeVector, inverted_basis
 def reassembly_upset(fam: Family, x, budget: int = DEFAULT_BUDGET) -> tuple:
     """All images of x under split-then-merge along a set partition,
     deduplicated; always contains x via the trivial partition."""
-    from .species import bell
-    if bell(len(x.labels)) > budget:
-        raise CarrierOverflow(
-            f"{bell(len(x.labels))} set partitions exceed budget {budget}")
+    check_set_partition_budget(len(x.labels), budget)
     seen = {}
     for part in set_partitions(x.labels):
         y = reassemble(fam, part.blocks, x)
@@ -281,58 +278,89 @@ def is_indecomposable(fam: Family, x) -> bool:
 # the defining antipode sum
 
 
-def _takeuchi_terms(fam: Family, x, comps) -> dict:
+def _ordered_sum(fam: Family, x) -> dict:
+    """Takeuchi's sum over the ordered set partitions of x's labels: the
+    route for structures that fail `_block_order_free`, and the tests'
+    reference for the collapsed sum."""
     acc: dict = {}
-    for comp in comps:
+    for comp in compositions(x.labels):
         y = reassemble(fam, comp.blocks, x)
         acc[y] = acc.get(y, 0) + (-1) ** len(comp)
     return acc
 
 
-def _takeuchi_worker(args):
-    from .families import FAMILIES, parse_structure
-    tag, encoding, blocks_chunk = args
-    fam = FAMILIES[tag]
-    x = parse_structure(encoding)
+def _unordered_sum(fam: Family, x) -> dict:
+    """Takeuchi's sum collapsed onto the unordered set partitions, each
+    standing for its k! block orders; equal to `_ordered_sum` when
+    `_block_order_free(fam, x)` holds."""
     acc: dict = {}
-    for blocks in blocks_chunk:
-        y = reassemble(fam, [frozenset(b) for b in blocks], x)
-        acc[y.encode()] = acc.get(y.encode(), 0) + (-1) ** len(blocks)
+    for part in set_partitions(x.labels):
+        k = len(part)
+        y = reassemble(fam, part.blocks, x)
+        acc[y] = acc.get(y, 0) + (-1) ** k * factorial(k)
     return acc
 
 
-_PARALLEL_THRESHOLD = 64
+def _block_order_free(fam: Family, x) -> bool:
+    """Whether split-then-merge of x along an ordered set partition is the
+    same for every order of the blocks, checked on x alone.
+
+    Let I be the labels of x and r(S) = comult(x, S, I - S)[0].  The check:
+
+    (a) comult(x, S, I - S) == (r(S), r(I - S)) for every subset S of I;
+    (b) comult(r(U), S, U - S) == (r(S), r(U - S)) for every proper subset
+        U of I and every nonempty proper subset S of U;
+    (c) mult(r(S), r(T)) == mult(r(T), r(S)) for all disjoint nonempty
+        subsets S, T of I.
+
+    Splitting x along (B1, ..., Bk) first cuts x along (B1, I - B1), which
+    gives r(B1) and r(I - B1) by (a); every later cut splits some r(U)
+    along (B, U - B), which gives r(B) and r(U - B) by (b).  So the pieces
+    are r(B1), ..., r(Bk) in every block order.  The merge folds them
+    from the unit; by unitality and associativity of mult (Hopf axioms
+    that `verify_axioms` checks) that is their product, and by (c) any
+    two adjacent factors swap, so every order gives the same product."""
+    labels = x.labels
+    subs = subsets(labels)  # subs[m]: the labels at the set bits of m
+    full = len(subs) - 1
+    splits = [fam.comult(x, S, labels - S) for S in subs]
+    r = [first for first, _ in splits]
+    if any(second != r[full ^ m] for m, (_, second) in enumerate(splits)):
+        return False
+    for U in range(1, full):
+        S = (U - 1) & U
+        while S:
+            if fam.comult(r[U], subs[S], subs[U ^ S]) != (r[S], r[U ^ S]):
+                return False
+            S = (S - 1) & U
+    for S in range(1, full + 1):
+        T = full ^ S
+        while T > S:
+            if fam.mult(r[S], r[T]) != fam.mult(r[T], r[S]):
+                return False
+            T = (T - 1) & (full ^ S)
+    return True
 
 
 def takeuchi_antipode(fam: Family, x, budget: int = DEFAULT_BUDGET,
                       jobs: int = 1) -> FreeVector:
-    """The alternating sum over all ordered set partitions of the label
-    set of sign (-1)^k times split-then-merge.  Exact integer
-    accumulation; the empty label set maps to the unit."""
+    """Takeuchi's alternating sum: over all ordered set partitions of the
+    label set, sign (-1)^k times split-then-merge.  Exact integer
+    accumulation; the empty label set maps to the unit.
+
+    Where `_block_order_free` holds for x, the k! orders of one set
+    partition reassemble x alike, so the sum runs over the Bell(n) set
+    partitions with weight (-1)^k k! instead of the Fubini(n) ordered
+    ones (Aguiar and Mahajan, 2010).  Otherwise it falls back to the
+    ordered sum.  The budget still bounds the Fubini(n) ordered
+    partitions.  `jobs` is accepted and ignored."""
     n = len(x.labels)
-    if fubini(n) > budget:
+    if fubini(n, cap=budget) > budget:
         raise CarrierOverflow(
-            f"{fubini(n)} ordered set partitions exceed budget {budget}")
-    comps = compositions(x.labels)
-    if jobs > 1 and len(comps) >= _PARALLEL_THRESHOLD:
-        return _takeuchi_parallel(fam, x, comps, jobs)
-    return FreeVector(fam.tag, x.labels, _takeuchi_terms(fam, x, comps))
-
-
-def _takeuchi_parallel(fam: Family, x, comps, jobs: int) -> FreeVector:
-    from .families import parse_structure
-    chunks = [[] for _ in range(jobs)]
-    for i, comp in enumerate(comps):
-        chunks[i % jobs].append(tuple(tuple(sorted(b)) for b in comp.blocks))
-    payload = [(fam.tag, x.encode(), chunk) for chunk in chunks if chunk]
-    with multiprocessing.Pool(processes=jobs) as pool:
-        partials = pool.map(_takeuchi_worker, payload)
-    merged: dict = {}
-    for part in partials:
-        for enc, c in part.items():
-            merged[enc] = merged.get(enc, 0) + c
-    return FreeVector(fam.tag, x.labels,
-                      [(parse_structure(enc), c) for enc, c in merged.items()])
+            f"ordered set partitions of {n} labels exceed budget {budget}")
+    terms = (_unordered_sum(fam, x) if _block_order_free(fam, x)
+             else _ordered_sum(fam, x))
+    return FreeVector(fam.tag, x.labels, terms)
 
 
 def takeuchi_on_vector(fam: Family, v: FreeVector,
@@ -371,7 +399,9 @@ def closed_form_antipode(fam: Family, x,
     """Antipode from the reassembly order: the coefficient of y is the
     upper characteristic evaluation at -1 over the interval [x, y] graded
     by factorization length.  The lower evaluation is reported alongside."""
-    require_self_adjoint(fam, len(x.labels), budget)
+    n = len(x.labels)
+    check_set_partition_budget(n, budget)
+    require_self_adjoint(fam, n, budget)
     p = reassembly_poset(fam, x.labels, budget)
     ell = lambda z: grading(fam, z)
     upper: dict = {}

@@ -6,8 +6,9 @@
     hsl fock       --n 3
 
 Every command supports --format json|text; JSON output is byte-identical
-across runs and across --jobs settings.  Exit codes: 0 success, 2 parse
-error, 3 element budget exceeded, 4 verification failure.
+across runs.  --jobs is accepted and ignored: everything runs in one
+process.  Exit codes: 0 success, 2 parse error, 3 element budget
+exceeded, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ def cmd_antipode(args) -> int:
     results = []
     vectors = {}
     if args.method in ("takeuchi", "both"):
-        vec = takeuchi_antipode(fam, x, budget, jobs=args.jobs)
+        vec = takeuchi_antipode(fam, x, budget)
         vectors["takeuchi"] = vec
         results.append({"method": "takeuchi", "vector": vec.to_json_dict()})
     if args.method in ("closed", "both"):
@@ -248,8 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--budget", type=int, default=None,
                        help=f"element budget (default {DEFAULT_BUDGET}, "
                             f"env HSL_BUDGET)")
-        p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                       help="parallel workers for the alternating sum")
+        p.add_argument("--jobs", type=int, default=1,
+                       help="accepted and ignored; everything runs in one "
+                            "process")
 
     p_anti = sub.add_parser("antipode", help="antipode of one structure")
     common(p_anti, obj=True, method=True)

@@ -17,9 +17,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .errors import CarrierOverflow, LabelMismatch, NotAFlat, ParseError
+from .errors import (DEFAULT_BUDGET, CarrierOverflow, LabelMismatch, NotAFlat,
+                     ParseError)
 from .posets import IntPolynomial
-from .species import Family, UnorderedSetPartition, check_label_set, subsets
+from .species import (Family, UnorderedSetPartition, check_label_set,
+                      check_set_partition_budget, set_partitions, subsets)
 from .vectors import FreeVector
 
 
@@ -407,7 +409,6 @@ def _partition_count(labels):
 
 
 def _partition_enumerate(labels, budget):
-    from .species import set_partitions
     return tuple(SetPartition(labels, usp.blocks)
                  for usp in set_partitions(frozenset(labels)))
 
@@ -509,8 +510,26 @@ def is_flat(h: Graph, g: Graph) -> bool:
 
 
 def graph_flats(g: Graph) -> tuple:
-    """All flats of g, sweeping every graph on the same vertex set."""
-    out = [h for h in GRAPHS.enumerate(g.labels) if is_flat(h, g)]
+    """All flats of g, sorted by encoding.
+
+    A flat is the disjoint union of the restrictions of g to the blocks of
+    a set partition whose blocks each induce a connected subgraph, so the
+    sweep runs over the Bell(n) set partitions of the vertices, not over
+    every graph on them (Benedetti and Sagan, 2017)."""
+    check_set_partition_budget(len(g.labels), DEFAULT_BUDGET)
+    inside: dict = {}  # block -> edges of g inside it, None if disconnected
+
+    def edges_inside(block):
+        if block not in inside:
+            h = g.restrict(block)
+            inside[block] = h.edges if len(graph_components(h)) == 1 else None
+        return inside[block]
+
+    out = []
+    for part in set_partitions(g.labels):
+        edges = [edges_inside(block) for block in part.blocks]
+        if all(e is not None for e in edges):
+            out.append(Graph(g.labels, frozenset().union(*edges)))
     return tuple(sorted(out, key=Graph.encode))
 
 
@@ -665,7 +684,6 @@ def closed_form_antipode_graphs(g: Graph) -> FreeVector:
 
 def _refinements(p: SetPartition):
     """All partitions refining p, with the per-block refinement shape."""
-    from .species import set_partitions
     per_block = [set_partitions(frozenset(b)) for b in p.blocks]
 
     def rec(i, acc_blocks, shape):

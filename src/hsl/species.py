@@ -149,22 +149,43 @@ def set_partitions(labels: frozenset) -> tuple[UnorderedSetPartition, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def fubini(n: int) -> int:
-    """Count of ordered set partitions of an n-set, by recurrence."""
-    from math import comb
-    if n == 0:
-        return 1
-    return sum(comb(n, k) * fubini(n - k) for k in range(1, n + 1))
+def _count_upward(n: int, step, cap: int | None) -> int:
+    """Run a counting recurrence a(0) = 1, a(m) = step(a, m) upward to m = n.
+
+    The counts here never decrease in m, so with `cap` the run stops at the
+    first a(m) above it and returns that: a result above `cap` then says
+    only that a(n) exceeds it too.  A budget check costs a few terms that
+    way, however large n is."""
+    a = [1]
+    for m in range(1, n + 1):
+        a.append(step(a, m))
+        if cap is not None and a[m] > cap:
+            break
+    return a[-1]
 
 
-@lru_cache(maxsize=None)
-def bell(n: int) -> int:
-    """Count of unordered set partitions of an n-set, by recurrence."""
+def fubini(n: int, cap: int | None = None) -> int:
+    """Count of ordered set partitions of an n-set (capped as in
+    `_count_upward`)."""
     from math import comb
-    if n == 0:
-        return 1
-    return sum(comb(n - 1, k) * bell(k) for k in range(n))
+    return _count_upward(
+        n, lambda a, m: sum(comb(m, k) * a[m - k] for k in range(1, m + 1)), cap)
+
+
+def bell(n: int, cap: int | None = None) -> int:
+    """Count of unordered set partitions of an n-set (capped as in
+    `_count_upward`)."""
+    from math import comb
+    return _count_upward(
+        n, lambda a, m: sum(comb(m - 1, k) * a[k] for k in range(m)), cap)
+
+
+def check_set_partition_budget(n: int, budget: int) -> None:
+    """Raise CarrierOverflow when Bell(n) exceeds the budget, before
+    anything is enumerated."""
+    if bell(n, cap=budget) > budget:
+        raise CarrierOverflow(
+            f"set partitions of {n} labels exceed budget {budget}")
 
 
 @dataclass(frozen=True, eq=False)

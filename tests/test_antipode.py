@@ -1,5 +1,6 @@
 import pytest
 
+import hsl.antipode as ap
 from hsl.antipode import (Adjunction, antipode_axiom_check,
                           antipode_on_inverted_check, box_indecomposables,
                           closed_form_antipode, declared_adjunctions,
@@ -124,6 +125,45 @@ def test_takeuchi_budget():
     assert takeuchi_antipode(SIMPLICIAL, big, budget=1) is not None
 
 
+def _ordered(fam, x):
+    return FreeVector(fam.tag, x.labels, ap._ordered_sum(fam, x))
+
+
+def test_collapsed_sum_matches_ordered_sum():
+    cases = [(fam, n) for fam in FAMILIES.values() for n in range(4)]
+    cases += [(GRAPHS, 4), (PARTITIONS, 4)]
+    for fam, n in cases:
+        for x in fam.enumerate(frozenset(range(n))):
+            assert ap._block_order_free(fam, x), x.encode()
+            collapsed = FreeVector(fam.tag, x.labels, ap._unordered_sum(fam, x))
+            assert collapsed == _ordered(fam, x), x.encode()
+            assert takeuchi_antipode(fam, x) == collapsed, x.encode()
+
+
+def _skewed_graphs():
+    """Graphs whose merge of two single vertices adds the edge when the
+    larger label comes first: not commutative."""
+    from dataclasses import replace
+
+    def skewed(a, b):
+        if len(a.labels) == 1 and len(b.labels) == 1 and min(a.labels) > min(b.labels):
+            return GRAPHS.box_fn(a, b)
+        return GRAPHS.mult_fn(a, b)
+
+    return replace(GRAPHS, tag="graphs-skew", mult_fn=skewed)
+
+
+def test_takeuchi_falls_back_to_ordered_sum_when_block_order_matters():
+    mutant = _skewed_graphs()
+    k2 = G("G:n=2;E=0-1")
+    assert not ap._block_order_free(mutant, k2)
+    ordered = _ordered(mutant, k2)
+    assert takeuchi_antipode(mutant, k2) == ordered
+    # the collapse would be wrong here: the two block orders of 0|1
+    # reassemble to different graphs
+    assert FreeVector(mutant.tag, k2.labels, ap._unordered_sum(mutant, k2)) != ordered
+
+
 def test_closed_form_matches_takeuchi_all_families_n3():
     for fam in FAMILIES.values():
         for n in range(4):
@@ -152,14 +192,7 @@ def test_closed_form_literal_discrepancy_on_two_chains():
 
 
 def test_closed_form_rejects_noncommutative_family():
-    from dataclasses import replace
-
-    def skewed(a, b):
-        if len(a.labels) == 1 and len(b.labels) == 1 and min(a.labels) > min(b.labels):
-            return GRAPHS.box_fn(a, b)
-        return GRAPHS.mult_fn(a, b)
-
-    mutant = replace(GRAPHS, tag="graphs-skew", mult_fn=skewed)
+    mutant = _skewed_graphs()
     import hsl.families
     import hsl.antipode
     hsl.antipode._self_adjoint_at.cache_clear()
@@ -313,12 +346,6 @@ def test_factorize_guard_detects_sweep_disagreement():
         factorize(mutant, path)
 
 
-def test_takeuchi_parallel_matches_serial():
-    import hsl.antipode as ap
-    old = ap._PARALLEL_THRESHOLD
-    ap._PARALLEL_THRESHOLD = 4
-    try:
-        tri = G("G:n=3;E=0-1,0-2,1-2")
-        assert takeuchi_antipode(GRAPHS, tri, jobs=2) == takeuchi_antipode(GRAPHS, tri)
-    finally:
-        ap._PARALLEL_THRESHOLD = old
+def test_takeuchi_ignores_jobs():
+    tri = G("G:n=3;E=0-1,0-2,1-2")
+    assert takeuchi_antipode(GRAPHS, tri, jobs=2) == takeuchi_antipode(GRAPHS, tri)

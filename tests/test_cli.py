@@ -1,4 +1,5 @@
 import json
+import time
 
 from hsl import cli
 from hsl.families import free_vector_from_json
@@ -63,6 +64,18 @@ def test_budget_exit_code(capsys):
                        "--object", "P:n=5;B=01234", "--budget", "100",
                        "--jobs", "1")
     assert code == 3 and "budget exceeded" in err
+
+
+def test_huge_label_count_exits_budget_without_enumerating(capsys):
+    # the budget is checked by a capped count, so neither route recurses
+    # Fubini(2000) deep nor sweeps the 2^2000 subsets
+    for method in ("takeuchi", "closed", "both"):
+        start = time.monotonic()
+        code, out, err = run(capsys, "antipode", "--family", "graphs",
+                             "--object", "G:n=2000;E=", "--method", method,
+                             "--jobs", "1")
+        assert code == 3 and "budget exceeded" in err and not out
+        assert time.monotonic() - start < 10
 
 
 def test_budget_must_be_positive(capsys):
@@ -141,9 +154,7 @@ def test_json_output_is_deterministic(capsys):
     assert first == second
 
 
-def test_jobs_do_not_change_output(capsys, monkeypatch):
-    import hsl.antipode as ap
-    monkeypatch.setattr(ap, "_PARALLEL_THRESHOLD", 4)
+def test_jobs_do_not_change_output(capsys):
     args = ("antipode", "--family", "partitions", "--object", "P:n=3;B=012",
             "--method", "takeuchi")
     _, serial, _ = run(capsys, *(args + ("--jobs", "1")))

@@ -189,6 +189,23 @@ def test_graph_flats_examples():
     assert not is_flat(G("G:n=3;E=0-1,1-2"), k3)
 
 
+def _graph_flats_oracle(g):
+    """Every graph on the vertex set of g that is a flat of g."""
+    out = [h for h in GRAPHS.enumerate(g.labels) if is_flat(h, g)]
+    return tuple(sorted(out, key=Graph.encode))
+
+
+def test_graph_flats_match_all_graphs_sweep():
+    for n in range(5):
+        for g in GRAPHS.enumerate(frozenset(range(n))):
+            assert graph_flats(g) == _graph_flats_oracle(g), g.encode()
+    # every 17th graph on 5 vertices by edge count, and K5: 62 graphs
+    carrier = sorted(GRAPHS.enumerate(frozenset(range(5))),
+                     key=lambda g: (len(g.edges), g.encode()))
+    for g in carrier[::17] + [carrier[-1]]:
+        assert graph_flats(g) == _graph_flats_oracle(g), g.encode()
+
+
 def test_flats_equal_reassembly_upset():
     for n in range(5):
         for g in GRAPHS.enumerate(frozenset(range(n))):

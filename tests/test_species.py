@@ -39,6 +39,16 @@ def test_set_partition_counts_match_bell():
     assert [bell(n) for n in range(7)] == [1, 1, 2, 5, 15, 52, 203]
 
 
+def test_capped_counts_stop_early_and_stay_exact_below_the_cap():
+    # no recursion and no giant integers: a capped count of a huge label
+    # set stops at the first term above the cap
+    assert 10 ** 6 < fubini(2000, cap=10 ** 6) < 10 ** 8
+    assert 10 ** 6 < bell(2000, cap=10 ** 6) < 10 ** 8
+    for n in range(8):
+        assert fubini(n, cap=10 ** 6) == fubini(n)
+        assert bell(n, cap=10 ** 6) == bell(n)
+
+
 def test_enumeration_is_deterministic():
     a = [c.blocks for c in compositions(frozenset(range(4)))]
     b = [c.blocks for c in compositions(frozenset(range(4)))]
