@@ -15,14 +15,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain, product
 from math import factorial
 
 from .errors import (DEFAULT_BUDGET, CarrierOverflow, EngineError,
                      NonUniqueFactorization, NotSelfAdjoint)
 from .posets import (CarrierPoset, PosetView, ProductPoset, GaloisReport,
-                     check_galois, graded_char_eval)
+                     check_galois)
 from .species import (Family, UnorderedSetPartition,
-                      check_set_partition_budget, compositions, compose_mult,
+                      check_set_partition_budget, check_subset_budget,
+                      compositions, compose_mult,
                       fubini, reassemble, set_partitions, subsets)
 from .vectors import FreeVector, inverted_basis
 
@@ -42,8 +44,11 @@ def reassembly_upset(fam: Family, x, budget: int = DEFAULT_BUDGET) -> tuple:
     return tuple(seen[k] for k in sorted(seen))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _reassembly_view(tag: str, labels: frozenset, budget: int) -> CarrierPoset:
+    """One reassembly view per label set, shared by its callers.  The
+    bound is far above the views one CLI command builds (one per subset
+    of its labels)."""
     from .families import FAMILIES
     fam = FAMILIES[tag]
     upsets: dict = {}
@@ -65,37 +70,6 @@ def _reassembly_view(tag: str, labels: frozenset, budget: int) -> CarrierPoset:
 
 def reassembly_poset(fam: Family, labels, budget: int = DEFAULT_BUDGET) -> CarrierPoset:
     return _reassembly_view(fam.tag, frozenset(labels), budget)
-
-
-# ---------------------------------------------------------------------------
-# self-adjointness (commutativity + cocommutativity) gate
-
-
-@lru_cache(maxsize=None)
-def _self_adjoint_at(tag: str, n: int, budget: int) -> bool:
-    from .families import FAMILIES
-    fam = FAMILIES[tag]
-    labels = frozenset(range(n))
-    for S in subsets(labels):
-        T = labels - S
-        xs = fam.enumerate(S, budget)
-        ys = fam.enumerate(T, budget)
-        for x in xs:
-            for y in ys:
-                if fam.mult(x, y) != fam.mult(y, x):
-                    return False
-        for z in fam.enumerate(labels, budget):
-            a, b = fam.comult(z, S, T)
-            b2, a2 = fam.comult(z, T, S)
-            if (a, b) != (a2, b2):
-                return False
-    return True
-
-
-def require_self_adjoint(fam: Family, n: int, budget: int = DEFAULT_BUDGET):
-    if not _self_adjoint_at(fam.tag, n, budget):
-        raise NotSelfAdjoint(
-            f"family {fam.tag} is not commutative and cocommutative at n={n}")
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +146,7 @@ class Adjunction:
 
     def verify_all_splits(self, labels) -> GaloisReport:
         labels = frozenset(labels)
+        check_subset_budget(len(labels), self.budget)
         for S in subsets(labels):
             report = self.verify(S, labels - S)
             if not report.ok:
@@ -257,17 +232,11 @@ def factorize(fam: Family, x) -> Factorization:
     return Factorization(partition, tuple(ordered))
 
 
-_GRADING_CACHE: dict = {}
-
-
+@lru_cache(maxsize=1 << 14)
 def grading(fam: Family, x) -> int:
-    """Number of indecomposable factors of x."""
-    key = (fam.tag, x)
-    cached = _GRADING_CACHE.get(key)
-    if cached is None:
-        cached = factorize(fam, x).length
-        _GRADING_CACHE[key] = cached
-    return cached
+    """Number of indecomposable factors of x.  The cache bound is far above
+    the distinct structures one CLI command or benchmark pass grades."""
+    return factorize(fam, x).length
 
 
 def is_indecomposable(fam: Family, x) -> bool:
@@ -303,7 +272,15 @@ def _unordered_sum(fam: Family, x) -> dict:
 
 def _block_order_free(fam: Family, x) -> bool:
     """Whether split-then-merge of x along an ordered set partition is the
-    same for every order of the blocks, checked on x alone.
+    same for every order of the blocks, checked on x alone (see
+    `_restrictions`)."""
+    return _restrictions(fam, x) is not None
+
+
+def _restrictions(fam: Family, x) -> list | None:
+    """The restrictions r(S) of x to every subset S of its labels, indexed
+    by the bitmask of S over the sorted labels, when the checks below hold;
+    None when one fails.
 
     Let I be the labels of x and r(S) = comult(x, S, I - S)[0].  The check:
 
@@ -326,20 +303,35 @@ def _block_order_free(fam: Family, x) -> bool:
     splits = [fam.comult(x, S, labels - S) for S in subs]
     r = [first for first, _ in splits]
     if any(second != r[full ^ m] for m, (_, second) in enumerate(splits)):
-        return False
+        return None
     for U in range(1, full):
         S = (U - 1) & U
         while S:
             if fam.comult(r[U], subs[S], subs[U ^ S]) != (r[S], r[U ^ S]):
-                return False
+                return None
             S = (S - 1) & U
     for S in range(1, full + 1):
         T = full ^ S
         while T > S:
             if fam.mult(r[S], r[T]) != fam.mult(r[T], r[S]):
-                return False
+                return None
             T = (T - 1) & (full ^ S)
-    return True
+    return r
+
+
+def require_self_adjoint(fam: Family, x) -> list:
+    """The restrictions of x from `_restrictions`, or NotSelfAdjoint where
+    they fail its checks.
+
+    The closed form needs the family commutative and cocommutative, but
+    only on the pieces that the reassemblies of x cut and merge, and
+    those are exactly what `_restrictions` checks."""
+    r = _restrictions(fam, x)
+    if r is None:
+        raise NotSelfAdjoint(
+            f"family {fam.tag} is not commutative and cocommutative "
+            f"on the restrictions of {x.encode()}")
+    return r
 
 
 def takeuchi_antipode(fam: Family, x, budget: int = DEFAULT_BUDGET,
@@ -394,22 +386,119 @@ class ClosedFormAntipode:
         return FreeVector(self.family, self.labels, self.lower)
 
 
+def _mask_partitions(m: int) -> list:
+    """The set partitions of the set bits of m, each a tuple of block
+    bitmasks ordered by lowest bit; the one-block partition comes first."""
+    if not m:
+        return [()]
+    low = m & -m
+    rest = m ^ low
+    out = []
+    extra = rest
+    while True:
+        out.extend((low | extra,) + tail for tail in _mask_partitions(rest ^ extra))
+        if not extra:
+            return out
+        extra = (extra - 1) & rest
+
+
+@lru_cache(maxsize=16)
+def _partition_lattice(n: int) -> tuple:
+    """(parts, refines) on the labels 0..n-1: `_mask_partitions` of all
+    of them, and for each partition the bitmask over indices into `parts`
+    of the partitions that refine it, itself included."""
+    parts = _mask_partitions((1 << n) - 1)
+    index = {blocks: j for j, blocks in enumerate(parts)}
+    refines = []
+    for blocks in parts:
+        mask = 0
+        for pieces in product(*map(_mask_partitions, blocks)):
+            finer = sorted(chain.from_iterable(pieces), key=lambda b: b & -b)
+            mask |= 1 << index[tuple(finer)]
+        refines.append(mask)
+    return tuple(parts), tuple(refines)
+
+
+def _bits(m: int):
+    """Positions of the set bits of m, lowest first."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
+
+
+def _reassembly_images(fam: Family, x, r: list) -> tuple:
+    """(elems, up, bottom) for the up-set of x in the reassembly order,
+    from the restrictions r of x that passed the gate.
+
+    `elems` are the images in encoding order (the order of
+    `reassembly_upset`), up[i] is the bitmask over `elems` of the up-set
+    of elems[i], and elems[bottom] is x.
+
+    The images are img(pi) = reassemble(pi, x) over the set partitions pi
+    of the labels, and by the gate img(pi) is the product of the r(B) over
+    the blocks B of pi.  Splitting img(pi) along sigma restricts each r(B)
+    to r(B & C) for the blocks C of sigma (Hopf compatibility and the
+    gate), so reassembling it along sigma gives img(pi meet sigma): the
+    up-set of img(pi) is {img(rho) : rho refines pi}."""
+    parts, refines = _partition_lattice(len(x.labels))
+    images = []
+    for blocks in parts:
+        y = fam.unit
+        for b in blocks:
+            y = fam.mult(y, r[b])
+        images.append(y)
+    first: dict = {}  # image -> index of the first partition giving it
+    for j, y in enumerate(images):
+        first.setdefault(y, j)
+    elems = sorted(first, key=lambda y: y.encode())
+    index = {y: i for i, y in enumerate(elems)}
+    slot = [index[y] for y in images]
+    up = []
+    for y in elems:
+        mask = 0
+        for j in _bits(refines[first[y]]):
+            mask |= 1 << slot[j]
+        up.append(mask)
+    return elems, up, slot[0]  # parts[0] has one block: its image is x
+
+
 def closed_form_antipode(fam: Family, x,
                          budget: int = DEFAULT_BUDGET) -> ClosedFormAntipode:
     """Antipode from the reassembly order: the coefficient of y is the
     upper characteristic evaluation at -1 over the interval [x, y] graded
-    by factorization length.  The lower evaluation is reported alongside."""
-    n = len(x.labels)
-    check_set_partition_budget(n, budget)
-    require_self_adjoint(fam, n, budget)
-    p = reassembly_poset(fam, x.labels, budget)
-    ell = lambda z: grading(fam, z)
-    upper: dict = {}
-    lower: dict = {}
-    for y in p.upset(x):
-        upper[y] = graded_char_eval(p, x, y, ell, "upper", -1)
-        lower[y] = graded_char_eval(p, x, y, ell, "lower", -1)
-    return ClosedFormAntipode(fam.tag, x.labels, upper, lower)
+    by factorization length.  The lower evaluation is reported alongside.
+
+    The up-set of x and its order come from x's own restrictions, which
+    the gate (`require_self_adjoint`) returns; see `_reassembly_images`.
+    With s(z) = (-1)^ell(z), the lower value at y is the sum of
+    mu(x, z) s(z) over z <= y.  The upper value u(y), the sum of
+    mu(z, y) s(z) over x <= z <= y, sums over [x, w] to s(w), so
+    u(w) = s(w) - (sum of u(y) over x <= y < w); mu(x, w) obeys the same
+    recursion from the delta at x.  One pass in a linear extension (by
+    falling up-set size) gives both."""
+    check_set_partition_budget(len(x.labels), budget)
+    r = require_self_adjoint(fam, x)
+    elems, up, bottom = _reassembly_images(fam, x, r)
+    down = [0] * len(elems)
+    for i, mask in enumerate(up):
+        for k in _bits(mask):
+            down[k] |= 1 << i
+    sign = [(-1) ** grading(fam, y) for y in elems]
+    mu = [0] * len(elems)  # mu(x, z)
+    upper = [0] * len(elems)
+    lower = [0] * len(elems)
+    for i in sorted(range(len(elems)), key=lambda i: -up[i].bit_count()):
+        mu_below = upper_below = lower_below = 0
+        for k in _bits(down[i] ^ (1 << i)):
+            mu_below += mu[k]
+            upper_below += upper[k]
+            lower_below += mu[k] * sign[k]
+        mu[i] = (1 if i == bottom else 0) - mu_below
+        upper[i] = sign[i] - upper_below
+        lower[i] = lower_below + mu[i] * sign[i]
+    return ClosedFormAntipode(fam.tag, x.labels, dict(zip(elems, upper)),
+                              dict(zip(elems, lower)))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from .errors import (CarrierOverflow, DEFAULT_BUDGET, EngineError,
                      NotSelfAdjoint, ParseError)
 from .families import FAMILIES, parse_structure
 from .fock import partition_char_poly_check, power_sum_identity_check
-from .species import verify_axioms
+from .species import check_subset_budget, verify_axioms
 from .vectors import duality_pairing_check
 
 EXIT_OK = 0
@@ -75,6 +75,11 @@ def cmd_antipode(args) -> int:
     if not args.object.startswith(expected + ":"):
         raise ParseError(f"object {args.object!r} is not a {fam.tag} encoding")
     x = parse_structure(args.object)
+    # the library parser also reads other spellings of a structure (leading
+    # zeros, spaces, repeated or unsorted parts); the CLI takes only the
+    # canonical grammar, so that each structure has one spelling
+    if x.encode() != args.object:
+        raise ParseError(f"{args.object!r} is not canonical; write {x.encode()!r}")
 
     results = []
     vectors = {}
@@ -114,6 +119,7 @@ def cmd_antipode(args) -> int:
 def cmd_primitives(args) -> int:
     budget = _budget_from(args)
     fam = _family_from(args)
+    check_subset_budget(args.n, budget)
     labels = frozenset(range(args.n))
     adj = declared_adjunctions(fam, budget)[0]
     vectors = primitives_basis(adj, labels)

@@ -237,10 +237,10 @@ def parse_partition(text: str) -> SetPartition:
     blocks = []
     if payload:
         for part in payload.split("|"):
-            if "," in part:
-                members = frozenset(_parse_int(v, "label") for v in part.split(","))
-            else:
-                members = frozenset(_parse_int(ch, "label") for ch in part)
+            # canonical: one digit per label up to ten labels, commas beyond,
+            # where a one-label block such as "10" has no comma to go by
+            digits = part.split(",") if "," in part or len(labels) > 10 else part
+            members = frozenset(_parse_int(v, "label") for v in digits)
             if not members:
                 raise ParseError(f"empty block in {text!r}")
             blocks.append(members)

@@ -180,6 +180,13 @@ def bell(n: int, cap: int | None = None) -> int:
         n, lambda a, m: sum(comb(m - 1, k) * a[k] for k in range(m)), cap)
 
 
+def check_subset_budget(n: int, budget: int) -> None:
+    """Raise CarrierOverflow when the 2^n subsets of an n-set exceed the
+    budget, before anything is enumerated (and without computing 2^n)."""
+    if n >= budget.bit_length():
+        raise CarrierOverflow(f"subsets of {n} labels exceed budget {budget}")
+
+
 def check_set_partition_budget(n: int, budget: int) -> None:
     """Raise CarrierOverflow when Bell(n) exceeds the budget, before
     anything is enumerated."""

@@ -10,6 +10,7 @@ from hsl.antipode import (Adjunction, antipode_axiom_check,
 from hsl.errors import CarrierOverflow, EngineError, NotSelfAdjoint
 from hsl.families import (FAMILIES, GRAPHS, HYPERGRAPHS, PARTITIONS,
                           SIMPLICIAL, Graph, is_connected, parse_structure)
+from hsl.posets import graded_char_eval
 from hsl.species import subsets
 from hsl.vectors import FreeVector, comult_vector, inverted_basis
 
@@ -193,18 +194,69 @@ def test_closed_form_literal_discrepancy_on_two_chains():
 
 def test_closed_form_rejects_noncommutative_family():
     mutant = _skewed_graphs()
-    import hsl.families
-    import hsl.antipode
-    hsl.antipode._self_adjoint_at.cache_clear()
-    original = hsl.families.FAMILIES.copy()
-    hsl.families.FAMILIES["graphs-skew"] = mutant
-    try:
-        with pytest.raises(NotSelfAdjoint):
-            closed_form_antipode(mutant, G("G:n=2;E=0-1"))
-    finally:
-        hsl.families.FAMILIES.clear()
-        hsl.families.FAMILIES.update(original)
-        hsl.antipode._self_adjoint_at.cache_clear()
+    with pytest.raises(NotSelfAdjoint):
+        closed_form_antipode(mutant, G("G:n=2;E=0-1"))
+
+
+def _literal_closed_form(fam, x):
+    """The closed form from its definition: the recursive Möbius function
+    on the reassembly poset, one interval per coefficient."""
+    p = reassembly_poset(fam, x.labels)
+    ell = lambda z: grading(fam, z)
+    upper = {y: graded_char_eval(p, x, y, ell, "upper", -1) for y in p.upset(x)}
+    lower = {y: graded_char_eval(p, x, y, ell, "lower", -1) for y in p.upset(x)}
+    return upper, lower
+
+
+def _closed_form_cases():
+    """Every structure of every family up to 4 labels (every 8th hypergraph
+    on 4), all partitions on 5 and every 16th graph on 5."""
+    for fam in FAMILIES.values():
+        for n in range(5):
+            step = 8 if fam is HYPERGRAPHS and n == 4 else 1
+            for x in fam.enumerate(frozenset(range(n)))[::step]:
+                yield fam, x
+    for x in PARTITIONS.enumerate(frozenset(range(5))):
+        yield PARTITIONS, x
+    for x in GRAPHS.enumerate(frozenset(range(5)))[::16]:
+        yield GRAPHS, x
+
+
+def test_closed_form_matches_literal_oracle():
+    for fam, x in _closed_form_cases():
+        closed = closed_form_antipode(fam, x)
+        upper, lower = _literal_closed_form(fam, x)
+        assert list(closed.upper.items()) == list(upper.items()), x.encode()
+        assert list(closed.lower.items()) == list(lower.items()), x.encode()
+
+
+def test_derived_upsets_match_reassembly_upset():
+    for fam, x in _closed_form_cases():
+        r = ap.require_self_adjoint(fam, x)
+        elems, up, bottom = ap._reassembly_images(fam, x, r)
+        assert elems[bottom] == x
+        assert tuple(elems) == reassembly_upset(fam, x), x.encode()
+        for y, mask in zip(elems, up):
+            derived = tuple(elems[k] for k in ap._bits(mask))
+            assert derived == reassembly_upset(fam, y), (x.encode(), y.encode())
+
+
+def test_grading_cache_is_bounded():
+    bound = grading.cache_info().maxsize
+    assert bound is not None
+    grading.cache_clear()
+    points = [Graph(frozenset({i}), frozenset()) for i in range(bound + 1)]
+    assert all(grading(GRAPHS, pt) == 1 for pt in points)
+    assert grading.cache_info().currsize == bound
+
+
+def test_reassembly_view_cache_is_bounded():
+    bound = ap._reassembly_view.cache_info().maxsize
+    assert bound is not None
+    ap._reassembly_view.cache_clear()
+    for i in range(bound + 1):
+        reassembly_poset(GRAPHS, {i})
+    assert ap._reassembly_view.cache_info().currsize == bound
 
 
 def test_eigen_identity_small():

@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
+import hsl
 from hsl import cli
 from hsl.families import free_vector_from_json
 
@@ -76,6 +80,27 @@ def test_huge_label_count_exits_budget_without_enumerating(capsys):
                              "--jobs", "1")
         assert code == 3 and "budget exceeded" in err and not out
         assert time.monotonic() - start < 10
+
+
+def test_non_canonical_object_is_a_parse_error(capsys):
+    for family, text in (("graphs", "G:n=02;E="), ("graphs", "G:n=2;E=0-1,0-1"),
+                         ("graphs", "G:n=2;E= 0-1"),
+                         ("partitions", "P:n=3;B=2|01")):
+        code, out, err = run(capsys, "antipode", "--family", family,
+                             "--object", text, "--jobs", "1")
+        assert code == 2 and "not canonical" in err and not out, text
+
+
+def test_primitives_counts_splits_before_enumerating():
+    # 2^30 splits exceed the budget; the sweep must not build them first
+    src = os.path.dirname(os.path.dirname(hsl.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for family in ("graphs", "partitions"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "hsl.cli", "primitives", "--family", family,
+             "--n", "30", "--jobs", "1"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 3 and "budget exceeded" in proc.stderr
 
 
 def test_budget_must_be_positive(capsys):

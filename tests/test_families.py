@@ -54,6 +54,10 @@ def test_empty_complex_and_units():
 def test_partition_encoding_wide_labels():
     p = SetPartition(frozenset({3, 10}), (frozenset({3, 10}),))
     assert p.encode() == "P:n=2;B=3,10"
+    # past ten labels every block is comma-separated, one-label blocks too
+    wide = SetPartition(frozenset(range(11)), (frozenset(range(10)), frozenset({10})))
+    assert wide.encode() == "P:n=11;B=0,1,2,3,4,5,6,7,8,9|10"
+    assert parse_structure(wide.encode()) == wide
 
 
 def test_parse_errors():
