@@ -6,9 +6,9 @@ from .errors import (AdjunctionUnverified, AmbientMismatch, CarrierOverflow,
                      DEFAULT_BUDGET, EngineError, LabelMismatch, LabelOverlap,
                      NonUniqueFactorization, NotAFlat, NotComparable,
                      NotSelfAdjoint, ParseError)
-from .posets import (CarrierPoset, IntPolynomial, PosetView, ProductPoset,
-                     check_galois, graded_char_eval, graded_char_poly,
-                     interval, mobius, rota_transfer_check)
+from .posets import (FinitePoset, IntPolynomial, check_galois,
+                     graded_char_eval, graded_char_poly, interval, mobius,
+                     rota_transfer_check)
 from .species import (Family, OrderedSetPartition, UnorderedSetPartition,
                       bell, compositions, compose_comult, compose_mult,
                       fubini, set_partitions, verify_axioms,

@@ -20,8 +20,7 @@ from math import factorial
 
 from .errors import (DEFAULT_BUDGET, CarrierOverflow, EngineError,
                      NonUniqueFactorization, NotSelfAdjoint)
-from .posets import (CarrierPoset, PosetView, ProductPoset, GaloisReport,
-                     check_galois)
+from .posets import FinitePoset, GaloisReport, _bits, check_galois
 from .species import (Family, UnorderedSetPartition,
                       check_set_partition_budget, check_subset_budget,
                       compositions, compose_mult,
@@ -45,31 +44,19 @@ def reassembly_upset(fam: Family, x, budget: int = DEFAULT_BUDGET) -> tuple:
 
 
 @lru_cache(maxsize=256)
-def _reassembly_view(tag: str, labels: frozenset, budget: int) -> CarrierPoset:
-    """One reassembly view per label set, shared by its callers.  The
-    bound is far above the views one CLI command builds (one per subset
-    of its labels)."""
-    from .families import FAMILIES
-    fam = FAMILIES[tag]
-    upsets: dict = {}
-
-    def upset_of(x):
-        cached = upsets.get(x)
-        if cached is None:
-            cached = reassembly_upset(fam, x, budget)
-            upsets[x] = cached
-        return cached
-
-    def leq(x, y):
-        return any(y == z for z in upset_of(x))
-
-    return CarrierPoset(lambda: fam.enumerate(labels, budget), leq,
-                        upset_fn=upset_of, budget=budget,
-                        family_tag=tag, labels=labels)
+def _reassembly_view(fam: Family, labels: frozenset, budget: int) -> FinitePoset:
+    """One compiled reassembly order per (family, labels, budget), shared
+    by its callers.  The bound is far above the orders one CLI command
+    builds (one per subset of its labels)."""
+    elems = sorted(fam.enumerate(labels, budget), key=lambda x: x.encode())
+    index = {x: i for i, x in enumerate(elems)}
+    up = [sum(1 << index[y] for y in reassembly_upset(fam, x, budget))
+          for x in elems]
+    return FinitePoset(elems, up, fam.tag)
 
 
-def reassembly_poset(fam: Family, labels, budget: int = DEFAULT_BUDGET) -> CarrierPoset:
-    return _reassembly_view(fam.tag, frozenset(labels), budget)
+def reassembly_poset(fam: Family, labels, budget: int = DEFAULT_BUDGET) -> FinitePoset:
+    return _reassembly_view(fam, frozenset(labels), budget)
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +96,7 @@ class Adjunction:
             return self.family.box(x, y)
         return self.family.mult(x, y)
 
-    def poset(self, labels) -> PosetView:
+    def poset(self, labels) -> FinitePoset:
         if self.kind == "delta_m":
             return reassembly_poset(self.family, labels, self.budget)
         reverse = self.kind == "m_delta"
@@ -125,12 +112,13 @@ class Adjunction:
         S, T = frozenset(S), frozenset(T)
         if self.kind == "m_delta":
             whole = fam.poset(S | T, self.budget)
-            parts = ProductPoset(fam.poset(S, self.budget), fam.poset(T, self.budget))
+            parts = FinitePoset.product(fam.poset(S, self.budget),
+                                        fam.poset(T, self.budget))
             f = lambda pair: fam.mult(pair[0], pair[1])
             g = lambda z: fam.comult(z, S, T)
             return parts, whole, f, g
         whole = self.poset(S | T)
-        parts = ProductPoset(self.poset(S), self.poset(T))
+        parts = FinitePoset.product(self.poset(S), self.poset(T))
         f = lambda z: fam.comult(z, S, T)
         g = lambda pair: self.box(pair[0], pair[1])
         return whole, parts, f, g
@@ -178,18 +166,19 @@ class Factorization:
         return len(self.factors)
 
 
-def _split_once(fam: Family, x):
-    """First proper bipartition along which x merges back to itself, in a
-    deterministic sweep order; None when x is indecomposable."""
+def _split_once(fam: Family, x, reverse: bool):
+    """First proper bipartition (a, b) along which x merges back to
+    itself, sweeping the bipartitions in bitmask order or its reverse;
+    None when x is indecomposable."""
     labels = sorted(x.labels)
     if len(labels) < 2:
         return None
     anchor = labels[0]
     rest = labels[1:]
-    for mask in range(2 ** len(rest) - 1):
+    masks = range(2 ** len(rest) - 1)
+    for mask in (reversed(masks) if reverse else masks):
         S = frozenset([anchor] + [rest[i] for i in range(len(rest)) if mask >> i & 1])
-        T = x.labels - S
-        a, b = fam.comult(x, S, T)
+        a, b = fam.comult(x, S, x.labels - S)
         if fam.mult(a, b) == x:
             return a, b
     return None
@@ -198,19 +187,10 @@ def _split_once(fam: Family, x):
 def _factor_sweep(fam: Family, x, reverse: bool) -> list:
     if not x.labels:
         return []
-    labels = sorted(x.labels)
-    if len(labels) < 2:
+    split = _split_once(fam, x, reverse)
+    if split is None:
         return [x]
-    anchor = labels[0]
-    rest = labels[1:]
-    masks = range(2 ** len(rest) - 1)
-    for mask in (reversed(masks) if reverse else masks):
-        S = frozenset([anchor] + [rest[i] for i in range(len(rest)) if mask >> i & 1])
-        T = x.labels - S
-        a, b = fam.comult(x, S, T)
-        if fam.mult(a, b) == x:
-            return _factor_sweep(fam, a, reverse) + _factor_sweep(fam, b, reverse)
-    return [x]
+    return _factor_sweep(fam, split[0], reverse) + _factor_sweep(fam, split[1], reverse)
 
 
 def factorize(fam: Family, x) -> Factorization:
@@ -240,7 +220,7 @@ def grading(fam: Family, x) -> int:
 
 
 def is_indecomposable(fam: Family, x) -> bool:
-    return bool(x.labels) and _split_once(fam, x) is None
+    return bool(x.labels) and _split_once(fam, x, reverse=False) is None
 
 
 # ---------------------------------------------------------------------------
@@ -419,14 +399,6 @@ def _partition_lattice(n: int) -> tuple:
     return tuple(parts), tuple(refines)
 
 
-def _bits(m: int):
-    """Positions of the set bits of m, lowest first."""
-    while m:
-        low = m & -m
-        yield low.bit_length() - 1
-        m ^= low
-
-
 def _reassembly_images(fam: Family, x, r: list) -> tuple:
     """(elems, up, bottom) for the up-set of x in the reassembly order,
     from the restrictions r of x that passed the gate.
@@ -473,31 +445,20 @@ def closed_form_antipode(fam: Family, x,
     the gate (`require_self_adjoint`) returns; see `_reassembly_images`.
     With s(z) = (-1)^ell(z), the lower value at y is the sum of
     mu(x, z) s(z) over z <= y.  The upper value u(y), the sum of
-    mu(z, y) s(z) over x <= z <= y, sums over [x, w] to s(w), so
-    u(w) = s(w) - (sum of u(y) over x <= y < w); mu(x, w) obeys the same
-    recursion from the delta at x.  One pass in a linear extension (by
-    falling up-set size) gives both."""
+    mu(z, y) s(z) over x <= z <= y, sums over [x, w] to s(w): it is the
+    Möbius inversion of s along the up-set of x, the same pass that gives
+    mu(x, .) from the delta at x."""
     check_set_partition_budget(len(x.labels), budget)
     r = require_self_adjoint(fam, x)
     elems, up, bottom = _reassembly_images(fam, x, r)
-    down = [0] * len(elems)
-    for i, mask in enumerate(up):
-        for k in _bits(mask):
-            down[k] |= 1 << i
+    p = FinitePoset(elems, up)
     sign = [(-1) ** grading(fam, y) for y in elems]
-    mu = [0] * len(elems)  # mu(x, z)
-    upper = [0] * len(elems)
-    lower = [0] * len(elems)
-    for i in sorted(range(len(elems)), key=lambda i: -up[i].bit_count()):
-        mu_below = upper_below = lower_below = 0
-        for k in _bits(down[i] ^ (1 << i)):
-            mu_below += mu[k]
-            upper_below += upper[k]
-            lower_below += mu[k] * sign[k]
-        mu[i] = (1 if i == bottom else 0) - mu_below
-        upper[i] = sign[i] - upper_below
-        lower[i] = lower_below + mu[i] * sign[i]
-    return ClosedFormAntipode(fam.tag, x.labels, dict(zip(elems, upper)),
+    mu = p.mu(bottom)
+    upper = p.invert(bottom, sign.__getitem__)
+    # every element is above x, so [x, y] is the whole down-set of y
+    lower = [sum(mu[k] * sign[k] for k in _bits(below)) for below in p.down]
+    return ClosedFormAntipode(fam.tag, x.labels,
+                              {y: upper[i] for i, y in enumerate(elems)},
                               dict(zip(elems, lower)))
 
 

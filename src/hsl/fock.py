@@ -204,6 +204,8 @@ def partition_char_poly_check(n: int, budget: int = DEFAULT_BUDGET) -> CharPolyR
     from .families import PARTITIONS
     labels = frozenset(range(n))
     view = PARTITIONS.poset(labels, budget)
+    # mu(tau, top) is mu(top, tau) in the opposite order: one row, not one per tau
+    opposite = PARTITIONS.poset(labels, budget, reverse=True)
     carrier = view.carrier()
     bottom = next(q for q in carrier if len(q.blocks) == 1)
     top = next(q for q in carrier if len(q.blocks) == n)
@@ -213,7 +215,8 @@ def partition_char_poly_check(n: int, budget: int = DEFAULT_BUDGET) -> CharPolyR
         for name, expo in _EXPONENTS.items():
             poly = IntPolynomial()
             for tau in carrier:
-                mu = mobius(view, bottom, tau) if side == "lower" else mobius(view, tau, top)
+                mu = (mobius(view, bottom, tau) if side == "lower"
+                      else mobius(opposite, top, tau))
                 poly = poly + IntPolynomial.term(mu, expo(len(tau.blocks), n))
             polys[(side, name)] = poly
 

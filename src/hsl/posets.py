@@ -1,194 +1,117 @@
-"""Finite-poset kernel: order views, Möbius functions, intervals,
-Galois-connection checks, and graded characteristic evaluations.
+"""Finite-poset kernel: one compiled order class, Möbius functions,
+intervals, Galois-connection checks, and graded characteristic
+evaluations.
 
-All elements are compared through canonical string keys, never through
-incidental object ordering.  Möbius values are memoized per view; the
-cache is write-once per key, so concurrent readers always observe values
-identical to a fresh recomputation.
+A `FinitePoset` keeps its elements (hashable frozen structures, or pairs
+of them) in a fixed order, and each element's up-set and down-set as a
+Python-int bitset over that order: comparing two elements is a bit test
+and an interval is one `&`.  Möbius values come from one inversion pass
+along an up-set in a linear extension (Rota, "On the foundations of
+combinatorial theory I", 1964).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Iterable
 
-from .errors import DEFAULT_BUDGET, CarrierOverflow, NotComparable
+from .errors import NotComparable
 
 
-def _structure_key(x):
-    enc = getattr(x, "encode", None)
-    if enc is not None:
-        return enc()
-    if isinstance(x, tuple):
-        return tuple(_structure_key(part) for part in x)
-    return str(x)
+def _bits(m: int):
+    """Positions of the set bits of m, lowest first."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
 
 
-class PosetView:
-    """A partial order over an enumerable carrier.
+class FinitePoset:
+    """A finite partial order compiled to bitsets.
 
-    Subclasses supply ``leq``, a carrier, and optionally a direct up-set
-    oracle; everything else (intervals, Möbius values) derives from those.
-    """
+    `elems` is the element order (encoding order for a carrier), `index`
+    maps each element to its position, and up[i] and down[i] are the
+    bitsets of the elements above and below elems[i], itself included.
+    `family_tag` names the family of a carrier, for the vectors built on
+    it.  The rows mu(x, .) are computed once per element and kept."""
 
-    family_tag: str | None = None
-    labels: frozenset | None = None
+    def __init__(self, elems, up, family_tag: str | None = None):
+        self.elems = tuple(elems)
+        self.index = {x: i for i, x in enumerate(self.elems)}
+        self.up = tuple(up)
+        down = [0] * len(self.elems)
+        for i, mask in enumerate(self.up):
+            for k in _bits(mask):
+                down[k] |= 1 << i
+        self.down = tuple(down)
+        self.family_tag = family_tag
+        self._down_size = [mask.bit_count() for mask in down]
+        self._mu: dict = {}
 
-    def __init__(self, budget: int = DEFAULT_BUDGET):
-        self.budget = budget
-        self._mobius_cache: dict = {}
-        self._upset_cache: dict = {}
+    @classmethod
+    def from_leq(cls, elems, leq, family_tag: str | None = None) -> "FinitePoset":
+        """Compile an order oracle over `elems`, one call per pair."""
+        elems = tuple(elems)
+        up = [sum(1 << j for j, y in enumerate(elems) if leq(x, y)) for x in elems]
+        return cls(elems, up, family_tag)
 
-    def leq(self, x, y) -> bool:
-        raise NotImplementedError
+    @classmethod
+    def product(cls, p: "FinitePoset", q: "FinitePoset") -> "FinitePoset":
+        """Componentwise order on the pairs (p.elems[i], q.elems[j]), the
+        pair at position i * |Q| + j."""
+        width = len(q.elems)
+        # the shifted copies of b occupy disjoint blocks of width bits
+        up = [sum(b << width * i for i in _bits(a)) for a in p.up for b in q.up]
+        return cls(((u, v) for u in p.elems for v in q.elems), up)
 
-    def key(self, x):
-        return _structure_key(x)
+    def reverse(self) -> "FinitePoset":
+        """The opposite order on the same elements."""
+        return FinitePoset(self.elems, self.down, self.family_tag)
 
     def carrier(self) -> tuple:
-        raise NotImplementedError
+        return self.elems
+
+    def leq(self, x, y) -> bool:
+        return bool(self.up[self.index[x]] >> self.index[y] & 1)
 
     def upset(self, x) -> tuple:
-        kx = self.key(x)
-        cached = self._upset_cache.get(kx)
-        if cached is None:
-            cached = self._compute_upset(x)
-            if len(cached) > self.budget:
-                raise CarrierOverflow(
-                    f"up-set of {kx} has {len(cached)} elements (budget {self.budget})")
-            self._upset_cache[kx] = cached
-        return cached
+        return tuple(self.elems[k] for k in _bits(self.up[self.index[x]]))
 
-    def _compute_upset(self, x) -> tuple:
-        return tuple(z for z in self.carrier() if self.leq(x, z))
+    def invert(self, i: int, s) -> dict:
+        """Möbius inversion along the up-set of elems[i]: for s given on
+        the positions of the up-set, the g with the sum of g(y) over
+        elems[i] <= y <= w equal to s(w) for every w in it, as
+        {position: g}.  One pass in a linear extension (by down-set size):
+        g(w) = s(w) - sum of g(y) over i <= y < w."""
+        up = self.up[i]
+        g: dict = {}
+        for w in sorted(_bits(up), key=self._down_size.__getitem__):
+            below = (up & self.down[w]) ^ (1 << w)
+            g[w] = s(w) - sum(map(g.__getitem__, _bits(below)))
+        return g
 
-    def reverse(self) -> "PosetView":
-        return _ReversedView(self)
-
-    def _check_budget(self, count: int, what: str):
-        if count > self.budget:
-            raise CarrierOverflow(f"{what} has {count} elements (budget {self.budget})")
-
-
-class CarrierPoset(PosetView):
-    """Poset over an explicitly enumerable carrier with an order oracle."""
-
-    def __init__(self, carrier_fn: Callable[[], Iterable], leq_fn, *,
-                 upset_fn=None, key_fn=None, budget: int = DEFAULT_BUDGET,
-                 family_tag: str | None = None, labels: frozenset | None = None):
-        super().__init__(budget)
-        self._carrier_fn = carrier_fn
-        self._leq_fn = leq_fn
-        self._upset_fn = upset_fn
-        self._key_fn = key_fn
-        self._carrier = None
-        self.family_tag = family_tag
-        self.labels = labels
-
-    def leq(self, x, y) -> bool:
-        return self._leq_fn(x, y)
-
-    def key(self, x):
-        if self._key_fn is not None:
-            return self._key_fn(x)
-        return _structure_key(x)
-
-    def carrier(self) -> tuple:
-        if self._carrier is None:
-            elems = tuple(self._carrier_fn())
-            self._check_budget(len(elems), "carrier")
-            self._carrier = tuple(sorted(elems, key=self.key))
-        return self._carrier
-
-    def _compute_upset(self, x) -> tuple:
-        if self._upset_fn is not None:
-            elems = tuple(self._upset_fn(x))
-            return tuple(sorted(elems, key=self.key))
-        return super()._compute_upset(x)
+    def mu(self, i: int) -> dict:
+        """mu(elems[i], .) on the up-set of elems[i]: `invert` with s the
+        delta at i."""
+        row = self._mu.get(i)
+        if row is None:
+            row = self._mu[i] = self.invert(i, lambda w: int(w == i))
+        return row
 
 
-class _ReversedView(PosetView):
-    """The opposite order of an existing view."""
-
-    def __init__(self, base: PosetView):
-        super().__init__(base.budget)
-        self._base = base
-        self.family_tag = base.family_tag
-        self.labels = base.labels
-
-    def leq(self, x, y) -> bool:
-        return self._base.leq(y, x)
-
-    def key(self, x):
-        return self._base.key(x)
-
-    def carrier(self) -> tuple:
-        return self._base.carrier()
-
-    def reverse(self) -> PosetView:
-        return self._base
-
-
-class ProductPoset(PosetView):
-    """Componentwise order on pairs drawn from two views."""
-
-    def __init__(self, left: PosetView, right: PosetView):
-        super().__init__(min(left.budget, right.budget))
-        self.left = left
-        self.right = right
-        self._carrier = None
-
-    def leq(self, x, y) -> bool:
-        return self.left.leq(x[0], y[0]) and self.right.leq(x[1], y[1])
-
-    def key(self, x):
-        return (self.left.key(x[0]), self.right.key(x[1]))
-
-    def carrier(self) -> tuple:
-        if self._carrier is None:
-            a = self.left.carrier()
-            b = self.right.carrier()
-            self._check_budget(len(a) * len(b), "product carrier")
-            self._carrier = tuple(sorted(((u, v) for u in a for v in b), key=self.key))
-        return self._carrier
-
-    def _compute_upset(self, x) -> tuple:
-        pairs = [(u, v) for u in self.left.upset(x[0]) for v in self.right.upset(x[1])]
-        return tuple(sorted(pairs, key=self.key))
-
-
-def interval(p: PosetView, x, y) -> tuple:
-    """All z with x <= z <= y, deduplicated by canonical key."""
+def interval(p: FinitePoset, x, y) -> tuple:
+    """All z with x <= z <= y, in the poset's element order."""
     if not p.leq(x, y):
-        raise NotComparable(f"{p.key(x)} and {p.key(y)} are not comparable")
-    seen = {}
-    for z in p.upset(x):
-        if p.leq(z, y):
-            seen.setdefault(p.key(z), z)
-    return tuple(seen[k] for k in sorted(seen))
+        raise NotComparable(f"{x!r} and {y!r} are not comparable")
+    return tuple(p.elems[k] for k in _bits(p.up[p.index[x]] & p.down[p.index[y]]))
 
 
-def mobius(p: PosetView, x, y) -> int:
+def mobius(p: FinitePoset, x, y) -> int:
     """Möbius value mu(x, y): 1 on the diagonal, else the negated sum of
     mu(x, z) over x <= z < y."""
     if not p.leq(x, y):
-        raise NotComparable(f"{p.key(x)} and {p.key(y)} are not comparable")
-    return _mobius(p, x, y)
-
-
-def _mobius(p: PosetView, x, y) -> int:
-    kx, ky = p.key(x), p.key(y)
-    cached = p._mobius_cache.get((kx, ky))
-    if cached is not None:
-        return cached
-    if kx == ky:
-        value = 1
-    else:
-        value = -sum(_mobius(p, x, z) for z in interval(p, x, y) if p.key(z) != ky)
-    p._mobius_cache[(kx, ky)] = value
-    return value
+        raise NotComparable(f"{x!r} and {y!r} are not comparable")
+    return p.mu(p.index[x])[p.index[y]]
 
 
 @dataclass
@@ -201,37 +124,45 @@ class GaloisReport:
         return self.ok
 
 
-def check_galois(p: PosetView, q: PosetView, f, g) -> GaloisReport:
+def check_galois(p: FinitePoset, q: FinitePoset, f, g) -> GaloisReport:
     """Check that f: P -> Q and g: Q -> P are order-preserving and satisfy
-    f(x) <= y iff x <= g(y) for every pair; on failure report a witness."""
-    pc = p.carrier()
-    qc = q.carrier()
-    for x1 in pc:
-        for x2 in p.upset(x1):
-            if not q.leq(f(x1), f(x2)):
-                return GaloisReport(False, "left map not order-preserving", (x1, x2))
-    for y1 in qc:
-        for y2 in q.upset(y1):
-            if not p.leq(g(y1), g(y2)):
-                return GaloisReport(False, "right map not order-preserving", (y1, y2))
-    for x in pc:
-        for y in qc:
-            if q.leq(f(x), y) != p.leq(x, g(y)):
-                return GaloisReport(False, "adjunction biconditional fails", (x, y))
+    f(x) <= y iff x <= g(y) for every pair; on failure report a witness,
+    the first failing pair in element order.
+
+    f and g are applied once per element; the checks then compare
+    bitsets."""
+    fx = [q.index[f(x)] for x in p.elems]
+    gy = [p.index[g(y)] for y in q.elems]
+    for src, dst, h, reason in ((p, q, fx, "left map not order-preserving"),
+                                (q, p, gy, "right map not order-preserving")):
+        for i, mask in enumerate(src.up):
+            for k in _bits(mask):
+                if not dst.up[h[i]] >> h[k] & 1:
+                    return GaloisReport(False, reason, (src.elems[i], src.elems[k]))
+    preimage = [0] * len(p.elems)  # position in P -> bitset of the y with g(y) there
+    for j, k in enumerate(gy):
+        preimage[k] |= 1 << j
+    for i, mask in enumerate(p.up):
+        below_g = 0  # the y with x <= g(y)
+        for k in _bits(mask):
+            below_g |= preimage[k]
+        diff = q.up[fx[i]] ^ below_g
+        if diff:
+            j = (diff & -diff).bit_length() - 1
+            return GaloisReport(False, "adjunction biconditional fails",
+                                (p.elems[i], q.elems[j]))
     return GaloisReport(True)
 
 
-def rota_transfer_check(p: PosetView, q: PosetView, f, g, x, b):
+def rota_transfer_check(p: FinitePoset, q: FinitePoset, f, g, x, b):
     """Compare the two Möbius sums transported along a Galois connection:
     sum of mu_P(x, y) over y >= x with f(y) = b, against
     sum of mu_Q(a, b) over a <= b with g(a) = x.
 
     Returns (equal, left_sum, right_sum)."""
-    kb = q.key(b)
-    kx = p.key(x)
-    left = sum(mobius(p, x, y) for y in p.upset(x) if q.key(f(y)) == kb)
+    left = sum(mobius(p, x, y) for y in p.upset(x) if f(y) == b)
     right = sum(mobius(q, a, b) for a in q.carrier()
-                if q.leq(a, b) and p.key(g(a)) == kx)
+                if q.leq(a, b) and g(a) == x)
     return left == right, left, right
 
 
@@ -298,7 +229,7 @@ class IntPolynomial:
         return cls({int(e): c for e, c in json.loads(text).items()})
 
 
-def graded_char_poly(p: PosetView, x, y, grading, side: str) -> IntPolynomial:
+def graded_char_poly(p: FinitePoset, x, y, grading, side: str) -> IntPolynomial:
     """Möbius-weighted rank generating polynomial of the interval [x, y].
 
     side="lower" weights z by mu(x, z); side="upper" weights z by mu(z, y).
@@ -312,29 +243,5 @@ def graded_char_poly(p: PosetView, x, y, grading, side: str) -> IntPolynomial:
     return out
 
 
-def graded_char_eval(p: PosetView, x, y, grading, side: str, t: int) -> int:
+def graded_char_eval(p: FinitePoset, x, y, grading, side: str, t: int) -> int:
     return graded_char_poly(p, x, y, grading, side).evaluate(t)
-
-
-def mobius_matrix_oracle(p: PosetView):
-    """Invert the zeta matrix of the carrier by back substitution.
-
-    Independent of the recursive Möbius computation; intended for
-    cross-checking in tests.  Returns {(key_x, key_y): value}."""
-    elems = list(p.carrier())
-    n = len(elems)
-    order = sorted(range(n), key=lambda i: sum(1 for j in range(n) if p.leq(elems[j], elems[i])))
-    mu = {}
-    for ii, i in enumerate(order):
-        for j in order[:ii + 1][::-1]:
-            if not p.leq(elems[j], elems[i]):
-                continue
-            if i == j:
-                mu[(p.key(elems[j]), p.key(elems[i]))] = Fraction(1)
-                continue
-            total = Fraction(0)
-            for k in range(n):
-                if k != j and p.leq(elems[j], elems[k]) and p.leq(elems[k], elems[i]):
-                    total += mu.get((p.key(elems[k]), p.key(elems[i])), Fraction(0))
-            mu[(p.key(elems[j]), p.key(elems[i]))] = -total
-    return {pair: int(v) for pair, v in mu.items()}

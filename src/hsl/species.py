@@ -12,11 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
+from math import comb, factorial
 from typing import Callable
 
 from .errors import (DEFAULT_BUDGET, CarrierOverflow, EngineError,
                      LabelMismatch, LabelOverlap)
-from .posets import CarrierPoset
+from .posets import FinitePoset
 
 
 def check_label_set(labels) -> frozenset[int]:
@@ -118,9 +119,11 @@ class UnorderedSetPartition:
         return "USP(" + "|".join("".join(map(str, sorted(b))) for b in self.blocks) + ")"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def compositions(labels: frozenset) -> tuple[OrderedSetPartition, ...]:
-    """All ordered set partitions of `labels` into nonempty blocks."""
+    """All ordered set partitions of `labels` into nonempty blocks.  One
+    call caches all 2^n subsets of its n labels: 128 at 7 labels, the
+    most the default budget lets the ordered sum take."""
     labels = frozenset(labels)
     if not labels:
         return (OrderedSetPartition(()),)
@@ -133,9 +136,10 @@ def compositions(labels: frozenset) -> tuple[OrderedSetPartition, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def set_partitions(labels: frozenset) -> tuple[UnorderedSetPartition, ...]:
-    """All unordered set partitions of `labels`."""
+    """All unordered set partitions of `labels`.  The cache bound is far
+    above the label sets one CLI command or benchmark pass uses."""
     labels = frozenset(labels)
     if not labels:
         return (UnorderedSetPartition(()),)
@@ -167,7 +171,6 @@ def _count_upward(n: int, step, cap: int | None) -> int:
 def fubini(n: int, cap: int | None = None) -> int:
     """Count of ordered set partitions of an n-set (capped as in
     `_count_upward`)."""
-    from math import comb
     return _count_upward(
         n, lambda a, m: sum(comb(m, k) * a[m - k] for k in range(1, m + 1)), cap)
 
@@ -175,7 +178,6 @@ def fubini(n: int, cap: int | None = None) -> int:
 def bell(n: int, cap: int | None = None) -> int:
     """Count of unordered set partitions of an n-set (capped as in
     `_count_upward`)."""
-    from math import comb
     return _count_upward(
         n, lambda a, m: sum(comb(m - 1, k) * a[k] for k in range(m)), cap)
 
@@ -251,15 +253,23 @@ class Family:
         return self.leq_fn is not None
 
     def poset(self, labels, budget: int = DEFAULT_BUDGET,
-              reverse: bool = False) -> CarrierPoset:
-        """The native order on the carrier over `labels`."""
+              reverse: bool = False) -> FinitePoset:
+        """The native order on the carrier over `labels`, or its opposite."""
         if self.leq_fn is None:
             raise EngineError(f"family {self.tag} has no native order")
-        labels = check_label_set(labels)
-        view = CarrierPoset(
-            lambda: self.enumerate(labels, budget), self.leq_fn,
-            budget=budget, family_tag=self.tag, labels=labels)
-        return view.reverse() if reverse else view
+        return _native_poset(self, check_label_set(labels), budget, reverse)
+
+
+@lru_cache(maxsize=256)
+def _native_poset(fam: Family, labels: frozenset, budget: int,
+                  reverse: bool) -> FinitePoset:
+    """One compiled native order per (family, labels, budget) and its
+    opposite.  The bound is far above the orders one CLI command builds
+    (two per subset of its labels)."""
+    if reverse:
+        return _native_poset(fam, labels, budget, False).reverse()
+    elems = sorted(fam.enumerate(labels, budget), key=lambda x: x.encode())
+    return FinitePoset.from_leq(elems, fam.leq_fn, fam.tag)
 
 
 def compose_mult(fam: Family, parts_partition, parts) -> object:
@@ -378,6 +388,7 @@ def verify_axioms(fam: Family, n: int, budget: int = DEFAULT_BUDGET) -> AxiomRep
     native order, order-preservation of the structure maps."""
     report = AxiomReport(fam.tag, n)
     carriers = _Carriers(fam, n, budget)
+    _check_relabel_budget(carriers)
 
     def record(name, witness):
         report.results.append(AxiomResult(name, witness is None, witness))
@@ -426,6 +437,24 @@ def _bijections(labels):
     if elems:
         shift = max(elems) + 1
         yield {i: i + shift for i in elems}
+
+
+def _check_relabel_budget(carriers) -> None:
+    """Raise CarrierOverflow when either naturality sweep would check more
+    relabelled cases than the budget, counted from the carrier sizes
+    before any relabel runs.  Carrier size k has k! + 1 bijections (one
+    for k = 0).  The merge sweep checks each on every pair of C(S) x C(T)
+    over the 2^k subsets S; the split sweep on every structure of C(k),
+    once per subset."""
+    sizes = [len(carriers.by_size[k]) for k in carriers]
+    for name, cases in (
+            ("merge", lambda k: sum(comb(k, j) * sizes[j] * sizes[k - j]
+                                    for j in range(k + 1))),
+            ("split", lambda k: 2 ** k * sizes[k])):
+        count = sum((factorial(k) + (k > 0)) * cases(k) for k in carriers)
+        if count > carriers.budget:
+            raise CarrierOverflow(f"{name} naturality sweep checks {count} "
+                                  f"relabelled cases (budget {carriers.budget})")
 
 
 def _check_naturality_mult(fam, carriers):

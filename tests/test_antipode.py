@@ -199,8 +199,9 @@ def test_closed_form_rejects_noncommutative_family():
 
 
 def _literal_closed_form(fam, x):
-    """The closed form from its definition: the recursive Möbius function
-    on the reassembly poset, one interval per coefficient."""
+    """The closed form from its definition: the Möbius function of the
+    reassembly poset built from `reassembly_upset` (pinned against the
+    recursive one in test_posets), one interval per coefficient."""
     p = reassembly_poset(fam, x.labels)
     ell = lambda z: grading(fam, z)
     upper = {y: graded_char_eval(p, x, y, ell, "upper", -1) for y in p.upset(x)}

@@ -103,6 +103,20 @@ def test_primitives_counts_splits_before_enumerating():
         assert proc.returncode == 3 and "budget exceeded" in proc.stderr
 
 
+def test_verify_counts_relabelings_before_sweeping():
+    # the naturality sweeps would check about 73 million relabelled cases
+    # on partitions of 7 labels (and 370 thousand on graphs of 5); the
+    # count comes first, so the command exits 3 instead of running them
+    src = os.path.dirname(os.path.dirname(hsl.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for family, n in (("partitions", "7"), ("graphs", "5")):
+        proc = subprocess.run(
+            [sys.executable, "-m", "hsl.cli", "verify", "--family", family,
+             "--n", n, "--jobs", "1"],
+            capture_output=True, text=True, env=env, timeout=10)
+        assert proc.returncode == 3 and "naturality sweep" in proc.stderr
+
+
 def test_budget_must_be_positive(capsys):
     code, _, err = run(capsys, "antipode", "--family", "graphs",
                        "--object", "G:n=1;E=", "--budget", "0", "--jobs", "1")

@@ -1,25 +1,74 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+from hsl.antipode import reassembly_poset
 from hsl.errors import CarrierOverflow, NotComparable
-from hsl.families import GRAPHS, PARTITIONS, parse_structure
-from hsl.posets import (CarrierPoset, IntPolynomial, ProductPoset,
-                        check_galois, graded_char_eval, graded_char_poly,
-                        interval, mobius, mobius_matrix_oracle,
+from hsl.families import (FAMILIES, GRAPHS, PARTITIONS, SIMPLICIAL,
+                          parse_structure)
+from hsl.posets import (FinitePoset, IntPolynomial, check_galois,
+                        graded_char_eval, graded_char_poly, interval, mobius,
                         rota_transfer_check)
+from hsl.species import _native_poset
 
 
 def chain_poset(n):
-    return CarrierPoset(lambda: range(n), lambda a, b: a <= b,
-                        key_fn=str, family_tag="chain", labels=frozenset())
+    return FinitePoset.from_leq(range(n), lambda a, b: a <= b, "chain")
 
 
 def diamond_poset():
     # 0 < 1, 2 < 3 with 1, 2 incomparable
     order = {(0, 0), (1, 1), (2, 2), (3, 3),
              (0, 1), (0, 2), (0, 3), (1, 3), (2, 3)}
-    return CarrierPoset(lambda: range(4), lambda a, b: (a, b) in order, key_fn=str)
+    return FinitePoset.from_leq(range(4), lambda a, b: (a, b) in order)
+
+
+def recursive_mobius(p, x, y, memo):
+    """mu(x, y) from its defining recursion over the interval [x, y],
+    memoized in `memo` by the pair of elements."""
+    if (x, y) not in memo:
+        memo[(x, y)] = 1 if x == y else -sum(
+            recursive_mobius(p, x, z, memo) for z in interval(p, x, y) if z != y)
+    return memo[(x, y)]
+
+
+def mobius_matrix_oracle(p):
+    """Invert the zeta matrix of the carrier by back substitution, from
+    `leq` alone.  Returns {(x, y): mu(x, y)} over the pairs x <= y."""
+    elems = list(p.carrier())
+    n = len(elems)
+    order = sorted(range(n), key=lambda i: sum(1 for j in range(n) if p.leq(elems[j], elems[i])))
+    mu = {}
+    for ii, i in enumerate(order):
+        for j in order[:ii + 1][::-1]:
+            if not p.leq(elems[j], elems[i]):
+                continue
+            if i == j:
+                mu[(j, i)] = Fraction(1)
+                continue
+            total = Fraction(0)
+            for k in range(n):
+                if k != j and p.leq(elems[j], elems[k]) and p.leq(elems[k], elems[i]):
+                    total += mu.get((k, i), Fraction(0))
+            mu[(j, i)] = -total
+    return {(elems[j], elems[i]): int(v) for (j, i), v in mu.items()}
+
+
+def _oracle_orders():
+    """The orders the bitset Möbius function is pinned on, each with its
+    opposite: every native and every reassembly order on at most 3
+    labels, the partition order on 4, one product order and two small
+    abstract orders."""
+    orders = [chain_poset(4), diamond_poset(),
+              PARTITIONS.poset(frozenset(range(4))),
+              FinitePoset.product(GRAPHS.poset(frozenset({0, 1})),
+                                  PARTITIONS.poset(frozenset({2, 3, 4})))]
+    for fam in FAMILIES.values():
+        for n in range(4):
+            orders.append(fam.poset(frozenset(range(n))))
+            orders.append(reassembly_poset(fam, frozenset(range(n))))
+    return orders + [p.reverse() for p in orders]
 
 
 def test_mobius_base_cases():
@@ -36,13 +85,15 @@ def test_mobius_not_comparable():
 
 
 def test_mobius_against_zeta_inversion_oracle():
-    for p in (chain_poset(4), diamond_poset(),
-              GRAPHS.poset(frozenset(range(3))),
-              PARTITIONS.poset(frozenset(range(4)))):
+    for p in _oracle_orders():
         oracle = mobius_matrix_oracle(p)
+        memo: dict = {}
+        pairs = 0
         for x in p.carrier():
             for y in p.upset(x):
-                assert mobius(p, x, y) == oracle[(p.key(x), p.key(y))]
+                assert mobius(p, x, y) == oracle[(x, y)] == recursive_mobius(p, x, y, memo)
+                pairs += 1
+        assert pairs == len(oracle)
 
 
 def test_mobius_partition_lattice_n3():
@@ -78,17 +129,31 @@ def test_mobius_inversion_round_trip():
               GRAPHS.poset(frozenset(range(3))),
               PARTITIONS.poset(frozenset(range(4)))):
         carrier = p.carrier()
-        f = {p.key(x): rng.randint(-9, 9) for x in carrier}
-        g = {p.key(x): sum(mobius(p, x, y) * f[p.key(y)] for y in p.upset(x))
-             for x in carrier}
+        f = {x: rng.randint(-9, 9) for x in carrier}
+        g = {x: sum(mobius(p, x, y) * f[y] for y in p.upset(x)) for x in carrier}
         for x in carrier:
-            assert sum(g[p.key(y)] for y in p.upset(x)) == f[p.key(x)]
+            assert sum(g[y] for y in p.upset(x)) == f[x]
+
+
+def test_invert_sums_back_over_each_interval():
+    # the g that `invert` returns sums over [x, w] to s(w), for every w >= x
+    rng = random.Random(11)
+    for p in (diamond_poset(), PARTITIONS.poset(frozenset(range(4))),
+              reassembly_poset(GRAPHS, frozenset(range(3)))):
+        for i in range(len(p.carrier())):
+            s = [rng.randint(-9, 9) for _ in p.carrier()]
+            g = p.invert(i, s.__getitem__)
+            assert set(g) == {p.index[y] for y in p.upset(p.carrier()[i])}
+            for w in g:
+                assert sum(g[k] for k in g if p.up[k] >> w & 1) == s[w]
 
 
 def test_product_poset_multiplicativity():
     left = GRAPHS.poset(frozenset({0, 1}))
     right = chain_poset(3)
-    prod = ProductPoset(left, right)
+    prod = FinitePoset.product(left, right)
+    assert prod.carrier() == tuple((u, v) for u in left.carrier()
+                                   for v in right.carrier())
     for a in left.carrier():
         for c in left.upset(a):
             for b in right.carrier():
@@ -106,9 +171,12 @@ def test_boolean_lattice_closed_form():
 
 
 def test_budget_overflow():
-    p = CarrierPoset(lambda: range(100), lambda a, b: a <= b, budget=10)
+    # a carrier over the budget raises before its order is compiled, also
+    # for a family whose carrier is not counted in advance
     with pytest.raises(CarrierOverflow):
-        p.carrier()
+        GRAPHS.poset(frozenset(range(4)), budget=10)
+    with pytest.raises(CarrierOverflow):
+        SIMPLICIAL.poset(frozenset(range(3)), budget=10)
 
 
 def test_reverse_view():
@@ -116,7 +184,17 @@ def test_reverse_view():
     r = p.reverse()
     assert r.leq(3, 0) and not r.leq(0, 3)
     assert set(r.upset(3)) == {0, 1, 2, 3}
-    assert r.reverse() is p
+    twice = r.reverse()
+    assert (twice.elems, twice.up, twice.down) == (p.elems, p.up, p.down)
+
+
+def test_native_poset_cache_is_bounded():
+    bound = _native_poset.cache_info().maxsize
+    assert bound is not None
+    _native_poset.cache_clear()
+    for i in range(bound + 1):
+        GRAPHS.poset({i})
+    assert _native_poset.cache_info().currsize == bound
 
 
 def test_check_galois_identity():
@@ -128,17 +206,20 @@ def test_check_galois_identity():
 def test_check_galois_graphs_free_product():
     S, T = frozenset({0}), frozenset({1, 2})
     whole = GRAPHS.poset(S | T)
-    parts = ProductPoset(GRAPHS.poset(S), GRAPHS.poset(T))
-    f = lambda g: GRAPHS.comult(g, S, T)
+    parts = FinitePoset.product(GRAPHS.poset(S), GRAPHS.poset(T))
+    calls = []
+    f = lambda g: calls.append(g) or GRAPHS.comult(g, S, T)
     g = lambda pair: GRAPHS.box(pair[0], pair[1])
     assert check_galois(whole, parts, f, g).ok
+    # f is applied once per element, not once per compared pair
+    assert sorted(calls, key=lambda g: g.encode()) == list(whole.carrier())
 
 
 def test_check_galois_fails_for_disjoint_union():
     # the split map is not adjoint to plain merge in the containment order
     S, T = frozenset({0}), frozenset({1})
     whole = GRAPHS.poset(S | T)
-    parts = ProductPoset(GRAPHS.poset(S), GRAPHS.poset(T))
+    parts = FinitePoset.product(GRAPHS.poset(S), GRAPHS.poset(T))
     f = lambda g: GRAPHS.comult(g, S, T)
     g = lambda pair: GRAPHS.mult(pair[0], pair[1])
     report = check_galois(whole, parts, f, g)
@@ -152,7 +233,7 @@ def test_check_galois_fails_for_disjoint_union():
 def test_rota_transfer_trivial_and_graphs():
     S, T = frozenset({0}), frozenset({1})
     whole = GRAPHS.poset(S | T)
-    parts = ProductPoset(GRAPHS.poset(S), GRAPHS.poset(T))
+    parts = FinitePoset.product(GRAPHS.poset(S), GRAPHS.poset(T))
     f = lambda g: GRAPHS.comult(g, S, T)
     g = lambda pair: GRAPHS.box(pair[0], pair[1])
     k2 = parse_structure("G:n=2;E=0-1")
@@ -167,7 +248,7 @@ def test_rota_transfer_trivial_and_graphs():
 def test_rota_transfer_partitions():
     S, T = frozenset({0}), frozenset({1, 2})
     whole = PARTITIONS.poset(S | T)
-    parts = ProductPoset(PARTITIONS.poset(S), PARTITIONS.poset(T))
+    parts = FinitePoset.product(PARTITIONS.poset(S), PARTITIONS.poset(T))
     f = lambda q: PARTITIONS.comult(q, S, T)
     g = lambda pair: PARTITIONS.mult(pair[0], pair[1])
     x = parse_structure("P:n=3;B=012")
@@ -179,7 +260,7 @@ def test_rota_transfer_partitions():
 def test_rota_transfer_everywhere_on_small_galois_pairs():
     S, T = frozenset({0}), frozenset({1})
     whole = GRAPHS.poset(S | T)
-    parts = ProductPoset(GRAPHS.poset(S), GRAPHS.poset(T))
+    parts = FinitePoset.product(GRAPHS.poset(S), GRAPHS.poset(T))
     f = lambda g: GRAPHS.comult(g, S, T)
     g = lambda pair: GRAPHS.box(pair[0], pair[1])
     assert check_galois(whole, parts, f, g).ok

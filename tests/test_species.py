@@ -39,6 +39,16 @@ def test_set_partition_counts_match_bell():
     assert [bell(n) for n in range(7)] == [1, 1, 2, 5, 15, 52, 203]
 
 
+def test_partition_caches_are_bounded():
+    for cache in (compositions, set_partitions):
+        bound = cache.cache_info().maxsize
+        assert bound is not None
+        cache.cache_clear()
+        for i in range(bound + 1):
+            assert len(cache(frozenset({i}))) == 1
+        assert cache.cache_info().currsize == bound
+
+
 def test_capped_counts_stop_early_and_stay_exact_below_the_cap():
     # no recursion and no giant integers: a capped count of a huge label
     # set stops at the first term above the cap
