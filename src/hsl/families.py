@@ -413,6 +413,14 @@ def _partition_enumerate(labels, budget):
                  for usp in set_partitions(frozenset(labels)))
 
 
+def _separated_pairs(p: SetPartition) -> frozenset:
+    """The label pairs (a, b), a < b, in different blocks of p: tau
+    refines pi iff tau separates every pair that pi separates."""
+    block_of = {v: i for i, b in enumerate(p.blocks) for v in b}
+    return frozenset((a, b) for a, b in combinations(sorted(p.labels), 2)
+                     if block_of[a] != block_of[b])
+
+
 def _relabel_edges(mapping, edges):
     return frozenset(frozenset(mapping[v] for v in e) for e in edges)
 
@@ -426,7 +434,7 @@ GRAPHS = Family(
     mult_fn=graph_disjoint_union,
     comult_fn=lambda g, S, T: (g.restrict(S), g.restrict(T)),
     box_fn=graph_free_product,
-    leq_fn=lambda a, b: a.edges <= b.edges,
+    order_key=lambda g: g.edges,
     adjunction_kinds=("delta_box", "delta_m"),
 )
 
@@ -440,7 +448,7 @@ HYPERGRAPHS = Family(
     mult_fn=hypergraph_disjoint_union,
     comult_fn=lambda h, S, T: (h.restrict(S), h.restrict(T)),
     box_fn=hypergraph_free_product,
-    leq_fn=lambda a, b: a.edges <= b.edges,
+    order_key=lambda h: h.edges,
     adjunction_kinds=("delta_box", "delta_m"),
 )
 
@@ -454,7 +462,7 @@ SIMPLICIAL = Family(
     mult_fn=sc_disjoint_union,
     comult_fn=lambda c, S, T: (c.restrict(S), c.restrict(T)),
     box_fn=None,
-    leq_fn=lambda a, b: a.faces <= b.faces,
+    order_key=lambda c: c.faces,
     adjunction_kinds=("m_delta", "delta_m"),
 )
 
@@ -469,20 +477,11 @@ PARTITIONS = Family(
     mult_fn=partition_union,
     comult_fn=lambda p, S, T: (p.restrict(S), p.restrict(T)),
     box_fn=None,
-    # tau refines pi: every block of tau lies inside a block of pi
-    leq_fn=lambda pi, tau: all(any(b <= B for B in pi.blocks) for b in tau.blocks),
+    order_key=_separated_pairs,
     adjunction_kinds=("delta_m",),
 )
 
 FAMILIES = {f.tag: f for f in (GRAPHS, HYPERGRAPHS, SIMPLICIAL, PARTITIONS)}
-
-_FAMILY_OF_TYPE = {Graph: GRAPHS, Hypergraph: HYPERGRAPHS,
-                   SimplicialComplex: SIMPLICIAL, SetPartition: PARTITIONS}
-
-
-def family_of(x) -> Family:
-    return _FAMILY_OF_TYPE[type(x)]
-
 
 def free_vector_from_json(data) -> FreeVector:
     import json as _json

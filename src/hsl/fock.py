@@ -8,12 +8,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from math import factorial
+from math import factorial, prod
 
 from .errors import CarrierOverflow, DEFAULT_BUDGET, EngineError
 from .posets import IntPolynomial, mobius
 from .species import Family, subsets
-from .symfunc import SymFunc, power_sum_monomial
+from .symfunc import SymFunc, check_expansion_degree, power_sum_monomial
 
 _MAX_ORBIT_DEGREE = 7
 
@@ -99,10 +99,7 @@ def symfunc_bridge(lam) -> SymFunc:
     coproducts; the inverse scaling h_part / part! fails that check in
     degree 2 (see the bridge tests)."""
     lam = tuple(sorted((int(v) for v in lam), reverse=True))
-    coeff = 1
-    for part in lam:
-        coeff *= factorial(part)
-    return SymFunc("h", {lam: coeff})
+    return SymFunc("h", {lam: prod(map(factorial, lam))})
 
 
 @dataclass
@@ -136,20 +133,21 @@ def power_sum_identity_check(n: int, budget: int = DEFAULT_BUDGET) -> PowerSumRe
     from .families import PARTITIONS
     if n < 1:
         raise EngineError("degree must be positive")
+    # before any poset is built: both images have degree n
+    check_expansion_degree(n)
     labels = frozenset(range(n))
     view = PARTITIONS.poset(labels, budget)
     carrier = view.carrier()
     bottom = next(q for q in carrier if len(q.blocks) == 1)
     top = next(q for q in carrier if len(q.blocks) == n)
 
-    image = SymFunc("h")
-    printed = SymFunc("h")
+    weight: dict = {}  # block shape -> sum of mu(bottom, tau) over its taus
     for tau in carrier:
-        mu = mobius(view, bottom, tau)
         lam = integer_partition_of(tau)
-        image = image + mu * symfunc_bridge(lam)
-        printed = printed + SymFunc("h", {lam: mu})
-    printed = printed * Fraction(1, mobius(view, bottom, top))
+        weight[lam] = weight.get(lam, 0) + mobius(view, bottom, tau)
+    image = SymFunc("h", {lam: w * prod(map(factorial, lam))
+                          for lam, w in weight.items()})
+    printed = SymFunc("h", weight) * Fraction(1, mobius(view, bottom, top))
 
     image_m = image.to_monomial()
     target = power_sum_monomial(n)

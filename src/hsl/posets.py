@@ -49,13 +49,6 @@ class FinitePoset:
         self._mu: dict = {}
 
     @classmethod
-    def from_leq(cls, elems, leq, family_tag: str | None = None) -> "FinitePoset":
-        """Compile an order oracle over `elems`, one call per pair."""
-        elems = tuple(elems)
-        up = [sum(1 << j for j, y in enumerate(elems) if leq(x, y)) for x in elems]
-        return cls(elems, up, family_tag)
-
-    @classmethod
     def product(cls, p: "FinitePoset", q: "FinitePoset") -> "FinitePoset":
         """Componentwise order on the pairs (p.elems[i], q.elems[j]), the
         pair at position i * |Q| + j."""

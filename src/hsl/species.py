@@ -10,9 +10,10 @@ are reproducible run to run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import permutations
 from math import comb, factorial
+from operator import and_
 from typing import Callable
 
 from .errors import (DEFAULT_BUDGET, CarrierOverflow, EngineError,
@@ -200,7 +201,10 @@ def check_set_partition_budget(n: int, budget: int) -> None:
 @dataclass(frozen=True, eq=False)
 class Family:
     """A structure family: enumeration, relabeling, merge and split maps,
-    an optional free product, and an optional native order."""
+    an optional free product, and an optional native order.
+
+    The native order is containment of key sets: x <= y iff
+    order_key(x) <= order_key(y)."""
 
     tag: str
     count_fn: Callable[[frozenset], int] | None
@@ -210,7 +214,7 @@ class Family:
     mult_fn: Callable[[object, object], object]
     comult_fn: Callable[[object, frozenset, frozenset], tuple]
     box_fn: Callable[[object, object], object] | None = None
-    leq_fn: Callable[[object, object], bool] | None = None
+    order_key: Callable[[object], frozenset] | None = None
     adjunction_kinds: tuple[str, ...] = ()
 
     def enumerate(self, labels, budget: int = DEFAULT_BUDGET) -> tuple:
@@ -250,12 +254,16 @@ class Family:
 
     @property
     def has_native_order(self) -> bool:
-        return self.leq_fn is not None
+        return self.order_key is not None
+
+    def leq(self, x, y) -> bool:
+        """x <= y in the native order."""
+        return self.order_key(x) <= self.order_key(y)
 
     def poset(self, labels, budget: int = DEFAULT_BUDGET,
               reverse: bool = False) -> FinitePoset:
         """The native order on the carrier over `labels`, or its opposite."""
-        if self.leq_fn is None:
+        if self.order_key is None:
             raise EngineError(f"family {self.tag} has no native order")
         return _native_poset(self, check_label_set(labels), budget, reverse)
 
@@ -265,11 +273,22 @@ def _native_poset(fam: Family, labels: frozenset, budget: int,
                   reverse: bool) -> FinitePoset:
     """One compiled native order per (family, labels, budget) and its
     opposite.  The bound is far above the orders one CLI command builds
-    (two per subset of its labels)."""
+    (two per subset of its labels).
+
+    Each member e of a key gets the bitset has[e] of the elements whose
+    key holds it; the up-set of x is the `&` of has[e] over the members e
+    of x's key."""
     if reverse:
         return _native_poset(fam, labels, budget, False).reverse()
     elems = sorted(fam.enumerate(labels, budget), key=lambda x: x.encode())
-    return FinitePoset.from_leq(elems, fam.leq_fn, fam.tag)
+    keys = [fam.order_key(x) for x in elems]
+    has: dict = {}
+    for i, key in enumerate(keys):
+        for e in key:
+            has[e] = has.get(e, 0) | 1 << i
+    everything = (1 << len(elems)) - 1
+    up = [reduce(and_, map(has.__getitem__, key), everything) for key in keys]
+    return FinitePoset(elems, up, fam.tag)
 
 
 def compose_mult(fam: Family, parts_partition, parts) -> object:
@@ -587,34 +606,38 @@ def _check_cocommutativity(fam, carriers):
 
 
 def _check_order_mult(fam, carriers):
+    key = fam.order_key
     for k in carriers:
         labels = frozenset(range(k))
         for S, T in _splits(labels):
             xs = carriers.sub(S)
             ys = carriers.sub(T)
-            for x1 in xs:
-                for x2 in xs:
-                    if not fam.leq_fn(x1, x2):
+            xkeys = [key(x) for x in xs]
+            ykeys = [key(y) for y in ys]
+            # each product once, not once per comparable pair of pairs
+            prods = [[key(fam.mult(x, y)) for y in ys] for x in xs]
+            for x1, k1, p1 in zip(xs, xkeys, prods):
+                for k2, p2 in zip(xkeys, prods):
+                    if not k1 <= k2:
                         continue
-                    for y1 in ys:
-                        for y2 in ys:
-                            if fam.leq_fn(y1, y2) and not fam.leq_fn(
-                                    fam.mult(x1, y1), fam.mult(x2, y2)):
+                    for l1, q1 in zip(ykeys, p1):
+                        for l2, q2 in zip(ykeys, p2):
+                            if l1 <= l2 and not q1 <= q2:
                                 return f"m not order-preserving at {x1.encode()}"
     return None
 
 
 def _check_order_comult(fam, carriers):
+    key = fam.order_key
     for k, carrier in carriers.items():
         labels = frozenset(range(k))
+        keys = [key(x) for x in carrier]
         for S, T in _splits(labels):
-            for x in carrier:
-                for y in carrier:
-                    if not fam.leq_fn(x, y):
-                        continue
-                    xa, xb = fam.comult(x, S, T)
-                    ya, yb = fam.comult(y, S, T)
-                    if not (fam.leq_fn(xa, ya) and fam.leq_fn(xb, yb)):
+            # each structure split once per (S, T), not once per partner
+            splits = [tuple(map(key, fam.comult(x, S, T))) for x in carrier]
+            for x, kx, (xa, xb) in zip(carrier, keys, splits):
+                for ky, (ya, yb) in zip(keys, splits):
+                    if kx <= ky and not (xa <= ya and xb <= yb):
                         return f"delta not order-preserving at {x.encode()}"
     return None
 

@@ -4,8 +4,10 @@ expansion at bounded degree.
 
 The monomial expansion in v variables is faithful for degree <= v, so
 all equality checks normalize through it; the default of 8 variables
-covers degree 6.  Multiplication is supported in the h and p bases
-(where products just merge index partitions).
+covers degree 8.  Each monomial coefficient of h_lambda or p_lambda is an
+integer count (`monomial_count`), so no polynomial is ever multiplied
+out.  Multiplication is supported in the h and p bases (where products
+just merge index partitions).
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
 
 from .errors import EngineError
 
@@ -117,21 +118,13 @@ class SymFunc:
     def to_monomial(self, nvars: int = DEFAULT_NVARS) -> "SymFunc":
         if self.basis == "m":
             return self
-        if self.degree > nvars:
-            raise EngineError(
-                f"monomial expansion in {nvars} variables is only faithful "
-                f"up to degree {nvars}")
-        poly: dict = {}
-        for lam, c in self.terms.items():
-            for alpha, k in _basis_product_poly(self.basis, lam, nvars).items():
-                poly[alpha] = poly.get(alpha, Fraction(0)) + c * k
+        check_expansion_degree(self.degree, nvars)
         out: dict = {}
-        for alpha, c in poly.items():
-            # the leading (sorted-descending) exponent vector represents
-            # the whole monomial orbit of a symmetric polynomial
-            if _is_sorted_desc(alpha):
-                lam = tuple(v for v in alpha if v)
-                out[lam] = c
+        for lam, c in self.terms.items():
+            for mu in _partitions(sum(lam)):
+                k = monomial_count(self.basis, lam, mu)
+                if k:
+                    out[mu] = out.get(mu, 0) + c * k
         return SymFunc("m", out)
 
     def to_json_dict(self) -> dict:
@@ -153,49 +146,55 @@ class SymFunc:
                     for k, v in data["terms"].items()])
 
 
-def _is_sorted_desc(alpha: tuple) -> bool:
-    return all(alpha[i] >= alpha[i + 1] for i in range(len(alpha) - 1))
+def check_expansion_degree(degree: int, nvars: int = DEFAULT_NVARS) -> None:
+    """Raise EngineError when a degree is past what a monomial expansion
+    in `nvars` variables keeps faithfully."""
+    if degree > nvars:
+        raise EngineError(
+            f"monomial expansion in {nvars} variables is only faithful "
+            f"up to degree {nvars}")
 
 
-@lru_cache(maxsize=None)
-def _generator_poly(basis: str, k: int, nvars: int) -> dict:
-    """Full expansion of h_k or p_k as exponent-vector -> coefficient."""
-    if k == 0:
-        return {(0,) * nvars: Fraction(1)}
-    out: dict = {}
-    if basis == "h":
-        for combo in combinations_with_replacement(range(nvars), k):
-            alpha = [0] * nvars
-            for i in combo:
-                alpha[i] += 1
-            out[tuple(alpha)] = Fraction(1)
-    elif basis == "p":
-        for i in range(nvars):
-            alpha = [0] * nvars
-            alpha[i] = k
-            out[tuple(alpha)] = Fraction(1)
-    else:
-        raise EngineError(f"no generator expansion for basis {basis!r}")
-    return out
+def _partitions(n: int, largest: int | None = None):
+    """The partitions of n with parts at most `largest`, descending."""
+    for part in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part,) + rest
+    if n == 0:
+        yield ()
 
 
-def _poly_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for alpha, ca in a.items():
-        for beta, cb in b.items():
-            gamma = tuple(x + y for x, y in zip(alpha, beta))
-            out[gamma] = out.get(gamma, Fraction(0)) + ca * cb
-    return out
+def _fillings(basis: str, row: int, cols: tuple) -> list:
+    """The column capacities left after placing one row of sum `row`: in
+    the h basis spread over the columns in every way, in the p basis
+    whole into one column."""
+    if basis == "p":
+        return [cols[:j] + (c - row,) + cols[j + 1:]
+                for j, c in enumerate(cols) if c >= row]
+    if not cols:
+        return [()] if row == 0 else []
+    return [(cols[0] - take,) + rest for take in range(min(row, cols[0]) + 1)
+            for rest in _fillings(basis, row - take, cols[1:])]
 
 
-@lru_cache(maxsize=None)
-def _basis_product_poly(basis: str, lam: tuple, nvars: int) -> dict:
-    if not lam:
-        return {(0,) * nvars: Fraction(1)}
-    head = _generator_poly(basis, lam[0], nvars)
-    if len(lam) == 1:
-        return head
-    return _poly_mul(head, _basis_product_poly(basis, lam[1:], nvars))
+@lru_cache(maxsize=4096)
+def monomial_count(basis: str, rows: tuple, cols: tuple) -> int:
+    """Coefficient of m_cols in h_rows or p_rows.
+
+    In the h basis it is the number of nonnegative integer matrices with
+    row sums `rows` and column sums `cols`; in the p basis the number of
+    ways to put each part of `rows` whole into a column so that the
+    columns sum to `cols` (Stanley, Enumerative Combinatorics 2, Props.
+    7.5.1 and 7.7.1).  Both counts are symmetric in the columns, so the
+    capacities left are kept sorted, and the cache holds the pairs of
+    partitions of equal size up to degree 8 (919 per basis) with room."""
+    if not rows:
+        return int(not cols)
+    total = 0
+    for left in _fillings(basis, rows[0], cols):
+        rest = tuple(sorted((c for c in left if c), reverse=True))
+        total += monomial_count(basis, rows[1:], rest)
+    return total
 
 
 def h(k: int) -> SymFunc:
@@ -211,7 +210,7 @@ def power_sum_monomial(n: int) -> SymFunc:
     return SymFunc("m", {(n,): 1})
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def newton_p_in_h(n: int) -> SymFunc:
     """p_n written in the h basis through the Newton recurrence
     n*h_n = sum over i of p_i * h_{n-i}."""

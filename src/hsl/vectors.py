@@ -272,18 +272,6 @@ def zeta_pairing(v: FreeVector, w: FreeVector, p: FinitePoset) -> Fraction:
     return total
 
 
-def tensor_zeta_pairing(tv: TensorVector, tw: TensorVector,
-                        p_left: FinitePoset, p_right: FinitePoset) -> Fraction:
-    """Product-of-zetas pairing on a tensor split."""
-    tv._check_ambient(tw)
-    total = Fraction(0)
-    for (a1, a2), ca in tv.terms.items():
-        for (b1, b2), cb in tw.terms.items():
-            if p_left.leq(a1, b1) and p_right.leq(a2, b2):
-                total += ca * cb
-    return total
-
-
 def delta_on_inverted_check(adj, x, S, T):
     """Check Delta_{S,T}(omega_x) against the sum of omega_{x1} (x) omega_{x2}
     over all pairs with x1 box x2 = x.

@@ -44,7 +44,7 @@ def test_reassembly_relation_is_partial_order():
         view = reassembly_poset(PARTITIONS, frozenset(range(n)))
         for x in view.carrier():
             for y in view.carrier():
-                assert view.leq(x, y) == PARTITIONS.leq_fn(x, y)
+                assert view.leq(x, y) == PARTITIONS.leq(x, y)
 
 
 def test_reassembly_galois_property():
@@ -363,7 +363,7 @@ def test_sc_primitives_use_downward_inverted_basis():
     omega = inverted_basis(view, full_edge)
     downset = {x.encode() for x, _ in omega.items()}
     assert full_edge.encode() in downset
-    assert all(SIMPLICIAL.leq_fn(x, full_edge) for x, _ in omega.items())
+    assert all(SIMPLICIAL.leq(x, full_edge) for x, _ in omega.items())
 
 
 def test_declared_adjunctions_verify_n2():

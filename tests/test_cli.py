@@ -117,6 +117,21 @@ def test_verify_counts_relabelings_before_sweeping():
         assert proc.returncode == 3 and "naturality sweep" in proc.stderr
 
 
+def test_fock_checks_degree_before_building_the_order():
+    # Bell(9) and Bell(10) are under the default budget, but degree 9 and
+    # 10 are past the 8-variable expansion; that is known before the
+    # partition order is compiled, so the command exits 4 at once
+    src = os.path.dirname(os.path.dirname(hsl.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for n in ("9", "10"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "hsl.cli", "fock", "--n", n, "--jobs", "1"],
+            capture_output=True, text=True, env=env, timeout=10)
+        assert proc.returncode == 4
+        assert proc.stderr == ("verification failure: monomial expansion in 8 "
+                               "variables is only faithful up to degree 8\n")
+
+
 def test_budget_must_be_positive(capsys):
     code, _, err = run(capsys, "antipode", "--family", "graphs",
                        "--object", "G:n=1;E=", "--budget", "0", "--jobs", "1")

@@ -12,6 +12,7 @@ from hsl.fock import (fock_coproduct, fock_mult,
                       fock_primitive_check, integer_partition_of,
                       orbit_canonicalize, partition_char_poly_check,
                       power_sum_identity_check, symfunc_bridge)
+from hsl import symfunc
 from hsl.symfunc import (SymFunc, h, h_coproduct, newton_p_in_h,
                          power_sum_monomial)
 
@@ -59,11 +60,28 @@ def _monomial_brute(basis, lam, nvars=8):
 
 
 def test_monomial_expansion_matches_brute_force():
+    # every partition of degree <= 5, and one of degree 6
+    shapes = [lam for n in range(6) for lam in symfunc._partitions(n)]
+    assert len(set(shapes)) == 1 + 1 + 2 + 3 + 5 + 7
     for basis in ("h", "p"):
-        for lam in ((), (1,), (2,), (2, 1), (3,), (2, 2), (3, 2, 1)):
+        for lam in shapes + [(3, 2, 1)]:
             sf = SymFunc(basis, {lam: 1})
             assert sf.to_monomial().terms == {
                 k: v for k, v in _monomial_brute(basis, lam).items() if v}
+
+
+def test_monomial_expansion_degree_bound():
+    assert SymFunc("p", {(4, 4): 1}).to_monomial() == SymFunc(
+        "m", {(8,): 1, (4, 4): 2})
+    with pytest.raises(EngineError, match="only faithful up to degree 8"):
+        SymFunc("h", {(5, 4): 1}).to_monomial()
+    with pytest.raises(EngineError, match="only faithful up to degree 3"):
+        h(4).to_monomial(nvars=3)
+
+
+def test_symfunc_caches_are_bounded():
+    for cache in (symfunc.monomial_count, newton_p_in_h):
+        assert cache.cache_info().maxsize is not None
 
 
 def test_newton_identities_oracle():
@@ -274,6 +292,12 @@ def test_power_sum_frozen_images():
     r3 = power_sum_identity_check(3)
     assert r3.image_h == SymFunc("h", {(3,): 6, (2, 1): -6, (1, 1, 1): 2})
     assert r3.image_monomial == SymFunc("m", {(3,): 2})
+
+
+def test_power_sum_and_char_poly_one_label_larger():
+    for n in (5, 6, 7):
+        assert power_sum_identity_check(n).scalar == factorial(n - 1)
+        assert ("upper", "blocks") in partition_char_poly_check(n).matches
 
 
 def test_power_sum_printed_expression_statuses():

@@ -13,15 +13,22 @@ from hsl.posets import (FinitePoset, IntPolynomial, check_galois,
 from hsl.species import _native_poset
 
 
+def from_leq(elems, leq, family_tag=None):
+    """Compile an order oracle over `elems`, one call per pair."""
+    elems = tuple(elems)
+    up = [sum(1 << j for j, y in enumerate(elems) if leq(x, y)) for x in elems]
+    return FinitePoset(elems, up, family_tag)
+
+
 def chain_poset(n):
-    return FinitePoset.from_leq(range(n), lambda a, b: a <= b, "chain")
+    return from_leq(range(n), lambda a, b: a <= b, "chain")
 
 
 def diamond_poset():
     # 0 < 1, 2 < 3 with 1, 2 incomparable
     order = {(0, 0), (1, 1), (2, 2), (3, 3),
              (0, 1), (0, 2), (0, 3), (1, 3), (2, 3)}
-    return FinitePoset.from_leq(range(4), lambda a, b: (a, b) in order)
+    return from_leq(range(4), lambda a, b: (a, b) in order)
 
 
 def recursive_mobius(p, x, y, memo):
@@ -186,6 +193,31 @@ def test_reverse_view():
     assert set(r.upset(3)) == {0, 1, 2, 3}
     twice = r.reverse()
     assert (twice.elems, twice.up, twice.down) == (p.elems, p.up, p.down)
+
+
+# the native orders as the families once compared them, pair by pair
+OLD_COMPARATORS = {
+    "graphs": lambda a, b: a.edges <= b.edges,
+    "hypergraphs": lambda a, b: a.edges <= b.edges,
+    "simplicial": lambda a, b: a.faces <= b.faces,
+    # tau refines pi: every block of tau lies inside a block of pi
+    "partitions": lambda pi, tau: all(any(b <= B for B in pi.blocks)
+                                      for b in tau.blocks),
+}
+
+
+def test_key_set_orders_match_old_comparators():
+    for tag, fam in FAMILIES.items():
+        for n in range(7 if tag == "partitions" else 5):
+            labels = frozenset(range(n))
+            p = fam.poset(labels)
+            oracle = from_leq(p.elems, OLD_COMPARATORS[tag])
+            assert p.up == oracle.up and p.down == oracle.down, (tag, n)
+            opposite = fam.poset(labels, reverse=True)
+            assert opposite.up == oracle.down and opposite.down == oracle.up
+            if n <= 3:
+                assert all(fam.leq(x, y) == OLD_COMPARATORS[tag](x, y)
+                           for x in p.elems for y in p.elems)
 
 
 def test_native_poset_cache_is_bounded():

@@ -1,10 +1,14 @@
 """Property checks over randomly relabelled structures (needs hypothesis)."""
 
+import contextlib
+import io
+
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
+from hsl import cli
 from hsl.families import FAMILIES, parse_structure
 
 _CARRIERS: dict = {}
@@ -31,3 +35,29 @@ def relabelled_structures(draw):
 @given(relabelled_structures())
 def test_parse_inverts_encode(x):
     assert parse_structure(x.encode()) == x
+
+
+# the characters of the four encodings; the label count sits in a drawn
+# header and stays small, because the parser builds all n labels before
+# any budget is checked
+_ENCODING_ALPHABET = "0123456789,-|;{}=:nEFBGHSP"
+
+
+@st.composite
+def antipode_argv(draw):
+    letter = draw(st.sampled_from("GHSP"))
+    header = f"{letter}:n={draw(st.integers(0, 12))};{draw(st.sampled_from('EFB'))}="
+    body = draw(st.text(alphabet=_ENCODING_ALPHABET, max_size=20))
+    return ["antipode", "--family", draw(st.sampled_from(sorted(FAMILIES))),
+            "--object", header + body,
+            "--method", draw(st.sampled_from(["takeuchi", "closed", "both"])),
+            "--budget", "2000", "--jobs", "1"]
+
+
+@settings(max_examples=1500, deadline=None)
+@given(antipode_argv())
+def test_antipode_exit_codes(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        code = cli.main(argv)
+    assert code in (0, 2, 3, 4), (argv, out.getvalue())

@@ -132,6 +132,29 @@ def test_verify_axioms_catches_mutant():
     assert all(r.witness for r in broken)
 
 
+def test_order_checks_catch_order_breaking_mutants():
+    # the split complements a one-edge part, so G:n=3;E=0-1 <= G:n=3;E=0-1,0-2
+    # splits along S = {0, 1, 2} into incomparable parts
+    def flip_comult(g, S, T):
+        a, b = g.restrict(S), g.restrict(T)
+        return (a.complement() if len(a.edges) == 1 else a), b
+
+    # an edgeless left factor merges with every cross edge, so E= <= E=0-1
+    # on {0, 1} times a point gives incomparable products
+    def box_when_edgeless(a, b):
+        return (GRAPHS.box_fn if not a.edges else GRAPHS.mult_fn)(a, b)
+
+    for mutant, name, witness in (
+            (replace(GRAPHS, tag="graphs-flip", comult_fn=flip_comult),
+             "order_preservation_comult",
+             "delta not order-preserving at G:n=3;E=0-1"),
+            (replace(GRAPHS, tag="graphs-box", mult_fn=box_when_edgeless),
+             "order_preservation_mult",
+             "m not order-preserving at G:n=2;E=")):
+        result = verify_axioms(mutant, 3).result(name)
+        assert not result.passed and result.witness == witness
+
+
 def test_delta_after_mult_identity():
     assert verify_delta_after_mult_identity(GRAPHS, 3)[0]
     assert verify_delta_after_mult_identity(SIMPLICIAL, 3)[0]
@@ -148,7 +171,7 @@ def test_relabeling_is_poset_isomorphism():
                 f = dict(zip(sorted(labels), image))
                 for x in carrier:
                     for y in carrier:
-                        assert fam.leq_fn(x, y) == fam.leq_fn(
+                        assert fam.leq(x, y) == fam.leq(
                             fam.relabel(f, x), fam.relabel(f, y))
 
 
