@@ -9,6 +9,10 @@ in serialized output):
     hypergraph: H:n=<k>;E={i,j,...};...    hyperedges sorted by (size, lex)
     complex:    S:n=<k>;F=<facet>;...      facets sorted by (size, lex)
     partition:  P:n=<k>;B=01|2|...         blocks sorted by minimum
+
+Parsers and the public constructors validate.  Restriction, disjoint-union
+merge, relabelling and the enumerators build with `_trusted` instead: their
+results are valid by construction (Aguiar and Mahajan, 2010, ch. 8).
 """
 
 from __future__ import annotations
@@ -27,6 +31,23 @@ from .vectors import FreeVector
 
 # ---------------------------------------------------------------------------
 # structures
+
+
+def _trusted(cls, labels: frozenset, field: str, value):
+    """A `cls` on `labels` with `field` set to `value`, unchecked.  The caller
+    passes a valid structure in canonical form: frozensets throughout,
+    partition blocks sorted by minimum, complexes holding the empty face."""
+    x = object.__new__(cls)
+    object.__setattr__(x, "labels", labels)
+    object.__setattr__(x, field, value)
+    return x
+
+
+def _restricted(x, S: frozenset, field: str, value):
+    """x's type on S with `value`: trusted inside x's labels, else validated."""
+    if S <= x.labels:
+        return _trusted(type(x), S, field, value)
+    return type(x)(S, value)
 
 
 @dataclass(frozen=True)
@@ -49,7 +70,7 @@ class Graph:
 
     def restrict(self, S) -> "Graph":
         S = frozenset(S)
-        return Graph(S, frozenset(e for e in self.edges if e <= S))
+        return _restricted(self, S, "edges", frozenset(e for e in self.edges if e <= S))
 
     def complement(self) -> "Graph":
         allpairs = frozenset(frozenset(p) for p in combinations(sorted(self.labels), 2))
@@ -76,7 +97,7 @@ class Hypergraph:
 
     def restrict(self, S) -> "Hypergraph":
         S = frozenset(S)
-        return Hypergraph(S, frozenset(e for e in self.edges if e <= S))
+        return _restricted(self, S, "edges", frozenset(e for e in self.edges if e <= S))
 
     def complement(self) -> "Hypergraph":
         alledges = frozenset(frozenset(c)
@@ -115,7 +136,7 @@ class SimplicialComplex:
 
     def restrict(self, S) -> "SimplicialComplex":
         S = frozenset(S)
-        return SimplicialComplex(S, frozenset(f for f in self.faces if f <= S))
+        return _restricted(self, S, "faces", frozenset(f for f in self.faces if f <= S))
 
     @classmethod
     def from_facets(cls, labels, facets) -> "SimplicialComplex":
@@ -148,8 +169,8 @@ class SetPartition:
 
     def restrict(self, S) -> "SetPartition":
         S = frozenset(S)
-        blocks = [b & S for b in self.blocks if b & S]
-        return SetPartition(S, tuple(blocks))
+        blocks = sorted((b & S for b in self.blocks if b & S), key=min)
+        return _restricted(self, S, "blocks", tuple(blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +332,7 @@ def is_connected(x) -> bool:
 
 
 def graph_disjoint_union(a: Graph, b: Graph) -> Graph:
-    return Graph(a.labels | b.labels, a.edges | b.edges)
+    return _trusted(Graph, a.labels | b.labels, "edges", a.edges | b.edges)
 
 
 def graph_free_product(a: Graph, b: Graph) -> Graph:
@@ -322,7 +343,7 @@ def graph_free_product(a: Graph, b: Graph) -> Graph:
 
 
 def hypergraph_disjoint_union(a: Hypergraph, b: Hypergraph) -> Hypergraph:
-    return Hypergraph(a.labels | b.labels, a.edges | b.edges)
+    return _trusted(Hypergraph, a.labels | b.labels, "edges", a.edges | b.edges)
 
 
 def hypergraph_free_product(a: Hypergraph, b: Hypergraph) -> Hypergraph:
@@ -336,11 +357,14 @@ def hypergraph_free_product(a: Hypergraph, b: Hypergraph) -> Hypergraph:
 
 
 def sc_disjoint_union(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
-    return SimplicialComplex(a.labels | b.labels, a.faces | b.faces)
+    return _trusted(SimplicialComplex, a.labels | b.labels, "faces", a.faces | b.faces)
 
 
 def partition_union(a: SetPartition, b: SetPartition) -> SetPartition:
-    return SetPartition(a.labels | b.labels, a.blocks + b.blocks)
+    if a.labels & b.labels:  # overlapping blocks: the constructor rejects them
+        return SetPartition(a.labels | b.labels, a.blocks + b.blocks)
+    return _trusted(SetPartition, a.labels | b.labels, "blocks",
+                    tuple(sorted(a.blocks + b.blocks, key=min)))
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +380,7 @@ def _graph_enumerate(labels, budget):
     pairs = [frozenset(p) for p in combinations(sorted(labels), 2)]
     out = []
     for chosen in subsets(range(len(pairs))):
-        out.append(Graph(labels, frozenset(pairs[i] for i in chosen)))
+        out.append(_trusted(Graph, labels, "edges", frozenset(pairs[i] for i in chosen)))
     return tuple(out)
 
 
@@ -370,7 +394,7 @@ def _hypergraph_enumerate(labels, budget):
              for c in combinations(sorted(labels), k)]
     out = []
     for chosen in subsets(range(len(cands))):
-        out.append(Hypergraph(labels, frozenset(cands[i] for i in chosen)))
+        out.append(_trusted(Hypergraph, labels, "edges", frozenset(cands[i] for i in chosen)))
     return tuple(out)
 
 
@@ -396,7 +420,7 @@ def _sc_enumerate(labels, budget):
                     if len(seen) + 1 > budget:
                         raise CarrierOverflow(
                             f"simplicial carrier exceeds budget {budget}")
-                    grown = SimplicialComplex(labels, faces)
+                    grown = _trusted(SimplicialComplex, labels, "faces", faces)
                     seen[faces] = grown
                     nxt.append(grown)
         frontier = nxt
@@ -409,7 +433,7 @@ def _partition_count(labels):
 
 
 def _partition_enumerate(labels, budget):
-    return tuple(SetPartition(labels, usp.blocks)
+    return tuple(_trusted(SetPartition, labels, "blocks", usp.blocks)
                  for usp in set_partitions(frozenset(labels)))
 
 
@@ -425,12 +449,19 @@ def _relabel_edges(mapping, edges):
     return frozenset(frozenset(mapping[v] for v in e) for e in edges)
 
 
+def _relabelled(cls, field: str):
+    """The relabel map of structures keeping their sets in `field`.
+    `Family.relabel` checks that f is a bijection; this checks its image."""
+    return lambda f, x: _trusted(cls, check_label_set(f.values()), field,
+                                 _relabel_edges(f, getattr(x, field)))
+
+
 GRAPHS = Family(
     tag="graphs",
     count_fn=_graph_count,
     enumerate_fn=_graph_enumerate,
     unit=Graph(frozenset(), frozenset()),
-    relabel_fn=lambda f, g: Graph(frozenset(f.values()), _relabel_edges(f, g.edges)),
+    relabel_fn=_relabelled(Graph, "edges"),
     mult_fn=graph_disjoint_union,
     comult_fn=lambda g, S, T: (g.restrict(S), g.restrict(T)),
     box_fn=graph_free_product,
@@ -443,8 +474,7 @@ HYPERGRAPHS = Family(
     count_fn=_hypergraph_count,
     enumerate_fn=_hypergraph_enumerate,
     unit=Hypergraph(frozenset(), frozenset()),
-    relabel_fn=lambda f, h: Hypergraph(frozenset(f.values()),
-                                       _relabel_edges(f, h.edges)),
+    relabel_fn=_relabelled(Hypergraph, "edges"),
     mult_fn=hypergraph_disjoint_union,
     comult_fn=lambda h, S, T: (h.restrict(S), h.restrict(T)),
     box_fn=hypergraph_free_product,
@@ -457,8 +487,7 @@ SIMPLICIAL = Family(
     count_fn=None,
     enumerate_fn=_sc_enumerate,
     unit=SimplicialComplex(frozenset(), frozenset({frozenset()})),
-    relabel_fn=lambda f, c: SimplicialComplex(frozenset(f.values()),
-                                              _relabel_edges(f, c.faces)),
+    relabel_fn=_relabelled(SimplicialComplex, "faces"),
     mult_fn=sc_disjoint_union,
     comult_fn=lambda c, S, T: (c.restrict(S), c.restrict(T)),
     box_fn=None,
@@ -471,9 +500,9 @@ PARTITIONS = Family(
     count_fn=_partition_count,
     enumerate_fn=_partition_enumerate,
     unit=SetPartition(frozenset(), ()),
-    relabel_fn=lambda f, p: SetPartition(
-        frozenset(f.values()),
-        tuple(frozenset(f[v] for v in b) for b in p.blocks)),
+    relabel_fn=lambda f, p: _trusted(
+        SetPartition, check_label_set(f.values()), "blocks",
+        tuple(sorted(_relabel_edges(f, p.blocks), key=min))),
     mult_fn=partition_union,
     comult_fn=lambda p, S, T: (p.restrict(S), p.restrict(T)),
     box_fn=None,
@@ -528,7 +557,7 @@ def graph_flats(g: Graph) -> tuple:
     for part in set_partitions(g.labels):
         edges = [edges_inside(block) for block in part.blocks]
         if all(e is not None for e in edges):
-            out.append(Graph(g.labels, frozenset().union(*edges)))
+            out.append(_trusted(Graph, g.labels, "edges", frozenset().union(*edges)))
     return tuple(sorted(out, key=Graph.encode))
 
 
@@ -603,7 +632,8 @@ def _is_acyclic(verts, succ) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+# One entry per graph on 0..k-1: a closed-form benchmark pass fills 235, K8 92.
+@lru_cache(maxsize=4096)
 def _chromatic_by_encoding(encoding: str) -> IntPolynomial:
     return _chromatic(parse_graph(encoding))
 
@@ -687,7 +717,8 @@ def _refinements(p: SetPartition):
 
     def rec(i, acc_blocks, shape):
         if i == len(per_block):
-            yield SetPartition(p.labels, tuple(acc_blocks)), tuple(shape)
+            blocks = tuple(sorted(acc_blocks, key=min))
+            yield _trusted(SetPartition, p.labels, "blocks", blocks), tuple(shape)
             return
         for usp in per_block[i]:
             yield from rec(i + 1, acc_blocks + list(usp.blocks),

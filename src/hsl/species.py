@@ -482,13 +482,16 @@ def _check_naturality_mult(fam, carriers):
         for S, T in _splits(labels):
             xs = carriers.sub(S)
             ys = carriers.sub(T)
+            prods = [[fam.mult(x, y) for y in ys] for x in xs]  # once, not per f
             for f in _bijections(labels):
                 fS = {i: f[i] for i in S}
                 fT = {i: f[i] for i in T}
-                for x in xs:
-                    for y in ys:
-                        lhs = fam.relabel(f, fam.mult(x, y))
-                        rhs = fam.mult(fam.relabel(fS, x), fam.relabel(fT, y))
+                fys = [fam.relabel(fT, y) for y in ys]
+                for x, row in zip(xs, prods):
+                    fx = fam.relabel(fS, x)
+                    for y, fy, xy in zip(ys, fys, row):
+                        lhs = fam.relabel(f, xy)
+                        rhs = fam.mult(fx, fy)
                         if lhs != rhs:
                             return (f"m not natural: x={x.encode()} y={y.encode()} "
                                     f"f={f}")
@@ -499,15 +502,18 @@ def _check_naturality_comult(fam, carriers):
     # factor order follows the merge diagram: sigma(S) with x|S
     for k, carrier in carriers.items():
         labels = frozenset(range(k))
+        bijections = list(_bijections(labels))
+        # each relabelling once, not per split, and each split once, not per f
+        images = [[fam.relabel(f, x) for x in carrier] for f in bijections]
         for S, T in _splits(labels):
-            for f in _bijections(labels):
+            splits = [fam.comult(x, S, T) for x in carrier]
+            for f, fxs in zip(bijections, images):
                 fS = {i: f[i] for i in S}
                 fT = {i: f[i] for i in T}
                 fSimg = frozenset(fS.values())
                 fTimg = frozenset(fT.values())
-                for x in carrier:
-                    x1, x2 = fam.comult(x, S, T)
-                    lhs = fam.comult(fam.relabel(f, x), fSimg, fTimg)
+                for x, fx, (x1, x2) in zip(carrier, fxs, splits):
+                    lhs = fam.comult(fx, fSimg, fTimg)
                     rhs = (fam.relabel(fS, x1), fam.relabel(fT, x2))
                     if lhs != rhs:
                         return f"delta not natural: x={x.encode()} f={f}"

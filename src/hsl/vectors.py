@@ -318,13 +318,15 @@ def duality_pairing_check(fam, poset_for, box, n: int) -> DualityReport:
             T = labels - S
             ps = poset_for(S)
             pt = poset_for(T)
-            for x in p.carrier():
+            # each y box z once per split, as its position in p
+            boxes = [[p.index[box(y, z)] for z in pt.elems] for y in ps.elems]
+            for i, x in enumerate(p.elems):
                 x1, x2 = fam.comult(x, S, T)
-                for y in ps.carrier():
-                    for z in pt.carrier():
-                        lhs = int(ps.leq(x1, y)) * int(pt.leq(x2, z))
-                        rhs = int(p.leq(x, box(y, z)))
-                        if lhs != rhs:
+                up1, up2 = ps.up[ps.index[x1]], pt.up[pt.index[x2]]
+                for j, y in enumerate(ps.elems):
+                    for k, z in enumerate(pt.elems):
+                        lhs = up1 >> j & up2 >> k & 1
+                        if lhs != p.up[i] >> boxes[j][k] & 1:
                             return DualityReport(fam.tag, n, False, (x, y, z, S, T))
     return DualityReport(fam.tag, n, True)
 

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 
 from hsl.antipode import (grading, is_indecomposable, factorize,
@@ -13,7 +15,8 @@ from hsl.families import (FAMILIES, GRAPHS, HYPERGRAPHS, PARTITIONS,
                           closed_form_antipode_sc, contract, graph_components,
                           graph_flats, graph_free_product, graph_rank,
                           hypergraph_free_product, is_connected, is_flat,
-                          parse_structure, sc_gamma_of_flat, sc_one_skeleton)
+                          parse_structure, partition_union,
+                          sc_gamma_of_flat, sc_one_skeleton)
 from hsl.posets import IntPolynomial
 from hsl.species import subsets
 from hsl.vectors import FreeVector
@@ -80,6 +83,66 @@ def test_structure_validation():
         SetPartition(frozenset({0, 1}), (frozenset({0}),))
     with pytest.raises(LabelOverlap):
         GRAPHS.mult(G("G:n=2;E=0-1"), G("G:n=2;E=0-1"))
+
+
+FIELD = {Graph: "edges", Hypergraph: "edges", SimplicialComplex: "faces",
+         SetPartition: "blocks"}
+
+
+def assert_equals_validated_rebuild(x):
+    rebuilt = type(x)(x.labels, getattr(x, FIELD[type(x)]))
+    assert x == rebuilt
+    assert hash(x) == hash(rebuilt)
+    assert x.encode() == rebuilt.encode()
+
+
+def test_trusted_results_equal_validated_rebuilds():
+    """Restriction, merge, relabelling, the enumerators and the closed-form
+    builders skip the constructors' checks; each of their results must be
+    the structure the validating constructor builds from the same data."""
+    for fam in FAMILIES.values():
+        carriers = [fam.enumerate(frozenset(range(k))) for k in range(5)]
+        for k, carrier in enumerate(carriers):
+            labels = frozenset(range(k))
+            bijections = [dict(zip(range(k), img)) for img in permutations(range(k))]
+            bijections.append({i: i + k for i in range(k)})
+            for x in carrier:
+                assert_equals_validated_rebuild(x)
+                for S in subsets(labels):
+                    assert_equals_validated_rebuild(x.restrict(S))
+                for f in bijections:
+                    assert_equals_validated_rebuild(fam.relabel(f, x))
+            for S in subsets(labels):
+                for x in fam.enumerate(S):
+                    for y in fam.enumerate(labels - S):
+                        assert_equals_validated_rebuild(fam.mult(x, y))
+    for k in range(5):
+        for g in GRAPHS.enumerate(frozenset(range(k))):
+            for h in graph_flats(g):
+                assert_equals_validated_rebuild(h)
+        for p in PARTITIONS.enumerate(frozenset(range(k))):
+            for tau in closed_form_antipode_partitions(p).terms:
+                assert_equals_validated_rebuild(tau)
+        for c in SIMPLICIAL.enumerate(frozenset(range(k))):
+            for image in closed_form_antipode_sc(c).terms:
+                assert_equals_validated_rebuild(image)
+
+
+def test_trusted_paths_still_reject_bad_labels():
+    for fam, text in ((GRAPHS, "G:n=2;E=0-1"), (HYPERGRAPHS, "H:n=2;E={0,1}"),
+                      (SIMPLICIAL, "S:n=2;F=0,1"), (PARTITIONS, "P:n=2;B=01")):
+        x = G(text)
+        with pytest.raises(LabelMismatch):
+            x.restrict({-1, 0})
+        for image in ({0: -1, 1: 0}, {0: "a", 1: 0}):
+            with pytest.raises(LabelMismatch):
+                fam.relabel(image, x)
+    # a restriction beyond the labels goes through the validating constructor
+    assert G("G:n=2;E=0-1").restrict({0, 1, 2}) == G("G:n=3;E=0-1")
+    with pytest.raises(LabelMismatch):
+        G("P:n=2;B=01").restrict({0, 1, 2})
+    with pytest.raises(LabelMismatch):
+        partition_union(G("P:n=2;B=01"), G("P:n=2;B=0|1"))
 
 
 def test_carrier_counts():
