@@ -18,13 +18,13 @@ from functools import lru_cache
 from itertools import chain, product
 from math import factorial
 
-from .errors import (DEFAULT_BUDGET, CarrierOverflow, EngineError,
+from .errors import (DEFAULT_BUDGET, EngineError,
                      NonUniqueFactorization, NotSelfAdjoint)
 from .posets import FinitePoset, GaloisReport, _bits, check_galois
 from .species import (Family, UnorderedSetPartition,
                       check_set_partition_budget, check_subset_budget,
-                      compositions, compose_mult,
-                      fubini, reassemble, set_partitions, subsets)
+                      compositions, compose_mult, reassemble, set_partitions,
+                      subsets)
 from .vectors import FreeVector, inverted_basis
 
 
@@ -326,10 +326,7 @@ def takeuchi_antipode(fam: Family, x, budget: int = DEFAULT_BUDGET,
     ones (Aguiar and Mahajan, 2010).  Otherwise it falls back to the
     ordered sum.  The budget still bounds the Fubini(n) ordered
     partitions.  `jobs` is accepted and ignored."""
-    n = len(x.labels)
-    if fubini(n, cap=budget) > budget:
-        raise CarrierOverflow(
-            f"ordered set partitions of {n} labels exceed budget {budget}")
+    check_set_partition_budget(len(x.labels), budget, ordered=True)
     terms = (_unordered_sum(fam, x) if _block_order_free(fam, x)
              else _ordered_sum(fam, x))
     return FreeVector(fam.tag, x.labels, terms)

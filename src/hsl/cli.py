@@ -24,9 +24,10 @@ from .antipode import (antipode_axiom_check, closed_form_antipode,
                        primitives_basis)
 from .errors import (CarrierOverflow, DEFAULT_BUDGET, EngineError,
                      NotSelfAdjoint, ParseError)
-from .families import FAMILIES, parse_structure
+from .families import FAMILIES, parse_label_count, parse_structure
 from .fock import partition_char_poly_check, power_sum_identity_check
-from .species import check_subset_budget, verify_axioms
+from .species import (check_set_partition_budget, check_subset_budget,
+                      verify_axioms)
 from .vectors import duality_pairing_check
 
 EXIT_OK = 0
@@ -74,6 +75,10 @@ def cmd_antipode(args) -> int:
                 "simplicial": "S", "partitions": "P"}[fam.tag]
     if not args.object.startswith(expected + ":"):
         raise ParseError(f"object {args.object!r} is not a {fam.tag} encoding")
+    # the methods' own budget checks, from the header alone: a huge label
+    # count exits 3 before any label set or structure is built
+    check_set_partition_budget(parse_label_count(args.object), budget,
+                               ordered=args.method != "closed")
     x = parse_structure(args.object)
     # the library parser also reads other spellings of a structure (leading
     # zeros, spaces, repeated or unsorted parts); the CLI takes only the

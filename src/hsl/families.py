@@ -10,167 +10,319 @@ in serialized output):
     complex:    S:n=<k>;F=<facet>;...      facets sorted by (size, lex)
     partition:  P:n=<k>;B=01|2|...         blocks sorted by minimum
 
-Parsers and the public constructors validate.  Restriction, disjoint-union
-merge, relabelling and the enumerators build with `_trusted` instead: their
-results are valid by construction (Aguiar and Mahajan, 2010, ch. 8).
+All four are set systems (Aguiar and Mahajan, 2010, ch. 8): a structure
+is its label set plus one int, `bits`.  Graph edges and the same-block
+pairs of a partition set bit j(j-1)/2 + i for the pair i < j; hyperedges
+and faces set the bit of their label bitmask (the empty face is bit 0).
+Restriction to S is `bits & mask(S)`, the disjoint-union merge is `|`,
+the native orders compare key ints with `&`, and relabelling permutes
+bits.  Ints built from valid ints that way are canonical, so only the
+parsers and the public constructors (`Graph(labels, edges)` and the
+others) validate; `.edges`, `.faces` and `.blocks` are decoded views.
+No int is wider than MAX_BITS = 2^16 bits (an edge or same-block pair
+joins labels below 362, a hyperedge or face lies in 0..15): whatever
+builds one counts its width first and raises CarrierOverflow past it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
+from math import factorial, isqrt
 
 from .errors import (DEFAULT_BUDGET, CarrierOverflow, LabelMismatch, NotAFlat,
                      ParseError)
-from .posets import IntPolynomial
-from .species import (Family, UnorderedSetPartition, check_label_set,
+from .posets import IntPolynomial, _bits
+from .species import (Family, UnorderedSetPartition, bell, check_label_set,
                       check_set_partition_budget, set_partitions, subsets)
 from .vectors import FreeVector
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel
+
+
+MAX_BITS = 1 << 16
+
+
+def _bit(k: int) -> int:
+    """1 << k, or CarrierOverflow where that is wider than MAX_BITS."""
+    if k >= MAX_BITS:
+        raise CarrierOverflow(
+            f"a structure or mask needs an integer wider than {MAX_BITS} bits")
+    return 1 << k
+
+
+def _pair(i: int, j: int) -> int:
+    """The bit of the label pair {i, j}, i < j."""
+    return j * (j - 1) // 2 + i
+
+
+def _pair_of(k: int) -> tuple:
+    """The label pair (i, j), i < j, at bit k."""
+    j = (1 + isqrt(8 * k + 1)) // 2
+    return k - j * (j - 1) // 2, j
+
+
+def _mask(S) -> int:
+    """The label bitmask of S: the bit of S as a hyperedge or a face."""
+    return sum(1 << v for v in S)
+
+
+@lru_cache(maxsize=4096)
+def _members(m: int) -> tuple:
+    """The positions of the set bits of m, ascending."""
+    return tuple(_bits(m))
+
+
+# Restriction masks, one per label set: the bounds are far above the label
+# sets one command or benchmark pass restricts to (2^n subsets of n labels).
+@lru_cache(maxsize=4096)
+def _pairs_in(S: frozenset) -> int:
+    """The bits of the label pairs inside S."""
+    top = sorted(S)
+    if len(top) > 1:
+        _bit(_pair(top[-2], top[-1]))  # the widest pair
+    out = below = 0  # below: the labels of S under j
+    for j in top:
+        out |= below << j * (j - 1) // 2
+        below |= 1 << j
+    return out
+
+
+@lru_cache(maxsize=4096)
+def _subsets_in(S: frozenset) -> int:
+    """The bits of the subsets of S, the empty one included."""
+    _bit(_mask(S))  # the widest subset, S itself
+    out = 1
+    for v in S:
+        out |= out << (1 << v)
+    return out
+
+
+@lru_cache(maxsize=16)
+def _holding(top: int) -> tuple:
+    """For each label v < top, the bits of the subsets of 0..top-1 that hold
+    v: the upper half of each period of 2^(v+1) bits."""
+    repunit = (1 << (1 << top)) - 1
+    return tuple(repunit // ((1 << (2 << v)) - 1) * (((1 << (1 << v)) - 1) << (1 << v))
+                 for v in range(top))
+
+
+def _image_pairs(f: dict, bits: int) -> int:
+    """The pair bits of f's images of the pairs at `bits`, less loops."""
+    out = 0
+    for k in _bits(bits):
+        i, j = _pair_of(k)
+        a, b = f[i], f[j]
+        if a != b:
+            out |= _bit(_pair(a, b) if a < b else _pair(b, a))
+    return out
+
+
+def _image_subsets(f: dict, bits: int) -> int:
+    """The subset bits of f's images of the subsets at `bits`; f is 1-1."""
+    out = 0
+    for m in _bits(bits):
+        out |= _bit(_mask(f[v] for v in _members(m)))
+    return out
+
+
+def _by_size(bits: int) -> list:
+    """The subset bits of `bits` in (size, lex) order of their subsets."""
+    return sorted(_bits(bits), key=lambda m: (m.bit_count(), _members(m)))
 
 
 # ---------------------------------------------------------------------------
 # structures
 
 
-def _trusted(cls, labels: frozenset, field: str, value):
-    """A `cls` on `labels` with `field` set to `value`, unchecked.  The caller
-    passes a valid structure in canonical form: frozensets throughout,
-    partition blocks sorted by minimum, complexes holding the empty face."""
-    x = object.__new__(cls)
-    object.__setattr__(x, "labels", labels)
-    object.__setattr__(x, field, value)
+class _Structure:
+    """A label set and the int over the family's subsets of it; immutable.
+    Subclasses name the decoded view (`_view`), its validation into bits
+    (`_validated`) and the restriction mask (`_inside`)."""
+
+    __slots__ = ("labels", "bits")
+
+    def __init__(self, labels, view):
+        labels = check_label_set(labels)
+        bits = self._validated(labels, view)
+        _set_labels(self, labels)
+        _set_bits(self, bits)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.bits == other.bits and self.labels == other.labels
+
+    def __hash__(self):
+        return hash((self.labels, self.bits))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.encode()!r})"
+
+    def restrict(self, S):
+        S = frozenset(S)
+        if S <= self.labels:
+            return _of(type(self), S, self.bits & self._inside(S))
+        # past the labels, the validating constructor checks S
+        return type(self)(S, getattr(self.restrict(S & self.labels), self._view))
+
+
+_set_labels = _Structure.labels.__set__
+_set_bits = _Structure.bits.__set__
+_new = object.__new__
+
+
+def _of(cls, labels: frozenset, bits: int):
+    """A cls with these fields as they are: valid bits, or bits made from
+    valid ones by `&`, `|` and the relabel maps."""
+    x = _new(cls)
+    _set_labels(x, labels)
+    _set_bits(x, bits)
     return x
 
 
-def _restricted(x, S: frozenset, field: str, value):
-    """x's type on S with `value`: trusted inside x's labels, else validated."""
-    if S <= x.labels:
-        return _trusted(type(x), S, field, value)
-    return type(x)(S, value)
+def _split(x, S: frozenset, T: frozenset) -> tuple:
+    """x restricted to S and to T; `Family.comult` checked they split it."""
+    cls, bits = type(x), x.bits
+    return _of(cls, S, bits & cls._inside(S)), _of(cls, T, bits & cls._inside(T))
 
 
-@dataclass(frozen=True)
-class Graph:
-    labels: frozenset
-    edges: frozenset
+class Graph(_Structure):
+    __slots__ = ()
+    _view = "edges"
+    _inside = staticmethod(_pairs_in)
 
-    def __post_init__(self):
-        object.__setattr__(self, "labels", check_label_set(self.labels))
-        edges = frozenset(frozenset(e) for e in self.edges)
-        for e in edges:
-            if len(e) != 2 or not e <= self.labels:
+    @staticmethod
+    def _validated(labels, edges) -> int:
+        bits = 0
+        for e in map(frozenset, edges):
+            if len(e) != 2 or not e <= labels:
                 raise LabelMismatch(f"bad edge {sorted(e)}")
-        object.__setattr__(self, "edges", edges)
+            bits |= _bit(_pair(*sorted(e)))
+        return bits
+
+    @property
+    def edges(self) -> frozenset:
+        return frozenset(frozenset(_pair_of(k)) for k in _bits(self.bits))
 
     def encode(self) -> str:
-        parts = ",".join(f"{a}-{b}" for a, b in
-                         sorted(tuple(sorted(e)) for e in self.edges))
+        pairs = sorted(map(_pair_of, _bits(self.bits)))
+        parts = ",".join(f"{a}-{b}" for a, b in pairs)
         return f"G:n={len(self.labels)};E={parts}"
 
-    def restrict(self, S) -> "Graph":
-        S = frozenset(S)
-        return _restricted(self, S, "edges", frozenset(e for e in self.edges if e <= S))
-
     def complement(self) -> "Graph":
-        allpairs = frozenset(frozenset(p) for p in combinations(sorted(self.labels), 2))
-        return Graph(self.labels, allpairs - self.edges)
+        return _of(Graph, self.labels, _pairs_in(self.labels) & ~self.bits)
 
 
-@dataclass(frozen=True)
-class Hypergraph:
-    labels: frozenset
-    edges: frozenset
+class Hypergraph(_Structure):
+    __slots__ = ()
+    _view = "edges"
+    _inside = staticmethod(_subsets_in)
 
-    def __post_init__(self):
-        object.__setattr__(self, "labels", check_label_set(self.labels))
-        edges = frozenset(frozenset(e) for e in self.edges)
-        for e in edges:
-            if len(e) < 2 or not e <= self.labels:
+    @staticmethod
+    def _validated(labels, edges) -> int:
+        bits = 0
+        for e in map(frozenset, edges):
+            if len(e) < 2 or not e <= labels:
                 raise LabelMismatch(f"bad hyperedge {sorted(e)}")
-        object.__setattr__(self, "edges", edges)
+            bits |= _bit(_mask(e))
+        return bits
+
+    @property
+    def edges(self) -> frozenset:
+        return frozenset(map(frozenset, map(_members, _bits(self.bits))))
 
     def encode(self) -> str:
-        keys = sorted((len(e), tuple(sorted(e))) for e in self.edges)
-        parts = ";".join("{" + ",".join(map(str, t)) + "}" for _, t in keys)
+        parts = ";".join("{" + ",".join(map(str, _members(m))) + "}"
+                         for m in _by_size(self.bits))
         return f"H:n={len(self.labels)};E={parts}"
 
-    def restrict(self, S) -> "Hypergraph":
-        S = frozenset(S)
-        return _restricted(self, S, "edges", frozenset(e for e in self.edges if e <= S))
-
     def complement(self) -> "Hypergraph":
-        alledges = frozenset(frozenset(c)
-                             for k in range(2, len(self.labels) + 1)
-                             for c in combinations(sorted(self.labels), k))
-        return Hypergraph(self.labels, alledges - self.edges)
+        labels = self.labels
+        small = 1 | sum(1 << (1 << v) for v in labels)  # empty, singletons
+        return _of(Hypergraph, labels, _subsets_in(labels) & ~(small | self.bits))
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
+class SimplicialComplex(_Structure):
     """Downward-closed face family; the empty face is always present, so
     the complex with no vertices on a nonempty ground set is {()}."""
 
-    labels: frozenset
-    faces: frozenset
+    __slots__ = ()
+    _view = "faces"
+    _inside = staticmethod(_subsets_in)
 
-    def __post_init__(self):
-        object.__setattr__(self, "labels", check_label_set(self.labels))
-        faces = frozenset(frozenset(f) for f in self.faces) | {frozenset()}
+    @staticmethod
+    def _validated(labels, faces) -> int:
+        faces = frozenset(map(frozenset, faces)) | {frozenset()}
+        bits = 0
         for f in faces:
-            if not f <= self.labels:
+            if not f <= labels:
                 raise LabelMismatch(f"face {sorted(f)} outside the ground set")
             for drop in f:
                 if f - {drop} not in faces:
                     raise LabelMismatch(f"faces not downward closed at {sorted(f)}")
-        object.__setattr__(self, "faces", faces)
+            bits |= _bit(_mask(f))
+        return bits
 
-    def facets(self) -> tuple:
-        out = [f for f in self.faces
-               if not any(f < g for g in self.faces)]
-        return tuple(sorted(out, key=lambda f: (len(f), tuple(sorted(f)))))
+    @property
+    def faces(self) -> frozenset:
+        return frozenset(map(frozenset, map(_members, _bits(self.bits))))
+
+    def _facet_bits(self) -> list:
+        """The facets, faces under no face one label larger, (size, lex)."""
+        faces = self.bits
+        covered = 0
+        for v, holding in enumerate(_holding((faces.bit_length() - 1).bit_length())):
+            covered |= (faces & holding) >> (1 << v)
+        return _by_size(faces & ~covered)
 
     def encode(self) -> str:
-        parts = ";".join("F=" + ",".join(map(str, sorted(f))) for f in self.facets())
+        parts = ";".join("F=" + ",".join(map(str, _members(m)))
+                         for m in self._facet_bits())
         return f"S:n={len(self.labels)};" + parts
-
-    def restrict(self, S) -> "SimplicialComplex":
-        S = frozenset(S)
-        return _restricted(self, S, "faces", frozenset(f for f in self.faces if f <= S))
 
     @classmethod
     def from_facets(cls, labels, facets) -> "SimplicialComplex":
-        faces = {frozenset()}
-        for f in facets:
-            f = frozenset(f)
-            for sub in subsets(f):
-                faces.add(sub)
-        return cls(frozenset(labels), frozenset(faces))
+        return cls(labels, (face for f in facets for face in subsets(f)))
 
 
-@dataclass(frozen=True)
-class SetPartition:
-    labels: frozenset
-    blocks: tuple
+class SetPartition(_Structure):
+    __slots__ = ()
+    _view = "blocks"
+    _inside = staticmethod(_pairs_in)
 
-    def __post_init__(self):
-        object.__setattr__(self, "labels", check_label_set(self.labels))
-        usp = UnorderedSetPartition(self.blocks)
-        if usp.ambient != self.labels:
+    @staticmethod
+    def _validated(labels, blocks) -> int:
+        usp = UnorderedSetPartition(blocks)
+        if usp.ambient != labels:
             raise LabelMismatch("blocks do not cover the label set")
-        object.__setattr__(self, "blocks", usp.blocks)
+        return sum(map(_pairs_in, usp.blocks))  # the blocks are disjoint
+
+    def block_masks(self) -> list:
+        """The label bitmasks of the blocks, by minimum.  The bits from
+        j(j-1)/2 up hold the labels below j in j's block, lowest first."""
+        blocks: dict = {}
+        bits = self.bits
+        for j in sorted(self.labels):
+            below = bits >> j * (j - 1) // 2 & ((1 << j) - 1)
+            first = (below & -below).bit_length() - 1 if below else j
+            blocks[first] = blocks.get(first, 0) | 1 << j
+        return list(blocks.values())
+
+    @property
+    def blocks(self) -> tuple:
+        return tuple(frozenset(_members(m)) for m in self.block_masks())
 
     def encode(self) -> str:
-        if self.labels and max(self.labels) > 9:
-            body = "|".join(",".join(map(str, sorted(b))) for b in self.blocks)
-        else:
-            body = "|".join("".join(map(str, sorted(b))) for b in self.blocks)
+        sep = "," if self.labels and max(self.labels) > 9 else ""
+        body = "|".join(sep.join(map(str, _members(m))) for m in self.block_masks())
         return f"P:n={len(self.labels)};B={body}"
-
-    def restrict(self, S) -> "SetPartition":
-        S = frozenset(S)
-        blocks = sorted((b & S for b in self.blocks if b & S), key=min)
-        return _restricted(self, S, "blocks", tuple(blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +336,8 @@ def _parse_int(text: str, what: str) -> int:
         raise ParseError(f"bad {what}: {text!r}") from None
 
 
-def _parse_header(text: str, prefix: str):
+def _parse_header(text: str, prefix: str, section: str = ""):
+    """(n, the body after its section tag); no label set is built."""
     if not text.startswith(prefix + ":n="):
         raise ParseError(f"expected {prefix}:n=..., got {text!r}")
     rest = text[len(prefix) + 3:]
@@ -194,15 +347,22 @@ def _parse_header(text: str, prefix: str):
     n = _parse_int(head, "label count")
     if n < 0:
         raise ParseError(f"negative label count in {text!r}")
-    return frozenset(range(n)), body
+    if not body.startswith(section):
+        raise ParseError(f"expected {section} section in {text!r}")
+    return n, body[len(section):]
+
+
+def parse_label_count(text: str) -> int:
+    """The label count in the header of any encoding; the body is not read."""
+    if not text or text[0] not in _PARSERS:
+        raise ParseError(f"unknown structure encoding {text!r}")
+    return _parse_header(text, text[0])[0]
 
 
 def parse_graph(text: str) -> Graph:
-    labels, body = _parse_header(text, "G")
-    if not body.startswith("E="):
-        raise ParseError(f"expected E= section in {text!r}")
+    n, payload = _parse_header(text, "G", "E=")
+    labels = frozenset(range(n))
     edges = set()
-    payload = body[2:]
     if payload:
         for part in payload.split(","):
             a, sep, b = part.partition("-")
@@ -212,14 +372,12 @@ def parse_graph(text: str) -> Graph:
             if not edge <= labels or len(edge) != 2:
                 raise ParseError(f"edge {part!r} outside label range")
             edges.add(edge)
-    return Graph(labels, frozenset(edges))
+    return Graph(labels, edges)
 
 
 def parse_hypergraph(text: str) -> Hypergraph:
-    labels, body = _parse_header(text, "H")
-    if not body.startswith("E="):
-        raise ParseError(f"expected E= section in {text!r}")
-    payload = body[2:]
+    n, payload = _parse_header(text, "H", "E=")
+    labels = frozenset(range(n))
     edges = set()
     if payload:
         for part in payload.split(";"):
@@ -230,15 +388,14 @@ def parse_hypergraph(text: str) -> Hypergraph:
             if len(members) < 2 or not members <= labels:
                 raise ParseError(f"bad hyperedge {part!r}")
             edges.add(members)
-    return Hypergraph(labels, frozenset(edges))
+    return Hypergraph(labels, edges)
 
 
 def parse_simplicial(text: str) -> SimplicialComplex:
-    labels, body = _parse_header(text, "S")
-    if not body.startswith("F="):
-        raise ParseError(f"expected F= section in {text!r}")
+    n, payload = _parse_header(text, "S", "F=")
+    labels = frozenset(range(n))
     facets = []
-    for part in body.split(";"):
+    for part in ("F=" + payload).split(";"):
         if not part.startswith("F="):
             raise ParseError(f"bad facet section {part!r}")
         payload = part[2:]
@@ -251,23 +408,21 @@ def parse_simplicial(text: str) -> SimplicialComplex:
 
 
 def parse_partition(text: str) -> SetPartition:
-    labels, body = _parse_header(text, "P")
-    if not body.startswith("B="):
-        raise ParseError(f"expected B= section in {text!r}")
-    payload = body[2:]
+    n, payload = _parse_header(text, "P", "B=")
+    labels = frozenset(range(n))
     blocks = []
     if payload:
         for part in payload.split("|"):
             # canonical: one digit per label up to ten labels, commas beyond,
             # where a one-label block such as "10" has no comma to go by
-            digits = part.split(",") if "," in part or len(labels) > 10 else part
+            digits = part.split(",") if "," in part or n > 10 else part
             members = frozenset(_parse_int(v, "label") for v in digits)
             if not members:
                 raise ParseError(f"empty block in {text!r}")
             blocks.append(members)
     covered = frozenset().union(*blocks) if blocks else frozenset()
     if covered != labels:
-        raise ParseError(f"blocks do not cover 0..{len(labels) - 1} in {text!r}")
+        raise ParseError(f"blocks do not cover 0..{n - 1} in {text!r}")
     return SetPartition(labels, tuple(blocks))
 
 
@@ -287,43 +442,33 @@ def parse_structure(text: str):
 
 
 def _components(labels, groups) -> tuple:
-    """Connected components of `labels` where each group is glued together.
+    """Connected components of `labels` where the labels of each group (a
+    label bitmask) are glued together, as frozensets sorted by minimum."""
+    comps = [1 << v for v in labels]
+    for group in groups:  # the components that a group meets become one
+        met = [c for c in comps if c & group]
+        comps = [c for c in comps if not c & group] + [sum(met)]
+    return tuple(frozenset(_members(c)) for c in sorted(comps, key=lambda c: c & -c))
 
-    Returns a tuple of frozensets sorted by minimum element."""
-    parent = {v: v for v in labels}
 
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for group in groups:
-        it = iter(group)
-        first = find(next(it))
-        for other in it:
-            parent[find(other)] = first
-    buckets: dict = {}
-    for v in labels:
-        buckets.setdefault(find(v), set()).add(v)
-    return tuple(sorted((frozenset(b) for b in buckets.values()), key=min))
+def _edge_masks(bits: int):
+    """The label bitmask of each pair at `bits`."""
+    for k in _bits(bits):
+        i, j = _pair_of(k)
+        yield 1 << i | 1 << j
 
 
 def graph_components(g: Graph) -> tuple:
-    return _components(g.labels, g.edges)
-
-
-def hypergraph_components(h: Hypergraph) -> tuple:
-    return _components(h.labels, h.edges)
+    return _components(g.labels, _edge_masks(g.bits))
 
 
 def is_connected(x) -> bool:
+    if isinstance(x, SimplicialComplex):
+        x = sc_one_skeleton(x)
     if isinstance(x, Graph):
         return len(graph_components(x)) == 1
-    if isinstance(x, Hypergraph):
-        return len(hypergraph_components(x)) == 1
-    if isinstance(x, SimplicialComplex):
-        return len(graph_components(sc_one_skeleton(x))) == 1
+    if isinstance(x, Hypergraph):  # each hyperedge bit is its label bitmask
+        return len(_components(x.labels, _bits(x.bits))) == 1
     raise TypeError(f"no connectivity notion for {type(x)}")
 
 
@@ -331,154 +476,103 @@ def is_connected(x) -> bool:
 # free products and disjoint unions
 
 
-def graph_disjoint_union(a: Graph, b: Graph) -> Graph:
-    return _trusted(Graph, a.labels | b.labels, "edges", a.edges | b.edges)
+def _union(a, b):
+    """Every family's merge, on labels that `Family.mult` checked disjoint."""
+    return _of(type(a), a.labels | b.labels, a.bits | b.bits)
 
 
-def graph_free_product(a: Graph, b: Graph) -> Graph:
-    """Disjoint union plus every cross edge; equals the complement of the
-    disjoint union of the complements."""
-    cross = frozenset(frozenset({u, v}) for u in a.labels for v in b.labels)
-    return Graph(a.labels | b.labels, a.edges | b.edges | cross)
+def graph_free_product(a, b):
+    """Disjoint union plus every edge, or hyperedge, meeting both sides;
+    equals the complement of the disjoint union of the complements."""
+    both, inside = a.labels | b.labels, a._inside
+    cross = inside(both) & ~inside(a.labels) & ~inside(b.labels)
+    return _of(type(a), both, a.bits | b.bits | cross)
 
 
-def hypergraph_disjoint_union(a: Hypergraph, b: Hypergraph) -> Hypergraph:
-    return _trusted(Hypergraph, a.labels | b.labels, "edges", a.edges | b.edges)
-
-
-def hypergraph_free_product(a: Hypergraph, b: Hypergraph) -> Hypergraph:
-    """Disjoint union plus the complete bipartite hypergraph: every
-    hyperedge meeting both sides."""
-    both = a.labels | b.labels
-    cross = frozenset(e for k in range(2, len(both) + 1)
-                      for c in combinations(sorted(both), k)
-                      if (e := frozenset(c)) & a.labels and e & b.labels)
-    return Hypergraph(both, a.edges | b.edges | cross)
-
-
-def sc_disjoint_union(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
-    return _trusted(SimplicialComplex, a.labels | b.labels, "faces", a.faces | b.faces)
+hypergraph_free_product = graph_free_product
 
 
 def partition_union(a: SetPartition, b: SetPartition) -> SetPartition:
-    if a.labels & b.labels:  # overlapping blocks: the constructor rejects them
+    if not a.labels.isdisjoint(b.labels):  # the constructor rejects the overlap
         return SetPartition(a.labels | b.labels, a.blocks + b.blocks)
-    return _trusted(SetPartition, a.labels | b.labels, "blocks",
-                    tuple(sorted(a.blocks + b.blocks, key=min)))
+    return _union(a, b)
 
 
 # ---------------------------------------------------------------------------
 # family registry
 
 
-def _graph_count(labels):
-    n = len(labels)
-    return 2 ** (n * (n - 1) // 2)
+def _or_of_every_subset(singles) -> list:
+    """The ORs of all subsets of `singles`, in bitmask order over them."""
+    out = [0]
+    for b in singles:
+        out += [o | b for o in out]
+    return out
 
 
 def _graph_enumerate(labels, budget):
-    pairs = [frozenset(p) for p in combinations(sorted(labels), 2)]
-    out = []
-    for chosen in subsets(range(len(pairs))):
-        out.append(_trusted(Graph, labels, "edges", frozenset(pairs[i] for i in chosen)))
-    return tuple(out)
-
-
-def _hypergraph_count(labels):
-    n = len(labels)
-    return 2 ** (2 ** n - n - 1)
+    pairs = [_bit(_pair(i, j)) for i, j in combinations(sorted(labels), 2)]
+    return tuple(_of(Graph, labels, b) for b in _or_of_every_subset(pairs))
 
 
 def _hypergraph_enumerate(labels, budget):
-    cands = [frozenset(c) for k in range(2, len(labels) + 1)
+    cands = [_bit(_mask(c)) for k in range(2, len(labels) + 1)
              for c in combinations(sorted(labels), k)]
-    out = []
-    for chosen in subsets(range(len(cands))):
-        out.append(_trusted(Hypergraph, labels, "edges", frozenset(cands[i] for i in chosen)))
-    return tuple(out)
+    return tuple(_of(Hypergraph, labels, b) for b in _or_of_every_subset(cands))
 
 
 def _sc_enumerate(labels, budget):
-    """Grow complexes one face at a time from {()}; the growth frontier
-    only ever adds a face whose boundary is already present."""
+    """Grow complexes from {()} one face at a time, its boundary present."""
     labels = frozenset(labels)
-    base = SimplicialComplex(labels, frozenset({frozenset()}))
-    seen = {base.faces: base}
-    frontier = [base]
-    candidates = [frozenset(c) for k in range(1, len(labels) + 1)
-                  for c in combinations(sorted(labels), k)]
+    # each nonempty subset's bit, with the bits of its boundary faces
+    candidates = [(_bit(m), sum(1 << (m ^ 1 << v) for v in c))
+                  for k in range(1, len(labels) + 1)
+                  for c in combinations(sorted(labels), k) for m in [_mask(c)]]
+    seen = frontier = {1}
     while frontier:
-        nxt = []
-        for cx in frontier:
-            for cand in candidates:
-                if cand in cx.faces:
-                    continue
-                if any(cand - {v} not in cx.faces for v in cand):
-                    continue
-                faces = cx.faces | {cand}
-                if faces not in seen:
-                    if len(seen) + 1 > budget:
-                        raise CarrierOverflow(
-                            f"simplicial carrier exceeds budget {budget}")
-                    grown = _trusted(SimplicialComplex, labels, "faces", faces)
-                    seen[faces] = grown
-                    nxt.append(grown)
-        frontier = nxt
-    return tuple(sorted(seen.values(), key=lambda c: c.encode()))
-
-
-def _partition_count(labels):
-    from .species import bell
-    return bell(len(labels))
+        frontier = {faces | face for faces in frontier for face, boundary in candidates
+                    if not faces & face and faces & boundary == boundary} - seen
+        if len(seen) + len(frontier) > budget:
+            raise CarrierOverflow(f"simplicial carrier exceeds budget {budget}")
+        seen = seen | frontier
+    return tuple(sorted((_of(SimplicialComplex, labels, b) for b in seen),
+                        key=SimplicialComplex.encode))
 
 
 def _partition_enumerate(labels, budget):
-    return tuple(_trusted(SetPartition, labels, "blocks", usp.blocks)
+    return tuple(_of(SetPartition, labels, sum(map(_pairs_in, usp.blocks)))
                  for usp in set_partitions(frozenset(labels)))
 
 
-def _separated_pairs(p: SetPartition) -> frozenset:
-    """The label pairs (a, b), a < b, in different blocks of p: tau
-    refines pi iff tau separates every pair that pi separates."""
-    block_of = {v: i for i, b in enumerate(p.blocks) for v in b}
-    return frozenset((a, b) for a, b in combinations(sorted(p.labels), 2)
-                     if block_of[a] != block_of[b])
-
-
-def _relabel_edges(mapping, edges):
-    return frozenset(frozenset(mapping[v] for v in e) for e in edges)
-
-
-def _relabelled(cls, field: str):
-    """The relabel map of structures keeping their sets in `field`.
+def _relabelled(cls, image):
+    """The relabel map of cls, with `image` the map of its bits.
     `Family.relabel` checks that f is a bijection; this checks its image."""
-    return lambda f, x: _trusted(cls, check_label_set(f.values()), field,
-                                 _relabel_edges(f, getattr(x, field)))
+    return lambda f, x: _of(cls, check_label_set(f.values()), image(f, x.bits))
 
 
 GRAPHS = Family(
     tag="graphs",
-    count_fn=_graph_count,
+    count_fn=lambda labels: 2 ** (len(labels) * (len(labels) - 1) // 2),
     enumerate_fn=_graph_enumerate,
     unit=Graph(frozenset(), frozenset()),
-    relabel_fn=_relabelled(Graph, "edges"),
-    mult_fn=graph_disjoint_union,
-    comult_fn=lambda g, S, T: (g.restrict(S), g.restrict(T)),
+    relabel_fn=_relabelled(Graph, _image_pairs),
+    mult_fn=_union,
+    comult_fn=_split,
     box_fn=graph_free_product,
-    order_key=lambda g: g.edges,
+    order_key=lambda g: g.bits,
     adjunction_kinds=("delta_box", "delta_m"),
 )
 
 HYPERGRAPHS = Family(
     tag="hypergraphs",
-    count_fn=_hypergraph_count,
+    count_fn=lambda labels: 2 ** (2 ** len(labels) - len(labels) - 1),
     enumerate_fn=_hypergraph_enumerate,
     unit=Hypergraph(frozenset(), frozenset()),
-    relabel_fn=_relabelled(Hypergraph, "edges"),
-    mult_fn=hypergraph_disjoint_union,
-    comult_fn=lambda h, S, T: (h.restrict(S), h.restrict(T)),
+    relabel_fn=_relabelled(Hypergraph, _image_subsets),
+    mult_fn=_union,
+    comult_fn=_split,
     box_fn=hypergraph_free_product,
-    order_key=lambda h: h.edges,
+    order_key=lambda h: h.bits,
     adjunction_kinds=("delta_box", "delta_m"),
 )
 
@@ -487,35 +581,33 @@ SIMPLICIAL = Family(
     count_fn=None,
     enumerate_fn=_sc_enumerate,
     unit=SimplicialComplex(frozenset(), frozenset({frozenset()})),
-    relabel_fn=_relabelled(SimplicialComplex, "faces"),
-    mult_fn=sc_disjoint_union,
-    comult_fn=lambda c, S, T: (c.restrict(S), c.restrict(T)),
+    relabel_fn=_relabelled(SimplicialComplex, _image_subsets),
+    mult_fn=_union,
+    comult_fn=_split,
     box_fn=None,
-    order_key=lambda c: c.faces,
+    order_key=lambda c: c.bits,
     adjunction_kinds=("m_delta", "delta_m"),
 )
 
 PARTITIONS = Family(
     tag="partitions",
-    count_fn=_partition_count,
+    count_fn=lambda labels: bell(len(labels)),
     enumerate_fn=_partition_enumerate,
     unit=SetPartition(frozenset(), ()),
-    relabel_fn=lambda f, p: _trusted(
-        SetPartition, check_label_set(f.values()), "blocks",
-        tuple(sorted(_relabel_edges(f, p.blocks), key=min))),
-    mult_fn=partition_union,
-    comult_fn=lambda p, S, T: (p.restrict(S), p.restrict(T)),
+    relabel_fn=_relabelled(SetPartition, _image_pairs),
+    mult_fn=_union,
+    comult_fn=_split,
     box_fn=None,
-    order_key=_separated_pairs,
+    # the separated pairs: tau refines pi iff tau separates all pi separates
+    order_key=lambda p: _pairs_in(p.labels) & ~p.bits,
     adjunction_kinds=("delta_m",),
 )
 
 FAMILIES = {f.tag: f for f in (GRAPHS, HYPERGRAPHS, SIMPLICIAL, PARTITIONS)}
 
 def free_vector_from_json(data) -> FreeVector:
-    import json as _json
     if isinstance(data, str):
-        data = _json.loads(data)
+        data = json.loads(data)
     tag, _, labeltext = data["ambient"].partition(":")
     labels = frozenset(int(v) for v in labeltext.split(",") if v != "")
     terms = [(parse_structure(enc), coeff) for enc, coeff in data["terms"].items()]
@@ -529,12 +621,8 @@ def free_vector_from_json(data) -> FreeVector:
 def is_flat(h: Graph, g: Graph) -> bool:
     """h is a flat of g when g restricted to each connected component of h
     agrees with h there."""
-    if h.labels != g.labels:
-        return False
-    for comp in graph_components(h):
-        if g.restrict(comp) != h.restrict(comp):
-            return False
-    return True
+    inside = sum(map(_pairs_in, graph_components(h)))  # disjoint components
+    return h.labels == g.labels and g.bits & inside == h.bits
 
 
 def graph_flats(g: Graph) -> tuple:
@@ -545,19 +633,25 @@ def graph_flats(g: Graph) -> tuple:
     sweep runs over the Bell(n) set partitions of the vertices, not over
     every graph on them (Benedetti and Sagan, 2017)."""
     check_set_partition_budget(len(g.labels), DEFAULT_BUDGET)
-    inside: dict = {}  # block -> edges of g inside it, None if disconnected
+    inside: dict = {}  # block -> edge bits of g inside it, None if disconnected
 
     def edges_inside(block):
         if block not in inside:
-            h = g.restrict(block)
-            inside[block] = h.edges if len(graph_components(h)) == 1 else None
+            bits = g.bits & _pairs_in(block)
+            connected = len(_components(block, _edge_masks(bits))) == 1
+            inside[block] = bits if connected else None
         return inside[block]
 
     out = []
     for part in set_partitions(g.labels):
-        edges = [edges_inside(block) for block in part.blocks]
-        if all(e is not None for e in edges):
-            out.append(_trusted(Graph, g.labels, "edges", frozenset().union(*edges)))
+        bits = 0
+        for block in part.blocks:
+            edges = edges_inside(block)
+            if edges is None:
+                break
+            bits |= edges
+        else:
+            out.append(_of(Graph, g.labels, bits))
     return tuple(sorted(out, key=Graph.encode))
 
 
@@ -572,63 +666,38 @@ def contract(g: Graph, h: Graph) -> Graph:
     Multiplicities and loops are forgotten."""
     if not is_flat(h, g):
         raise NotAFlat(f"{h.encode()} is not a flat of {g.encode()}")
-    comp_of = {}
-    names = []
-    for comp in graph_components(h):
-        name = min(comp)
-        names.append(name)
-        for v in comp:
-            comp_of[v] = name
-    edges = set()
-    for e in g.edges:
-        a, b = tuple(e)
-        if comp_of[a] != comp_of[b]:
-            edges.add(frozenset({comp_of[a], comp_of[b]}))
-    return Graph(frozenset(names), frozenset(edges))
+    name = {v: min(comp) for comp in graph_components(h) for v in comp}
+    return _of(Graph, frozenset(name.values()), _image_pairs(name, g.bits))
 
 
 def acyclic_orientations_brute(g: Graph) -> int:
     """Count orientations with no directed cycle by enumerating all of
     them; only sensible for |E| <= 20."""
-    edges = [tuple(sorted(e)) for e in sorted(g.edges, key=lambda e: tuple(sorted(e)))]
+    edges = sorted(map(_pair_of, _bits(g.bits)))
     m = len(edges)
     if m > 20:
         raise CarrierOverflow(f"{m} edges is too many for brute-force orientation")
-    verts = sorted(g.labels)
     count = 0
     for mask in range(2 ** m):
-        succ = {v: [] for v in verts}
+        succ = dict.fromkeys(g.labels, 0)  # vertex -> bitmask of its successors
         for i, (a, b) in enumerate(edges):
-            if mask >> i & 1:
-                succ[a].append(b)
-            else:
-                succ[b].append(a)
-        if _is_acyclic(verts, succ):
-            count += 1
+            tail, head = (a, b) if mask >> i & 1 else (b, a)
+            succ[tail] |= 1 << head
+        count += _is_acyclic(succ)
     return count
 
 
-def _is_acyclic(verts, succ) -> bool:
-    state = {v: 0 for v in verts}  # 0 unseen, 1 active, 2 done
-    for start in verts:
-        if state[start]:
-            continue
-        stack = [(start, iter(succ[start]))]
-        state[start] = 1
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for w in it:
-                if state[w] == 1:
-                    return False
-                if state[w] == 0:
-                    state[w] = 1
-                    stack.append((w, iter(succ[w])))
-                    advanced = True
-                    break
-            if not advanced:
-                state[v] = 2
-                stack.pop()
+def _is_acyclic(succ: dict) -> bool:
+    """Whether taking out vertices with no successor left, again and
+    again, takes out all of them: no directed cycle."""
+    left = _mask(succ)
+    while left:
+        before = left
+        for v in _members(left):
+            if not succ[v] & left:
+                left ^= 1 << v
+        if left == before:
+            return False
     return True
 
 
@@ -641,22 +710,18 @@ def _chromatic_by_encoding(encoding: str) -> IntPolynomial:
 def chromatic_polynomial(g: Graph) -> IntPolynomial:
     """Proper-coloring counting polynomial via deletion-contraction."""
     mapping = {v: i for i, v in enumerate(sorted(g.labels))}
-    canon = Graph(frozenset(mapping.values()), _relabel_edges(mapping, g.edges))
+    canon = _of(Graph, frozenset(mapping.values()), _image_pairs(mapping, g.bits))
     return _chromatic_by_encoding(canon.encode())
 
 
 def _chromatic(g: Graph) -> IntPolynomial:
-    if not g.edges:
+    if not g.bits:
         return IntPolynomial({len(g.labels): 1})
-    e = min(g.edges, key=lambda e: tuple(sorted(e)))
-    a, b = tuple(sorted(e))
-    deleted = Graph(g.labels, g.edges - {e})
-    merged_edges = set()
-    for f in g.edges - {e}:
-        f2 = frozenset(a if v == b else v for v in f)
-        if len(f2) == 2:
-            merged_edges.add(f2)
-    contracted = Graph(g.labels - {b}, frozenset(merged_edges))
+    a, b = min(map(_pair_of, _bits(g.bits)))
+    rest = g.bits & ~(1 << _pair(a, b))
+    deleted = _of(Graph, g.labels, rest)
+    merge = {v: a if v == b else v for v in g.labels}
+    contracted = _of(Graph, g.labels - {b}, _image_pairs(merge, rest))
     return chromatic_polynomial(deleted) + chromatic_polynomial(contracted).scale(-1)
 
 
@@ -665,14 +730,15 @@ def acyclic_orientation_count(g: Graph) -> int:
     chromatic-polynomial evaluation at -1 otherwise, with a runtime
     agreement check where both routes are cheap."""
     via_chromatic = None
-    if len(g.edges) <= 12:
+    edges = g.bits.bit_count()
+    if edges <= 12:
         brute = acyclic_orientations_brute(g)
         via_chromatic = abs(chromatic_polynomial(g).evaluate(-1))
         if brute != via_chromatic:
             raise ArithmeticError(
                 f"orientation count mismatch on {g.encode()}: {brute} vs {via_chromatic}")
         return brute
-    if len(g.edges) <= 20:
+    if edges <= 20:
         return acyclic_orientations_brute(g)
     return abs(chromatic_polynomial(g).evaluate(-1))
 
@@ -682,7 +748,11 @@ def acyclic_orientation_count(g: Graph) -> int:
 
 
 def sc_one_skeleton(c: SimplicialComplex) -> Graph:
-    return Graph(c.labels, frozenset(f for f in c.faces if len(f) == 2))
+    bits = 0
+    for m in _bits(c.bits):
+        if m.bit_count() == 2:
+            bits |= 1 << _pair((m & -m).bit_length() - 1, m.bit_length() - 1)
+    return _of(Graph, c.labels, bits)
 
 
 def sc_gamma_of_flat(c: SimplicialComplex, f: Graph) -> SimplicialComplex:
@@ -691,10 +761,10 @@ def sc_gamma_of_flat(c: SimplicialComplex, f: Graph) -> SimplicialComplex:
     skel = sc_one_skeleton(c)
     if not is_flat(f, skel):
         raise NotAFlat(f"{f.encode()} is not a flat of the 1-skeleton")
-    out = SIMPLICIAL.unit
+    inside = 1  # the empty face, also on no labels
     for comp in graph_components(f):
-        out = sc_disjoint_union(out, c.restrict(comp))
-    return out
+        inside |= _subsets_in(comp)
+    return _of(SimplicialComplex, c.labels, c.bits & inside)
 
 
 # ---------------------------------------------------------------------------
@@ -713,27 +783,22 @@ def closed_form_antipode_graphs(g: Graph) -> FreeVector:
 
 def _refinements(p: SetPartition):
     """All partitions refining p, with the per-block refinement shape."""
-    per_block = [set_partitions(frozenset(b)) for b in p.blocks]
-
-    def rec(i, acc_blocks, shape):
-        if i == len(per_block):
-            blocks = tuple(sorted(acc_blocks, key=min))
-            yield _trusted(SetPartition, p.labels, "blocks", blocks), tuple(shape)
-            return
-        for usp in per_block[i]:
-            yield from rec(i + 1, acc_blocks + list(usp.blocks),
-                           shape + [len(usp)])
-
-    yield from rec(0, [], [])
+    per_block = [[(sum(map(_pairs_in, usp.blocks)), len(usp))
+                  for usp in set_partitions(frozenset(_members(m)))]
+                 for m in p.block_masks()]
+    for choice in product(*per_block):
+        bits = 0
+        for same, _ in choice:
+            bits |= same
+        yield _of(SetPartition, p.labels, bits), tuple(k for _, k in choice)
 
 
 def closed_form_antipode_partitions(p: SetPartition) -> FreeVector:
     """Sum over refinements tau of (-1)^len(tau) * prod(lambda_i!) * tau,
     where lambda_i counts the blocks of tau inside the i-th block of p."""
-    from math import factorial
     terms: dict = {}
     for tau, shape in _refinements(p):
-        coeff = (-1) ** len(tau.blocks)
+        coeff = (-1) ** sum(shape)
         for lam in shape:
             coeff *= factorial(lam)
         terms[tau] = terms.get(tau, 0) + coeff

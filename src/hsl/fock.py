@@ -88,7 +88,8 @@ def fock_primitive_check(fam: Family, vector: dict) -> bool:
 
 def integer_partition_of(partition_structure) -> tuple:
     """Block-size shape of a set partition, sorted descending."""
-    return tuple(sorted((len(b) for b in partition_structure.blocks), reverse=True))
+    sizes = map(int.bit_count, partition_structure.block_masks())
+    return tuple(sorted(sizes, reverse=True))
 
 
 def symfunc_bridge(lam) -> SymFunc:
@@ -138,12 +139,11 @@ def power_sum_identity_check(n: int, budget: int = DEFAULT_BUDGET) -> PowerSumRe
     labels = frozenset(range(n))
     view = PARTITIONS.poset(labels, budget)
     carrier = view.carrier()
-    bottom = next(q for q in carrier if len(q.blocks) == 1)
-    top = next(q for q in carrier if len(q.blocks) == n)
+    shapes = [integer_partition_of(q) for q in carrier]
+    bottom, top = carrier[shapes.index((n,))], carrier[shapes.index((1,) * n)]
 
     weight: dict = {}  # block shape -> sum of mu(bottom, tau) over its taus
-    for tau in carrier:
-        lam = integer_partition_of(tau)
+    for tau, lam in zip(carrier, shapes):
         weight[lam] = weight.get(lam, 0) + mobius(view, bottom, tau)
     image = SymFunc("h", {lam: w * prod(map(factorial, lam))
                           for lam, w in weight.items()})
@@ -205,17 +205,17 @@ def partition_char_poly_check(n: int, budget: int = DEFAULT_BUDGET) -> CharPolyR
     # mu(tau, top) is mu(top, tau) in the opposite order: one row, not one per tau
     opposite = PARTITIONS.poset(labels, budget, reverse=True)
     carrier = view.carrier()
-    bottom = next(q for q in carrier if len(q.blocks) == 1)
-    top = next(q for q in carrier if len(q.blocks) == n)
+    ells = [len(q.block_masks()) for q in carrier]
+    bottom, top = carrier[ells.index(1)], carrier[ells.index(n)]
 
     polys: dict = {}
     for side in ("lower", "upper"):
         for name, expo in _EXPONENTS.items():
             poly = IntPolynomial()
-            for tau in carrier:
+            for tau, ell in zip(carrier, ells):
                 mu = (mobius(view, bottom, tau) if side == "lower"
                       else mobius(opposite, top, tau))
-                poly = poly + IntPolynomial.term(mu, expo(len(tau.blocks), n))
+                poly = poly + IntPolynomial.term(mu, expo(ell, n))
             polys[(side, name)] = poly
 
     falling = IntPolynomial.falling_factorial(n)

@@ -18,7 +18,7 @@ from typing import Callable
 
 from .errors import (DEFAULT_BUDGET, CarrierOverflow, EngineError,
                      LabelMismatch, LabelOverlap)
-from .posets import FinitePoset
+from .posets import FinitePoset, _bits
 
 
 def check_label_set(labels) -> frozenset[int]:
@@ -32,28 +32,28 @@ def check_label_set(labels) -> frozenset[int]:
 def subsets(labels) -> tuple[frozenset[int], ...]:
     """All subsets (including empty) in bitmask order over sorted labels."""
     elems = sorted(labels)
-    n = len(elems)
-    out = []
-    for mask in range(2 ** n):
-        out.append(frozenset(elems[i] for i in range(n) if mask >> i & 1))
-    return tuple(out)
+    return tuple(frozenset(v for i, v in enumerate(elems) if mask >> i & 1)
+                 for mask in range(2 ** len(elems)))
 
 
 class OrderedSetPartition:
     """Sequence of pairwise-disjoint nonempty blocks covering a label set."""
 
     __slots__ = ("blocks",)
+    _name, _short = "ordered set partition", "OSP"
 
     def __init__(self, blocks):
         blocks = tuple(frozenset(b) for b in blocks)
         seen: set[int] = set()
         for b in blocks:
             if not b:
-                raise LabelMismatch("empty block in ordered set partition")
+                raise LabelMismatch(f"empty block in {self._name}")
             if b & seen:
-                raise LabelMismatch("overlapping blocks in ordered set partition")
+                raise LabelMismatch(f"overlapping blocks in {self._name}")
             seen |= b
-        self.blocks = blocks
+        self.blocks = self._ordered(blocks)
+
+    _ordered = staticmethod(tuple)
 
     @property
     def ambient(self) -> frozenset[int]:
@@ -72,52 +72,25 @@ class OrderedSetPartition:
         return self.blocks[i]
 
     def __eq__(self, other):
-        return isinstance(other, OrderedSetPartition) and self.blocks == other.blocks
+        return type(other) is type(self) and self.blocks == other.blocks
 
     def __hash__(self):
         return hash(self.blocks)
 
     def __repr__(self):
-        return "OSP(" + "|".join("".join(map(str, sorted(b))) for b in self.blocks) + ")"
+        return self._short + "(" + "|".join("".join(map(str, sorted(b)))
+                                            for b in self.blocks) + ")"
 
 
-class UnorderedSetPartition:
+class UnorderedSetPartition(OrderedSetPartition):
     """Blocks in canonical order (sorted by minimum element)."""
 
-    __slots__ = ("blocks",)
+    __slots__ = ()
+    _name, _short = "set partition", "USP"
 
-    def __init__(self, blocks):
-        blocks = [frozenset(b) for b in blocks]
-        seen: set[int] = set()
-        for b in blocks:
-            if not b:
-                raise LabelMismatch("empty block in set partition")
-            if b & seen:
-                raise LabelMismatch("overlapping blocks in set partition")
-            seen |= b
-        self.blocks = tuple(sorted(blocks, key=min))
-
-    @property
-    def ambient(self) -> frozenset[int]:
-        out: frozenset[int] = frozenset()
-        for b in self.blocks:
-            out |= b
-        return out
-
-    def __iter__(self):
-        return iter(self.blocks)
-
-    def __len__(self):
-        return len(self.blocks)
-
-    def __eq__(self, other):
-        return isinstance(other, UnorderedSetPartition) and self.blocks == other.blocks
-
-    def __hash__(self):
-        return hash(self.blocks)
-
-    def __repr__(self):
-        return "USP(" + "|".join("".join(map(str, sorted(b))) for b in self.blocks) + ")"
+    @staticmethod
+    def _ordered(blocks):
+        return tuple(sorted(blocks, key=min))
 
 
 @lru_cache(maxsize=256)
@@ -190,12 +163,12 @@ def check_subset_budget(n: int, budget: int) -> None:
         raise CarrierOverflow(f"subsets of {n} labels exceed budget {budget}")
 
 
-def check_set_partition_budget(n: int, budget: int) -> None:
-    """Raise CarrierOverflow when Bell(n) exceeds the budget, before
-    anything is enumerated."""
-    if bell(n, cap=budget) > budget:
-        raise CarrierOverflow(
-            f"set partitions of {n} labels exceed budget {budget}")
+def check_set_partition_budget(n: int, budget: int, ordered: bool = False) -> None:
+    """Raise CarrierOverflow when Bell(n), or Fubini(n) for the ordered set
+    partitions, exceeds the budget, before anything is enumerated."""
+    if (fubini if ordered else bell)(n, cap=budget) > budget:
+        raise CarrierOverflow(f"{'ordered ' * ordered}set partitions of {n} "
+                              f"labels exceed budget {budget}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,8 +176,8 @@ class Family:
     """A structure family: enumeration, relabeling, merge and split maps,
     an optional free product, and an optional native order.
 
-    The native order is containment of key sets: x <= y iff
-    order_key(x) <= order_key(y)."""
+    The native order is containment of key bits: x <= y iff
+    order_key(x) has no bit outside order_key(y)."""
 
     tag: str
     count_fn: Callable[[frozenset], int] | None
@@ -214,7 +187,7 @@ class Family:
     mult_fn: Callable[[object, object], object]
     comult_fn: Callable[[object, frozenset, frozenset], tuple]
     box_fn: Callable[[object, object], object] | None = None
-    order_key: Callable[[object], frozenset] | None = None
+    order_key: Callable[[object], int] | None = None
     adjunction_kinds: tuple[str, ...] = ()
 
     def enumerate(self, labels, budget: int = DEFAULT_BUDGET) -> tuple:
@@ -228,20 +201,20 @@ class Family:
         return self.enumerate_fn(labels, budget)
 
     def mult(self, x, y):
-        if x.labels & y.labels:
+        if not x.labels.isdisjoint(y.labels):
             raise LabelOverlap(f"label sets overlap: {sorted(x.labels & y.labels)}")
         return self.mult_fn(x, y)
 
     def comult(self, x, S, T):
         S, T = frozenset(S), frozenset(T)
-        if S & T or (S | T) != x.labels:
+        if not S.isdisjoint(T) or (S | T) != x.labels:
             raise LabelMismatch("split does not partition the structure's labels")
         return self.comult_fn(x, S, T)
 
     def box(self, x, y):
         if self.box_fn is None:
             raise EngineError(f"family {self.tag} has no free product")
-        if x.labels & y.labels:
+        if not x.labels.isdisjoint(y.labels):
             raise LabelOverlap(f"label sets overlap: {sorted(x.labels & y.labels)}")
         return self.box_fn(x, y)
 
@@ -252,13 +225,9 @@ class Family:
             raise LabelMismatch("relabeling must be a bijection")
         return self.relabel_fn(mapping, x)
 
-    @property
-    def has_native_order(self) -> bool:
-        return self.order_key is not None
-
     def leq(self, x, y) -> bool:
         """x <= y in the native order."""
-        return self.order_key(x) <= self.order_key(y)
+        return not self.order_key(x) & ~self.order_key(y)
 
     def poset(self, labels, budget: int = DEFAULT_BUDGET,
               reverse: bool = False) -> FinitePoset:
@@ -275,19 +244,19 @@ def _native_poset(fam: Family, labels: frozenset, budget: int,
     opposite.  The bound is far above the orders one CLI command builds
     (two per subset of its labels).
 
-    Each member e of a key gets the bitset has[e] of the elements whose
-    key holds it; the up-set of x is the `&` of has[e] over the members e
-    of x's key."""
+    Each bit e of a key gets the bitset has[e] of the elements whose key
+    holds it; the up-set of x is the `&` of has[e] over the bits e of x's
+    key."""
     if reverse:
         return _native_poset(fam, labels, budget, False).reverse()
     elems = sorted(fam.enumerate(labels, budget), key=lambda x: x.encode())
     keys = [fam.order_key(x) for x in elems]
     has: dict = {}
     for i, key in enumerate(keys):
-        for e in key:
+        for e in _bits(key):
             has[e] = has.get(e, 0) | 1 << i
     everything = (1 << len(elems)) - 1
-    up = [reduce(and_, map(has.__getitem__, key), everything) for key in keys]
+    up = [reduce(and_, map(has.__getitem__, _bits(key)), everything) for key in keys]
     return FinitePoset(elems, up, fam.tag)
 
 
@@ -373,32 +342,22 @@ def _splits(labels):
         yield S, labels - S
 
 
-class _Carriers:
-    """Budget-aware carrier lookup shared by one axiom sweep."""
+class _Carriers(dict):
+    """The carriers on 0..k-1 by k up to n, plus `sub` for any label set,
+    shared by one axiom sweep under one budget."""
 
     def __init__(self, fam: Family, n: int, budget: int):
+        super().__init__((k, fam.enumerate(frozenset(range(k)), budget))
+                         for k in range(n + 1))
         self.fam = fam
         self.budget = budget
-        self.by_size = {k: fam.enumerate(frozenset(range(k)), budget)
-                        for k in range(n + 1)}
         self._subs: dict = {}
-
-    def items(self):
-        return self.by_size.items()
-
-    def __iter__(self):
-        return iter(self.by_size)
-
-    def values(self):
-        return self.by_size.values()
 
     def sub(self, labels) -> tuple:
         labels = frozenset(labels)
-        cached = self._subs.get(labels)
-        if cached is None:
-            cached = self.fam.enumerate(labels, self.budget)
-            self._subs[labels] = cached
-        return cached
+        if labels not in self._subs:
+            self._subs[labels] = self.fam.enumerate(labels, self.budget)
+        return self._subs[labels]
 
 
 def verify_axioms(fam: Family, n: int, budget: int = DEFAULT_BUDGET) -> AxiomReport:
@@ -422,7 +381,7 @@ def verify_axioms(fam: Family, n: int, budget: int = DEFAULT_BUDGET) -> AxiomRep
     record("compatibility", _check_compatibility(fam, carriers))
     record("commutativity", _check_commutativity(fam, carriers))
     record("cocommutativity", _check_cocommutativity(fam, carriers))
-    if fam.has_native_order:
+    if fam.order_key is not None:
         record("order_preservation_mult", _check_order_mult(fam, carriers))
         record("order_preservation_comult", _check_order_comult(fam, carriers))
     return report
@@ -465,7 +424,7 @@ def _check_relabel_budget(carriers) -> None:
     for k = 0).  The merge sweep checks each on every pair of C(S) x C(T)
     over the 2^k subsets S; the split sweep on every structure of C(k),
     once per subset."""
-    sizes = [len(carriers.by_size[k]) for k in carriers]
+    sizes = [len(carriers[k]) for k in carriers]
     for name, cases in (
             ("merge", lambda k: sum(comb(k, j) * sizes[j] * sizes[k - j]
                                     for j in range(k + 1))),
@@ -624,11 +583,11 @@ def _check_order_mult(fam, carriers):
             prods = [[key(fam.mult(x, y)) for y in ys] for x in xs]
             for x1, k1, p1 in zip(xs, xkeys, prods):
                 for k2, p2 in zip(xkeys, prods):
-                    if not k1 <= k2:
+                    if k1 & ~k2:
                         continue
                     for l1, q1 in zip(ykeys, p1):
                         for l2, q2 in zip(ykeys, p2):
-                            if l1 <= l2 and not q1 <= q2:
+                            if not l1 & ~l2 and q1 & ~q2:
                                 return f"m not order-preserving at {x1.encode()}"
     return None
 
@@ -643,7 +602,7 @@ def _check_order_comult(fam, carriers):
             splits = [tuple(map(key, fam.comult(x, S, T))) for x in carrier]
             for x, kx, (xa, xb) in zip(carrier, keys, splits):
                 for ky, (ya, yb) in zip(keys, splits):
-                    if kx <= ky and not (xa <= ya and xb <= yb):
+                    if not kx & ~ky and (xa & ~ya or xb & ~yb):
                         return f"delta not order-preserving at {x.encode()}"
     return None
 

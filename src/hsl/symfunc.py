@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import EngineError
+from .vectors import _accumulate
 
 DEFAULT_NVARS = 8
 
@@ -53,13 +54,8 @@ class SymFunc:
         for lam, c in items:
             lam = _as_partition(lam)
             c = Fraction(c)
-            if not c:
-                continue
-            new = self.terms.get(lam, Fraction(0)) + c
-            if new:
-                self.terms[lam] = new
-            else:
-                self.terms.pop(lam, None)
+            if c:
+                _accumulate(self.terms, lam, c)
 
     @property
     def degree(self) -> int:
@@ -77,11 +73,7 @@ class SymFunc:
             raise EngineError("cannot add across bases; expand to monomials first")
         out = dict(self.terms)
         for lam, c in other.terms.items():
-            new = out.get(lam, Fraction(0)) + c
-            if new:
-                out[lam] = new
-            else:
-                out.pop(lam, None)
+            _accumulate(out, lam, c)
         return SymFunc(self.basis, out)
 
     def __sub__(self, other: "SymFunc") -> "SymFunc":

@@ -25,28 +25,94 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"coefficients must be exact rationals, got {type(value)}")
 
 
-class FreeVector:
+class _Combination:
+    """Sparse exact-rational combination in one ambient space: `_ambient`
+    (the constructor's leading arguments) names it, `_check_term` rejects
+    a key from outside it, and `_show` prints a key."""
+
+    __slots__ = ()
+
+    def _fill(self, terms) -> None:
+        self.terms = {}
+        items = terms.items() if isinstance(terms, dict) else terms
+        for key, c in items:
+            c = _as_fraction(c)
+            if c:
+                self._check_term(key)
+                _accumulate(self.terms, key, c)
+
+    def _check_ambient(self, other):
+        if self._ambient != other._ambient:
+            raise AmbientMismatch(self._mismatch)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        self._check_ambient(other)
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            _accumulate(out, key, c)
+        return type(self)(*self._ambient, out)
+
+    def __sub__(self, other):
+        return self + (-1) * other
+
+    def __neg__(self):
+        return (-1) * self
+
+    def __mul__(self, scalar):
+        scalar = _as_fraction(scalar)
+        scaled = {k: scalar * c for k, c in self.terms.items()}
+        return type(self)(*self._ambient, scaled)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self._ambient == other._ambient
+                and self.terms == other.terms)
+
+    def __repr__(self):
+        name = type(self).__name__
+        if self.is_zero:
+            return f"{name}(0)"
+        shown = (f"{c}*{self._show(k)}" for k, c in self.items())
+        return f"{name}(" + " + ".join(shown) + ")"
+
+
+def _accumulate(terms: dict, key, c) -> None:
+    """Add c to the coefficient of key, dropping it where the sum is 0."""
+    new = terms.get(key, Fraction(0)) + c
+    if new:
+        terms[key] = new
+    else:
+        terms.pop(key, None)
+
+
+class FreeVector(_Combination):
     """Sparse exact-rational combination of structures on one label set."""
 
     __slots__ = ("family_tag", "labels", "terms")
+    _mismatch = "vectors live in different ambient spaces"
 
     def __init__(self, family_tag: str, labels, terms=()):
         self.family_tag = family_tag
         self.labels = frozenset(labels)
-        self.terms: dict = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for x, c in items:
-            c = _as_fraction(c)
-            if not c:
-                continue
-            if x.labels != self.labels:
-                raise AmbientMismatch(
-                    f"term {x.encode()} not on labels {sorted(self.labels)}")
-            new = self.terms.get(x, Fraction(0)) + c
-            if new:
-                self.terms[x] = new
-            else:
-                self.terms.pop(x, None)
+        self._fill(terms)
+
+    @property
+    def _ambient(self) -> tuple:
+        return self.family_tag, self.labels
+
+    def _check_term(self, x) -> None:
+        if x.labels != self.labels:
+            raise AmbientMismatch(
+                f"term {x.encode()} not on labels {sorted(self.labels)}")
+
+    @staticmethod
+    def _show(x) -> str:
+        return x.encode()
 
     @classmethod
     def basis(cls, family_tag: str, x) -> "FreeVector":
@@ -56,55 +122,11 @@ class FreeVector:
     def zero(cls, family_tag: str, labels) -> "FreeVector":
         return cls(family_tag, labels)
 
-    def _check_ambient(self, other: "FreeVector"):
-        if (self.family_tag, self.labels) != (other.family_tag, other.labels):
-            raise AmbientMismatch("vectors live in different ambient spaces")
-
     def coefficient(self, x) -> Fraction:
         return self.terms.get(x, Fraction(0))
 
     def items(self):
         return sorted(self.terms.items(), key=lambda kv: kv[0].encode())
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "FreeVector") -> "FreeVector":
-        self._check_ambient(other)
-        out = dict(self.terms)
-        for x, c in other.terms.items():
-            new = out.get(x, Fraction(0)) + c
-            if new:
-                out[x] = new
-            else:
-                out.pop(x, None)
-        return FreeVector(self.family_tag, self.labels, out)
-
-    def __sub__(self, other: "FreeVector") -> "FreeVector":
-        return self + (-1) * other
-
-    def __neg__(self) -> "FreeVector":
-        return (-1) * self
-
-    def __mul__(self, scalar) -> "FreeVector":
-        scalar = _as_fraction(scalar)
-        return FreeVector(self.family_tag, self.labels,
-                          {x: scalar * c for x, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return (isinstance(other, FreeVector)
-                and self.family_tag == other.family_tag
-                and self.labels == other.labels
-                and self.terms == other.terms)
-
-    def __repr__(self):
-        if self.is_zero:
-            return "FreeVector(0)"
-        bits = [f"{c}*{x.encode()}" for x, c in self.items()]
-        return "FreeVector(" + " + ".join(bits) + ")"
 
     def map_structures(self, fn, labels=None) -> "FreeVector":
         """Linear extension of a structure-to-structure map."""
@@ -141,34 +163,30 @@ class FreeVector:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
-class TensorVector:
+class TensorVector(_Combination):
     """Exact-rational combination of structure pairs on a fixed split."""
 
     __slots__ = ("family_tag", "left_labels", "right_labels", "terms")
+    _mismatch = "tensors live on different splits"
 
     def __init__(self, family_tag: str, left_labels, right_labels, terms=()):
         self.family_tag = family_tag
         self.left_labels = frozenset(left_labels)
         self.right_labels = frozenset(right_labels)
-        self.terms: dict = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for (a, b), c in items:
-            c = _as_fraction(c)
-            if not c:
-                continue
-            if a.labels != self.left_labels or b.labels != self.right_labels:
-                raise AmbientMismatch("tensor factor on the wrong label set")
-            key = (a, b)
-            new = self.terms.get(key, Fraction(0)) + c
-            if new:
-                self.terms[key] = new
-            else:
-                self.terms.pop(key, None)
+        self._fill(terms)
 
-    def _check_ambient(self, other: "TensorVector"):
-        if ((self.family_tag, self.left_labels, self.right_labels)
-                != (other.family_tag, other.left_labels, other.right_labels)):
-            raise AmbientMismatch("tensors live on different splits")
+    @property
+    def _ambient(self) -> tuple:
+        return self.family_tag, self.left_labels, self.right_labels
+
+    def _check_term(self, pair) -> None:
+        a, b = pair
+        if a.labels != self.left_labels or b.labels != self.right_labels:
+            raise AmbientMismatch("tensor factor on the wrong label set")
+
+    @staticmethod
+    def _show(pair) -> str:
+        return f"{pair[0].encode()}(x){pair[1].encode()}"
 
     def coefficient(self, a, b) -> Fraction:
         return self.terms.get((a, b), Fraction(0))
@@ -176,44 +194,6 @@ class TensorVector:
     def items(self):
         return sorted(self.terms.items(),
                       key=lambda kv: (kv[0][0].encode(), kv[0][1].encode()))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "TensorVector") -> "TensorVector":
-        self._check_ambient(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            new = out.get(key, Fraction(0)) + c
-            if new:
-                out[key] = new
-            else:
-                out.pop(key, None)
-        return TensorVector(self.family_tag, self.left_labels, self.right_labels, out)
-
-    def __mul__(self, scalar) -> "TensorVector":
-        scalar = _as_fraction(scalar)
-        return TensorVector(self.family_tag, self.left_labels, self.right_labels,
-                            {k: scalar * c for k, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other: "TensorVector") -> "TensorVector":
-        return self + (-1) * other
-
-    def __eq__(self, other):
-        return (isinstance(other, TensorVector)
-                and self.family_tag == other.family_tag
-                and self.left_labels == other.left_labels
-                and self.right_labels == other.right_labels
-                and self.terms == other.terms)
-
-    def __repr__(self):
-        if self.is_zero:
-            return "TensorVector(0)"
-        bits = [f"{c}*{a.encode()}(x){b.encode()}" for (a, b), c in self.items()]
-        return "TensorVector(" + " + ".join(bits) + ")"
 
 
 def tensor(v: FreeVector, w: FreeVector) -> TensorVector:

@@ -1,12 +1,16 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
 
+import pytest
+
 import hsl
 from hsl import cli
-from hsl.families import free_vector_from_json
+from hsl.errors import CarrierOverflow
+from hsl.families import free_vector_from_json, parse_structure
 
 
 def run(capsys, *argv):
@@ -70,6 +74,10 @@ def test_budget_exit_code(capsys):
     assert code == 3 and "budget exceeded" in err
 
 
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
 def test_huge_label_count_exits_budget_without_enumerating(capsys):
     # the budget is checked by a capped count, so neither route recurses
     # Fubini(2000) deep nor sweeps the 2^2000 subsets
@@ -80,6 +88,23 @@ def test_huge_label_count_exits_budget_without_enumerating(capsys):
                              "--jobs", "1")
         assert code == 3 and "budget exceeded" in err and not out
         assert time.monotonic() - start < 10
+    # the count comes from the header, before a label set or an edge's int
+    # is built, so a million labels fit in 1 GiB of address space
+    src = os.path.dirname(os.path.dirname(hsl.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for family, text in (("graphs", "G:n=1000000;E=0-999999"),
+                         ("hypergraphs", "H:n=1000000;E={0,999999}")):
+        for method in ("takeuchi", "closed", "both"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "hsl.cli", "antipode", "--family", family,
+                 "--object", text, "--method", method, "--jobs", "1"],
+                capture_output=True, text=True, env=env, timeout=10,
+                preexec_fn=_cap_address_space)
+            assert proc.returncode == 3 and not proc.stdout, (text, method, proc.stderr)
+    # the library parser builds the labels, and the width guard stops the
+    # edge's int: the pair {0, 399} sits at bit 79401, past 2^16
+    with pytest.raises(CarrierOverflow):
+        parse_structure("G:n=400;E=0-399")
 
 
 def test_non_canonical_object_is_a_parse_error(capsys):

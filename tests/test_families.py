@@ -1,4 +1,4 @@
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -96,26 +96,112 @@ def assert_equals_validated_rebuild(x):
     assert x.encode() == rebuilt.encode()
 
 
-def test_trusted_results_equal_validated_rebuilds():
-    """Restriction, merge, relabelling, the enumerators and the closed-form
-    builders skip the constructors' checks; each of their results must be
-    the structure the validating constructor builds from the same data."""
+# The integer kernel's reference: the frozenset-literal restrict, disjoint
+# union, relabel, order key and encode that the families once ran, here
+# on the decoded views.
+def _by_min(blocks):
+    return tuple(sorted(blocks, key=min))
+
+
+def _old_restrict(view, S):
+    if isinstance(view, tuple):
+        return _by_min(b & S for b in view if b & S)
+    return frozenset(e for e in view if e <= S)
+
+
+def _old_union(a, b):
+    return _by_min(a + b) if isinstance(a, tuple) else a | b
+
+
+def _old_relabel(f, view):
+    images = [frozenset(f[v] for v in e) for e in view]
+    return _by_min(images) if isinstance(view, tuple) else frozenset(images)
+
+
+def _lex(sets):
+    return sorted((len(e), tuple(sorted(e))) for e in sets)
+
+
+def _old_encode_graph(labels, edges):
+    parts = ",".join(f"{a}-{b}" for a, b in sorted(tuple(sorted(e)) for e in edges))
+    return f"G:n={len(labels)};E={parts}"
+
+
+def _old_encode_hypergraph(labels, edges):
+    parts = ";".join("{" + ",".join(map(str, t)) + "}" for _, t in _lex(edges))
+    return f"H:n={len(labels)};E={parts}"
+
+
+def _old_encode_complex(labels, faces):
+    facets = [f for f in faces if not any(f < g for g in faces)]
+    parts = ";".join("F=" + ",".join(map(str, t)) for _, t in _lex(facets))
+    return f"S:n={len(labels)};" + parts
+
+
+def _old_encode_partition(labels, blocks):
+    sep = "," if labels and max(labels) > 9 else ""
+    body = "|".join(sep.join(map(str, sorted(b))) for b in blocks)
+    return f"P:n={len(labels)};B={body}"
+
+
+OLD_ENCODE = {Graph: _old_encode_graph, Hypergraph: _old_encode_hypergraph,
+              SimplicialComplex: _old_encode_complex,
+              SetPartition: _old_encode_partition}
+
+
+def _old_separated_pairs(p):
+    block_of = {v: i for i, b in enumerate(p.blocks) for v in b}
+    return frozenset((a, b) for a, b in combinations(sorted(p.labels), 2)
+                     if block_of[a] != block_of[b])
+
+
+OLD_ORDER_KEY = {"graphs": lambda g: g.edges, "hypergraphs": lambda h: h.edges,
+                 "simplicial": lambda c: c.faces,
+                 "partitions": _old_separated_pairs}
+
+
+def assert_matches_reference(x, labels, view):
+    """x is the structure that the validating constructor builds from the
+    reference labels and view: same ==, hash, encoding and decoded view."""
+    reference = type(x)(labels, view)
+    assert x == reference and hash(x) == hash(reference)
+    assert x.labels == labels and getattr(x, FIELD[type(x)]) == view
+    assert x.encode() == reference.encode() == OLD_ENCODE[type(x)](labels, view)
+
+
+def test_kernel_matches_frozenset_reference():
+    """Restriction, split, merge, relabelling, the enumerators, the native
+    orders and the closed-form builders work on the integer kernel; each
+    result must equal the frozenset reference above, rebuilt through the
+    validating constructor."""
     for fam in FAMILIES.values():
-        carriers = [fam.enumerate(frozenset(range(k))) for k in range(5)]
+        field = FIELD[type(fam.unit)]
+        old_key = OLD_ORDER_KEY[fam.tag]
+        top = 5 if fam is PARTITIONS else 4
+        carriers = [fam.enumerate(frozenset(range(k))) for k in range(top + 1)]
         for k, carrier in enumerate(carriers):
             labels = frozenset(range(k))
             bijections = [dict(zip(range(k), img)) for img in permutations(range(k))]
             bijections.append({i: i + k for i in range(k)})
             for x in carrier:
-                assert_equals_validated_rebuild(x)
+                view = getattr(x, field)
+                assert_matches_reference(x, labels, view)
                 for S in subsets(labels):
-                    assert_equals_validated_rebuild(x.restrict(S))
+                    assert_matches_reference(x.restrict(S), S, _old_restrict(view, S))
+                    for piece, part in zip(fam.comult(x, S, labels - S), (S, labels - S)):
+                        assert_matches_reference(piece, part, _old_restrict(view, part))
                 for f in bijections:
-                    assert_equals_validated_rebuild(fam.relabel(f, x))
+                    assert_matches_reference(fam.relabel(f, x), frozenset(f.values()),
+                                             _old_relabel(f, view))
+                # every pair on small carriers, the first 64 partners on large
+                for y in carrier[:64]:
+                    assert fam.leq(x, y) == (old_key(x) <= old_key(y))
             for S in subsets(labels):
                 for x in fam.enumerate(S):
                     for y in fam.enumerate(labels - S):
-                        assert_equals_validated_rebuild(fam.mult(x, y))
+                        assert_matches_reference(
+                            fam.mult(x, y), labels,
+                            _old_union(getattr(x, field), getattr(y, field)))
     for k in range(5):
         for g in GRAPHS.enumerate(frozenset(range(k))):
             for h in graph_flats(g):

@@ -38,15 +38,16 @@ def test_parse_inverts_encode(x):
 
 
 # the characters of the four encodings; the label count sits in a drawn
-# header and stays small, because the parser builds all n labels before
-# any budget is checked
+# header, log-uniform up to a million: the command checks its budget from
+# the header before it builds any label set
 _ENCODING_ALPHABET = "0123456789,-|;{}=:nEFBGHSP"
 
 
 @st.composite
 def antipode_argv(draw):
     letter = draw(st.sampled_from("GHSP"))
-    header = f"{letter}:n={draw(st.integers(0, 12))};{draw(st.sampled_from('EFB'))}="
+    n = draw(st.integers(0, 6).flatmap(lambda d: st.integers(0, 10 ** d)))
+    header = f"{letter}:n={n};{draw(st.sampled_from('EFB'))}="
     body = draw(st.text(alphabet=_ENCODING_ALPHABET, max_size=20))
     return ["antipode", "--family", draw(st.sampled_from(sorted(FAMILIES))),
             "--object", header + body,
