@@ -14,11 +14,11 @@ the two disagree already on two-element chains; see the discrepancy tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import chain, product
+from functools import lru_cache, reduce
 from math import factorial
+from operator import and_, or_
 
-from .errors import (DEFAULT_BUDGET, EngineError,
+from .errors import (DEFAULT_BUDGET, EngineError, LabelMismatch,
                      NonUniqueFactorization, NotSelfAdjoint)
 from .posets import FinitePoset, GaloisReport, _bits, check_galois
 from .species import (Family, UnorderedSetPartition,
@@ -224,45 +224,14 @@ def is_indecomposable(fam: Family, x) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the defining antipode sum
+# the restriction table
 
 
-def _ordered_sum(fam: Family, x) -> dict:
-    """Takeuchi's sum over the ordered set partitions of x's labels: the
-    route for structures that fail `_block_order_free`, and the tests'
-    reference for the collapsed sum."""
-    acc: dict = {}
-    for comp in compositions(x.labels):
-        y = reassemble(fam, comp.blocks, x)
-        acc[y] = acc.get(y, 0) + (-1) ** len(comp)
-    return acc
+def _restrictions(fam: Family, x) -> tuple | None:
+    """(r, joins) when the checks below hold on x; None when one fails.
 
-
-def _unordered_sum(fam: Family, x) -> dict:
-    """Takeuchi's sum collapsed onto the unordered set partitions, each
-    standing for its k! block orders; equal to `_ordered_sum` when
-    `_block_order_free(fam, x)` holds."""
-    acc: dict = {}
-    for part in set_partitions(x.labels):
-        k = len(part)
-        y = reassemble(fam, part.blocks, x)
-        acc[y] = acc.get(y, 0) + (-1) ** k * factorial(k)
-    return acc
-
-
-def _block_order_free(fam: Family, x) -> bool:
-    """Whether split-then-merge of x along an ordered set partition is the
-    same for every order of the blocks, checked on x alone (see
-    `_restrictions`)."""
-    return _restrictions(fam, x) is not None
-
-
-def _restrictions(fam: Family, x) -> list | None:
-    """The restrictions r(S) of x to every subset S of its labels, indexed
-    by the bitmask of S over the sorted labels, when the checks below hold;
-    None when one fails.
-
-    Let I be the labels of x and r(S) = comult(x, S, I - S)[0].  The check:
+    Let I be the labels of x and r(S) = comult(x, S, I - S)[0], indexed by
+    the bitmask of S over the sorted labels.  The check:
 
     (a) comult(x, S, I - S) == (r(S), r(I - S)) for every subset S of I;
     (b) comult(r(U), S, U - S) == (r(S), r(U - S)) for every proper subset
@@ -276,42 +245,110 @@ def _restrictions(fam: Family, x) -> list | None:
     are r(B1), ..., r(Bk) in every block order.  The merge folds them
     from the unit; by unitality and associativity of mult (Hopf axioms
     that `verify_axioms` checks) that is their product, and by (c) any
-    two adjacent factors swap, so every order gives the same product."""
+    two adjacent factors swap, so every order gives the same product.
+
+    joins[U] holds one S per split {S, U - S} along which r(U) merges back
+    (mult(r(S), r(U - S)) == r(U)): by (a) and (b), the splits along which
+    `factorize` finds r(U) decomposable.  The image of a set partition pi
+    is the product of the r(B) over its blocks B, so by unique
+    factorization (Aguiar and Mahajan, 2010, ch. 8) ell(img pi) is the sum
+    of the ell(r(B)): 2^n entries grade all Bell(n) images
+    (`_factor_blocks`).  Once every r(S) lies on S, every split and merge
+    here is disjoint by construction, so the maps run unchecked."""
     labels = x.labels
     subs = subsets(labels)  # subs[m]: the labels at the set bits of m
     full = len(subs) - 1
-    splits = [fam.comult(x, S, labels - S) for S in subs]
+    split, mult = fam.comult_fn, fam.mult_fn
+    splits = [split(x, S, labels - S) for S in subs]
     r = [first for first, _ in splits]
+    if any(piece.labels != S for piece, S in zip(r, subs)):
+        raise LabelMismatch("split does not partition the structure's labels")
     if any(second != r[full ^ m] for m, (_, second) in enumerate(splits)):
         return None
     for U in range(1, full):
         S = (U - 1) & U
         while S:
-            if fam.comult(r[U], subs[S], subs[U ^ S]) != (r[S], r[U ^ S]):
+            if split(r[U], subs[S], subs[U ^ S]) != (r[S], r[U ^ S]):
                 return None
             S = (S - 1) & U
+    joins: list = [[] for _ in r]
     for S in range(1, full + 1):
         T = full ^ S
         while T > S:
-            if fam.mult(r[S], r[T]) != fam.mult(r[T], r[S]):
+            y = mult(r[S], r[T])
+            if y != mult(r[T], r[S]):
                 return None
+            if y == r[S | T]:
+                joins[S | T].append(S)
             T = (T - 1) & (full ^ S)
-    return r
+    return r, joins
 
 
-def require_self_adjoint(fam: Family, x) -> list:
-    """The restrictions of x from `_restrictions`, or NotSelfAdjoint where
-    they fail its checks.
-
-    The closed form needs the family commutative and cocommutative, but
-    only on the pieces that the reassemblies of x cut and merge, and
-    those are exactly what `_restrictions` checks."""
-    r = _restrictions(fam, x)
-    if r is None:
+def require_self_adjoint(fam: Family, x) -> tuple:
+    """The restriction table of x from `_restrictions`, or NotSelfAdjoint
+    where it fails its checks.  The closed form needs the family
+    commutative and cocommutative only on the pieces that the
+    reassemblies of x cut and merge, which is what those checks cover."""
+    table = _restrictions(fam, x)
+    if table is None:
         raise NotSelfAdjoint(
             f"family {fam.tag} is not commutative and cocommutative "
             f"on the restrictions of {x.encode()}")
-    return r
+    return table
+
+
+def _factor_blocks(r: list, joins: list) -> list:
+    """blocks[U]: the ascending bitmasks B of the indecomposable factors
+    r(B) of r(U).  Every join of r(U) must give the same blocks."""
+    blocks = [()]
+    for U in range(1, len(r)):
+        found = sorted({tuple(sorted(blocks[S] + blocks[U ^ S])) for S in joins[U]})
+        if len(found) > 1:
+            shown = [sorted(r[b].encode() for b in bs) for bs in found[:2]]
+            raise NonUniqueFactorization(
+                f"splits disagree on {r[U].encode()}: {shown[0]} vs {shown[1]}")
+        blocks.append(found[0] if found else (U,))
+    return blocks
+
+
+@lru_cache(maxsize=16)
+def _partitions(n: int) -> tuple:
+    """The set partitions of the labels 0..n-1, each a tuple of block
+    bitmasks ordered by lowest bit; the one-block partition comes first."""
+    def of(m: int) -> list:
+        if not m:
+            return [()]
+        low = m & -m
+        rest = extra = m ^ low
+        out = []
+        while True:
+            out.extend((low | extra,) + tail for tail in of(rest ^ extra))
+            if not extra:
+                return out
+            extra = (extra - 1) & rest
+    return tuple(of((1 << n) - 1))
+
+
+def _images(fam: Family, r: list, parts) -> list:
+    """img(pi) for each pi in `parts`, a tuple of block bitmasks: the fold
+    of mult from the unit over r(B) for the blocks B of pi, in order.  By
+    `_restrictions` this is reassemble(pi, x), with no split made."""
+    mult, unit = fam.mult_fn, fam.unit
+    return [reduce(mult, map(r.__getitem__, blocks), unit) for blocks in parts]
+
+
+# ---------------------------------------------------------------------------
+# the defining antipode sum
+
+
+def _ordered_sum(fam: Family, x) -> dict:
+    """Takeuchi's sum over the ordered set partitions of x's labels: the
+    route for structures whose restrictions fail `_restrictions`."""
+    acc: dict = {}
+    for comp in compositions(x.labels):
+        y = reassemble(fam, comp.blocks, x)
+        acc[y] = acc.get(y, 0) + (-1) ** len(comp)
+    return acc
 
 
 def takeuchi_antipode(fam: Family, x, budget: int = DEFAULT_BUDGET,
@@ -320,15 +357,20 @@ def takeuchi_antipode(fam: Family, x, budget: int = DEFAULT_BUDGET,
     label set, sign (-1)^k times split-then-merge.  Exact integer
     accumulation; the empty label set maps to the unit.
 
-    Where `_block_order_free` holds for x, the k! orders of one set
-    partition reassemble x alike, so the sum runs over the Bell(n) set
-    partitions with weight (-1)^k k! instead of the Fubini(n) ordered
-    ones (Aguiar and Mahajan, 2010).  Otherwise it falls back to the
-    ordered sum.  The budget still bounds the Fubini(n) ordered
-    partitions.  `jobs` is accepted and ignored."""
+    Where `_restrictions` holds for x, the k! orders of one set partition
+    reassemble x alike, to the product of its blocks' restrictions, so
+    the sum runs over the Bell(n) set partitions with weight (-1)^k k!
+    (Aguiar and Mahajan, 2010) and reads each image off the table.
+    Otherwise it falls back to the ordered sum.  The budget still bounds
+    the Fubini(n) ordered partitions.  `jobs` is accepted and ignored."""
     check_set_partition_budget(len(x.labels), budget, ordered=True)
-    terms = (_unordered_sum(fam, x) if _block_order_free(fam, x)
-             else _ordered_sum(fam, x))
+    table = _restrictions(fam, x)
+    if table is None:
+        return FreeVector(fam.tag, x.labels, _ordered_sum(fam, x))
+    terms: dict = {}
+    parts = _partitions(len(x.labels))
+    for blocks, y in zip(parts, _images(fam, table[0], parts)):
+        terms[y] = terms.get(y, 0) + (-1) ** len(blocks) * factorial(len(blocks))
     return FreeVector(fam.tag, x.labels, terms)
 
 
@@ -363,46 +405,38 @@ class ClosedFormAntipode:
         return FreeVector(self.family, self.labels, self.lower)
 
 
-def _mask_partitions(m: int) -> list:
-    """The set partitions of the set bits of m, each a tuple of block
-    bitmasks ordered by lowest bit; the one-block partition comes first."""
-    if not m:
-        return [()]
-    low = m & -m
-    rest = m ^ low
-    out = []
-    extra = rest
-    while True:
-        out.extend((low | extra,) + tail for tail in _mask_partitions(rest ^ extra))
-        if not extra:
-            return out
-        extra = (extra - 1) & rest
-
-
 @lru_cache(maxsize=16)
 def _partition_lattice(n: int) -> tuple:
-    """(parts, refines) on the labels 0..n-1: `_mask_partitions` of all
-    of them, and for each partition the bitmask over indices into `parts`
-    of the partitions that refine it, itself included."""
-    parts = _mask_partitions((1 << n) - 1)
-    index = {blocks: j for j, blocks in enumerate(parts)}
-    refines = []
-    for blocks in parts:
-        mask = 0
-        for pieces in product(*map(_mask_partitions, blocks)):
-            finer = sorted(chain.from_iterable(pieces), key=lambda b: b & -b)
-            mask |= 1 << index[tuple(finer)]
-        refines.append(mask)
-    return tuple(parts), tuple(refines)
+    """For each partition in `_partitions(n)`, the indices of the
+    partitions that refine it, itself included, in ascending order.
+
+    rho refines pi iff rho separates every pair that pi separates.  As in
+    `_native_poset`, each pair gets the bitset of the partitions that
+    separate it, and the refinements of pi are the `&` of those bitsets
+    over the pairs pi separates."""
+    # bit i*n + j for each pair i < j of the set bits of m
+    pairs = lambda m: sum((m >> i + 1) << (i * n + i + 1) for i in _bits(m))
+    parts = _partitions(n)
+    keys = [pairs((1 << n) - 1) & ~sum(map(pairs, blocks)) for blocks in parts]
+    has: dict = {}
+    for j, key in enumerate(keys):
+        for e in _bits(key):
+            has[e] = has.get(e, 0) | 1 << j
+    everything = (1 << len(parts)) - 1
+    return tuple(tuple(_bits(reduce(and_, map(has.__getitem__, _bits(key)),
+                                    everything)))
+                 for key in keys)
 
 
-def _reassembly_images(fam: Family, x, r: list) -> tuple:
-    """(elems, up, bottom) for the up-set of x in the reassembly order,
-    from the restrictions r of x that passed the gate.
+def _reassembly_images(fam: Family, x, table: tuple) -> tuple:
+    """(elems, up, bottom, ell) for the up-set of x in the reassembly
+    order, from the restriction table of x that passed the gate.
 
     `elems` are the images in encoding order (the order of
     `reassembly_upset`), up[i] is the bitmask over `elems` of the up-set
-    of elems[i], and elems[bottom] is x.
+    of elems[i], elems[bottom] is x, and ell[i] is the grading of
+    elems[i], the sum of ell(r(B)) over the blocks B of a partition that
+    gives it (see `_restrictions`).
 
     The images are img(pi) = reassemble(pi, x) over the set partitions pi
     of the labels, and by the gate img(pi) is the product of the r(B) over
@@ -410,26 +444,19 @@ def _reassembly_images(fam: Family, x, r: list) -> tuple:
     to r(B & C) for the blocks C of sigma (Hopf compatibility and the
     gate), so reassembling it along sigma gives img(pi meet sigma): the
     up-set of img(pi) is {img(rho) : rho refines pi}."""
-    parts, refines = _partition_lattice(len(x.labels))
-    images = []
-    for blocks in parts:
-        y = fam.unit
-        for b in blocks:
-            y = fam.mult(y, r[b])
-        images.append(y)
-    first: dict = {}  # image -> index of the first partition giving it
-    for j, y in enumerate(images):
-        first.setdefault(y, j)
+    r, joins = table
+    parts, refines = _partitions(len(x.labels)), _partition_lattice(len(x.labels))
+    images = _images(fam, r, parts)
+    # image -> index of the first partition giving it
+    first = {y: j for j, y in reversed(list(enumerate(images)))}
     elems = sorted(first, key=lambda y: y.encode())
     index = {y: i for i, y in enumerate(elems)}
-    slot = [index[y] for y in images]
-    up = []
-    for y in elems:
-        mask = 0
-        for j in _bits(refines[first[y]]):
-            mask |= 1 << slot[j]
-        up.append(mask)
-    return elems, up, slot[0]  # parts[0] has one block: its image is x
+    bit = [1 << index[y] for y in images]
+    up = [reduce(or_, map(bit.__getitem__, refines[first[y]])) for y in elems]
+    factors = _factor_blocks(r, joins)
+    ell = [sum(len(factors[b]) for b in parts[first[y]]) for y in elems]
+    bottom = index[images[0]]  # parts[0] has one block: its image is x
+    return elems, up, bottom, ell
 
 
 def closed_form_antipode(fam: Family, x,
@@ -438,18 +465,18 @@ def closed_form_antipode(fam: Family, x,
     upper characteristic evaluation at -1 over the interval [x, y] graded
     by factorization length.  The lower evaluation is reported alongside.
 
-    The up-set of x and its order come from x's own restrictions, which
-    the gate (`require_self_adjoint`) returns; see `_reassembly_images`.
-    With s(z) = (-1)^ell(z), the lower value at y is the sum of
-    mu(x, z) s(z) over z <= y.  The upper value u(y), the sum of
-    mu(z, y) s(z) over x <= z <= y, sums over [x, w] to s(w): it is the
-    Möbius inversion of s along the up-set of x, the same pass that gives
-    mu(x, .) from the delta at x."""
+    The up-set of x, its order and its grading come from the restriction
+    table that the gate (`require_self_adjoint`) returns; see
+    `_reassembly_images`.  With s(z) = (-1)^ell(z), the lower value at y
+    is the sum of mu(x, z) s(z) over z <= y.  The upper value u(y), the
+    sum of mu(z, y) s(z) over x <= z <= y, sums over [x, w] to s(w): it is
+    the Möbius inversion of s along the up-set of x, the same pass that
+    gives mu(x, .) from the delta at x."""
     check_set_partition_budget(len(x.labels), budget)
-    r = require_self_adjoint(fam, x)
-    elems, up, bottom = _reassembly_images(fam, x, r)
+    elems, up, bottom, ell = _reassembly_images(
+        fam, x, require_self_adjoint(fam, x))
     p = FinitePoset(elems, up)
-    sign = [(-1) ** grading(fam, y) for y in elems]
+    sign = [(-1) ** k for k in ell]
     mu = p.mu(bottom)
     upper = p.invert(bottom, sign.__getitem__)
     # every element is above x, so [x, y] is the whole down-set of y

@@ -701,6 +701,12 @@ def _is_acyclic(succ: dict) -> bool:
     return True
 
 
+def _canonical(g: Graph) -> Graph:
+    """g relabelled to 0..k-1, keeping the order of its labels."""
+    mapping = {v: i for i, v in enumerate(sorted(g.labels))}
+    return _of(Graph, frozenset(mapping.values()), _image_pairs(mapping, g.bits))
+
+
 # One entry per graph on 0..k-1: a closed-form benchmark pass fills 235, K8 92.
 @lru_cache(maxsize=4096)
 def _chromatic_by_encoding(encoding: str) -> IntPolynomial:
@@ -709,9 +715,7 @@ def _chromatic_by_encoding(encoding: str) -> IntPolynomial:
 
 def chromatic_polynomial(g: Graph) -> IntPolynomial:
     """Proper-coloring counting polynomial via deletion-contraction."""
-    mapping = {v: i for i, v in enumerate(sorted(g.labels))}
-    canon = _of(Graph, frozenset(mapping.values()), _image_pairs(mapping, g.bits))
-    return _chromatic_by_encoding(canon.encode())
+    return _chromatic_by_encoding(_canonical(g).encode())
 
 
 def _chromatic(g: Graph) -> IntPolynomial:
@@ -729,7 +733,13 @@ def acyclic_orientation_count(g: Graph) -> int:
     """Number of acyclic orientations; brute-force for small edge sets,
     chromatic-polynomial evaluation at -1 otherwise, with a runtime
     agreement check where both routes are cheap."""
-    via_chromatic = None
+    return _orientations_by_encoding(_canonical(g).encode())
+
+
+# One entry per graph on 0..k-1: a closed-form benchmark pass fills 131.
+@lru_cache(maxsize=4096)
+def _orientations_by_encoding(encoding: str) -> int:
+    g = parse_graph(encoding)
     edges = g.bits.bit_count()
     if edges <= 12:
         brute = acyclic_orientations_brute(g)

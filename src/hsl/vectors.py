@@ -33,13 +33,16 @@ class _Combination:
     __slots__ = ()
 
     def _fill(self, terms) -> None:
-        self.terms = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for key, c in items:
+        self.terms = out = {}
+        distinct = isinstance(terms, dict)  # else pairs whose keys may repeat
+        for key, c in (terms.items() if distinct else terms):
             c = _as_fraction(c)
             if c:
                 self._check_term(key)
-                _accumulate(self.terms, key, c)
+                if distinct:
+                    out[key] = c
+                else:
+                    _accumulate(out, key, c)
 
     def _check_ambient(self, other):
         if self._ambient != other._ambient:
@@ -130,25 +133,16 @@ class FreeVector(_Combination):
 
     def map_structures(self, fn, labels=None) -> "FreeVector":
         """Linear extension of a structure-to-structure map."""
-        out: dict = {}
-        target = None
-        for x, c in self.terms.items():
-            y = fn(x)
-            target = y.labels if target is None else target
-            out[y] = out.get(y, Fraction(0)) + c
+        terms = [(fn(x), c) for x, c in self.terms.items()]
         if labels is None:
-            labels = self.labels if target is None else target
-        return FreeVector(self.family_tag, labels, out)
+            labels = terms[0][0].labels if terms else self.labels
+        return FreeVector(self.family_tag, labels, terms)
 
     def bind(self, fn) -> "FreeVector":
         """Linear extension of a structure-to-vector map."""
-        out = None
-        for x, c in self.terms.items():
-            piece = fn(x) * c
-            out = piece if out is None else out + piece
-        if out is None:
-            return FreeVector(self.family_tag, self.labels)
-        return out
+        pieces = [fn(x) * c for x, c in self.terms.items()]
+        return sum(pieces[1:], pieces[0]) if pieces else FreeVector.zero(
+            self.family_tag, self.labels)
 
     def ambient_string(self) -> str:
         return f"{self.family_tag}:" + ",".join(map(str, sorted(self.labels)))
@@ -199,31 +193,22 @@ class TensorVector(_Combination):
 def tensor(v: FreeVector, w: FreeVector) -> TensorVector:
     if v.family_tag != w.family_tag:
         raise AmbientMismatch("tensor factors from different families")
-    terms = {}
-    for a, ca in v.terms.items():
-        for b, cb in w.terms.items():
-            terms[(a, b)] = ca * cb
+    terms = {(a, b): ca * cb for a, ca in v.terms.items() for b, cb in w.terms.items()}
     return TensorVector(v.family_tag, v.labels, w.labels, terms)
 
 
 def comult_vector(fam, v: FreeVector, S, T) -> TensorVector:
     """Linear extension of the split map to a vector."""
     S, T = frozenset(S), frozenset(T)
-    out: dict = {}
-    for x, c in v.terms.items():
-        pair = fam.comult(x, S, T)
-        out[pair] = out.get(pair, Fraction(0)) + c
-    return TensorVector(fam.tag, S, T, out)
+    terms = [(fam.comult(x, S, T), c) for x, c in v.terms.items()]
+    return TensorVector(fam.tag, S, T, terms)
 
 
 def mult_tensor(fam, tv: TensorVector, mult=None) -> FreeVector:
     """Linear extension of a merge map to a tensor."""
     mult = mult or fam.mult
-    out: dict = {}
-    for (a, b), c in tv.terms.items():
-        y = mult(a, b)
-        out[y] = out.get(y, Fraction(0)) + c
-    return FreeVector(fam.tag, tv.left_labels | tv.right_labels, out)
+    terms = [(mult(a, b), c) for (a, b), c in tv.terms.items()]
+    return FreeVector(fam.tag, tv.left_labels | tv.right_labels, terms)
 
 
 def inverted_basis(p: FinitePoset, x) -> FreeVector:

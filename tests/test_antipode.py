@@ -1,3 +1,5 @@
+from math import factorial
+
 import pytest
 
 import hsl.antipode as ap
@@ -11,7 +13,7 @@ from hsl.errors import CarrierOverflow, EngineError, NotSelfAdjoint
 from hsl.families import (FAMILIES, GRAPHS, HYPERGRAPHS, PARTITIONS,
                           SIMPLICIAL, Graph, is_connected, parse_structure)
 from hsl.posets import graded_char_eval
-from hsl.species import subsets
+from hsl.species import reassemble, set_partitions, subsets
 from hsl.vectors import FreeVector, comult_vector, inverted_basis
 
 G = parse_structure
@@ -130,13 +132,25 @@ def _ordered(fam, x):
     return FreeVector(fam.tag, x.labels, ap._ordered_sum(fam, x))
 
 
+def _unordered_sum(fam, x):
+    """Takeuchi's sum collapsed onto the unordered set partitions, each
+    standing for its k! block orders, with every image reassembled
+    literally: the oracle for the table route of `takeuchi_antipode`."""
+    acc = {}
+    for part in set_partitions(x.labels):
+        k = len(part)
+        y = reassemble(fam, part.blocks, x)
+        acc[y] = acc.get(y, 0) + (-1) ** k * factorial(k)
+    return FreeVector(fam.tag, x.labels, acc)
+
+
 def test_collapsed_sum_matches_ordered_sum():
     cases = [(fam, n) for fam in FAMILIES.values() for n in range(4)]
     cases += [(GRAPHS, 4), (PARTITIONS, 4)]
     for fam, n in cases:
         for x in fam.enumerate(frozenset(range(n))):
-            assert ap._block_order_free(fam, x), x.encode()
-            collapsed = FreeVector(fam.tag, x.labels, ap._unordered_sum(fam, x))
+            assert ap._restrictions(fam, x) is not None, x.encode()
+            collapsed = _unordered_sum(fam, x)
             assert collapsed == _ordered(fam, x), x.encode()
             assert takeuchi_antipode(fam, x) == collapsed, x.encode()
 
@@ -157,12 +171,12 @@ def _skewed_graphs():
 def test_takeuchi_falls_back_to_ordered_sum_when_block_order_matters():
     mutant = _skewed_graphs()
     k2 = G("G:n=2;E=0-1")
-    assert not ap._block_order_free(mutant, k2)
+    assert ap._restrictions(mutant, k2) is None
     ordered = _ordered(mutant, k2)
     assert takeuchi_antipode(mutant, k2) == ordered
     # the collapse would be wrong here: the two block orders of 0|1
     # reassemble to different graphs
-    assert FreeVector(mutant.tag, k2.labels, ap._unordered_sum(mutant, k2)) != ordered
+    assert _unordered_sum(mutant, k2) != ordered
 
 
 def test_closed_form_matches_takeuchi_all_families_n3():
@@ -231,10 +245,22 @@ def test_closed_form_matches_literal_oracle():
         assert list(closed.lower.items()) == list(lower.items()), x.encode()
 
 
+def test_table_route_matches_literal_unordered_sum():
+    for fam, x in _closed_form_cases():
+        assert takeuchi_antipode(fam, x) == _unordered_sum(fam, x), x.encode()
+
+
+def test_table_grading_matches_factorize():
+    for fam, x in _closed_form_cases():
+        table = ap.require_self_adjoint(fam, x)
+        elems, _, _, ell = ap._reassembly_images(fam, x, table)
+        assert ell == [grading(fam, y) for y in elems], x.encode()
+
+
 def test_derived_upsets_match_reassembly_upset():
     for fam, x in _closed_form_cases():
-        r = ap.require_self_adjoint(fam, x)
-        elems, up, bottom = ap._reassembly_images(fam, x, r)
+        table = ap.require_self_adjoint(fam, x)
+        elems, up, bottom, _ = ap._reassembly_images(fam, x, table)
         assert elems[bottom] == x
         assert tuple(elems) == reassembly_upset(fam, x), x.encode()
         for y, mask in zip(elems, up):
@@ -379,13 +405,11 @@ def test_adjunction_rejects_undeclared_kind():
         Adjunction(GRAPHS, "sideways")
 
 
-def test_factorize_guard_detects_sweep_disagreement():
-    # lossy merge: two different bipartitions of the path both recompose
-    # it, with genuinely different factor multisets
+def _lossy_graphs(path):
+    """Graphs whose merge returns `path` for any two pieces on its labels
+    with one edge between them: two different bipartitions of the path
+    both recompose it, with genuinely different factor multisets."""
     from dataclasses import replace
-    from hsl.errors import NonUniqueFactorization
-
-    path = G("G:n=3;E=0-1,1-2")
 
     def lossy_mult(a, b):
         plain = GRAPHS.mult_fn(a, b)
@@ -394,9 +418,40 @@ def test_factorize_guard_detects_sweep_disagreement():
             return path
         return plain
 
-    mutant = replace(GRAPHS, tag="graphs-lossy", mult_fn=lossy_mult)
+    return replace(GRAPHS, tag="graphs-lossy", mult_fn=lossy_mult)
+
+
+def test_factorize_guard_detects_sweep_disagreement():
+    from hsl.errors import NonUniqueFactorization
+
+    path = G("G:n=3;E=0-1,1-2")
     with pytest.raises(NonUniqueFactorization):
-        factorize(mutant, path)
+        factorize(_lossy_graphs(path), path)
+
+
+def test_table_grading_detects_join_disagreement():
+    # the lossy merge passes the gate; the table's two joins of the path
+    # give different factor blocks
+    from hsl.errors import NonUniqueFactorization
+
+    path = G("G:n=3;E=0-1,1-2")
+    mutant = _lossy_graphs(path)
+    assert ap._restrictions(mutant, path) is not None
+    with pytest.raises(NonUniqueFactorization):
+        closed_form_antipode(mutant, path)
+
+
+def test_gate_rejects_comult_off_its_labels():
+    # a split that hands each side the other side's piece
+    from dataclasses import replace
+    from hsl.errors import LabelMismatch
+
+    swapped = replace(GRAPHS, tag="graphs-swapped",
+                      comult_fn=lambda x, S, T: (x.restrict(T), x.restrict(S)))
+    path = G("G:n=3;E=0-1,1-2")
+    for method in (takeuchi_antipode, closed_form_antipode):
+        with pytest.raises(LabelMismatch, match="split does not partition"):
+            method(swapped, path)
 
 
 def test_takeuchi_ignores_jobs():

@@ -1,4 +1,4 @@
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 
 import pytest
 
@@ -381,6 +381,25 @@ def test_acyclic_orientation_examples():
     assert acyclic_orientation_count(G("G:n=3;E=0-1,0-2,1-2")) == 6
     assert acyclic_orientation_count(G("G:n=3;E=0-1,1-2")) == 4
     assert acyclic_orientation_count(GRAPHS.unit) == 1
+
+
+def test_orientation_cache_is_bounded_and_shared_by_relabellings():
+    import hsl.families as fm
+    cache = fm._orientations_by_encoding
+    bound = cache.cache_info().maxsize
+    assert bound is not None
+    cache.cache_clear()
+    # one edge i-j on the labels 0..k-1: a distinct graph for each (k, i, j)
+    graphs = (Graph(frozenset(range(k)), [(i, j)])
+              for k in range(2, 64) for j in range(k) for i in range(j))
+    for g in islice(graphs, bound + 1):
+        assert acyclic_orientation_count(g) == 2
+    assert cache.cache_info().currsize == bound
+    cache.cache_clear()
+    assert acyclic_orientation_count(G("G:n=3;E=0-1,1-2")) == 4
+    assert acyclic_orientation_count(Graph({5, 7, 9}, [(5, 7), (7, 9)])) == 4
+    info = cache.cache_info()
+    assert (info.currsize, info.hits) == (1, 1)
 
 
 def test_chromatic_polynomial_known_values():
