@@ -27,9 +27,10 @@ builds one counts its width first and raises CarrierOverflow past it.
 from __future__ import annotations
 
 import json
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, product
 from math import factorial, isqrt
+from operator import or_
 
 from .errors import (DEFAULT_BUDGET, CarrierOverflow, LabelMismatch, NotAFlat,
                      ParseError)
@@ -625,8 +626,8 @@ def is_flat(h: Graph, g: Graph) -> bool:
     return h.labels == g.labels and g.bits & inside == h.bits
 
 
-def graph_flats(g: Graph) -> tuple:
-    """All flats of g, sorted by encoding.
+def _flats(g: Graph) -> list:
+    """(edge bits, blocks) of each flat of g; the blocks are its components.
 
     A flat is the disjoint union of the restrictions of g to the blocks of
     a set partition whose blocks each induce a connected subgraph, so the
@@ -651,8 +652,14 @@ def graph_flats(g: Graph) -> tuple:
                 break
             bits |= edges
         else:
-            out.append(_of(Graph, g.labels, bits))
-    return tuple(sorted(out, key=Graph.encode))
+            out.append((bits, part.blocks))
+    return out
+
+
+def graph_flats(g: Graph) -> tuple:
+    """All flats of g, sorted by encoding (see `_flats`)."""
+    return tuple(sorted((_of(Graph, g.labels, bits) for bits, _ in _flats(g)),
+                        key=Graph.encode))
 
 
 def graph_rank(g: Graph) -> int:
@@ -666,7 +673,12 @@ def contract(g: Graph, h: Graph) -> Graph:
     Multiplicities and loops are forgotten."""
     if not is_flat(h, g):
         raise NotAFlat(f"{h.encode()} is not a flat of {g.encode()}")
-    name = {v: min(comp) for comp in graph_components(h) for v in comp}
+    return _quotient(g, graph_components(h))
+
+
+def _quotient(g: Graph, blocks) -> Graph:
+    """g with each block merged into its minimum."""
+    name = {v: min(block) for block in blocks for v in block}
     return _of(Graph, frozenset(name.values()), _image_pairs(name, g.bits))
 
 
@@ -726,7 +738,7 @@ def _chromatic(g: Graph) -> IntPolynomial:
     deleted = _of(Graph, g.labels, rest)
     merge = {v: a if v == b else v for v in g.labels}
     contracted = _of(Graph, g.labels - {b}, _image_pairs(merge, rest))
-    return chromatic_polynomial(deleted) + chromatic_polynomial(contracted).scale(-1)
+    return chromatic_polynomial(deleted) - chromatic_polynomial(contracted)
 
 
 def acyclic_orientation_count(g: Graph) -> int:
@@ -771,9 +783,12 @@ def sc_gamma_of_flat(c: SimplicialComplex, f: Graph) -> SimplicialComplex:
     skel = sc_one_skeleton(c)
     if not is_flat(f, skel):
         raise NotAFlat(f"{f.encode()} is not a flat of the 1-skeleton")
-    inside = 1  # the empty face, also on no labels
-    for comp in graph_components(f):
-        inside |= _subsets_in(comp)
+    return _gamma(c, graph_components(f))
+
+
+def _gamma(c: SimplicialComplex, blocks) -> SimplicialComplex:
+    """The faces of c inside one of the blocks, and the empty face."""
+    inside = reduce(or_, map(_subsets_in, blocks), 1)  # bit 0: the empty face
     return _of(SimplicialComplex, c.labels, c.bits & inside)
 
 
@@ -781,13 +796,18 @@ def sc_gamma_of_flat(c: SimplicialComplex, f: Graph) -> SimplicialComplex:
 # closed-form antipodes specific to each family
 
 
+def _flat_terms(g: Graph):
+    """(bits, blocks, coefficient) for each flat of g in the closed form:
+    (-1)^(|I| - rank) * acyc(g/flat).  The flat's components are its
+    blocks, so rank = |I| - #blocks and g/flat merges each block."""
+    for bits, blocks in _flats(g):
+        orientations = acyclic_orientation_count(_quotient(g, blocks))
+        yield bits, blocks, (-1) ** len(blocks) * orientations
+
+
 def closed_form_antipode_graphs(g: Graph) -> FreeVector:
     """Sum over flats h of (-1)^(|I| - rank(h)) * acyc(g/h) * h."""
-    n = len(g.labels)
-    terms = []
-    for h in graph_flats(g):
-        sign = (-1) ** (n - graph_rank(h))
-        terms.append((h, sign * acyclic_orientation_count(contract(g, h))))
+    terms = {_of(Graph, g.labels, bits): coeff for bits, _, coeff in _flat_terms(g)}
     return FreeVector(GRAPHS.tag, g.labels, terms)
 
 
@@ -819,12 +839,6 @@ def closed_form_antipode_sc(c: SimplicialComplex) -> FreeVector:
     """Sum over flats F of the 1-skeleton of
     (-1)^(|I| - rank(F)) * acyc(skeleton/F) * Gamma(F), with coefficients
     of identical images accumulated."""
-    skel = sc_one_skeleton(c)
-    n = len(c.labels)
-    terms: dict = {}
-    for f in graph_flats(skel):
-        sign = (-1) ** (n - graph_rank(f))
-        coeff = sign * acyclic_orientation_count(contract(skel, f))
-        image = sc_gamma_of_flat(c, f)
-        terms[image] = terms.get(image, 0) + coeff
+    terms = [(_gamma(c, blocks), coeff)
+             for _, blocks, coeff in _flat_terms(sc_one_skeleton(c))]
     return FreeVector(SIMPLICIAL.tag, c.labels, terms)

@@ -8,12 +8,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from math import factorial, prod
+from math import comb, factorial, prod
 
 from .errors import CarrierOverflow, DEFAULT_BUDGET, EngineError
-from .posets import IntPolynomial, mobius
-from .species import Family, subsets
-from .symfunc import SymFunc, check_expansion_degree, power_sum_monomial
+from .posets import IntPolynomial, _accumulate, _as_fraction, mobius
+from .species import Family, _count_upward, bell, subsets
+from .symfunc import SymFunc, power_sum_monomial
 
 _MAX_ORBIT_DEGREE = 7
 
@@ -78,12 +78,11 @@ def fock_primitive_check(fam: Family, vector: dict) -> bool:
         raise EngineError("primitive check needs a homogeneous combination")
     total: dict = {}
     for oc, c in vector.items():
-        c = Fraction(c)
+        c = _as_fraction(c)
         for (a, b), k in fock_coproduct(fam, oc).items():
-            if a.degree == 0 or b.degree == 0:
-                continue
-            total[(a, b)] = total.get((a, b), Fraction(0)) + c * k
-    return all(v == 0 for v in total.values())
+            if a.degree and b.degree:
+                _accumulate(total, (a, b), c * k)
+    return not total
 
 
 def integer_partition_of(partition_structure) -> tuple:
@@ -101,6 +100,18 @@ def symfunc_bridge(lam) -> SymFunc:
     degree 2 (see the bridge tests)."""
     lam = tuple(sorted((int(v) for v in lam), reverse=True))
     return SymFunc("h", {lam: prod(map(factorial, lam))})
+
+
+def _check_partition_order_budget(n: int, budget: int) -> None:
+    """Raise CarrierOverflow when the comparable pairs of the partition
+    order on n labels, sum over k of S(n, k) Bell(k) (OEIS A000258), exceed
+    the budget.  They obey a(m) = sum over k < m of C(m-1, k) Bell(k+1)
+    a(m-1-k), counted as in `_count_upward`, before any order is built."""
+    pairs = _count_upward(n, lambda a, m: sum(
+        comb(m - 1, k) * bell(k + 1) * a[m - 1 - k] for k in range(m)), budget)
+    if pairs > budget:
+        raise CarrierOverflow(f"comparable pairs of the partition order on {n} "
+                              f"labels exceed budget {budget}")
 
 
 @dataclass
@@ -134,20 +145,19 @@ def power_sum_identity_check(n: int, budget: int = DEFAULT_BUDGET) -> PowerSumRe
     from .families import PARTITIONS
     if n < 1:
         raise EngineError("degree must be positive")
-    # before any poset is built: both images have degree n
-    check_expansion_degree(n)
+    _check_partition_order_budget(n, budget)
     labels = frozenset(range(n))
     view = PARTITIONS.poset(labels, budget)
     carrier = view.carrier()
     shapes = [integer_partition_of(q) for q in carrier]
     bottom, top = carrier[shapes.index((n,))], carrier[shapes.index((1,) * n)]
 
-    weight: dict = {}  # block shape -> sum of mu(bottom, tau) over its taus
-    for tau, lam in zip(carrier, shapes):
-        weight[lam] = weight.get(lam, 0) + mobius(view, bottom, tau)
+    # the sum of mu(bottom, tau) over the taus of each block shape
+    weight = SymFunc("h", [(lam, mobius(view, bottom, tau))
+                           for tau, lam in zip(carrier, shapes)])
     image = SymFunc("h", {lam: w * prod(map(factorial, lam))
-                          for lam, w in weight.items()})
-    printed = SymFunc("h", weight) * Fraction(1, mobius(view, bottom, top))
+                          for lam, w in weight.terms.items()})
+    printed = weight * Fraction(1, mobius(view, bottom, top))
 
     image_m = image.to_monomial()
     target = power_sum_monomial(n)
@@ -200,6 +210,7 @@ def partition_char_poly_check(n: int, budget: int = DEFAULT_BUDGET) -> CharPolyR
     three exponent conventions, against t(t-1)...(t-n+1); the value at
     t=-1 must be (-1)^n n! under any matching convention."""
     from .families import PARTITIONS
+    _check_partition_order_budget(n, budget)
     labels = frozenset(range(n))
     view = PARTITIONS.poset(labels, budget)
     # mu(tau, top) is mu(top, tau) in the opposite order: one row, not one per tau
@@ -210,13 +221,11 @@ def partition_char_poly_check(n: int, budget: int = DEFAULT_BUDGET) -> CharPolyR
 
     polys: dict = {}
     for side in ("lower", "upper"):
+        mus = [mobius(view, bottom, tau) if side == "lower"
+               else mobius(opposite, top, tau) for tau in carrier]
         for name, expo in _EXPONENTS.items():
-            poly = IntPolynomial()
-            for tau, ell in zip(carrier, ells):
-                mu = (mobius(view, bottom, tau) if side == "lower"
-                      else mobius(opposite, top, tau))
-                poly = poly + IntPolynomial.term(mu, expo(ell, n))
-            polys[(side, name)] = poly
+            polys[(side, name)] = IntPolynomial(
+                (expo(ell, n), mu) for ell, mu in zip(ells, mus))
 
     falling = IntPolynomial.falling_factorial(n)
     matches = [conv for conv, poly in polys.items() if poly == falling]

@@ -1,21 +1,26 @@
 """Finite-poset kernel: one compiled order class, Möbius functions,
 intervals, Galois-connection checks, and graded characteristic
-evaluations.
+evaluations; and the one sparse exact combination (`_Combination`) that
+vectors, tensors, symmetric functions and integer polynomials share.
 
 A `FinitePoset` keeps its elements (hashable frozen structures, or pairs
 of them) in a fixed order, and each element's up-set and down-set as a
 Python-int bitset over that order: comparing two elements is a bit test
 and an interval is one `&`.  Möbius values come from one inversion pass
 along an up-set in a linear extension (Rota, "On the foundations of
-combinatorial theory I", 1964).
+combinatorial theory I", 1964).  A combination maps keys to nonzero
+coefficients, exact rationals or, in an `IntPolynomial`, ints; it
+refuses floats.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import index
 
-from .errors import NotComparable
+from .errors import AmbientMismatch, NotComparable
 
 
 def _bits(m: int):
@@ -159,17 +164,106 @@ def rota_transfer_check(p: FinitePoset, q: FinitePoset, f, g, x, b):
     return left == right, left, right
 
 
-class IntPolynomial:
+def _as_fraction(value) -> Fraction:
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, (int, str)):
+        return Fraction(value)
+    raise TypeError(f"coefficients must be exact rationals, got {type(value)}")
+
+
+def _accumulate(terms: dict, key, c) -> None:
+    """Add c to the coefficient of key, dropping it where the sum is 0."""
+    new = terms.get(key, 0) + c
+    if new:
+        terms[key] = new
+    else:
+        terms.pop(key, None)
+
+
+class _Combination:
+    """Sparse exact combination in one ambient space, `terms` mapping each
+    key to its nonzero coefficient.  `_ambient` (the constructor's leading
+    arguments) names the space, `_coefficient` makes a coefficient exact
+    (a rational unless a subclass says otherwise) and rejects floats,
+    `_key` gives the stored key or rejects one from outside the space, and
+    `_show` prints a key."""
+
+    __slots__ = ()
+    _coefficient = staticmethod(_as_fraction)
+
+    def _fill(self, terms) -> None:
+        self.terms = out = {}
+        distinct = isinstance(terms, dict)  # else pairs whose keys may repeat
+        for key, c in (terms.items() if distinct else terms):
+            c = self._coefficient(c)
+            if c:
+                key = self._key(key)
+                if distinct:
+                    out[key] = c
+                else:
+                    _accumulate(out, key, c)
+
+    def _key(self, key):
+        return key
+
+    def _check_ambient(self, other):
+        if self._ambient != other._ambient:
+            raise AmbientMismatch(self._mismatch)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def items(self):
+        return sorted(self.terms.items())
+
+    def __add__(self, other):
+        self._check_ambient(other)
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            _accumulate(out, key, c)
+        return type(self)(*self._ambient, out)
+
+    def __sub__(self, other):
+        return self + (-1) * other
+
+    def __mul__(self, scalar):
+        scalar = self._coefficient(scalar)
+        scaled = {k: scalar * c for k, c in self.terms.items()}
+        return type(self)(*self._ambient, scaled)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self._ambient == other._ambient
+                and self.terms == other.terms)
+
+    def __repr__(self):
+        name = type(self).__name__
+        if self.is_zero:
+            return f"{name}(0)"
+        shown = (f"{c}*{self._show(k)}" for k, c in self.items())
+        return f"{name}(" + " + ".join(shown) + ")"
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), sort_keys=True)
+
+
+class IntPolynomial(_Combination):
     """Integer polynomial stored sparsely as exponent -> coefficient."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("terms",)
+    _ambient = ()
+    _coefficient = staticmethod(index)  # ints only: TypeError on anything else
+    _show = "t^{}".format
 
-    def __init__(self, coeffs=None):
-        self.coeffs = {}
-        if coeffs:
-            for e, c in dict(coeffs).items():
-                if c:
-                    self.coeffs[int(e)] = int(c)
+    def __init__(self, terms=()):
+        self._fill(terms)
+
+    @property
+    def coeffs(self) -> dict:
+        return self.terms
 
     @classmethod
     def term(cls, coefficient: int, exponent: int) -> "IntPolynomial":
@@ -184,38 +278,17 @@ class IntPolynomial:
         return out
 
     def evaluate(self, t):
-        return sum(c * t ** e for e, c in self.coeffs.items())
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return IntPolynomial(out)
+        return sum(c * t ** e for e, c in self.terms.items())
 
     def __mul__(self, other):
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-        return IntPolynomial(out)
+        """The polynomial product, or a scalar multiple."""
+        if not isinstance(other, IntPolynomial):
+            return super().__mul__(other)
+        return IntPolynomial([(e1 + e2, c1 * c2) for e1, c1 in self.terms.items()
+                              for e2, c2 in other.terms.items()])
 
-    def scale(self, k: int):
-        return IntPolynomial({e: k * c for e, c in self.coeffs.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, IntPolynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "IntPolynomial(0)"
-        parts = [f"{c}*t^{e}" for e, c in sorted(self.coeffs.items(), reverse=True)]
-        return "IntPolynomial(" + " + ".join(parts) + ")"
-
-    def to_json(self) -> str:
-        return json.dumps({str(e): c for e, c in self.coeffs.items()}, sort_keys=True)
+    def to_json_dict(self) -> dict:
+        return {str(e): c for e, c in self.terms.items()}
 
     @classmethod
     def from_json(cls, text: str) -> "IntPolynomial":
@@ -229,11 +302,9 @@ def graded_char_poly(p: FinitePoset, x, y, grading, side: str) -> IntPolynomial:
     The exponent of each term is the grading of z."""
     if side not in ("lower", "upper"):
         raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
-    out = IntPolynomial()
-    for z in interval(p, x, y):
-        mu = mobius(p, x, z) if side == "lower" else mobius(p, z, y)
-        out = out + IntPolynomial.term(mu, grading(z))
-    return out
+    weight = ((lambda z: mobius(p, x, z)) if side == "lower"
+              else (lambda z: mobius(p, z, y)))
+    return IntPolynomial((grading(z), weight(z)) for z in interval(p, x, y))
 
 
 def graded_char_eval(p: FinitePoset, x, y, grading, side: str, t: int) -> int:

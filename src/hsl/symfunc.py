@@ -1,25 +1,22 @@
 """Exact symmetric-function expressions in three bases (complete
 homogeneous h, power sum p, monomial m) with conversion to the monomial
-expansion at bounded degree.
+basis, in which all equality checks across bases are made.
 
-The monomial expansion in v variables is faithful for degree <= v, so
-all equality checks normalize through it; the default of 8 variables
-covers degree 8.  Each monomial coefficient of h_lambda or p_lambda is an
-integer count (`monomial_count`), so no polynomial is ever multiplied
-out.  Multiplication is supported in the h and p bases (where products
-just merge index partitions).
+The monomial expansion sums over every partition mu of the degree: it
+is the expansion in infinitely many variables, faithful at every degree
+(Stanley, Enumerative Combinatorics 2, Prop. 7.5.1).  Each coefficient of
+h_lambda or p_lambda in it is an integer count (`monomial_count`), so no
+polynomial is ever multiplied out.  Multiplication is supported in the h
+and p bases (where products just merge index partitions).
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import EngineError
-from .vectors import _accumulate
-
-DEFAULT_NVARS = 8
+from .posets import _accumulate, _Combination
 
 
 def _as_partition(lam) -> tuple:
@@ -39,60 +36,41 @@ def parse_partition_key(text: str) -> tuple:
     return _as_partition(text.split("+"))
 
 
-class SymFunc:
+class SymFunc(_Combination):
     """Exact-rational combination of basis elements indexed by integer
-    partitions; basis is one of "h", "p", "m"."""
+    partitions; basis is one of "h", "p", "m".  A key is normalized to a
+    descending partition, and keys that normalize alike add up."""
 
     __slots__ = ("basis", "terms")
+    _mismatch = "cannot add across bases; expand to monomials first"
+    _key = staticmethod(_as_partition)
 
     def __init__(self, basis: str, terms=()):
         if basis not in ("h", "p", "m"):
             raise EngineError(f"unknown basis {basis!r}")
         self.basis = basis
-        self.terms: dict = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for lam, c in items:
-            lam = _as_partition(lam)
-            c = Fraction(c)
-            if c:
-                _accumulate(self.terms, lam, c)
+        self._fill(terms.items() if isinstance(terms, dict) else terms)
+
+    @property
+    def _ambient(self) -> tuple:
+        return (self.basis,)
+
+    def _show(self, lam) -> str:
+        return f"{self.basis}[{partition_key(lam)}]"
 
     @property
     def degree(self) -> int:
         return max((sum(lam) for lam in self.terms), default=0)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def items(self):
-        return sorted(self.terms.items())
-
-    def __add__(self, other: "SymFunc") -> "SymFunc":
-        if self.basis != other.basis:
-            raise EngineError("cannot add across bases; expand to monomials first")
-        out = dict(self.terms)
-        for lam, c in other.terms.items():
-            _accumulate(out, lam, c)
-        return SymFunc(self.basis, out)
-
-    def __sub__(self, other: "SymFunc") -> "SymFunc":
-        return self + (-1) * other
-
     def __mul__(self, other):
-        if isinstance(other, SymFunc):
-            if self.basis != other.basis or self.basis == "m":
-                raise EngineError("products are supported in the h and p bases")
-            out: dict = {}
-            for lam, c in self.terms.items():
-                for mu, d in other.terms.items():
-                    nu = _as_partition(lam + mu)
-                    out[nu] = out.get(nu, Fraction(0)) + c * d
-            return SymFunc(self.basis, out)
-        scalar = Fraction(other)
-        return SymFunc(self.basis, {lam: scalar * c for lam, c in self.terms.items()})
-
-    __rmul__ = __mul__
+        """The product in the h or p basis, or a scalar multiple."""
+        if not isinstance(other, SymFunc):
+            return super().__mul__(other)
+        if self.basis != other.basis or self.basis == "m":
+            raise EngineError("products are supported in the h and p bases")
+        return SymFunc(self.basis, [(lam + mu, c * d)
+                                    for lam, c in self.terms.items()
+                                    for mu, d in other.terms.items()])
 
     def __eq__(self, other):
         if not isinstance(other, SymFunc):
@@ -101,23 +79,14 @@ class SymFunc:
             return self.terms == other.terms
         return self.to_monomial().terms == other.to_monomial().terms
 
-    def __repr__(self):
-        if self.is_zero:
-            return f"SymFunc({self.basis}, 0)"
-        bits = [f"{c}*{self.basis}[{partition_key(lam)}]" for lam, c in self.items()]
-        return " + ".join(bits)
-
-    def to_monomial(self, nvars: int = DEFAULT_NVARS) -> "SymFunc":
+    def to_monomial(self) -> "SymFunc":
+        """The expansion in the monomial basis, in infinitely many
+        variables."""
         if self.basis == "m":
             return self
-        check_expansion_degree(self.degree, nvars)
-        out: dict = {}
-        for lam, c in self.terms.items():
-            for mu in _partitions(sum(lam)):
-                k = monomial_count(self.basis, lam, mu)
-                if k:
-                    out[mu] = out.get(mu, 0) + c * k
-        return SymFunc("m", out)
+        return SymFunc("m", [(mu, c * monomial_count(self.basis, lam, mu))
+                             for lam, c in self.terms.items()
+                             for mu in _partitions(sum(lam))])
 
     def to_json_dict(self) -> dict:
         return {
@@ -126,25 +95,12 @@ class SymFunc:
             "terms": {partition_key(lam): str(c) for lam, c in self.items()},
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
     @classmethod
     def from_json(cls, data) -> "SymFunc":
         if isinstance(data, str):
             data = json.loads(data)
         return cls(data["basis"],
-                   [(parse_partition_key(k), Fraction(v))
-                    for k, v in data["terms"].items()])
-
-
-def check_expansion_degree(degree: int, nvars: int = DEFAULT_NVARS) -> None:
-    """Raise EngineError when a degree is past what a monomial expansion
-    in `nvars` variables keeps faithfully."""
-    if degree > nvars:
-        raise EngineError(
-            f"monomial expansion in {nvars} variables is only faithful "
-            f"up to degree {nvars}")
+                   [(parse_partition_key(k), v) for k, v in data["terms"].items()])
 
 
 def _partitions(n: int, largest: int | None = None):
@@ -179,7 +135,8 @@ def monomial_count(basis: str, rows: tuple, cols: tuple) -> int:
     columns sum to `cols` (Stanley, Enumerative Combinatorics 2, Props.
     7.5.1 and 7.7.1).  Both counts are symmetric in the columns, so the
     capacities left are kept sorted, and the cache holds the pairs of
-    partitions of equal size up to degree 8 (919 per basis) with room."""
+    partitions of equal size up to degree 8, the largest `hsl fock`
+    answers at the default budget (919 per basis), with room."""
     if not rows:
         return int(not cols)
     total = 0
@@ -233,6 +190,5 @@ def h_coproduct(sf: SymFunc) -> dict:
                     grown.append((new_left, new_right))
             pieces = grown
         for left, right in pieces:
-            key = (_as_partition(left), _as_partition(right))
-            out[key] = out.get(key, Fraction(0)) + c
-    return {k: v for k, v in out.items() if v}
+            _accumulate(out, (_as_partition(left), _as_partition(right)), c)
+    return out

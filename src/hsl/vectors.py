@@ -7,90 +7,11 @@ No floating point anywhere; every check is an exact identity.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import AdjunctionUnverified, AmbientMismatch
-from .posets import FinitePoset, mobius
-
-
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError(f"coefficients must be exact rationals, got {type(value)}")
-
-
-class _Combination:
-    """Sparse exact-rational combination in one ambient space: `_ambient`
-    (the constructor's leading arguments) names it, `_check_term` rejects
-    a key from outside it, and `_show` prints a key."""
-
-    __slots__ = ()
-
-    def _fill(self, terms) -> None:
-        self.terms = out = {}
-        distinct = isinstance(terms, dict)  # else pairs whose keys may repeat
-        for key, c in (terms.items() if distinct else terms):
-            c = _as_fraction(c)
-            if c:
-                self._check_term(key)
-                if distinct:
-                    out[key] = c
-                else:
-                    _accumulate(out, key, c)
-
-    def _check_ambient(self, other):
-        if self._ambient != other._ambient:
-            raise AmbientMismatch(self._mismatch)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other):
-        self._check_ambient(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            _accumulate(out, key, c)
-        return type(self)(*self._ambient, out)
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __neg__(self):
-        return (-1) * self
-
-    def __mul__(self, scalar):
-        scalar = _as_fraction(scalar)
-        scaled = {k: scalar * c for k, c in self.terms.items()}
-        return type(self)(*self._ambient, scaled)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return (type(other) is type(self) and self._ambient == other._ambient
-                and self.terms == other.terms)
-
-    def __repr__(self):
-        name = type(self).__name__
-        if self.is_zero:
-            return f"{name}(0)"
-        shown = (f"{c}*{self._show(k)}" for k, c in self.items())
-        return f"{name}(" + " + ".join(shown) + ")"
-
-
-def _accumulate(terms: dict, key, c) -> None:
-    """Add c to the coefficient of key, dropping it where the sum is 0."""
-    new = terms.get(key, Fraction(0)) + c
-    if new:
-        terms[key] = new
-    else:
-        terms.pop(key, None)
+from .posets import FinitePoset, _Combination, mobius
 
 
 class FreeVector(_Combination):
@@ -108,10 +29,11 @@ class FreeVector(_Combination):
     def _ambient(self) -> tuple:
         return self.family_tag, self.labels
 
-    def _check_term(self, x) -> None:
+    def _key(self, x):
         if x.labels != self.labels:
             raise AmbientMismatch(
                 f"term {x.encode()} not on labels {sorted(self.labels)}")
+        return x
 
     @staticmethod
     def _show(x) -> str:
@@ -153,9 +75,6 @@ class FreeVector(_Combination):
             "terms": {x.encode(): str(c) for x, c in self.items()},
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
 
 class TensorVector(_Combination):
     """Exact-rational combination of structure pairs on a fixed split."""
@@ -173,10 +92,11 @@ class TensorVector(_Combination):
     def _ambient(self) -> tuple:
         return self.family_tag, self.left_labels, self.right_labels
 
-    def _check_term(self, pair) -> None:
+    def _key(self, pair):
         a, b = pair
         if a.labels != self.left_labels or b.labels != self.right_labels:
             raise AmbientMismatch("tensor factor on the wrong label set")
+        return pair
 
     @staticmethod
     def _show(pair) -> str:

@@ -11,6 +11,7 @@ import hsl
 from hsl import cli
 from hsl.errors import CarrierOverflow
 from hsl.families import free_vector_from_json, parse_structure
+from hsl.posets import FinitePoset
 
 
 def run(capsys, *argv):
@@ -143,18 +144,46 @@ def test_verify_counts_relabelings_before_sweeping():
 
 
 def test_fock_checks_degree_before_building_the_order():
-    # Bell(9) and Bell(10) are under the default budget, but degree 9 and
-    # 10 are past the 8-variable expansion; that is known before the
-    # partition order is compiled, so the command exits 4 at once
+    # Bell(9) and Bell(10) are under the default budget, but the partition
+    # orders on 9 and 10 labels have 1,606,137 and 16,733,779 comparable
+    # pairs (OEIS A000258); that count comes before the order is compiled,
+    # so the command exits 3 at once
     src = os.path.dirname(os.path.dirname(hsl.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     for n in ("9", "10"):
         proc = subprocess.run(
             [sys.executable, "-m", "hsl.cli", "fock", "--n", n, "--jobs", "1"],
             capture_output=True, text=True, env=env, timeout=10)
-        assert proc.returncode == 4
-        assert proc.stderr == ("verification failure: monomial expansion in 8 "
-                               "variables is only faithful up to degree 8\n")
+        assert proc.returncode == 3 and not proc.stdout
+        assert "budget exceeded" in proc.stderr
+
+
+def _poset_axioms_literal(view):
+    for x in view.carrier():
+        ups = view.upset(x)
+        if x not in ups:
+            return False
+        for y in ups:
+            if view.leq(y, x) and y != x:
+                return False
+            for z in view.upset(y):
+                if not view.leq(x, z):
+                    return False
+    return True
+
+
+def test_reassembly_poset_axioms_read_bits(monkeypatch):
+    # the bit tests give the verdict of the literal loop over up-sets, on
+    # an order and on relations that break one axiom each
+    relations = {"chain": [0b111, 0b110, 0b100],
+                 "not reflexive": [0b110, 0b110, 0b100],
+                 "not antisymmetric": [0b011, 0b011, 0b100],
+                 "not transitive": [0b011, 0b110, 0b100]}
+    for name, up in relations.items():
+        view = FinitePoset("abc", up)
+        monkeypatch.setattr(cli, "reassembly_poset", lambda *args, v=view: v)
+        verdict = cli._reassembly_poset_axioms(None, 3, 1)
+        assert verdict == _poset_axioms_literal(view) == (name == "chain"), name
 
 
 def test_budget_must_be_positive(capsys):

@@ -17,6 +17,7 @@ from hsl.families import (FAMILIES, GRAPHS, HYPERGRAPHS, PARTITIONS,
                           hypergraph_free_product, is_connected, is_flat,
                           parse_structure, partition_union,
                           sc_gamma_of_flat, sc_one_skeleton)
+from hsl import families
 from hsl.posets import IntPolynomial
 from hsl.species import subsets
 from hsl.vectors import FreeVector
@@ -515,6 +516,38 @@ def test_closed_form_sc_matches_defining_sum():
     for n in range(4):
         for c in SIMPLICIAL.enumerate(frozenset(range(n))):
             assert closed_form_antipode_sc(c) == takeuchi_antipode(SIMPLICIAL, c)
+
+
+def _closed_form_graphs_literal(g):
+    n = len(g.labels)
+    return FreeVector("graphs", g.labels, [
+        (h, (-1) ** (n - graph_rank(h)) * acyclic_orientation_count(contract(g, h)))
+        for h in graph_flats(g)])
+
+
+def _closed_form_sc_literal(c):
+    skel, n = sc_one_skeleton(c), len(c.labels)
+    return FreeVector("simplicial", c.labels, [
+        (sc_gamma_of_flat(c, f),
+         (-1) ** (n - graph_rank(f)) * acyclic_orientation_count(contract(skel, f)))
+        for f in graph_flats(skel)])
+
+
+def test_closed_forms_read_components_off_the_flat_sweep(monkeypatch):
+    # the family formulas take each flat's components from the blocks of
+    # its sweep; the public graph_rank, contract and sc_gamma_of_flat,
+    # which search components and check flatness, are the oracle
+    graphs = [g for n in range(5) for g in GRAPHS.enumerate(frozenset(range(n)))]
+    complexes = [c for n in range(4) for c in SIMPLICIAL.enumerate(frozenset(range(n)))]
+    complexes += list(islice(SIMPLICIAL.enumerate(frozenset(range(4))), 0, None, 7))
+    expected = ([_closed_form_graphs_literal(g) for g in graphs],
+                [_closed_form_sc_literal(c) for c in complexes])
+
+    def searched(g):
+        raise AssertionError(f"components of {g.encode()} searched again")
+    monkeypatch.setattr(families, "graph_components", searched)
+    assert [closed_form_antipode_graphs(g) for g in graphs] == expected[0]
+    assert [closed_form_antipode_sc(c) for c in complexes] == expected[1]
 
 
 # ---------------------------------------------------------------------------

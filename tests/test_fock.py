@@ -71,12 +71,14 @@ def test_monomial_expansion_matches_brute_force():
 
 
 def test_monomial_expansion_degree_bound():
+    # the expansion sums over every partition of the degree: it has no
+    # variable count, so it holds past degree 8
     assert SymFunc("p", {(4, 4): 1}).to_monomial() == SymFunc(
         "m", {(8,): 1, (4, 4): 2})
-    with pytest.raises(EngineError, match="only faithful up to degree 8"):
-        SymFunc("h", {(5, 4): 1}).to_monomial()
-    with pytest.raises(EngineError, match="only faithful up to degree 3"):
-        h(4).to_monomial(nvars=3)
+    assert SymFunc("p", {(5, 4): 1}).to_monomial() == SymFunc(
+        "m", {(9,): 1, (5, 4): 1})
+    for n in (9, 10):
+        assert newton_p_in_h(n).to_monomial() == power_sum_monomial(n)
 
 
 def test_symfunc_caches_are_bounded():
@@ -99,10 +101,17 @@ def test_symfunc_arithmetic_and_json():
     assert SymFunc.from_json(blob).to_json() == blob
     p2 = SymFunc("h", {(2,): 2, (1, 1): -1})
     assert p2.to_monomial() == power_sum_monomial(2)
-    with pytest.raises(EngineError):
+    with pytest.raises(EngineError, match="^cannot add across bases; "
+                                          "expand to monomials first$"):
         h(2) + SymFunc("p", {(2,): 1})
     with pytest.raises(EngineError):
         SymFunc("m", {(2,): 1}) * SymFunc("m", {(1,): 1})
+    # exact coefficients only: a float is refused, not rounded to a binary
+    # fraction; keys that normalize to one partition add up
+    for bad in (lambda: SymFunc("h", {(2,): 0.1}), lambda: h(2) * 0.5):
+        with pytest.raises(TypeError):
+            bad()
+    assert SymFunc("h", {(1, 2): 1, (2, 1): 1}).terms == {(2, 1): Fraction(2)}
 
 
 def test_h_coproduct():

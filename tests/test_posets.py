@@ -342,3 +342,10 @@ def test_int_polynomial():
     assert f.evaluate(5) == 5 * 4 * 3
     assert IntPolynomial.from_json(f.to_json()) == f
     assert (IntPolynomial({1: 1}) + IntPolynomial({1: -1})) == IntPolynomial()
+    # integer coefficients stay ints through the arithmetic; a fraction or
+    # a float is refused, not truncated
+    assert f - f == IntPolynomial() and (f - f).coeffs == {}
+    assert all(type(c) is int for c in (f * f - 3 * f).coeffs.values())
+    for bad in ({1: Fraction(1, 2), 2: 2.7}, {2: 2.0}):
+        with pytest.raises(TypeError):
+            IntPolynomial(bad)
