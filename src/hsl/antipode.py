@@ -21,7 +21,7 @@ from operator import and_, or_
 from .errors import (DEFAULT_BUDGET, EngineError, LabelMismatch,
                      NonUniqueFactorization, NotSelfAdjoint)
 from .posets import FinitePoset, GaloisReport, _bits, check_galois
-from .species import (Family, UnorderedSetPartition,
+from .species import (Family, UnorderedSetPartition, _Memo,
                       check_set_partition_budget, check_subset_budget,
                       compositions, compose_mult, reassemble, set_partitions,
                       subsets)
@@ -361,11 +361,13 @@ def takeuchi_antipode(fam: Family, x, budget: int = DEFAULT_BUDGET,
     reassemble x alike, to the product of its blocks' restrictions, so
     the sum runs over the Bell(n) set partitions with weight (-1)^k k!
     (Aguiar and Mahajan, 2010) and reads each image off the table.
-    Otherwise it falls back to the ordered sum.  The budget still bounds
-    the Fubini(n) ordered partitions.  `jobs` is accepted and ignored."""
-    check_set_partition_budget(len(x.labels), budget, ordered=True)
+    Otherwise it falls back to the ordered sum.  The budget bounds the
+    Bell(n) set partitions, and the Fubini(n) ordered ones only before
+    that fallback.  `jobs` is accepted and ignored."""
+    check_set_partition_budget(len(x.labels), budget)
     table = _restrictions(fam, x)
     if table is None:
+        check_set_partition_budget(len(x.labels), budget, ordered=True)
         return FreeVector(fam.tag, x.labels, _ordered_sum(fam, x))
     terms: dict = {}
     parts = _partitions(len(x.labels))
@@ -505,11 +507,12 @@ def antipode_axiom_check(fam: Family, n: int, antipode=None,
                          budget: int = DEFAULT_BUDGET):
     """Certify the convolution identity: summing merge(S(x1) (x) x2) over
     all ordered splits gives zero for nonempty label sets and the unit
-    for the empty one.
+    for the empty one.  S(x1) is computed once per distinct piece x1.
 
     Returns (ok, witness)."""
     if antipode is None:
         antipode = lambda y: takeuchi_antipode(fam, y, budget)
+    values = _Memo(antipode)
     for k in range(n + 1):
         labels = frozenset(range(k))
         unit_vec = FreeVector.basis(fam.tag, fam.unit) if k == 0 else None
@@ -518,7 +521,7 @@ def antipode_axiom_check(fam: Family, n: int, antipode=None,
             for S in subsets(labels):
                 T = labels - S
                 x1, x2 = fam.comult(x, S, T)
-                total = total + antipode(x1).map_structures(
+                total = total + values[x1].map_structures(
                     lambda a: fam.mult(a, x2), labels)
             expected = unit_vec if k == 0 else FreeVector.zero(fam.tag, labels)
             if total != expected:

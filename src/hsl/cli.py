@@ -53,6 +53,11 @@ def _budget_from(args) -> int:
     return budget
 
 
+def _check_n(args, least: int) -> None:
+    if args.n < least:
+        raise ParseError(f"--n must be at least {least}, got {args.n}")
+
+
 def _family_from(args):
     fam = FAMILIES.get(args.family)
     if fam is None:
@@ -76,10 +81,9 @@ def cmd_antipode(args) -> int:
                 "simplicial": "S", "partitions": "P"}[fam.tag]
     if not args.object.startswith(expected + ":"):
         raise ParseError(f"object {args.object!r} is not a {fam.tag} encoding")
-    # the methods' own budget checks, from the header alone: a huge label
-    # count exits 3 before any label set or structure is built
-    check_set_partition_budget(parse_label_count(args.object), budget,
-                               ordered=args.method != "closed")
+    # the Bell(n) check both methods make, from the header alone: a huge
+    # label count exits 3 before any label set or structure is built
+    check_set_partition_budget(parse_label_count(args.object), budget)
     x = parse_structure(args.object)
     # the library parser also reads other spellings of a structure (leading
     # zeros, spaces, repeated or unsorted parts); the CLI takes only the
@@ -123,6 +127,7 @@ def cmd_antipode(args) -> int:
 
 
 def cmd_primitives(args) -> int:
+    _check_n(args, 0)
     budget = _budget_from(args)
     fam = _family_from(args)
     check_subset_budget(args.n, budget)
@@ -149,6 +154,7 @@ def cmd_primitives(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _check_n(args, 0)
     budget = _budget_from(args)
     fam = _family_from(args)
     failures = []
@@ -207,6 +213,7 @@ def _reassembly_poset_axioms(fam, n: int, budget: int) -> bool:
 
 
 def cmd_fock(args) -> int:
+    _check_n(args, 1)
     budget = _budget_from(args)
     power = power_sum_identity_check(args.n, budget)
     char = partition_char_poly_check(args.n, budget)

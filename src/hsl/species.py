@@ -342,28 +342,67 @@ def _splits(labels):
         yield S, labels - S
 
 
+class _Memo(dict):
+    """A dict that fills a missing key k with fn(k)."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
 class _Carriers(dict):
-    """The carriers on 0..k-1 by k up to n, plus `sub` for any label set,
-    shared by one axiom sweep under one budget."""
+    """The value table of one `verify_axioms` call: the carriers on 0..k-1
+    by k up to n, plus `sub` for any label set, under one budget.
+
+    Every structure the sweep meets has an int position (`pos`; `elems`
+    maps back): the carriers on 0..k-1 first, then each new structure
+    (another carrier's element, a relabelling onto shifted labels, a
+    faulty map's value) at the next free one.  Equal structures share a
+    position, so the checks compare positions.  `product`, `split` and
+    `relabelling` memoize the family's public maps, with their checks, on
+    positions, and `key` the order key: each value is computed once per
+    table."""
 
     def __init__(self, fam: Family, n: int, budget: int):
-        super().__init__((k, fam.enumerate(frozenset(range(k)), budget))
-                         for k in range(n + 1))
-        self.fam = fam
-        self.budget = budget
-        self._subs: dict = {}
+        self.fam, self.budget, self.elems = fam, budget, []
+        self.pos = _Memo(lambda x: self.elems.append(x) or len(self.elems) - 1)
+        self.product = _Memo(lambda ij: self.pos[
+            fam.mult(self.elems[ij[0]], self.elems[ij[1]])])
+        # sub[S]: the positions of the carrier on the label set S
+        self.sub = _Memo(lambda S: tuple(self.pos[x] for x in fam.enumerate(S, budget)))
+        self.key = _Memo(lambda i: fam.order_key(self.elems[i]))
+        self._maps: dict = {}
+        super().__init__((k, self.sub[frozenset(range(k))]) for k in range(n + 1))
 
-    def sub(self, labels) -> tuple:
-        labels = frozenset(labels)
-        if labels not in self._subs:
-            self._subs[labels] = self.fam.enumerate(labels, self.budget)
-        return self._subs[labels]
+    def name(self, i: int) -> str:
+        return self.elems[i].encode()
+
+    def split(self, S, T) -> _Memo:
+        """Positions to the positions of fam.comult(., S, T)."""
+        S, T = frozenset(S), frozenset(T)
+        return self._map(("split", S, T), lambda x: tuple(
+            self.pos[y] for y in self.fam.comult(x, S, T)))
+
+    def relabelling(self, f: dict) -> _Memo:
+        """Positions to the position of fam.relabel(f, .), keyed by f's
+        domain and images, so equal restrictions of two maps share values."""
+        return self._map(tuple(sorted(f.items())),
+                         lambda x: self.pos[self.fam.relabel(f, x)])
+
+    def _map(self, key, value) -> _Memo:
+        if key not in self._maps:
+            self._maps[key] = _Memo(lambda i: value(self.elems[i]))
+        return self._maps[key]
 
 
 def verify_axioms(fam: Family, n: int, budget: int = DEFAULT_BUDGET) -> AxiomReport:
     """Exhaustively check the monoid/comonoid/Hopf axioms on carriers of
     size up to n, plus (co)commutativity and, when the family carries a
-    native order, order-preservation of the structure maps."""
+    native order, order-preservation of the structure maps.  The checks
+    compare positions in one value table (`_Carriers`) case by case."""
     report = AxiomReport(fam.tag, n)
     carriers = _Carriers(fam, n, budget)
     _check_relabel_budget(carriers)
@@ -371,37 +410,39 @@ def verify_axioms(fam: Family, n: int, budget: int = DEFAULT_BUDGET) -> AxiomRep
     def record(name, witness):
         report.results.append(AxiomResult(name, witness is None, witness))
 
-    record("relabel_functorial", _check_relabel_functorial(fam, carriers))
-    record("naturality_mult", _check_naturality_mult(fam, carriers))
-    record("naturality_comult", _check_naturality_comult(fam, carriers))
-    record("unitality", _check_unitality(fam, carriers))
-    record("counitality", _check_counitality(fam, carriers))
-    record("associativity", _check_associativity(fam, carriers))
-    record("coassociativity", _check_coassociativity(fam, carriers))
-    record("compatibility", _check_compatibility(fam, carriers))
-    record("commutativity", _check_commutativity(fam, carriers))
-    record("cocommutativity", _check_cocommutativity(fam, carriers))
+    record("relabel_functorial", _check_relabel_functorial(carriers))
+    record("naturality_mult", _check_naturality_mult(carriers))
+    record("naturality_comult", _check_naturality_comult(carriers))
+    record("unitality", _check_unitality(carriers))
+    record("counitality", _check_counitality(carriers))
+    record("associativity", _check_associativity(carriers))
+    record("coassociativity", _check_coassociativity(carriers))
+    record("compatibility", _check_compatibility(carriers))
+    record("commutativity", _check_commutativity(carriers))
+    record("cocommutativity", _check_cocommutativity(carriers))
     if fam.order_key is not None:
-        record("order_preservation_mult", _check_order_mult(fam, carriers))
-        record("order_preservation_comult", _check_order_comult(fam, carriers))
+        record("order_preservation_mult", _check_order_mult(carriers))
+        record("order_preservation_comult", _check_order_comult(carriers))
     return report
 
 
-def _check_relabel_functorial(fam, carriers):
+def _check_relabel_functorial(carriers):
     for k, carrier in carriers.items():
         labels = sorted(range(k))
         for f_img in permutations(labels):
             f = dict(zip(labels, f_img))
+            rf = carriers.relabelling(f)
             for g_img in permutations(labels):
                 g = dict(zip(labels, g_img))
-                gf = {i: g[f[i]] for i in labels}
+                rg = carriers.relabelling(g)
+                rgf = carriers.relabelling({i: g[f[i]] for i in labels})
                 for x in carrier:
-                    if fam.relabel(gf, x) != fam.relabel(g, fam.relabel(f, x)):
-                        return f"composition fails on {x.encode()}"
-            ident = {i: i for i in labels}
+                    if rgf[x] != rg[rf[x]]:
+                        return f"composition fails on {carriers.name(x)}"
+            ident = carriers.relabelling({i: i for i in labels})
             for x in carrier:
-                if fam.relabel(ident, x) != x:
-                    return f"identity fails on {x.encode()}"
+                if ident[x] != x:
+                    return f"identity fails on {carriers.name(x)}"
         if k >= 3:
             break
     return None
@@ -435,152 +476,150 @@ def _check_relabel_budget(carriers) -> None:
                                   f"relabelled cases (budget {carriers.budget})")
 
 
-def _check_naturality_mult(fam, carriers):
-    for k, carrier in carriers.items():
+def _check_naturality_mult(carriers):
+    product = carriers.product
+    for k in carriers:
         labels = frozenset(range(k))
         for S, T in _splits(labels):
-            xs = carriers.sub(S)
-            ys = carriers.sub(T)
-            prods = [[fam.mult(x, y) for y in ys] for x in xs]  # once, not per f
+            xs = carriers.sub[S]
+            ys = carriers.sub[T]
             for f in _bijections(labels):
-                fS = {i: f[i] for i in S}
-                fT = {i: f[i] for i in T}
-                fys = [fam.relabel(fT, y) for y in ys]
-                for x, row in zip(xs, prods):
-                    fx = fam.relabel(fS, x)
-                    for y, fy, xy in zip(ys, fys, row):
-                        lhs = fam.relabel(f, xy)
-                        rhs = fam.mult(fx, fy)
-                        if lhs != rhs:
-                            return (f"m not natural: x={x.encode()} y={y.encode()} "
-                                    f"f={f}")
+                rf = carriers.relabelling(f)
+                rS = carriers.relabelling({i: f[i] for i in S})
+                rT = carriers.relabelling({i: f[i] for i in T})
+                for x in xs:
+                    for y in ys:
+                        if rf[product[x, y]] != product[rS[x], rT[y]]:
+                            return (f"m not natural: x={carriers.name(x)} "
+                                    f"y={carriers.name(y)} f={f}")
     return None
 
 
-def _check_naturality_comult(fam, carriers):
+def _check_naturality_comult(carriers):
     # factor order follows the merge diagram: sigma(S) with x|S
     for k, carrier in carriers.items():
         labels = frozenset(range(k))
-        bijections = list(_bijections(labels))
-        # each relabelling once, not per split, and each split once, not per f
-        images = [[fam.relabel(f, x) for x in carrier] for f in bijections]
         for S, T in _splits(labels):
-            splits = [fam.comult(x, S, T) for x in carrier]
-            for f, fxs in zip(bijections, images):
+            split = carriers.split(S, T)
+            for f in _bijections(labels):
                 fS = {i: f[i] for i in S}
                 fT = {i: f[i] for i in T}
-                fSimg = frozenset(fS.values())
-                fTimg = frozenset(fT.values())
-                for x, fx, (x1, x2) in zip(carrier, fxs, splits):
-                    lhs = fam.comult(fx, fSimg, fTimg)
-                    rhs = (fam.relabel(fS, x1), fam.relabel(fT, x2))
-                    if lhs != rhs:
-                        return f"delta not natural: x={x.encode()} f={f}"
+                rf, rS, rT = map(carriers.relabelling, (f, fS, fT))
+                split_f = carriers.split(fS.values(), fT.values())
+                for x in carrier:
+                    x1, x2 = split[x]
+                    if split_f[rf[x]] != (rS[x1], rT[x2]):
+                        return f"delta not natural: x={carriers.name(x)} f={f}"
     return None
 
 
-def _check_unitality(fam, carriers):
+def _check_unitality(carriers):
+    product, unit = carriers.product, carriers.pos[carriers.fam.unit]
     for carrier in carriers.values():
         for x in carrier:
-            if fam.mult(fam.unit, x) != x or fam.mult(x, fam.unit) != x:
-                return f"unit fails on {x.encode()}"
+            if product[unit, x] != x or product[x, unit] != x:
+                return f"unit fails on {carriers.name(x)}"
     return None
 
 
-def _check_counitality(fam, carriers):
+def _check_counitality(carriers):
+    unit, empty = carriers.pos[carriers.fam.unit], frozenset()
     for carrier in carriers.values():
         for x in carrier:
-            if fam.comult(x, x.labels, frozenset()) != (x, fam.unit):
-                return f"counit (I, empty) fails on {x.encode()}"
-            if fam.comult(x, frozenset(), x.labels) != (fam.unit, x):
-                return f"counit (empty, I) fails on {x.encode()}"
+            labels = carriers.elems[x].labels
+            if carriers.split(labels, empty)[x] != (x, unit):
+                return f"counit (I, empty) fails on {carriers.name(x)}"
+            if carriers.split(empty, labels)[x] != (unit, x):
+                return f"counit (empty, I) fails on {carriers.name(x)}"
     return None
 
 
-def _check_associativity(fam, carriers):
+def _check_associativity(carriers):
+    product, name = carriers.product, carriers.name
     for k in carriers:
         labels = frozenset(range(k))
         for S, rest in _splits(labels):
             for T, R in _splits(rest):
-                for x in carriers.sub(S):
-                    for y in carriers.sub(T):
-                        for z in carriers.sub(R):
-                            if fam.mult(fam.mult(x, y), z) != fam.mult(x, fam.mult(y, z)):
-                                return (f"assoc fails: {x.encode()},{y.encode()},"
-                                        f"{z.encode()}")
+                for x in carriers.sub[S]:
+                    for y in carriers.sub[T]:
+                        for z in carriers.sub[R]:
+                            if product[product[x, y], z] != product[x, product[y, z]]:
+                                return f"assoc fails: {name(x)},{name(y)},{name(z)}"
     return None
 
 
-def _check_coassociativity(fam, carriers):
+def _check_coassociativity(carriers):
     for k, carrier in carriers.items():
         labels = frozenset(range(k))
         for S, rest in _splits(labels):
             for T, R in _splits(rest):
+                left, right = carriers.split(S, rest), carriers.split(T, R)
+                outer, inner = carriers.split(S | T, R), carriers.split(S, T)
                 for x in carrier:
-                    xs, xr1 = fam.comult(x, S, rest)
-                    xt, xr = fam.comult(xr1, T, R)
-                    x_st, xr2 = fam.comult(x, S | T, R)
-                    xs2, xt2 = fam.comult(x_st, S, T)
+                    xs, xr1 = left[x]
+                    xt, xr = right[xr1]
+                    x_st, xr2 = outer[x]
+                    xs2, xt2 = inner[x_st]
                     if (xs, xt, xr) != (xs2, xt2, xr2):
-                        return f"coassoc fails on {x.encode()} split {sorted(S)}|{sorted(T)}|{sorted(R)}"
+                        return (f"coassoc fails on {carriers.name(x)} "
+                                f"split {sorted(S)}|{sorted(T)}|{sorted(R)}")
     return None
 
 
-def _check_compatibility(fam, carriers):
+def _check_compatibility(carriers):
+    product = carriers.product
     for k in carriers:
         labels = frozenset(range(k))
         for S1, S2 in _splits(labels):
-            xs = carriers.sub(S1)
-            ys = carriers.sub(S2)
+            xs = carriers.sub[S1]
+            ys = carriers.sub[S2]
             for T1, T2 in _splits(labels):
-                A, B = S1 & T1, S1 & T2
-                C, D = S2 & T1, S2 & T2
+                split = carriers.split(T1, T2)
+                split_x = carriers.split(S1 & T1, S1 & T2)
+                split_y = carriers.split(S2 & T1, S2 & T2)
                 for x in xs:
                     for y in ys:
-                        lhs = fam.comult(fam.mult(x, y), T1, T2)
-                        xa, xb = fam.comult(x, A, B)
-                        yc, yd = fam.comult(y, C, D)
-                        rhs = (fam.mult(xa, yc), fam.mult(xb, yd))
-                        if lhs != rhs:
-                            return (f"compatibility fails: x={x.encode()} "
-                                    f"y={y.encode()} T1={sorted(T1)}")
+                        (xa, xb), (yc, yd) = split_x[x], split_y[y]
+                        if split[product[x, y]] != (product[xa, yc], product[xb, yd]):
+                            return (f"compatibility fails: x={carriers.name(x)} "
+                                    f"y={carriers.name(y)} T1={sorted(T1)}")
     return None
 
 
-def _check_commutativity(fam, carriers):
+def _check_commutativity(carriers):
+    product = carriers.product
     for k in carriers:
         labels = frozenset(range(k))
         for S, T in _splits(labels):
-            for x in carriers.sub(S):
-                for y in carriers.sub(T):
-                    if fam.mult(x, y) != fam.mult(y, x):
-                        return f"m not commutative on {x.encode()}, {y.encode()}"
+            for x in carriers.sub[S]:
+                for y in carriers.sub[T]:
+                    if product[x, y] != product[y, x]:
+                        return (f"m not commutative on {carriers.name(x)}, "
+                                f"{carriers.name(y)}")
     return None
 
 
-def _check_cocommutativity(fam, carriers):
+def _check_cocommutativity(carriers):
     for k, carrier in carriers.items():
         labels = frozenset(range(k))
         for S, T in _splits(labels):
+            split_ST, split_TS = carriers.split(S, T), carriers.split(T, S)
             for x in carrier:
-                a, b = fam.comult(x, S, T)
-                b2, a2 = fam.comult(x, T, S)
-                if (a, b) != (a2, b2):
-                    return f"delta not cocommutative on {x.encode()}"
+                if split_ST[x] != split_TS[x][::-1]:
+                    return f"delta not cocommutative on {carriers.name(x)}"
     return None
 
 
-def _check_order_mult(fam, carriers):
-    key = fam.order_key
+def _check_order_mult(carriers):
+    key = carriers.key
     for k in carriers:
         labels = frozenset(range(k))
         for S, T in _splits(labels):
-            xs = carriers.sub(S)
-            ys = carriers.sub(T)
-            xkeys = [key(x) for x in xs]
-            ykeys = [key(y) for y in ys]
-            # each product once, not once per comparable pair of pairs
-            prods = [[key(fam.mult(x, y)) for y in ys] for x in xs]
+            xs = carriers.sub[S]
+            ys = carriers.sub[T]
+            xkeys = [key[x] for x in xs]
+            ykeys = [key[y] for y in ys]
+            prods = [[key[carriers.product[x, y]] for y in ys] for x in xs]
             for x1, k1, p1 in zip(xs, xkeys, prods):
                 for k2, p2 in zip(xkeys, prods):
                     if k1 & ~k2:
@@ -588,22 +627,22 @@ def _check_order_mult(fam, carriers):
                     for l1, q1 in zip(ykeys, p1):
                         for l2, q2 in zip(ykeys, p2):
                             if not l1 & ~l2 and q1 & ~q2:
-                                return f"m not order-preserving at {x1.encode()}"
+                                return f"m not order-preserving at {carriers.name(x1)}"
     return None
 
 
-def _check_order_comult(fam, carriers):
-    key = fam.order_key
+def _check_order_comult(carriers):
+    key = carriers.key
     for k, carrier in carriers.items():
         labels = frozenset(range(k))
-        keys = [key(x) for x in carrier]
+        keys = [key[x] for x in carrier]
         for S, T in _splits(labels):
-            # each structure split once per (S, T), not once per partner
-            splits = [tuple(map(key, fam.comult(x, S, T))) for x in carrier]
+            split = carriers.split(S, T)
+            splits = [(key[a], key[b]) for a, b in map(split.__getitem__, carrier)]
             for x, kx, (xa, xb) in zip(carrier, keys, splits):
                 for ky, (ya, yb) in zip(keys, splits):
                     if not kx & ~ky and (xa & ~ya or xb & ~yb):
-                        return f"delta not order-preserving at {x.encode()}"
+                        return f"delta not order-preserving at {carriers.name(x)}"
     return None
 
 

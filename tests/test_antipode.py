@@ -121,10 +121,11 @@ def test_takeuchi_frozen_examples():
 
 
 def test_takeuchi_budget():
+    # Bell(5) = 52 set partitions exceed a budget of 50
     big = SIMPLICIAL.unit
     wide = G("P:n=5;B=01234")
     with pytest.raises(CarrierOverflow):
-        takeuchi_antipode(PARTITIONS, wide, budget=100)
+        takeuchi_antipode(PARTITIONS, wide, budget=50)
     assert takeuchi_antipode(SIMPLICIAL, big, budget=1) is not None
 
 
@@ -177,6 +178,24 @@ def test_takeuchi_falls_back_to_ordered_sum_when_block_order_matters():
     # the collapse would be wrong here: the two block orders of 0|1
     # reassemble to different graphs
     assert _unordered_sum(mutant, k2) != ordered
+
+
+def test_takeuchi_budget_counts_set_partitions_where_the_gate_holds(monkeypatch):
+    # Bell(4) = 15 <= 20 < Fubini(4) = 75: the table route runs, and only
+    # the ordered fallback is held to Fubini(n)
+    one_block = G("P:n=4;B=0123")
+    assert (takeuchi_antipode(PARTITIONS, one_block, budget=20)
+            == _ordered(PARTITIONS, one_block))
+
+    def no_ordered_sum(fam, x):
+        raise AssertionError("the ordered sum ran past its budget")
+
+    monkeypatch.setattr(ap, "_ordered_sum", no_ordered_sum)
+    mutant = _skewed_graphs()
+    k4 = G("G:n=4;E=0-1,0-2,0-3,1-2,1-3,2-3")
+    assert ap._restrictions(mutant, k4) is None
+    with pytest.raises(CarrierOverflow):
+        takeuchi_antipode(mutant, k4, budget=20)
 
 
 def test_closed_form_matches_takeuchi_all_families_n3():

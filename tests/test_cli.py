@@ -69,10 +69,28 @@ def test_parse_error_exit_code(capsys):
 
 
 def test_budget_exit_code(capsys):
+    # Bell(5) = 52 set partitions exceed a budget of 50
     code, _, err = run(capsys, "antipode", "--family", "partitions",
-                       "--object", "P:n=5;B=01234", "--budget", "100",
+                       "--object", "P:n=5;B=01234", "--budget", "50",
                        "--jobs", "1")
     assert code == 3 and "budget exceeded" in err
+
+
+def test_antipode_budget_counts_set_partitions(capsys):
+    # both methods run on the Bell(8) = 4,140 set partitions, under the
+    # default budget; the Fubini(8) = 545,835 ordered ones never run
+    code, out, _ = run(capsys, "antipode", "--family", "partitions",
+                       "--object", "P:n=8;B=01234567", "--method", "both",
+                       "--jobs", "1")
+    assert code == 0 and json.loads(out)["agree"] is True
+
+
+def test_n_below_the_command_minimum_is_a_parse_error(capsys):
+    for argv in (("verify", "--family", "graphs", "--n", "-1"),
+                 ("primitives", "--family", "graphs", "--n", "-1"),
+                 ("fock", "--n", "0"), ("fock", "--n", "-1")):
+        code, out, err = run(capsys, *argv, "--jobs", "1")
+        assert code == 2 and "parse error" in err and not out, argv
 
 
 def _cap_address_space():
@@ -193,7 +211,7 @@ def test_budget_must_be_positive(capsys):
 
 
 def test_budget_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("HSL_BUDGET", "100")
+    monkeypatch.setenv("HSL_BUDGET", "50")
     code, _, _ = run(capsys, "antipode", "--family", "partitions",
                      "--object", "P:n=5;B=01234", "--jobs", "1")
     assert code == 3

@@ -3,13 +3,17 @@ from itertools import permutations
 
 import pytest
 
-from hsl.errors import LabelMismatch
+import hsl.species as sp
+from hsl.errors import DEFAULT_BUDGET, LabelMismatch
 from hsl.families import (FAMILIES, GRAPHS, HYPERGRAPHS, PARTITIONS,
-                          SIMPLICIAL, Graph, SetPartition, parse_structure)
-from hsl.species import (OrderedSetPartition, UnorderedSetPartition, bell,
+                          SIMPLICIAL, Graph, SetPartition, _of, _split,
+                          parse_structure)
+from hsl.species import (AxiomReport, AxiomResult, Family, OrderedSetPartition,
+                         UnorderedSetPartition, _bijections, _splits, bell,
                          compositions, compose_comult, compose_mult, fubini,
                          reassemble, set_partitions, verify_axioms,
                          verify_delta_after_mult_identity)
+from test_antipode import _skewed_graphs
 
 
 def test_ordered_set_partition_validation():
@@ -132,24 +136,30 @@ def test_verify_axioms_catches_mutant():
     assert all(r.witness for r in broken)
 
 
-def test_order_checks_catch_order_breaking_mutants():
+def _flip_graphs():
     # the split complements a one-edge part, so G:n=3;E=0-1 <= G:n=3;E=0-1,0-2
     # splits along S = {0, 1, 2} into incomparable parts
     def flip_comult(g, S, T):
         a, b = g.restrict(S), g.restrict(T)
         return (a.complement() if len(a.edges) == 1 else a), b
 
+    return replace(GRAPHS, tag="graphs-flip", comult_fn=flip_comult)
+
+
+def _box_graphs():
     # an edgeless left factor merges with every cross edge, so E= <= E=0-1
     # on {0, 1} times a point gives incomparable products
     def box_when_edgeless(a, b):
         return (GRAPHS.box_fn if not a.edges else GRAPHS.mult_fn)(a, b)
 
+    return replace(GRAPHS, tag="graphs-box", mult_fn=box_when_edgeless)
+
+
+def test_order_checks_catch_order_breaking_mutants():
     for mutant, name, witness in (
-            (replace(GRAPHS, tag="graphs-flip", comult_fn=flip_comult),
-             "order_preservation_comult",
+            (_flip_graphs(), "order_preservation_comult",
              "delta not order-preserving at G:n=3;E=0-1"),
-            (replace(GRAPHS, tag="graphs-box", mult_fn=box_when_edgeless),
-             "order_preservation_mult",
+            (_box_graphs(), "order_preservation_mult",
              "m not order-preserving at G:n=2;E=")):
         result = verify_axioms(mutant, 3).result(name)
         assert not result.passed and result.witness == witness
@@ -220,3 +230,314 @@ def test_unit_structures():
     assert PARTITIONS.unit.encode() == "P:n=0;B="
     for fam in FAMILIES.values():
         assert fam.enumerate(frozenset()) == (fam.unit,)
+
+
+# ---------------------------------------------------------------------------
+# the literal axiom sweeps: the oracle for the value table of verify_axioms,
+# each map called afresh on every case and structures compared directly
+
+
+class _LiteralCarriers(dict):
+    """The carriers on 0..k-1 by k up to n, plus `sub` for any label set,
+    shared by one axiom sweep under one budget."""
+
+    def __init__(self, fam, n: int, budget: int):
+        super().__init__((k, fam.enumerate(frozenset(range(k)), budget))
+                         for k in range(n + 1))
+        self.fam = fam
+        self.budget = budget
+        self._subs: dict = {}
+
+    def sub(self, labels) -> tuple:
+        labels = frozenset(labels)
+        if labels not in self._subs:
+            self._subs[labels] = self.fam.enumerate(labels, self.budget)
+        return self._subs[labels]
+
+
+def _literal_relabel_functorial(fam, carriers):
+    for k, carrier in carriers.items():
+        labels = sorted(range(k))
+        for f_img in permutations(labels):
+            f = dict(zip(labels, f_img))
+            for g_img in permutations(labels):
+                g = dict(zip(labels, g_img))
+                gf = {i: g[f[i]] for i in labels}
+                for x in carrier:
+                    if fam.relabel(gf, x) != fam.relabel(g, fam.relabel(f, x)):
+                        return f"composition fails on {x.encode()}"
+            ident = {i: i for i in labels}
+            for x in carrier:
+                if fam.relabel(ident, x) != x:
+                    return f"identity fails on {x.encode()}"
+        if k >= 3:
+            break
+    return None
+
+
+def _literal_naturality_mult(fam, carriers):
+    for k, carrier in carriers.items():
+        labels = frozenset(range(k))
+        for S, T in _splits(labels):
+            xs = carriers.sub(S)
+            ys = carriers.sub(T)
+            prods = [[fam.mult(x, y) for y in ys] for x in xs]  # once, not per f
+            for f in _bijections(labels):
+                fS = {i: f[i] for i in S}
+                fT = {i: f[i] for i in T}
+                fys = [fam.relabel(fT, y) for y in ys]
+                for x, row in zip(xs, prods):
+                    fx = fam.relabel(fS, x)
+                    for y, fy, xy in zip(ys, fys, row):
+                        lhs = fam.relabel(f, xy)
+                        rhs = fam.mult(fx, fy)
+                        if lhs != rhs:
+                            return (f"m not natural: x={x.encode()} y={y.encode()} "
+                                    f"f={f}")
+    return None
+
+
+def _literal_naturality_comult(fam, carriers):
+    # factor order follows the merge diagram: sigma(S) with x|S
+    for k, carrier in carriers.items():
+        labels = frozenset(range(k))
+        bijections = list(_bijections(labels))
+        # each relabelling once, not per split, and each split once, not per f
+        images = [[fam.relabel(f, x) for x in carrier] for f in bijections]
+        for S, T in _splits(labels):
+            splits = [fam.comult(x, S, T) for x in carrier]
+            for f, fxs in zip(bijections, images):
+                fS = {i: f[i] for i in S}
+                fT = {i: f[i] for i in T}
+                fSimg = frozenset(fS.values())
+                fTimg = frozenset(fT.values())
+                for x, fx, (x1, x2) in zip(carrier, fxs, splits):
+                    lhs = fam.comult(fx, fSimg, fTimg)
+                    rhs = (fam.relabel(fS, x1), fam.relabel(fT, x2))
+                    if lhs != rhs:
+                        return f"delta not natural: x={x.encode()} f={f}"
+    return None
+
+
+def _literal_unitality(fam, carriers):
+    for carrier in carriers.values():
+        for x in carrier:
+            if fam.mult(fam.unit, x) != x or fam.mult(x, fam.unit) != x:
+                return f"unit fails on {x.encode()}"
+    return None
+
+
+def _literal_counitality(fam, carriers):
+    for carrier in carriers.values():
+        for x in carrier:
+            if fam.comult(x, x.labels, frozenset()) != (x, fam.unit):
+                return f"counit (I, empty) fails on {x.encode()}"
+            if fam.comult(x, frozenset(), x.labels) != (fam.unit, x):
+                return f"counit (empty, I) fails on {x.encode()}"
+    return None
+
+
+def _literal_associativity(fam, carriers):
+    for k in carriers:
+        labels = frozenset(range(k))
+        for S, rest in _splits(labels):
+            for T, R in _splits(rest):
+                for x in carriers.sub(S):
+                    for y in carriers.sub(T):
+                        for z in carriers.sub(R):
+                            if fam.mult(fam.mult(x, y), z) != fam.mult(x, fam.mult(y, z)):
+                                return (f"assoc fails: {x.encode()},{y.encode()},"
+                                        f"{z.encode()}")
+    return None
+
+
+def _literal_coassociativity(fam, carriers):
+    for k, carrier in carriers.items():
+        labels = frozenset(range(k))
+        for S, rest in _splits(labels):
+            for T, R in _splits(rest):
+                for x in carrier:
+                    xs, xr1 = fam.comult(x, S, rest)
+                    xt, xr = fam.comult(xr1, T, R)
+                    x_st, xr2 = fam.comult(x, S | T, R)
+                    xs2, xt2 = fam.comult(x_st, S, T)
+                    if (xs, xt, xr) != (xs2, xt2, xr2):
+                        return f"coassoc fails on {x.encode()} split {sorted(S)}|{sorted(T)}|{sorted(R)}"
+    return None
+
+
+def _literal_compatibility(fam, carriers):
+    for k in carriers:
+        labels = frozenset(range(k))
+        for S1, S2 in _splits(labels):
+            xs = carriers.sub(S1)
+            ys = carriers.sub(S2)
+            for T1, T2 in _splits(labels):
+                A, B = S1 & T1, S1 & T2
+                C, D = S2 & T1, S2 & T2
+                for x in xs:
+                    for y in ys:
+                        lhs = fam.comult(fam.mult(x, y), T1, T2)
+                        xa, xb = fam.comult(x, A, B)
+                        yc, yd = fam.comult(y, C, D)
+                        rhs = (fam.mult(xa, yc), fam.mult(xb, yd))
+                        if lhs != rhs:
+                            return (f"compatibility fails: x={x.encode()} "
+                                    f"y={y.encode()} T1={sorted(T1)}")
+    return None
+
+
+def _literal_commutativity(fam, carriers):
+    for k in carriers:
+        labels = frozenset(range(k))
+        for S, T in _splits(labels):
+            for x in carriers.sub(S):
+                for y in carriers.sub(T):
+                    if fam.mult(x, y) != fam.mult(y, x):
+                        return f"m not commutative on {x.encode()}, {y.encode()}"
+    return None
+
+
+def _literal_cocommutativity(fam, carriers):
+    for k, carrier in carriers.items():
+        labels = frozenset(range(k))
+        for S, T in _splits(labels):
+            for x in carrier:
+                a, b = fam.comult(x, S, T)
+                b2, a2 = fam.comult(x, T, S)
+                if (a, b) != (a2, b2):
+                    return f"delta not cocommutative on {x.encode()}"
+    return None
+
+
+def _literal_order_mult(fam, carriers):
+    key = fam.order_key
+    for k in carriers:
+        labels = frozenset(range(k))
+        for S, T in _splits(labels):
+            xs = carriers.sub(S)
+            ys = carriers.sub(T)
+            xkeys = [key(x) for x in xs]
+            ykeys = [key(y) for y in ys]
+            # each product once, not once per comparable pair of pairs
+            prods = [[key(fam.mult(x, y)) for y in ys] for x in xs]
+            for x1, k1, p1 in zip(xs, xkeys, prods):
+                for k2, p2 in zip(xkeys, prods):
+                    if k1 & ~k2:
+                        continue
+                    for l1, q1 in zip(ykeys, p1):
+                        for l2, q2 in zip(ykeys, p2):
+                            if not l1 & ~l2 and q1 & ~q2:
+                                return f"m not order-preserving at {x1.encode()}"
+    return None
+
+
+def _literal_order_comult(fam, carriers):
+    key = fam.order_key
+    for k, carrier in carriers.items():
+        labels = frozenset(range(k))
+        keys = [key(x) for x in carrier]
+        for S, T in _splits(labels):
+            # each structure split once per (S, T), not once per partner
+            splits = [tuple(map(key, fam.comult(x, S, T))) for x in carrier]
+            for x, kx, (xa, xb) in zip(carrier, keys, splits):
+                for ky, (ya, yb) in zip(keys, splits):
+                    if not kx & ~ky and (xa & ~ya or xb & ~yb):
+                        return f"delta not order-preserving at {x.encode()}"
+    return None
+
+
+def _literal_report(fam, n, budget=DEFAULT_BUDGET):
+    carriers = _LiteralCarriers(fam, n, budget)
+    checks = [("relabel_functorial", _literal_relabel_functorial),
+              ("naturality_mult", _literal_naturality_mult),
+              ("naturality_comult", _literal_naturality_comult),
+              ("unitality", _literal_unitality),
+              ("counitality", _literal_counitality),
+              ("associativity", _literal_associativity),
+              ("coassociativity", _literal_coassociativity),
+              ("compatibility", _literal_compatibility),
+              ("commutativity", _literal_commutativity),
+              ("cocommutativity", _literal_cocommutativity)]
+    if fam.order_key is not None:
+        checks += [("order_preservation_mult", _literal_order_mult),
+                   ("order_preservation_comult", _literal_order_comult)]
+    report = AxiomReport(fam.tag, n)
+    for name, check in checks:
+        witness = check(fam, carriers)
+        report.results.append(AxiomResult(name, witness is None, witness))
+    return report
+
+
+def _twisted_relabel_graphs():
+    """Graphs whose relabelling complements every image of a map that
+    moves a label: relabelling is neither functorial nor natural."""
+    def twisted(f, g):
+        image = GRAPHS.relabel_fn(f, g)
+        return image if all(i == j for i, j in f.items()) else image.complement()
+
+    return replace(GRAPHS, tag="graphs-twisted", relabel_fn=twisted)
+
+
+def _off_carrier_partitions():
+    """Partitions whose split drops the lowest same-block pair of a piece
+    that is one block on three labels: the piece left is no set partition,
+    so it lies off every enumerated carrier."""
+    def lossy(p, S, T):
+        a, b = _split(p, S, T)
+        if len(S) == 3 and a.bits.bit_count() == 3:
+            a = _of(SetPartition, a.labels, a.bits & (a.bits - 1))
+        return a, b
+
+    return replace(PARTITIONS, tag="partitions-lossy", comult_fn=lossy)
+
+
+def test_verify_axioms_matches_literal_oracle():
+    cases = [(fam, n) for fam in FAMILIES.values() for n in range(4)]
+    cases += [(GRAPHS, 4), (PARTITIONS, 4)]
+    for fam, n in cases:
+        report = verify_axioms(fam, n)
+        assert report.passed and report == _literal_report(fam, n), (fam.tag, n)
+
+
+def test_verify_axioms_matches_literal_oracle_on_mutants():
+    # every result, witness text included, equals the literal sweeps'
+    for mutant in (_mutant_graphs(), _flip_graphs(), _box_graphs(),
+                   _skewed_graphs(), _twisted_relabel_graphs(),
+                   _off_carrier_partitions()):
+        report = verify_axioms(mutant, 3)
+        assert not report.passed, mutant.tag
+        assert report == _literal_report(mutant, 3), mutant.tag
+    broken = {r.name for r in verify_axioms(_twisted_relabel_graphs(), 3).results
+              if not r.passed}
+    assert {"relabel_functorial", "naturality_mult"} <= broken
+
+
+def test_value_table_positions_off_carrier_structures():
+    # the lossy piece of the one-block partition is in no carrier: it takes
+    # the next free position, after every carrier element
+    mutant = _off_carrier_partitions()
+    table = sp._Carriers(mutant, 3, DEFAULT_BUDGET)
+    enumerated = len(table.elems)
+    assert enumerated == sum(map(len, table.values()))
+    witness = sp._check_counitality(table)
+    assert witness == "counit (I, empty) fails on P:n=3;B=012"
+    assert len(table.elems) > enumerated
+    piece = table.elems[-1]
+    assert piece.labels == frozenset(range(3))
+    assert piece not in mutant.enumerate(piece.labels)
+
+
+def test_verify_axioms_computes_each_relabelling_once(monkeypatch):
+    # 19,020 relabel calls on partitions of 4 labels when every case
+    # called the map afresh; the value table makes each one once
+    calls = []
+    relabel = Family.relabel
+
+    def counted(self, f, x):
+        calls.append(1)
+        return relabel(self, f, x)
+
+    monkeypatch.setattr(Family, "relabel", counted)
+    assert verify_axioms(PARTITIONS, 4).passed
+    assert 0 < len(calls) <= 3000
