@@ -14,12 +14,13 @@ the two disagree already on two-element chains; see the discrepancy tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from math import factorial
 from operator import and_, or_
 
 from .errors import (DEFAULT_BUDGET, EngineError, LabelMismatch,
                      NonUniqueFactorization, NotSelfAdjoint)
+from .families import restriction_bits
 from .posets import FinitePoset, GaloisReport, _bits, check_galois
 from .species import (Family, UnorderedSetPartition, _Memo,
                       check_set_partition_budget, check_subset_budget,
@@ -228,7 +229,8 @@ def is_indecomposable(fam: Family, x) -> bool:
 
 
 def _restrictions(fam: Family, x) -> tuple | None:
-    """(r, joins) when the checks below hold on x; None when one fails.
+    """(r, joins, kernel) when the checks below hold on x; None when one
+    fails.
 
     Let I be the labels of x and r(S) = comult(x, S, I - S)[0], indexed by
     the bitmask of S over the sorted labels.  The check:
@@ -248,16 +250,38 @@ def _restrictions(fam: Family, x) -> tuple | None:
     two adjacent factors swap, so every order gives the same product.
 
     joins[U] holds one S per split {S, U - S} along which r(U) merges back
-    (mult(r(S), r(U - S)) == r(U)): by (a) and (b), the splits along which
-    `factorize` finds r(U) decomposable.  The image of a set partition pi
-    is the product of the r(B) over its blocks B, so by unique
-    factorization (Aguiar and Mahajan, 2010, ch. 8) ell(img pi) is the sum
-    of the ell(r(B)): 2^n entries grade all Bell(n) images
-    (`_factor_blocks`).  Once every r(S) lies on S, every split and merge
-    here is disjoint by construction, so the maps run unchecked."""
+    (mult(r(S), r(U - S)) == r(U)), in ascending order: by (a) and (b),
+    the splits along which `factorize` finds r(U) decomposable.  The image
+    of a set partition pi is the product of the r(B) over its blocks B,
+    so by unique factorization (Aguiar and Mahajan, 2010, ch. 8)
+    ell(img pi) is the sum of the ell(r(B)): 2^n entries grade all
+    Bell(n) images (`_factor_blocks`).  Once every r(S) lies on S, every
+    split and merge here is disjoint by construction, so the maps run
+    unchecked.
+
+    kernel is `restriction_bits` of x: for the four families, whose split
+    is `&` with inside(S) and whose merge is `|` (`hsl.families`), it is
+    (rb, make) with rb(S) = x.bits & inside(S) and r(S) = make(S, rb(S));
+    for any other family it is None.  On the kernel the checks hold by
+    algebra, so no map is called: for S a subset of U, inside(S) lies in
+    inside(U), so splitting r(U) along (S, U - S) leaves rb(U) & inside(S)
+    = rb(S) and rb(U - S), which is (a) at U = I and (b) below it; and (c)
+    holds because `|` commutes.  Then r(U) merges back along {S, U - S}
+    exactly when rb(S) | rb(U - S) == rb(U)."""
     labels = x.labels
     subs = subsets(labels)  # subs[m]: the labels at the set bits of m
     full = len(subs) - 1
+    kernel = restriction_bits(fam, x, subs)
+    joins: list = [[] for _ in subs]
+    if kernel is not None:
+        rb, make = kernel
+        for S in range(1, full + 1):
+            T = full ^ S
+            while T > S:
+                if rb[S] | rb[T] == rb[S | T]:
+                    joins[S | T].append(S)
+                T = (T - 1) & (full ^ S)
+        return list(map(make, subs, rb)), joins, kernel
     split, mult = fam.comult_fn, fam.mult_fn
     splits = [split(x, S, labels - S) for S in subs]
     r = [first for first, _ in splits]
@@ -271,7 +295,6 @@ def _restrictions(fam: Family, x) -> tuple | None:
             if split(r[U], subs[S], subs[U ^ S]) != (r[S], r[U ^ S]):
                 return None
             S = (S - 1) & U
-    joins: list = [[] for _ in r]
     for S in range(1, full + 1):
         T = full ^ S
         while T > S:
@@ -281,7 +304,7 @@ def _restrictions(fam: Family, x) -> tuple | None:
             if y == r[S | T]:
                 joins[S | T].append(S)
             T = (T - 1) & (full ^ S)
-    return r, joins
+    return r, joins, None
 
 
 def require_self_adjoint(fam: Family, x) -> tuple:
@@ -329,12 +352,24 @@ def _partitions(n: int) -> tuple:
     return tuple(of((1 << n) - 1))
 
 
-def _images(fam: Family, r: list, parts) -> list:
-    """img(pi) for each pi in `parts`, a tuple of block bitmasks: the fold
-    of mult from the unit over r(B) for the blocks B of pi, in order.  By
-    `_restrictions` this is reassemble(pi, x), with no split made."""
-    mult, unit = fam.mult_fn, fam.unit
-    return [reduce(mult, map(r.__getitem__, blocks), unit) for blocks in parts]
+def _images(fam: Family, table: tuple, parts) -> tuple:
+    """(img, image) for the set partitions in `parts`, each a tuple of
+    block bitmasks: image(img[i]) is img(parts[i]).  img(pi) is the fold
+    of mult from the unit over r(B) for the blocks B of pi, in order,
+    which by `_restrictions` is reassemble(pi, x), with no split made.
+    On the kernel img[i] is the int of the image, the fold of `|` over
+    rb(B) from the unit's int, so equal images compare as ints and the
+    caller builds one structure per distinct image; otherwise img[i] is
+    the image itself."""
+    r, _, kernel = table
+    if kernel is None:
+        mult, unit = fam.mult_fn, fam.unit
+        img = [reduce(mult, map(r.__getitem__, blocks), unit) for blocks in parts]
+        return img, lambda y: y
+    rb, make = kernel
+    unit = fam.unit.bits
+    img = [reduce(or_, map(rb.__getitem__, blocks), unit) for blocks in parts]
+    return img, partial(make, r[-1].labels)
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +395,10 @@ def takeuchi_antipode(fam: Family, x, budget: int = DEFAULT_BUDGET,
     Where `_restrictions` holds for x, the k! orders of one set partition
     reassemble x alike, to the product of its blocks' restrictions, so
     the sum runs over the Bell(n) set partitions with weight (-1)^k k!
-    (Aguiar and Mahajan, 2010) and reads each image off the table.
-    Otherwise it falls back to the ordered sum.  The budget bounds the
+    (Aguiar and Mahajan, 2010) and reads each image off the table
+    (`_images`): for the four families, an `|` of ints per block, summed
+    by int, with one structure built per distinct image.  Otherwise it
+    falls back to the ordered sum.  The budget bounds the
     Bell(n) set partitions, and the Fubini(n) ordered ones only before
     that fallback.  `jobs` is accepted and ignored."""
     check_set_partition_budget(len(x.labels), budget)
@@ -369,11 +406,14 @@ def takeuchi_antipode(fam: Family, x, budget: int = DEFAULT_BUDGET,
     if table is None:
         check_set_partition_budget(len(x.labels), budget, ordered=True)
         return FreeVector(fam.tag, x.labels, _ordered_sum(fam, x))
+    n = len(x.labels)
+    parts = _partitions(n)
+    img, image = _images(fam, table, parts)
+    weight = [(-1) ** k * factorial(k) for k in range(n + 1)]
     terms: dict = {}
-    parts = _partitions(len(x.labels))
-    for blocks, y in zip(parts, _images(fam, table[0], parts)):
-        terms[y] = terms.get(y, 0) + (-1) ** len(blocks) * factorial(len(blocks))
-    return FreeVector(fam.tag, x.labels, terms)
+    for blocks, y in zip(parts, img):
+        terms[y] = terms.get(y, 0) + weight[len(blocks)]
+    return FreeVector(fam.tag, x.labels, {image(y): c for y, c in terms.items()})
 
 
 def takeuchi_on_vector(fam: Family, v: FreeVector,
@@ -446,19 +486,20 @@ def _reassembly_images(fam: Family, x, table: tuple) -> tuple:
     to r(B & C) for the blocks C of sigma (Hopf compatibility and the
     gate), so reassembling it along sigma gives img(pi meet sigma): the
     up-set of img(pi) is {img(rho) : rho refines pi}."""
-    r, joins = table
+    r, joins, _ = table
     parts, refines = _partitions(len(x.labels)), _partition_lattice(len(x.labels))
-    images = _images(fam, r, parts)
+    img, image = _images(fam, table, parts)
     # image -> index of the first partition giving it
-    first = {y: j for j, y in reversed(list(enumerate(images)))}
-    elems = sorted(first, key=lambda y: y.encode())
-    index = {y: i for i, y in enumerate(elems)}
-    bit = [1 << index[y] for y in images]
-    up = [reduce(or_, map(bit.__getitem__, refines[first[y]])) for y in elems]
+    first = {y: j for j, y in reversed(list(enumerate(img)))}
+    built = {y: image(y) for y in first}
+    keys = sorted(first, key=lambda y: built[y].encode())
+    index = {y: i for i, y in enumerate(keys)}
+    bit = [1 << index[y] for y in img]
+    up = [reduce(or_, map(bit.__getitem__, refines[first[y]])) for y in keys]
     factors = _factor_blocks(r, joins)
-    ell = [sum(len(factors[b]) for b in parts[first[y]]) for y in elems]
-    bottom = index[images[0]]  # parts[0] has one block: its image is x
-    return elems, up, bottom, ell
+    ell = [sum(len(factors[b]) for b in parts[first[y]]) for y in keys]
+    bottom = index[img[0]]  # parts[0] has one block: its image is x
+    return [built[y] for y in keys], up, bottom, ell
 
 
 def closed_form_antipode(fam: Family, x,

@@ -22,12 +22,14 @@ others) validate; `.edges`, `.faces` and `.blocks` are decoded views.
 No int is wider than MAX_BITS = 2^16 bits (an edge or same-block pair
 joins labels below 362, a hyperedge or face lies in 0..15): whatever
 builds one counts its width first and raises CarrierOverflow past it.
+For a family whose split and merge are these two ops, `restriction_bits`
+gives the antipode's restriction table as ints, with no map call.
 """
 
 from __future__ import annotations
 
 import json
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from itertools import combinations, product
 from math import factorial, isqrt
 from operator import or_
@@ -480,6 +482,19 @@ def is_connected(x) -> bool:
 def _union(a, b):
     """Every family's merge, on labels that `Family.mult` checked disjoint."""
     return _of(type(a), a.labels | b.labels, a.bits | b.bits)
+
+
+def restriction_bits(fam: Family, x, subs) -> tuple | None:
+    """(bits, make) where fam splits with `_split` and merges with
+    `_union`, None for any other family.  bits[i] is the int of x
+    restricted to subs[i], `x.bits & inside(subs[i])`, and make(S, b) is
+    the structure on S with int b.  On these ints the split of a
+    restriction is `&` and the merge of restrictions to disjoint label
+    sets is `|`, folded from `fam.unit.bits`."""
+    if fam.comult_fn is not _split or fam.mult_fn is not _union:
+        return None
+    cls, bits = type(x), x.bits
+    return [bits & cls._inside(S) for S in subs], partial(_of, cls)
 
 
 def graph_free_product(a, b):

@@ -198,6 +198,50 @@ def test_takeuchi_budget_counts_set_partitions_where_the_gate_holds(monkeypatch)
         takeuchi_antipode(mutant, k4, budget=20)
 
 
+def _checked(fam, calls=None):
+    """fam with its merge wrapped: the same maps, which `_restrictions`
+    does not recognize as the integer kernel's, so it checks (a)-(c) by
+    calling them.  Each call appends to `calls` when one is given."""
+    from dataclasses import replace
+    from hsl.families import _union
+
+    def mult(a, b):
+        if calls is not None:
+            calls.append((a, b))
+        return _union(a, b)
+
+    return replace(fam, mult_fn=mult)
+
+
+def test_kernel_table_matches_checked_table():
+    # every structure of each family on 0-4 labels, graphs and partitions
+    # on 5: the table built on ints equals the one the maps build
+    cases = [(fam, n) for fam in FAMILIES.values() for n in range(5)]
+    cases += [(GRAPHS, 5), (PARTITIONS, 5)]
+    for fam, n in cases:
+        checked = _checked(fam)
+        parts = ap._partitions(n)
+        for x in fam.enumerate(frozenset(range(n))):
+            fast, slow = ap._restrictions(fam, x), ap._restrictions(checked, x)
+            assert fast[2] is not None and slow[2] is None, x.encode()
+            assert fast[:2] == slow[:2], x.encode()
+            img, image = ap._images(fam, fast, parts)
+            slow_img, slow_image = ap._images(checked, slow, parts)
+            assert list(map(image, img)) == list(map(slow_image, slow_img)), x.encode()
+
+
+def test_wrapped_maps_take_the_checked_route():
+    calls = []
+    for fam in FAMILIES.values():
+        checked = _checked(fam, calls)
+        for x in fam.enumerate(frozenset(range(3))):
+            del calls[:]
+            assert ap._restrictions(checked, x)[2] is None
+            assert calls, x.encode()
+            assert takeuchi_antipode(checked, x) == takeuchi_antipode(fam, x)
+            assert closed_form_antipode(checked, x) == closed_form_antipode(fam, x)
+
+
 def test_closed_form_matches_takeuchi_all_families_n3():
     for fam in FAMILIES.values():
         for n in range(4):
