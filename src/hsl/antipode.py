@@ -22,7 +22,7 @@ from .errors import (DEFAULT_BUDGET, EngineError, LabelMismatch,
                      NonUniqueFactorization, NotSelfAdjoint)
 from .families import restriction_bits
 from .posets import FinitePoset, GaloisReport, _bits, check_galois
-from .species import (Family, UnorderedSetPartition, _Memo,
+from .species import (Family, UnorderedSetPartition, _Memo, _partitions,
                       check_set_partition_budget, check_subset_budget,
                       compositions, compose_mult, reassemble, set_partitions,
                       subsets)
@@ -332,24 +332,6 @@ def _factor_blocks(r: list, joins: list) -> list:
                 f"splits disagree on {r[U].encode()}: {shown[0]} vs {shown[1]}")
         blocks.append(found[0] if found else (U,))
     return blocks
-
-
-@lru_cache(maxsize=16)
-def _partitions(n: int) -> tuple:
-    """The set partitions of the labels 0..n-1, each a tuple of block
-    bitmasks ordered by lowest bit; the one-block partition comes first."""
-    def of(m: int) -> list:
-        if not m:
-            return [()]
-        low = m & -m
-        rest = extra = m ^ low
-        out = []
-        while True:
-            out.extend((low | extra,) + tail for tail in of(rest ^ extra))
-            if not extra:
-                return out
-            extra = (extra - 1) & rest
-    return tuple(of((1 << n) - 1))
 
 
 def _images(fam: Family, table: tuple, parts) -> tuple:

@@ -23,7 +23,11 @@ No int is wider than MAX_BITS = 2^16 bits (an edge or same-block pair
 joins labels below 362, a hyperedge or face lies in 0..15): whatever
 builds one counts its width first and raises CarrierOverflow past it.
 For a family whose split and merge are these two ops, `restriction_bits`
-gives the antipode's restriction table as ints, with no map call.
+gives the antipode's restriction table as ints, with no map call.  The
+family formulas run on the same ints: flats sweep the block-mask set
+partitions of the label positions (`_partitions`), each quotient comes
+out canonical, and the orientation and chromatic caches are keyed by a
+graph's canonical (k, bits) on 0..k-1.
 """
 
 from __future__ import annotations
@@ -37,8 +41,9 @@ from operator import or_
 from .errors import (DEFAULT_BUDGET, CarrierOverflow, LabelMismatch, NotAFlat,
                      ParseError)
 from .posets import IntPolynomial, _bits
-from .species import (Family, UnorderedSetPartition, bell, check_label_set,
-                      check_set_partition_budget, set_partitions, subsets)
+from .species import (Family, UnorderedSetPartition, _partitions, bell,
+                      check_label_set, check_set_partition_budget,
+                      set_partitions, subsets)
 from .vectors import FreeVector
 
 
@@ -102,6 +107,22 @@ def _subsets_in(S: frozenset) -> int:
     for v in S:
         out |= out << (1 << v)
     return out
+
+
+@lru_cache(maxsize=256)
+def _by_position(labels: tuple) -> tuple:
+    """(span, pairs) over the position masks m of `labels`, ascending:
+    span[m] is the label mask of the labels at m, pairs[m] the bits of the
+    label pairs among them.  The bound is far above the label sets one
+    command or benchmark pass sweeps partitions of."""
+    if len(labels) > 1:
+        _bit(_pair(labels[-2], labels[-1]))  # the widest pair
+    span, pairs = [0], [0]
+    for v in labels:  # each mask of the labels so far, then with v added
+        low = v * (v - 1) // 2  # the bit of the pair (0, v)
+        pairs += [p | s << low for p, s in zip(pairs, span)]
+        span += [s | 1 << v for s in span]
+    return tuple(span), tuple(pairs)
 
 
 @lru_cache(maxsize=16)
@@ -642,38 +663,56 @@ def is_flat(h: Graph, g: Graph) -> bool:
 
 
 def _flats(g: Graph) -> list:
-    """(edge bits, blocks) of each flat of g; the blocks are its components.
+    """(edge bits, blocks, quotient) of each flat of g.
 
     A flat is the disjoint union of the restrictions of g to the blocks of
     a set partition whose blocks each induce a connected subgraph, so the
-    sweep runs over the Bell(n) set partitions of the vertices, not over
-    every graph on them (Benedetti and Sagan, 2017)."""
-    check_set_partition_budget(len(g.labels), DEFAULT_BUDGET)
-    inside: dict = {}  # block -> edge bits of g inside it, None if disconnected
-
-    def edges_inside(block):
-        if block not in inside:
-            bits = g.bits & _pairs_in(block)
-            connected = len(_components(block, _edge_masks(bits))) == 1
-            inside[block] = bits if connected else None
-        return inside[block]
-
+    sweep runs over the Bell(n) set partitions of the positions of g's
+    sorted labels (`_partitions`), not over every graph on them (Benedetti
+    and Sagan, 2017).  The blocks are the flat's components as label
+    masks, by lowest label.  The quotient g/flat is the int of the graph
+    on 0..k-1 whose label i is block i, with i-j an edge where g joins
+    blocks i and j."""
+    labels = tuple(sorted(g.labels))
+    n = len(labels)
+    check_set_partition_budget(n, DEFAULT_BUDGET)
+    span, pairs = _by_position(labels)
+    position = {v: 1 << i for i, v in enumerate(labels)}
+    adjacent = dict.fromkeys(labels, 0)
+    for k in _bits(g.bits):
+        a, b = _pair_of(k)
+        adjacent[a] |= position[b]
+        adjacent[b] |= position[a]
+    near = _or_of_every_subset(adjacent.values())  # positions next to each mask
+    inside = [g.bits & p for p in pairs]  # edges in each mask, None if disconnected
+    for m in range(1, 1 << n):
+        reach = m & -m
+        while (grown := reach | near[reach] & m) != reach:
+            reach = grown
+        if reach != m:
+            inside[m] = None
     out = []
-    for part in set_partitions(g.labels):
+    for blocks in _partitions(n):
         bits = 0
-        for block in part.blocks:
-            edges = edges_inside(block)
+        for b in blocks:
+            edges = inside[b]
             if edges is None:
                 break
             bits |= edges
         else:
-            out.append((bits, part.blocks))
+            quotient = 0
+            for j, b in enumerate(blocks):
+                low = j * (j - 1) // 2  # the bit of the pair (0, j)
+                for i in range(j):
+                    if near[blocks[i]] & b:
+                        quotient |= 1 << low + i
+            out.append((bits, tuple(map(span.__getitem__, blocks)), quotient))
     return out
 
 
 def graph_flats(g: Graph) -> tuple:
     """All flats of g, sorted by encoding (see `_flats`)."""
-    return tuple(sorted((_of(Graph, g.labels, bits) for bits, _ in _flats(g)),
+    return tuple(sorted((_of(Graph, g.labels, bits) for bits, _, _ in _flats(g)),
                         key=Graph.encode))
 
 
@@ -728,56 +767,52 @@ def _is_acyclic(succ: dict) -> bool:
     return True
 
 
-def _canonical(g: Graph) -> Graph:
-    """g relabelled to 0..k-1, keeping the order of its labels."""
+def _canonical(g: Graph) -> tuple:
+    """(k, bits): g relabelled to 0..k-1, keeping the order of its labels."""
     mapping = {v: i for i, v in enumerate(sorted(g.labels))}
-    return _of(Graph, frozenset(mapping.values()), _image_pairs(mapping, g.bits))
-
-
-# One entry per graph on 0..k-1: a closed-form benchmark pass fills 235, K8 92.
-@lru_cache(maxsize=4096)
-def _chromatic_by_encoding(encoding: str) -> IntPolynomial:
-    return _chromatic(parse_graph(encoding))
+    return len(mapping), _image_pairs(mapping, g.bits)
 
 
 def chromatic_polynomial(g: Graph) -> IntPolynomial:
     """Proper-coloring counting polynomial via deletion-contraction."""
-    return _chromatic_by_encoding(_canonical(g).encode())
+    return _chromatic(*_canonical(g))
 
 
-def _chromatic(g: Graph) -> IntPolynomial:
-    if not g.bits:
-        return IntPolynomial({len(g.labels): 1})
-    a, b = min(map(_pair_of, _bits(g.bits)))
-    rest = g.bits & ~(1 << _pair(a, b))
-    deleted = _of(Graph, g.labels, rest)
-    merge = {v: a if v == b else v for v in g.labels}
-    contracted = _of(Graph, g.labels - {b}, _image_pairs(merge, rest))
-    return chromatic_polynomial(deleted) - chromatic_polynomial(contracted)
+# One entry per graph on 0..k-1: a closed-form benchmark pass fills 235, K8 92.
+@lru_cache(maxsize=4096)
+def _chromatic(k: int, bits: int) -> IntPolynomial:
+    """The chromatic polynomial of the graph on 0..k-1 with int `bits`."""
+    if not bits:
+        return IntPolynomial({k: 1})
+    a, b = min(map(_pair_of, _bits(bits)))
+    rest = bits & ~(1 << _pair(a, b))
+    # contract b into a; the labels above b move down one, onto 0..k-2
+    merge = [*range(b), a, *range(b, k - 1)]
+    return _chromatic(k, rest) - _chromatic(k - 1, _image_pairs(merge, rest))
 
 
 def acyclic_orientation_count(g: Graph) -> int:
     """Number of acyclic orientations; brute-force for small edge sets,
     chromatic-polynomial evaluation at -1 otherwise, with a runtime
     agreement check where both routes are cheap."""
-    return _orientations_by_encoding(_canonical(g).encode())
+    return _orientations(*_canonical(g))
 
 
 # One entry per graph on 0..k-1: a closed-form benchmark pass fills 131.
 @lru_cache(maxsize=4096)
-def _orientations_by_encoding(encoding: str) -> int:
-    g = parse_graph(encoding)
-    edges = g.bits.bit_count()
+def _orientations(k: int, bits: int) -> int:
+    """The acyclic orientations of the graph on 0..k-1 with int `bits`."""
+    edges = bits.bit_count()
+    if edges > 20:
+        return abs(_chromatic(k, bits).evaluate(-1))
+    g = _of(Graph, frozenset(range(k)), bits)
+    brute = acyclic_orientations_brute(g)
     if edges <= 12:
-        brute = acyclic_orientations_brute(g)
-        via_chromatic = abs(chromatic_polynomial(g).evaluate(-1))
+        via_chromatic = abs(_chromatic(k, bits).evaluate(-1))
         if brute != via_chromatic:
             raise ArithmeticError(
                 f"orientation count mismatch on {g.encode()}: {brute} vs {via_chromatic}")
-        return brute
-    if edges <= 20:
-        return acyclic_orientations_brute(g)
-    return abs(chromatic_polynomial(g).evaluate(-1))
+    return brute
 
 
 # ---------------------------------------------------------------------------
@@ -798,12 +833,13 @@ def sc_gamma_of_flat(c: SimplicialComplex, f: Graph) -> SimplicialComplex:
     skel = sc_one_skeleton(c)
     if not is_flat(f, skel):
         raise NotAFlat(f"{f.encode()} is not a flat of the 1-skeleton")
-    return _gamma(c, graph_components(f))
+    return _gamma(c, map(_mask, graph_components(f)))
 
 
 def _gamma(c: SimplicialComplex, blocks) -> SimplicialComplex:
-    """The faces of c inside one of the blocks, and the empty face."""
-    inside = reduce(or_, map(_subsets_in, blocks), 1)  # bit 0: the empty face
+    """The faces of c inside one of the blocks (label masks), and the
+    empty face."""
+    inside = reduce(or_, (_subsets_in(frozenset(_members(b))) for b in blocks), 1)
     return _of(SimplicialComplex, c.labels, c.bits & inside)
 
 
@@ -814,10 +850,11 @@ def _gamma(c: SimplicialComplex, blocks) -> SimplicialComplex:
 def _flat_terms(g: Graph):
     """(bits, blocks, coefficient) for each flat of g in the closed form:
     (-1)^(|I| - rank) * acyc(g/flat).  The flat's components are its
-    blocks, so rank = |I| - #blocks and g/flat merges each block."""
-    for bits, blocks in _flats(g):
-        orientations = acyclic_orientation_count(_quotient(g, blocks))
-        yield bits, blocks, (-1) ** len(blocks) * orientations
+    blocks, so rank = |I| - #blocks, and g/flat comes canonical from the
+    sweep."""
+    for bits, blocks, quotient in _flats(g):
+        k = len(blocks)
+        yield bits, blocks, (-1) ** k * _orientations(k, quotient)
 
 
 def closed_form_antipode_graphs(g: Graph) -> FreeVector:
@@ -828,9 +865,11 @@ def closed_form_antipode_graphs(g: Graph) -> FreeVector:
 
 def _refinements(p: SetPartition):
     """All partitions refining p, with the per-block refinement shape."""
-    per_block = [[(sum(map(_pairs_in, usp.blocks)), len(usp))
-                  for usp in set_partitions(frozenset(_members(m)))]
-                 for m in p.block_masks()]
+    per_block = []
+    for m in p.block_masks():
+        pairs = _by_position(_members(m))[1]
+        per_block.append([(sum(map(pairs.__getitem__, blocks)), len(blocks))
+                          for blocks in _partitions(m.bit_count())])
     for choice in product(*per_block):
         bits = 0
         for same, _ in choice:

@@ -164,8 +164,11 @@ def rota_transfer_check(p: FinitePoset, q: FinitePoset, f, g, x, b):
     return left == right, left, right
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
+def _as_fraction(value) -> int | Fraction:
+    """An exact coefficient: an int or a Fraction as it is, a bool or a str
+    as a Fraction.  Ints stay ints until a Fraction joins them, and print
+    alike: str(2) == str(Fraction(2))."""
+    if type(value) is int or isinstance(value, Fraction):
         return value
     if isinstance(value, (int, str)):
         return Fraction(value)

@@ -127,6 +127,24 @@ def set_partitions(labels: frozenset) -> tuple[UnorderedSetPartition, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=16)
+def _partitions(n: int) -> tuple:
+    """The set partitions of the positions 0..n-1, each a tuple of block
+    bitmasks ordered by lowest bit; the one-block partition comes first."""
+    def of(m: int) -> list:
+        if not m:
+            return [()]
+        low = m & -m
+        rest = extra = m ^ low
+        out = []
+        while True:
+            out.extend((low | extra,) + tail for tail in of(rest ^ extra))
+            if not extra:
+                return out
+            extra = (extra - 1) & rest
+    return tuple(of((1 << n) - 1))
+
+
 def _count_upward(n: int, step, cap: int | None) -> int:
     """Run a counting recurrence a(0) = 1, a(m) = step(a, m) upward to m = n.
 

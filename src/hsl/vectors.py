@@ -70,10 +70,8 @@ class FreeVector(_Combination):
         return f"{self.family_tag}:" + ",".join(map(str, sorted(self.labels)))
 
     def to_json_dict(self) -> dict:
-        return {
-            "ambient": self.ambient_string(),
-            "terms": {x.encode(): str(c) for x, c in self.items()},
-        }
+        terms = {x.encode(): str(c) for x, c in self.terms.items()}
+        return {"ambient": self.ambient_string(), "terms": dict(sorted(terms.items()))}
 
 
 class TensorVector(_Combination):

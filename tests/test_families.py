@@ -1,3 +1,4 @@
+from functools import cache
 from itertools import combinations, islice, permutations
 
 import pytest
@@ -19,7 +20,7 @@ from hsl.families import (FAMILIES, GRAPHS, HYPERGRAPHS, PARTITIONS,
                           sc_gamma_of_flat, sc_one_skeleton)
 from hsl import families
 from hsl.posets import IntPolynomial
-from hsl.species import subsets
+from hsl.species import set_partitions, subsets
 from hsl.vectors import FreeVector
 
 
@@ -386,7 +387,7 @@ def test_acyclic_orientation_examples():
 
 def test_orientation_cache_is_bounded_and_shared_by_relabellings():
     import hsl.families as fm
-    cache = fm._orientations_by_encoding
+    cache = fm._orientations
     bound = cache.cache_info().maxsize
     assert bound is not None
     cache.cache_clear()
@@ -416,6 +417,132 @@ def test_orientation_count_cross_check_small():
         for g in GRAPHS.enumerate(frozenset(range(n))):
             assert (acyclic_orientations_brute(g)
                     == abs(chromatic_polynomial(g).evaluate(-1)))
+
+
+# ---------------------------------------------------------------------------
+# the int kernel of the family formulas against the routes it replaced
+#
+# The literal routes stay here as oracles: flats from the frozenset sweep of
+# set_partitions, and each quotient contracted, relabelled to 0..k-1 and
+# encoded, with its orientations and chromatic polynomial cached by that
+# encoding in a dict the caller passes.
+
+
+@cache
+def _pinned_graphs():
+    """Every graph on up to 5 labels, every 331st graph on 6 in enumeration
+    order, and every 5th graph on the labels 1, 4, 6, 9."""
+    return ([g for n in range(6) for g in GRAPHS.enumerate(frozenset(range(n)))]
+            + list(islice(GRAPHS.enumerate(frozenset(range(6))), 0, None, 331))
+            + list(islice(GRAPHS.enumerate(frozenset({1, 4, 6, 9})), 0, None, 5)))
+
+
+def _pinned_complexes():
+    """Every complex on up to 4 labels, and every complex on 1, 4, 6."""
+    return [c for labels in [range(n) for n in range(5)] + [{1, 4, 6}]
+            for c in SIMPLICIAL.enumerate(frozenset(labels))]
+
+
+def _flats_literal(g):
+    """{flat: its components} of g, from the frozenset set-partition sweep."""
+    out = {}
+    for part in set_partitions(g.labels):
+        edges = set()
+        for block in part.blocks:
+            inside = g.restrict(block)
+            if len(graph_components(inside)) != 1:
+                break
+            edges |= inside.edges
+        else:
+            out[Graph(g.labels, edges)] = frozenset(part.blocks)
+    return out
+
+
+def _canonical_encoding(g):
+    """g relabelled to 0..k-1, keeping the order of its labels, encoded."""
+    rank = {v: i for i, v in enumerate(sorted(g.labels))}
+    return Graph(rank.values(), [map(rank.get, e) for e in g.edges]).encode()
+
+
+def _chromatic_literal(encoding, seen):
+    """Deletion-contraction on the lex-least edge, cached by encoding."""
+    if encoding not in seen:
+        g = parse_structure(encoding)
+        if not g.edges:
+            seen[encoding] = IntPolynomial({len(g.labels): 1})
+        else:
+            a, b = min(tuple(sorted(e)) for e in g.edges)
+            rest = g.edges - {frozenset({a, b})}
+            merged = {frozenset(a if v == b else v for v in e) for e in rest}
+            deleted = Graph(g.labels, rest)
+            contracted = Graph(g.labels - {b}, [e for e in merged if len(e) == 2])
+            seen[encoding] = (_chromatic_literal(_canonical_encoding(deleted), seen)
+                              - _chromatic_literal(_canonical_encoding(contracted), seen))
+    return seen[encoding]
+
+
+def _orientations_literal(encoding, seen, chromatic):
+    """Brute-force orientations (the pinned graphs have at most 15 edges),
+    checked against |chi(-1)| up to 12 edges."""
+    if encoding not in seen:
+        g = parse_structure(encoding)
+        seen[encoding] = brute = acyclic_orientations_brute(g)
+        if len(g.edges) <= 12:
+            assert brute == abs(_chromatic_literal(encoding, chromatic).evaluate(-1))
+    return seen[encoding]
+
+
+def _flat_terms_literal(g, orientations, chromatic):
+    """{flat: (its components, its closed-form coefficient)}."""
+    return {h: (blocks, (-1) ** len(blocks) * _orientations_literal(
+                _canonical_encoding(contract(g, h)), orientations, chromatic))
+            for h, blocks in _flats_literal(g).items()}
+
+
+def _as_label_sets(blocks):
+    return frozenset(frozenset(families._members(b)) for b in blocks)
+
+
+def test_flats_and_quotients_match_the_frozenset_sweep():
+    for g in _pinned_graphs():
+        got = {families._of(Graph, g.labels, bits):
+               (_as_label_sets(blocks),
+                families._of(Graph, frozenset(range(len(blocks))), quotient).encode())
+               for bits, blocks, quotient in families._flats(g)}
+        want = {h: (blocks, _canonical_encoding(contract(g, h)))
+                for h, blocks in _flats_literal(g).items()}
+        assert got == want, g.encode()
+
+
+def test_flat_terms_and_family_formulas_match_the_encoding_route():
+    orientations, chromatic = {}, {}
+    for g in _pinned_graphs():
+        terms = _flat_terms_literal(g, orientations, chromatic)
+        got = {families._of(Graph, g.labels, bits): (_as_label_sets(blocks), c)
+               for bits, blocks, c in families._flat_terms(g)}
+        assert got == terms, g.encode()
+        assert closed_form_antipode_graphs(g) == FreeVector(
+            "graphs", g.labels, [(h, c) for h, (_, c) in terms.items()]), g.encode()
+    for c in _pinned_complexes():
+        terms = _flat_terms_literal(sc_one_skeleton(c), orientations, chromatic)
+        assert closed_form_antipode_sc(c) == FreeVector(
+            "simplicial", c.labels,
+            [(sc_gamma_of_flat(c, h), k) for h, (_, k) in terms.items()]), c.encode()
+
+
+def test_counts_and_cache_entries_match_the_encoding_caches():
+    # the int caches hold one entry per canonical graph, as the encoding
+    # caches did: a contraction that left its labels unshifted would key
+    # one graph under several ints
+    for g in _pinned_graphs():
+        families._orientations.cache_clear()
+        families._chromatic.cache_clear()
+        orientations, chromatic = {}, {}
+        encoding = _canonical_encoding(g)
+        assert acyclic_orientation_count(g) == _orientations_literal(
+            encoding, orientations, chromatic), g.encode()
+        assert chromatic_polynomial(g) == _chromatic_literal(encoding, chromatic)
+        assert families._chromatic.cache_info().currsize == len(chromatic), g.encode()
 
 
 def test_graph_rank():
