@@ -9,10 +9,8 @@ from .errors import (AdjunctionUnverified, AmbientMismatch, CarrierOverflow,
 from .posets import (FinitePoset, IntPolynomial, check_galois,
                      graded_char_eval, graded_char_poly, interval, mobius,
                      rota_transfer_check)
-from .species import (Family, OrderedSetPartition, UnorderedSetPartition,
-                      bell, compositions, compose_comult, compose_mult,
-                      fubini, set_partitions, verify_axioms,
-                      verify_delta_after_mult_identity)
+from .species import (Family, bell, compose_comult, compose_mult, fubini,
+                      verify_axioms, verify_delta_after_mult_identity)
 from .vectors import (FreeVector, TensorVector, delta_on_inverted_check,
                       duality_pairing_check, inverted_basis,
                       product_of_inverted_check, tensor, zeta_pairing)

@@ -15,17 +15,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, partial, reduce
+from itertools import permutations
 from math import factorial
-from operator import and_, or_
+from operator import or_
 
 from .errors import (DEFAULT_BUDGET, EngineError, LabelMismatch,
                      NonUniqueFactorization, NotSelfAdjoint)
-from .families import restriction_bits
-from .posets import FinitePoset, GaloisReport, _bits, check_galois
-from .species import (Family, UnorderedSetPartition, _Memo, _partitions,
-                      check_set_partition_budget, check_subset_budget,
-                      compositions, compose_mult, reassemble, set_partitions,
-                      subsets)
+from .families import _by_position, restriction_bits
+from .posets import (FinitePoset, GaloisReport, _bits, _containment_upsets,
+                     check_galois)
+from .species import (Family, _Memo, _partitions, check_set_partition_budget,
+                      check_subset_budget, compose_mult, reassemble, subsets)
 from .vectors import FreeVector, inverted_basis
 
 
@@ -33,13 +33,21 @@ from .vectors import FreeVector, inverted_basis
 # reassembly order
 
 
+def _label_partitions(labels) -> list:
+    """The set partitions of `_partitions` on `labels`, each block mask
+    mapped to its set of labels."""
+    subs = subsets(labels)  # subs[m]: the labels at the set bits of m
+    return [tuple(map(subs.__getitem__, blocks))
+            for blocks in _partitions(len(labels))]
+
+
 def reassembly_upset(fam: Family, x, budget: int = DEFAULT_BUDGET) -> tuple:
     """All images of x under split-then-merge along a set partition,
     deduplicated; always contains x via the trivial partition."""
     check_set_partition_budget(len(x.labels), budget)
     seen = {}
-    for part in set_partitions(x.labels):
-        y = reassemble(fam, part.blocks, x)
+    for blocks in _label_partitions(x.labels):
+        y = reassemble(fam, blocks, x)
         seen.setdefault(y.encode(), y)
     return tuple(seen[k] for k in sorted(seen))
 
@@ -156,8 +164,8 @@ def declared_adjunctions(fam: Family, budget: int = DEFAULT_BUDGET) -> list[Adju
 
 @dataclass(frozen=True)
 class Factorization:
-    partition: UnorderedSetPartition
-    factors: tuple  # aligned with partition.blocks
+    blocks: tuple  # the factors' label sets, by minimum
+    factors: tuple  # aligned with blocks
 
     def __len__(self):
         return len(self.factors)
@@ -205,12 +213,11 @@ def factorize(fam: Family, x) -> Factorization:
         raise NonUniqueFactorization(
             f"sweeps disagree on {x.encode()}: "
             f"{sorted(map(key, forward))} vs {sorted(map(key, backward))}")
-    ordered = sorted(forward, key=lambda s: min(s.labels))
-    partition = UnorderedSetPartition([s.labels for s in ordered])
-    recomposed = compose_mult(fam, partition.blocks, tuple(ordered))
-    if recomposed != x:
+    ordered = tuple(sorted(forward, key=lambda s: min(s.labels)))
+    blocks = tuple(s.labels for s in ordered)
+    if compose_mult(fam, blocks, ordered) != x:
         raise NonUniqueFactorization(f"factors of {x.encode()} do not recompose")
-    return Factorization(partition, tuple(ordered))
+    return Factorization(blocks, ordered)
 
 
 @lru_cache(maxsize=1 << 14)
@@ -359,12 +366,15 @@ def _images(fam: Family, table: tuple, parts) -> tuple:
 
 
 def _ordered_sum(fam: Family, x) -> dict:
-    """Takeuchi's sum over the ordered set partitions of x's labels: the
-    route for structures whose restrictions fail `_restrictions`."""
+    """Takeuchi's sum over the ordered set partitions of x's labels, each
+    a set partition with an order of its blocks: the route for structures
+    whose restrictions fail `_restrictions`."""
     acc: dict = {}
-    for comp in compositions(x.labels):
-        y = reassemble(fam, comp.blocks, x)
-        acc[y] = acc.get(y, 0) + (-1) ** len(comp)
+    for blocks in _label_partitions(x.labels):
+        sign = (-1) ** len(blocks)
+        for order in permutations(blocks):
+            y = reassemble(fam, order, x)
+            acc[y] = acc.get(y, 0) + sign
     return acc
 
 
@@ -434,22 +444,11 @@ def _partition_lattice(n: int) -> tuple:
     """For each partition in `_partitions(n)`, the indices of the
     partitions that refine it, itself included, in ascending order.
 
-    rho refines pi iff rho separates every pair that pi separates.  As in
-    `_native_poset`, each pair gets the bitset of the partitions that
-    separate it, and the refinements of pi are the `&` of those bitsets
-    over the pairs pi separates."""
-    # bit i*n + j for each pair i < j of the set bits of m
-    pairs = lambda m: sum((m >> i + 1) << (i * n + i + 1) for i in _bits(m))
-    parts = _partitions(n)
-    keys = [pairs((1 << n) - 1) & ~sum(map(pairs, blocks)) for blocks in parts]
-    has: dict = {}
-    for j, key in enumerate(keys):
-        for e in _bits(key):
-            has[e] = has.get(e, 0) | 1 << j
-    everything = (1 << len(parts)) - 1
-    return tuple(tuple(_bits(reduce(and_, map(has.__getitem__, _bits(key)),
-                                    everything)))
-                 for key in keys)
+    rho refines pi iff rho separates every pair that pi separates: the
+    containment order of the separated pairs' bits (`_by_position`)."""
+    pairs = _by_position(tuple(range(n)))[1]
+    keys = [pairs[-1] ^ sum(map(pairs.__getitem__, blocks)) for blocks in _partitions(n)]
+    return tuple(tuple(_bits(up)) for up in _containment_upsets(keys))
 
 
 def _reassembly_images(fam: Family, x, table: tuple) -> tuple:

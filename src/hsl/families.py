@@ -41,9 +41,8 @@ from operator import or_
 from .errors import (DEFAULT_BUDGET, CarrierOverflow, LabelMismatch, NotAFlat,
                      ParseError)
 from .posets import IntPolynomial, _bits
-from .species import (Family, UnorderedSetPartition, _partitions, bell,
-                      check_label_set, check_set_partition_budget,
-                      set_partitions, subsets)
+from .species import (Family, _partitions, bell, check_label_set,
+                      check_set_partition_budget, subsets)
 from .vectors import FreeVector
 
 
@@ -323,10 +322,17 @@ class SetPartition(_Structure):
 
     @staticmethod
     def _validated(labels, blocks) -> int:
-        usp = UnorderedSetPartition(blocks)
-        if usp.ambient != labels:
+        blocks = [frozenset(b) for b in blocks]
+        seen: set = set()
+        for b in blocks:
+            if not b:
+                raise LabelMismatch("empty block in set partition")
+            if b & seen:
+                raise LabelMismatch("overlapping blocks in set partition")
+            seen |= b
+        if seen != labels:
             raise LabelMismatch("blocks do not cover the label set")
-        return sum(map(_pairs_in, usp.blocks))  # the blocks are disjoint
+        return sum(map(_pairs_in, blocks))  # the blocks are disjoint
 
     def block_masks(self) -> list:
         """The label bitmasks of the blocks, by minimum.  The bits from
@@ -577,8 +583,11 @@ def _sc_enumerate(labels, budget):
 
 
 def _partition_enumerate(labels, budget):
-    return tuple(_of(SetPartition, labels, sum(map(_pairs_in, usp.blocks)))
-                 for usp in set_partitions(frozenset(labels)))
+    """The set partitions of `_partitions` in reverse, the singletons first."""
+    order = tuple(sorted(labels))
+    pairs = _by_position(order)[1]
+    return tuple(_of(SetPartition, labels, sum(map(pairs.__getitem__, blocks)))
+                 for blocks in reversed(_partitions(len(order))))
 
 
 def _relabelled(cls, image):

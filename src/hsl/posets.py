@@ -18,7 +18,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import index
+from functools import reduce
+from operator import and_, index
 
 from .errors import AmbientMismatch, NotComparable
 
@@ -29,6 +30,19 @@ def _bits(m: int):
         low = m & -m
         yield low.bit_length() - 1
         m ^= low
+
+
+def _containment_upsets(keys) -> list:
+    """The up-sets, as bitsets over positions, of the order x <= y iff
+    keys[x] has no bit outside keys[y].  Each bit e of a key gets the
+    bitset has[e] of the positions whose key holds it; the up-set of x is
+    the `&` of has[e] over the bits e of keys[x]."""
+    has: dict = {}
+    for i, key in enumerate(keys):
+        for e in _bits(key):
+            has[e] = has.get(e, 0) | 1 << i
+    everything = (1 << len(keys)) - 1
+    return [reduce(and_, map(has.__getitem__, _bits(key)), everything) for key in keys]
 
 
 class FinitePoset:

@@ -1,24 +1,27 @@
-"""Structure families with relabeling, set-partition machinery, and
-exhaustive monoid/comonoid/Hopf axiom checkers.
+"""Structure families with relabeling, set-partition enumeration and
+counts, and exhaustive monoid/comonoid/Hopf axiom checkers.
 
-Label sets are finite sets of small nonnegative integers.  Ordered set
-partitions enumerate deterministically (first block sweeps nonempty
-subsets in bitmask order over the sorted labels), so reports and sums
-are reproducible run to run.
+Label sets are finite sets of small nonnegative integers, and subsets
+sweep in bitmask order over the sorted labels.  A set partition of n
+labels is a tuple of block bitmasks over their positions (`_partitions`),
+the one enumeration of set partitions in the engine; an ordered set
+partition is one of them with an order of its blocks.  Sweeps are in a
+fixed order, so reports and sums are reproducible run to run, and
+`bell`/`fubini` count them, so budgets are checked before anything is
+enumerated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import permutations
 from math import comb, factorial
-from operator import and_
 from typing import Callable
 
 from .errors import (DEFAULT_BUDGET, CarrierOverflow, EngineError,
                      LabelMismatch, LabelOverlap)
-from .posets import FinitePoset, _bits
+from .posets import FinitePoset, _containment_upsets
 
 
 def check_label_set(labels) -> frozenset[int]:
@@ -34,97 +37,6 @@ def subsets(labels) -> tuple[frozenset[int], ...]:
     elems = sorted(labels)
     return tuple(frozenset(v for i, v in enumerate(elems) if mask >> i & 1)
                  for mask in range(2 ** len(elems)))
-
-
-class OrderedSetPartition:
-    """Sequence of pairwise-disjoint nonempty blocks covering a label set."""
-
-    __slots__ = ("blocks",)
-    _name, _short = "ordered set partition", "OSP"
-
-    def __init__(self, blocks):
-        blocks = tuple(frozenset(b) for b in blocks)
-        seen: set[int] = set()
-        for b in blocks:
-            if not b:
-                raise LabelMismatch(f"empty block in {self._name}")
-            if b & seen:
-                raise LabelMismatch(f"overlapping blocks in {self._name}")
-            seen |= b
-        self.blocks = self._ordered(blocks)
-
-    _ordered = staticmethod(tuple)
-
-    @property
-    def ambient(self) -> frozenset[int]:
-        out: frozenset[int] = frozenset()
-        for b in self.blocks:
-            out |= b
-        return out
-
-    def __iter__(self):
-        return iter(self.blocks)
-
-    def __len__(self):
-        return len(self.blocks)
-
-    def __getitem__(self, i):
-        return self.blocks[i]
-
-    def __eq__(self, other):
-        return type(other) is type(self) and self.blocks == other.blocks
-
-    def __hash__(self):
-        return hash(self.blocks)
-
-    def __repr__(self):
-        return self._short + "(" + "|".join("".join(map(str, sorted(b)))
-                                            for b in self.blocks) + ")"
-
-
-class UnorderedSetPartition(OrderedSetPartition):
-    """Blocks in canonical order (sorted by minimum element)."""
-
-    __slots__ = ()
-    _name, _short = "set partition", "USP"
-
-    @staticmethod
-    def _ordered(blocks):
-        return tuple(sorted(blocks, key=min))
-
-
-@lru_cache(maxsize=256)
-def compositions(labels: frozenset) -> tuple[OrderedSetPartition, ...]:
-    """All ordered set partitions of `labels` into nonempty blocks.  One
-    call caches all 2^n subsets of its n labels: 128 at 7 labels, the
-    most the default budget lets the ordered sum take."""
-    labels = frozenset(labels)
-    if not labels:
-        return (OrderedSetPartition(()),)
-    out = []
-    for first in subsets(labels):
-        if not first:
-            continue
-        for tail in compositions(labels - first):
-            out.append(OrderedSetPartition((first,) + tail.blocks))
-    return tuple(out)
-
-
-@lru_cache(maxsize=256)
-def set_partitions(labels: frozenset) -> tuple[UnorderedSetPartition, ...]:
-    """All unordered set partitions of `labels`.  The cache bound is far
-    above the label sets one CLI command or benchmark pass uses."""
-    labels = frozenset(labels)
-    if not labels:
-        return (UnorderedSetPartition(()),)
-    pivot = min(labels)
-    rest = labels - {pivot}
-    out = []
-    for extra in subsets(rest):
-        block = frozenset({pivot}) | extra
-        for tail in set_partitions(rest - extra):
-            out.append(UnorderedSetPartition((block,) + tail.blocks))
-    return tuple(out)
 
 
 @lru_cache(maxsize=16)
@@ -260,21 +172,11 @@ def _native_poset(fam: Family, labels: frozenset, budget: int,
                   reverse: bool) -> FinitePoset:
     """One compiled native order per (family, labels, budget) and its
     opposite.  The bound is far above the orders one CLI command builds
-    (two per subset of its labels).
-
-    Each bit e of a key gets the bitset has[e] of the elements whose key
-    holds it; the up-set of x is the `&` of has[e] over the bits e of x's
-    key."""
+    (two per subset of its labels)."""
     if reverse:
         return _native_poset(fam, labels, budget, False).reverse()
     elems = sorted(fam.enumerate(labels, budget), key=lambda x: x.encode())
-    keys = [fam.order_key(x) for x in elems]
-    has: dict = {}
-    for i, key in enumerate(keys):
-        for e in _bits(key):
-            has[e] = has.get(e, 0) | 1 << i
-    everything = (1 << len(elems)) - 1
-    up = [reduce(and_, map(has.__getitem__, _bits(key)), everything) for key in keys]
+    up = _containment_upsets([fam.order_key(x) for x in elems])
     return FinitePoset(elems, up, fam.tag)
 
 

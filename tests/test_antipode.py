@@ -13,8 +13,9 @@ from hsl.errors import CarrierOverflow, EngineError, NotSelfAdjoint
 from hsl.families import (FAMILIES, GRAPHS, HYPERGRAPHS, PARTITIONS,
                           SIMPLICIAL, Graph, is_connected, parse_structure)
 from hsl.posets import graded_char_eval
-from hsl.species import reassemble, set_partitions, subsets
+from hsl.species import reassemble, subsets
 from hsl.vectors import FreeVector, comult_vector, inverted_basis
+from partition_oracle import compositions, set_partitions
 
 G = parse_structure
 
@@ -103,7 +104,7 @@ def test_factorize_examples():
     assert factorize(GRAPHS, k3).length == 1
     split = factorize(GRAPHS, G("G:n=3;E=0-1"))
     assert sorted(f.encode() for f in split.factors) == ["G:n=1;E=", "G:n=2;E=0-1"]
-    assert split.partition.blocks == (frozenset({0, 1}), frozenset({2}))
+    assert split.blocks == (frozenset({0, 1}), frozenset({2}))
     edgeless = G("G:n=4;E=")
     assert factorize(GRAPHS, edgeless).length == 4
     assert factorize(GRAPHS, GRAPHS.unit).length == 0
@@ -140,7 +141,7 @@ def _unordered_sum(fam, x):
     acc = {}
     for part in set_partitions(x.labels):
         k = len(part)
-        y = reassemble(fam, part.blocks, x)
+        y = reassemble(fam, part, x)
         acc[y] = acc.get(y, 0) + (-1) ** k * factorial(k)
     return FreeVector(fam.tag, x.labels, acc)
 
@@ -178,6 +179,28 @@ def test_takeuchi_falls_back_to_ordered_sum_when_block_order_matters():
     # the collapse would be wrong here: the two block orders of 0|1
     # reassemble to different graphs
     assert _unordered_sum(mutant, k2) != ordered
+
+
+def _composition_sum(fam, x):
+    """Takeuchi's sum over the oracle's ordered set partitions, in its
+    sweep order: the route `_ordered_sum` replaced by block orders."""
+    acc = {}
+    for comp in compositions(x.labels):
+        y = reassemble(fam, comp, x)
+        acc[y] = acc.get(y, 0) + (-1) ** len(comp)
+    return FreeVector(fam.tag, x.labels, acc)
+
+
+def test_ordered_sum_by_block_orders_matches_the_composition_route():
+    mutant = _skewed_graphs()
+    cases = [(mutant, n) for n in range(5)]
+    cases += [(fam, n) for fam in FAMILIES.values() for n in range(4)]
+    failing = 0
+    for fam, n in cases:
+        for x in fam.enumerate(frozenset(range(n))):
+            failing += ap._restrictions(fam, x) is None
+            assert _ordered(fam, x) == _composition_sum(fam, x), (fam.tag, x.encode())
+    assert failing > 0  # the mutant's gate fails, so the ordered sum is its route
 
 
 def test_takeuchi_budget_counts_set_partitions_where_the_gate_holds(monkeypatch):

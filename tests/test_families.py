@@ -20,8 +20,9 @@ from hsl.families import (FAMILIES, GRAPHS, HYPERGRAPHS, PARTITIONS,
                           sc_gamma_of_flat, sc_one_skeleton)
 from hsl import families
 from hsl.posets import IntPolynomial
-from hsl.species import set_partitions, subsets
+from hsl.species import subsets
 from hsl.vectors import FreeVector
+from partition_oracle import set_partitions
 
 
 def G(text):
@@ -448,13 +449,13 @@ def _flats_literal(g):
     out = {}
     for part in set_partitions(g.labels):
         edges = set()
-        for block in part.blocks:
+        for block in part:
             inside = g.restrict(block)
             if len(graph_components(inside)) != 1:
                 break
             edges |= inside.edges
         else:
-            out[Graph(g.labels, edges)] = frozenset(part.blocks)
+            out[Graph(g.labels, edges)] = frozenset(part)
     return out
 
 

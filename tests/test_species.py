@@ -1,5 +1,8 @@
 from dataclasses import replace
+from functools import reduce
 from itertools import permutations
+from math import factorial
+from operator import and_
 
 import pytest
 
@@ -8,49 +11,68 @@ from hsl.errors import DEFAULT_BUDGET, LabelMismatch
 from hsl.families import (FAMILIES, GRAPHS, HYPERGRAPHS, PARTITIONS,
                           SIMPLICIAL, Graph, SetPartition, _of, _split,
                           parse_structure)
-from hsl.species import (AxiomReport, AxiomResult, Family, OrderedSetPartition,
-                         UnorderedSetPartition, _bijections, _splits, bell,
-                         compositions, compose_comult, compose_mult, fubini,
-                         reassemble, set_partitions, verify_axioms,
+from hsl.antipode import _partition_lattice
+from hsl.families import _by_position
+from hsl.posets import _bits
+from hsl.species import (AxiomReport, AxiomResult, Family, _bijections,
+                         _partitions, _splits, bell, compose_comult,
+                         compose_mult, fubini, reassemble, verify_axioms,
                          verify_delta_after_mult_identity)
+from partition_oracle import compositions, set_partitions
 from test_antipode import _skewed_graphs
 
 
 def test_ordered_set_partition_validation():
-    OrderedSetPartition(({0, 1}, {2}))
-    with pytest.raises(LabelMismatch):
-        OrderedSetPartition(({0, 1}, {1, 2}))
-    with pytest.raises(LabelMismatch):
-        OrderedSetPartition(({0}, set()))
+    # SetPartition checks its blocks: empty, then overlapping, then cover
+    SetPartition({0, 1, 2}, ({0, 1}, {2}))
+    for blocks, message in ((({0, 1}, {1, 2}), "overlapping blocks in set partition"),
+                            (({0}, set(), {1, 2}), "empty block in set partition"),
+                            (({0, 1}, {1}, set()), "overlapping blocks in set partition"),
+                            (({0}, {1}), "blocks do not cover the label set"),
+                            (({0}, {1}, {2, 3}), "blocks do not cover the label set"),
+                            (({0, "1"}, {2}), "blocks do not cover the label set")):
+        with pytest.raises(LabelMismatch) as err:
+            SetPartition({0, 1, 2}, blocks)
+        assert str(err.value) == message, blocks
 
 
 def test_unordered_partition_canonical_order():
-    a = UnorderedSetPartition(({2}, {0, 1}))
-    b = UnorderedSetPartition(({0, 1}, {2}))
-    assert a == b
+    a = SetPartition({0, 1, 2}, ({2}, {0, 1}))
+    b = SetPartition({0, 1, 2}, ({0, 1}, {2}))
+    assert a == b and a.bits == b.bits and a.encode() == b.encode()
     assert [min(blk) for blk in a.blocks] == [0, 2]
 
 
 def test_composition_counts_match_fubini():
     for n in range(6):
         assert len(compositions(frozenset(range(n)))) == fubini(n)
+        assert sum(factorial(len(blocks)) for blocks in _partitions(n)) == fubini(n)
     assert [fubini(n) for n in range(6)] == [1, 1, 3, 13, 75, 541]
 
 
 def test_set_partition_counts_match_bell():
     for n in range(7):
         assert len(set_partitions(frozenset(range(n)))) == bell(n)
+        assert len(_partitions(n)) == len(PARTITIONS.enumerate(range(n))) == bell(n)
     assert [bell(n) for n in range(7)] == [1, 1, 2, 5, 15, 52, 203]
 
 
 def test_partition_caches_are_bounded():
-    for cache in (compositions, set_partitions):
-        bound = cache.cache_info().maxsize
-        assert bound is not None
+    # the per-size caches: a finite bound and one entry per label count
+    for cache in (_partitions, _partition_lattice):
+        assert cache.cache_info().maxsize is not None
         cache.cache_clear()
-        for i in range(bound + 1):
-            assert len(cache(frozenset({i}))) == 1
-        assert cache.cache_info().currsize == bound
+        for n in list(range(7)) * 2:
+            cache(n)
+        info = cache.cache_info()
+        assert info.currsize == 7 <= info.maxsize and info.hits >= 7
+    # the per-label-set cache evicts at its bound
+    bound = _by_position.cache_info().maxsize
+    assert bound is not None
+    _by_position.cache_clear()
+    for i in range(bound + 1):
+        assert _by_position((i,)) == ((0, 1 << i), (0, 0))
+    assert _by_position.cache_info().currsize == bound
 
 
 def test_capped_counts_stop_early_and_stay_exact_below_the_cap():
@@ -64,10 +86,41 @@ def test_capped_counts_stop_early_and_stay_exact_below_the_cap():
 
 
 def test_enumeration_is_deterministic():
-    a = [c.blocks for c in compositions(frozenset(range(4)))]
-    b = [c.blocks for c in compositions(frozenset(range(4)))]
-    assert a == b
-    assert compositions(frozenset()) == (OrderedSetPartition(()),)
+    a = _partitions(4)
+    _partitions.cache_clear()
+    assert _partitions(4) == a
+    assert _partitions(0) == ((),)
+    assert PARTITIONS.enumerate(range(4)) == PARTITIONS.enumerate(range(4))
+    assert PARTITIONS.enumerate(()) == (PARTITIONS.unit,)
+
+
+def _pair_key_lattice(n):
+    """The refinement lattice from separated-pair keys with the pair
+    i < j at bit i*n + j: the oracle for `_partition_lattice`."""
+    pairs = lambda m: sum((m >> i + 1) << (i * n + i + 1) for i in _bits(m))
+    parts = _partitions(n)
+    keys = [pairs((1 << n) - 1) & ~sum(map(pairs, blocks)) for blocks in parts]
+    has: dict = {}
+    for j, key in enumerate(keys):
+        for e in _bits(key):
+            has[e] = has.get(e, 0) | 1 << j
+    everything = (1 << len(parts)) - 1
+    return tuple(tuple(_bits(reduce(and_, map(has.__getitem__, _bits(key)),
+                                    everything)))
+                 for key in keys)
+
+
+def test_block_mask_partitions_match_the_frozenset_oracle():
+    # _partitions is the oracle's sweep reversed, so the carrier order and
+    # every first witness stay those of the frozenset enumeration
+    for n in range(8):
+        oracle = set_partitions(frozenset(range(n)))
+        as_sets = [tuple(frozenset(_bits(b)) for b in blocks) for blocks in _partitions(n)]
+        assert as_sets == list(reversed(oracle)), n
+        assert [p.blocks for p in PARTITIONS.enumerate(range(n))] == list(oracle), n
+        assert _partition_lattice(n) == _pair_key_lattice(n), n
+    wide = frozenset({2, 5, 9, 30})
+    assert [p.blocks for p in PARTITIONS.enumerate(wide)] == list(set_partitions(wide))
 
 
 def test_compose_mult_examples():
@@ -198,8 +251,8 @@ def test_reassemble_idempotent():
             labels = frozenset(range(n))
             for x in fam.enumerate(labels):
                 for part in set_partitions(labels):
-                    once = reassemble(fam, part.blocks, x)
-                    assert reassemble(fam, part.blocks, once) == once
+                    once = reassemble(fam, part, x)
+                    assert reassemble(fam, part, once) == once
 
 
 def test_comult_refinement_coassociativity():
@@ -210,14 +263,14 @@ def test_comult_refinement_coassociativity():
             carrier = fam.enumerate(labels)
             for coarse in compositions(labels):
                 for x in carrier:
-                    pieces = compose_comult(fam, coarse.blocks, x)
+                    pieces = compose_comult(fam, coarse, x)
                     # refine each block into singletons
-                    fine = tuple(frozenset({v}) for blk in coarse.blocks
+                    fine = tuple(frozenset({v}) for blk in coarse
                                  for v in sorted(blk))
                     direct = compose_comult(fam, fine, x)
                     blockwise = tuple(
                         piece
-                        for blk, part in zip(coarse.blocks, pieces)
+                        for blk, part in zip(coarse, pieces)
                         for piece in compose_comult(
                             fam, tuple(frozenset({v}) for v in sorted(blk)), part))
                     assert direct == blockwise
