@@ -1,6 +1,6 @@
-"""Reassembly order, unique factorization and its grading, the defining
-alternating-sum antipode, the characteristic-polynomial closed form, and
-primitive bases for verified adjunctions.
+"""Reassembly order and its grading from the restriction table, the
+defining alternating-sum antipode, the characteristic-polynomial closed
+form, and primitive bases for verified adjunctions.
 
 The closed form's normative coefficient of y in S(x) is
 
@@ -25,7 +25,7 @@ from .families import _by_position, restriction_bits
 from .posets import (FinitePoset, GaloisReport, _bits, _containment_upsets,
                      check_galois)
 from .species import (Family, _Memo, _partitions, check_set_partition_budget,
-                      check_subset_budget, compose_mult, reassemble, subsets)
+                      check_subset_budget, reassemble, subsets)
 from .vectors import FreeVector, inverted_basis
 
 
@@ -43,8 +43,14 @@ def _label_partitions(labels) -> list:
 
 def reassembly_upset(fam: Family, x, budget: int = DEFAULT_BUDGET) -> tuple:
     """All images of x under split-then-merge along a set partition,
-    deduplicated; always contains x via the trivial partition."""
+    deduplicated, in encoding order; always contains x via the trivial
+    partition.  They are read off the restriction table of x (`_images`),
+    and reassembled one partition at a time only where `_restrictions`
+    fails on x."""
     check_set_partition_budget(len(x.labels), budget)
+    table = _restrictions(fam, x)
+    if table is not None:
+        return tuple(_distinct_images(fam, table, _partitions(len(x.labels)))[2])
     seen = {}
     for blocks in _label_partitions(x.labels):
         y = reassemble(fam, blocks, x)
@@ -159,79 +165,6 @@ def declared_adjunctions(fam: Family, budget: int = DEFAULT_BUDGET) -> list[Adju
 
 
 # ---------------------------------------------------------------------------
-# unique factorization and the grading
-
-
-@dataclass(frozen=True)
-class Factorization:
-    blocks: tuple  # the factors' label sets, by minimum
-    factors: tuple  # aligned with blocks
-
-    def __len__(self):
-        return len(self.factors)
-
-    @property
-    def length(self) -> int:
-        return len(self.factors)
-
-
-def _split_once(fam: Family, x, reverse: bool):
-    """First proper bipartition (a, b) along which x merges back to
-    itself, sweeping the bipartitions in bitmask order or its reverse;
-    None when x is indecomposable."""
-    labels = sorted(x.labels)
-    if len(labels) < 2:
-        return None
-    anchor = labels[0]
-    rest = labels[1:]
-    masks = range(2 ** len(rest) - 1)
-    for mask in (reversed(masks) if reverse else masks):
-        S = frozenset([anchor] + [rest[i] for i in range(len(rest)) if mask >> i & 1])
-        a, b = fam.comult(x, S, x.labels - S)
-        if fam.mult(a, b) == x:
-            return a, b
-    return None
-
-
-def _factor_sweep(fam: Family, x, reverse: bool) -> list:
-    if not x.labels:
-        return []
-    split = _split_once(fam, x, reverse)
-    if split is None:
-        return [x]
-    return _factor_sweep(fam, split[0], reverse) + _factor_sweep(fam, split[1], reverse)
-
-
-def factorize(fam: Family, x) -> Factorization:
-    """Unique unordered factorization of x into merge-indecomposables,
-    found by recursive bipartition search.  Two independent sweeps must
-    agree; a disagreement raises NonUniqueFactorization."""
-    forward = _factor_sweep(fam, x, reverse=False)
-    backward = _factor_sweep(fam, x, reverse=True)
-    key = lambda s: s.encode()
-    if sorted(map(key, forward)) != sorted(map(key, backward)):
-        raise NonUniqueFactorization(
-            f"sweeps disagree on {x.encode()}: "
-            f"{sorted(map(key, forward))} vs {sorted(map(key, backward))}")
-    ordered = tuple(sorted(forward, key=lambda s: min(s.labels)))
-    blocks = tuple(s.labels for s in ordered)
-    if compose_mult(fam, blocks, ordered) != x:
-        raise NonUniqueFactorization(f"factors of {x.encode()} do not recompose")
-    return Factorization(blocks, ordered)
-
-
-@lru_cache(maxsize=1 << 14)
-def grading(fam: Family, x) -> int:
-    """Number of indecomposable factors of x.  The cache bound is far above
-    the distinct structures one CLI command or benchmark pass grades."""
-    return factorize(fam, x).length
-
-
-def is_indecomposable(fam: Family, x) -> bool:
-    return bool(x.labels) and _split_once(fam, x, reverse=False) is None
-
-
-# ---------------------------------------------------------------------------
 # the restriction table
 
 
@@ -258,9 +191,9 @@ def _restrictions(fam: Family, x) -> tuple | None:
 
     joins[U] holds one S per split {S, U - S} along which r(U) merges back
     (mult(r(S), r(U - S)) == r(U)), in ascending order: by (a) and (b),
-    the splits along which `factorize` finds r(U) decomposable.  The image
-    of a set partition pi is the product of the r(B) over its blocks B,
-    so by unique factorization (Aguiar and Mahajan, 2010, ch. 8)
+    the splits along which r(U) is decomposable.  The image of a set
+    partition pi is the product of the r(B) over its blocks B, so by
+    unique factorization (Aguiar and Mahajan, 2010, ch. 8)
     ell(img pi) is the sum of the ell(r(B)): 2^n entries grade all
     Bell(n) images (`_factor_blocks`).  Once every r(S) lies on S, every
     split and merge here is disjoint by construction, so the maps run
@@ -359,6 +292,17 @@ def _images(fam: Family, table: tuple, parts) -> tuple:
     unit = fam.unit.bits
     img = [reduce(or_, map(rb.__getitem__, blocks), unit) for blocks in parts]
     return img, partial(make, r[-1].labels)
+
+
+def _distinct_images(fam: Family, table: tuple, parts) -> tuple:
+    """(img, first, elems): img as `_images` gives it, elems the distinct
+    images in encoding order, one structure built for each, and first maps
+    each distinct img value, in that order, to its first partition's index."""
+    img, image = _images(fam, table, parts)
+    first = {y: j for j, y in reversed(list(enumerate(img)))}
+    built = {y: image(y) for y in first}
+    keys = sorted(first, key=lambda y: built[y].encode())
+    return img, {y: first[y] for y in keys}, [built[y] for y in keys]
 
 
 # ---------------------------------------------------------------------------
@@ -469,18 +413,14 @@ def _reassembly_images(fam: Family, x, table: tuple) -> tuple:
     up-set of img(pi) is {img(rho) : rho refines pi}."""
     r, joins, _ = table
     parts, refines = _partitions(len(x.labels)), _partition_lattice(len(x.labels))
-    img, image = _images(fam, table, parts)
-    # image -> index of the first partition giving it
-    first = {y: j for j, y in reversed(list(enumerate(img)))}
-    built = {y: image(y) for y in first}
-    keys = sorted(first, key=lambda y: built[y].encode())
-    index = {y: i for i, y in enumerate(keys)}
+    img, first, elems = _distinct_images(fam, table, parts)
+    index = {y: i for i, y in enumerate(first)}
     bit = [1 << index[y] for y in img]
-    up = [reduce(or_, map(bit.__getitem__, refines[first[y]])) for y in keys]
+    up = [reduce(or_, map(bit.__getitem__, refines[j])) for j in first.values()]
     factors = _factor_blocks(r, joins)
-    ell = [sum(len(factors[b]) for b in parts[first[y]]) for y in keys]
+    ell = [sum(len(factors[b]) for b in parts[j]) for j in first.values()]
     bottom = index[img[0]]  # parts[0] has one block: its image is x
-    return [built[y] for y in keys], up, bottom, ell
+    return elems, up, bottom, ell
 
 
 def closed_form_antipode(fam: Family, x,
@@ -515,13 +455,18 @@ def closed_form_antipode(fam: Family, x,
 
 
 def antipode_on_inverted_check(fam: Family, x, budget: int = DEFAULT_BUDGET):
-    """Check S(omega_x) == (-1)^ell(x) * omega_x on the reassembly order.
+    """Check S(omega_x) == (-1)^ell(x) * omega_x on the reassembly order,
+    an identity of commutative, cocommutative families: omega_x and ell(x)
+    come from x's restriction table (`_reassembly_images`), and where the
+    gate fails on x it raises NotSelfAdjoint, as `closed_form_antipode` does.
 
     Returns (equal, lhs, rhs)."""
-    p = reassembly_poset(fam, x.labels, budget)
-    omega = inverted_basis(p, x)
+    check_set_partition_budget(len(x.labels), budget)
+    elems, up, bottom, ell = _reassembly_images(
+        fam, x, require_self_adjoint(fam, x))
+    omega = inverted_basis(FinitePoset(elems, up, fam.tag), x)
     lhs = takeuchi_on_vector(fam, omega, budget)
-    rhs = omega * ((-1) ** grading(fam, x))
+    rhs = omega * ((-1) ** ell[bottom])
     return lhs == rhs, lhs, rhs
 
 

@@ -44,8 +44,8 @@ class AdjunctionUnverified(EngineError):
 
 
 class NonUniqueFactorization(EngineError):
-    """Two factorization sweeps disagreed; the family does not have the
-    unique factorization property."""
+    """Two splits of one structure gave different factors; the family does
+    not have the unique factorization property."""
 
 
 class ParseError(EngineError):

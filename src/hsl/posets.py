@@ -1,7 +1,7 @@
 """Finite-poset kernel: one compiled order class, Möbius functions,
-intervals, Galois-connection checks, and graded characteristic
-evaluations; and the one sparse exact combination (`_Combination`) that
-vectors, tensors, symmetric functions and integer polynomials share.
+intervals and Galois-connection checks; and the one sparse exact
+combination (`_Combination`) that vectors, tensors, symmetric functions
+and integer polynomials share.
 
 A `FinitePoset` keeps its elements (hashable frozen structures, or pairs
 of them) in a fixed order, and each element's up-set and down-set as a
@@ -310,19 +310,3 @@ class IntPolynomial(_Combination):
     @classmethod
     def from_json(cls, text: str) -> "IntPolynomial":
         return cls({int(e): c for e, c in json.loads(text).items()})
-
-
-def graded_char_poly(p: FinitePoset, x, y, grading, side: str) -> IntPolynomial:
-    """Möbius-weighted rank generating polynomial of the interval [x, y].
-
-    side="lower" weights z by mu(x, z); side="upper" weights z by mu(z, y).
-    The exponent of each term is the grading of z."""
-    if side not in ("lower", "upper"):
-        raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
-    weight = ((lambda z: mobius(p, x, z)) if side == "lower"
-              else (lambda z: mobius(p, z, y)))
-    return IntPolynomial((grading(z), weight(z)) for z in interval(p, x, y))
-
-
-def graded_char_eval(p: FinitePoset, x, y, grading, side: str, t: int) -> int:
-    return graded_char_poly(p, x, y, grading, side).evaluate(t)

@@ -14,7 +14,7 @@ enumerated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import permutations
 from math import comb, factorial
 from typing import Callable
@@ -180,46 +180,19 @@ def _native_poset(fam: Family, labels: frozenset, budget: int,
     return FinitePoset(elems, up, fam.tag)
 
 
-def compose_mult(fam: Family, parts_partition, parts) -> object:
-    """Left fold of the binary merge over an ordered set partition."""
-    blocks = tuple(parts_partition)
-    parts = tuple(parts)
-    if len(blocks) != len(parts):
-        raise LabelMismatch("need one part per block")
-    for block, part in zip(blocks, parts):
-        if part.labels != frozenset(block):
-            raise LabelMismatch(
-                f"part on {sorted(part.labels)} does not match block {sorted(block)}")
-    out = fam.unit
-    for part in parts:
-        out = fam.mult(out, part)
-    return out
-
-
-def compose_comult(fam: Family, parts_partition, x) -> tuple:
-    """Iterated binary split of x along an ordered set partition."""
-    blocks = tuple(frozenset(b) for b in parts_partition)
-    ambient: frozenset[int] = frozenset()
-    for b in blocks:
-        ambient |= b
-    if ambient != x.labels:
-        raise LabelMismatch("partition does not cover the structure's labels")
-    out = []
-    rest = x
-    remaining = x.labels
-    for block in blocks[:-1]:
-        head, rest = fam.comult(rest, block, remaining - block)
-        remaining = remaining - block
-        out.append(head)
-    if blocks:
-        out.append(rest)
-    return tuple(out)
-
-
 def reassemble(fam: Family, partition, x):
-    """Split x along the blocks and merge the pieces back."""
+    """Split x along the blocks and merge the pieces back: split each block
+    but the last off what is left of x, in order, the remainder being the
+    last piece, then fold the merge over the pieces from the unit."""
     blocks = tuple(partition)
-    return compose_mult(fam, blocks, compose_comult(fam, blocks, x))
+    pieces, rest, remaining = [], x, x.labels
+    for block in map(frozenset, blocks[:-1]):
+        remaining = remaining - block
+        head, rest = fam.comult(rest, block, remaining)
+        pieces.append(head)
+    if blocks:
+        pieces.append(rest)
+    return reduce(fam.mult, pieces, fam.unit)
 
 
 @dataclass

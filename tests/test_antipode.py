@@ -6,15 +6,17 @@ import hsl.antipode as ap
 from hsl.antipode import (Adjunction, antipode_axiom_check,
                           antipode_on_inverted_check, box_indecomposables,
                           closed_form_antipode, declared_adjunctions,
-                          factorize, grading, primitives_basis,
-                          reassembly_poset, reassembly_upset,
-                          takeuchi_antipode, takeuchi_on_vector)
+                          primitives_basis, reassembly_poset,
+                          reassembly_upset, takeuchi_antipode,
+                          takeuchi_on_vector)
 from hsl.errors import CarrierOverflow, EngineError, NotSelfAdjoint
 from hsl.families import (FAMILIES, GRAPHS, HYPERGRAPHS, PARTITIONS,
                           SIMPLICIAL, Graph, is_connected, parse_structure)
-from hsl.posets import graded_char_eval
-from hsl.species import reassemble, subsets
+from hsl.species import subsets
 from hsl.vectors import FreeVector, comult_vector, inverted_basis
+import literal_oracle as lit
+from literal_oracle import (factorize, graded_char_eval, grading,
+                            literal_poset, reassemble)
 from partition_oracle import compositions, set_partitions
 
 G = parse_structure
@@ -300,9 +302,10 @@ def test_closed_form_rejects_noncommutative_family():
 
 def _literal_closed_form(fam, x):
     """The closed form from its definition: the Möbius function of the
-    reassembly poset built from `reassembly_upset` (pinned against the
-    recursive one in test_posets), one interval per coefficient."""
-    p = reassembly_poset(fam, x.labels)
+    reassembly poset built from the literal sweep (the bitset Möbius is
+    pinned against the recursive one in test_posets), graded by
+    `factorize`, one interval per coefficient."""
+    p = literal_poset(fam, x.labels)
     ell = lambda z: grading(fam, z)
     upper = {y: graded_char_eval(p, x, y, ell, "upper", -1) for y in p.upset(x)}
     lower = {y: graded_char_eval(p, x, y, ell, "lower", -1) for y in p.upset(x)}
@@ -348,19 +351,44 @@ def test_derived_upsets_match_reassembly_upset():
         table = ap.require_self_adjoint(fam, x)
         elems, up, bottom, _ = ap._reassembly_images(fam, x, table)
         assert elems[bottom] == x
-        assert tuple(elems) == reassembly_upset(fam, x), x.encode()
+        assert tuple(elems) == lit.reassembly_upset(fam, x), x.encode()
         for y, mask in zip(elems, up):
             derived = tuple(elems[k] for k in ap._bits(mask))
-            assert derived == reassembly_upset(fam, y), (x.encode(), y.encode())
+            assert derived == lit.reassembly_upset(fam, y), (x.encode(), y.encode())
 
 
-def test_grading_cache_is_bounded():
-    bound = grading.cache_info().maxsize
-    assert bound is not None
-    grading.cache_clear()
-    points = [Graph(frozenset({i}), frozenset()) for i in range(bound + 1)]
-    assert all(grading(GRAPHS, pt) == 1 for pt in points)
-    assert grading.cache_info().currsize == bound
+def test_reassembly_poset_matches_the_literal_sweep():
+    # the views that `reassembly_poset` compiles from the tables' images
+    # against views compiled from the literal sweep; the skewed graphs
+    # fail the gate, so their up-sets take the literal fallback
+    mutant = _skewed_graphs()
+    cases = [(fam, n) for fam in FAMILIES.values() for n in range(5)]
+    cases += [(PARTITIONS, 5), (PARTITIONS, 6)]
+    cases += [(mutant, n) for n in range(5)]
+    for fam, n in cases:
+        view = reassembly_poset(fam, frozenset(range(n)))
+        literal = literal_poset(fam, frozenset(range(n)))
+        assert view.elems == literal.elems, (fam.tag, n)
+        assert view.up == literal.up, (fam.tag, n)
+    carrier = mutant.enumerate(frozenset(range(4)))
+    assert any(ap._restrictions(mutant, x) is None for x in carrier)
+
+
+def test_inverted_check_rejects_a_failed_gate():
+    mutant = _skewed_graphs()
+    k2 = G("G:n=2;E=0-1")
+    assert ap._restrictions(mutant, k2) is None
+    with pytest.raises(NotSelfAdjoint):
+        antipode_on_inverted_check(mutant, k2)
+
+
+def test_inverted_check_reads_omega_and_sign_off_the_table():
+    # omega_x against the literal view, and the sign against `factorize`
+    for fam, x in _closed_form_cases():
+        if len(x.labels) <= 4:
+            ok, _, rhs = antipode_on_inverted_check(fam, x)
+            omega = inverted_basis(literal_poset(fam, x.labels), x)
+            assert ok and rhs == omega * (-1) ** grading(fam, x), x.encode()
 
 
 def test_reassembly_view_cache_is_bounded():

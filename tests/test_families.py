@@ -3,8 +3,7 @@ from itertools import combinations, islice, permutations
 
 import pytest
 
-from hsl.antipode import (grading, is_indecomposable, factorize,
-                          reassembly_upset, takeuchi_antipode)
+from hsl.antipode import takeuchi_antipode
 from hsl.errors import (CarrierOverflow, LabelMismatch, LabelOverlap,
                         NotAFlat, ParseError)
 from hsl.families import (FAMILIES, GRAPHS, HYPERGRAPHS, PARTITIONS,
@@ -22,6 +21,8 @@ from hsl import families
 from hsl.posets import IntPolynomial
 from hsl.species import subsets
 from hsl.vectors import FreeVector
+from literal_oracle import (factorize, grading, is_indecomposable,
+                            reassembly_upset)
 from partition_oracle import set_partitions
 
 

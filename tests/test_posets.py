@@ -8,10 +8,10 @@ from hsl.antipode import reassembly_poset
 from hsl.errors import CarrierOverflow, NotComparable
 from hsl.families import (FAMILIES, GRAPHS, PARTITIONS, SIMPLICIAL,
                           parse_structure)
-from hsl.posets import (FinitePoset, IntPolynomial, check_galois,
-                        graded_char_eval, graded_char_poly, interval, mobius,
-                        rota_transfer_check)
+from hsl.posets import (FinitePoset, IntPolynomial, check_galois, interval,
+                        mobius, rota_transfer_check)
 from hsl.species import _native_poset
+from literal_oracle import graded_char_eval, graded_char_poly
 
 
 def from_leq(elems, leq, family_tag=None):

@@ -15,9 +15,10 @@ from hsl.antipode import _partition_lattice
 from hsl.families import _by_position
 from hsl.posets import _bits
 from hsl.species import (AxiomReport, AxiomResult, Family, _bijections,
-                         _partitions, _splits, bell, compose_comult,
-                         compose_mult, fubini, reassemble, verify_axioms,
-                         verify_delta_after_mult_identity)
+                         _partitions, _splits, bell, fubini, reassemble,
+                         verify_axioms, verify_delta_after_mult_identity)
+from literal_oracle import (compose_comult, compose_mult,
+                            reassemble as literal_reassemble)
 from partition_oracle import compositions, set_partitions
 from test_antipode import _skewed_graphs
 
@@ -253,6 +254,34 @@ def test_reassemble_idempotent():
                 for part in set_partitions(labels):
                     once = reassemble(fam, part, x)
                     assert reassemble(fam, part, once) == once
+
+
+def _logged(fam, log):
+    """fam with its split and merge appending each call to `log`."""
+    def comult(x, S, T):
+        log.append(("comult", x, S, T))
+        return fam.comult_fn(x, S, T)
+
+    def mult(a, b):
+        log.append(("mult", a, b))
+        return fam.mult_fn(a, b)
+
+    return replace(fam, comult_fn=comult, mult_fn=mult)
+
+
+def test_reassemble_makes_the_literal_calls():
+    # the fold calls the maps as splitting along the ordered set partition
+    # and then merging the pieces from the unit does, so a family with
+    # faulty maps gives the same images
+    for fam in list(FAMILIES.values()) + [_skewed_graphs()]:
+        for n in range(4):
+            labels = frozenset(range(n))
+            for x in fam.enumerate(labels):
+                for comp in compositions(labels):
+                    fold, literal = [], []
+                    y = reassemble(_logged(fam, fold), comp, x)
+                    assert y == literal_reassemble(_logged(fam, literal), comp, x)
+                    assert fold == literal, (x.encode(), comp)
 
 
 def test_comult_refinement_coassociativity():
