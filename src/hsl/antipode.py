@@ -14,7 +14,7 @@ the two disagree already on two-element chains; see the discrepancy tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, reduce
 from itertools import permutations
 from math import factorial
 from operator import or_
@@ -51,11 +51,8 @@ def reassembly_upset(fam: Family, x, budget: int = DEFAULT_BUDGET) -> tuple:
     table = _restrictions(fam, x)
     if table is not None:
         return tuple(_distinct_images(fam, table, _partitions(len(x.labels)))[2])
-    seen = {}
-    for blocks in _label_partitions(x.labels):
-        y = reassemble(fam, blocks, x)
-        seen.setdefault(y.encode(), y)
-    return tuple(seen[k] for k in sorted(seen))
+    seen = {reassemble(fam, blocks, x) for blocks in _label_partitions(x.labels)}
+    return tuple(sorted(seen, key=lambda y: y.encode()))
 
 
 @lru_cache(maxsize=256)
@@ -169,8 +166,7 @@ def declared_adjunctions(fam: Family, budget: int = DEFAULT_BUDGET) -> list[Adju
 
 
 def _restrictions(fam: Family, x) -> tuple | None:
-    """(r, joins, kernel) when the checks below hold on x; None when one
-    fails.
+    """(r, joins, image) when the checks below hold on x, else None.
 
     Let I be the labels of x and r(S) = comult(x, S, I - S)[0], indexed by
     the bitmask of S over the sorted labels.  The check:
@@ -189,39 +185,24 @@ def _restrictions(fam: Family, x) -> tuple | None:
     that `verify_axioms` checks) that is their product, and by (c) any
     two adjacent factors swap, so every order gives the same product.
 
-    joins[U] holds one S per split {S, U - S} along which r(U) merges back
-    (mult(r(S), r(U - S)) == r(U)), in ascending order: by (a) and (b),
-    the splits along which r(U) is decomposable.  The image of a set
-    partition pi is the product of the r(B) over its blocks B, so by
-    unique factorization (Aguiar and Mahajan, 2010, ch. 8)
-    ell(img pi) is the sum of the ell(r(B)): 2^n entries grade all
-    Bell(n) images (`_factor_blocks`).  Once every r(S) lies on S, every
-    split and merge here is disjoint by construction, so the maps run
-    unchecked.
+    On the integer kernel of the four families (`restriction_bits`), r
+    holds the ints rb(S) = x.bits & inside(S), joins is None and image(b)
+    is the structure on I with int b: no map is called, no join is swept.
+    The checks hold by algebra: rb(U) & inside(S) = rb(S) for S in U,
+    which is (a) and (b), and `|` commutes, which is (c).
 
-    kernel is `restriction_bits` of x: for the four families, whose split
-    is `&` with inside(S) and whose merge is `|` (`hsl.families`), it is
-    (rb, make) with rb(S) = x.bits & inside(S) and r(S) = make(S, rb(S));
-    for any other family it is None.  On the kernel the checks hold by
-    algebra, so no map is called: for S a subset of U, inside(S) lies in
-    inside(U), so splitting r(U) along (S, U - S) leaves rb(U) & inside(S)
-    = rb(S) and rb(U - S), which is (a) at U = I and (b) below it; and (c)
-    holds because `|` commutes.  Then r(U) merges back along {S, U - S}
-    exactly when rb(S) | rb(U - S) == rb(U)."""
+    Otherwise r holds the structures, image is None and the maps run the
+    checks.  joins[U] holds, ascending, each S of a split {S, U - S} with
+    mult(r(S), r(U - S)) == r(U), along which r(U) decomposes.  By unique
+    factorization (Aguiar and Mahajan, 2010, ch. 8) ell(img pi) is the
+    sum of ell(r(B)) over the blocks B of pi (`_factor_blocks`, which
+    raises NonUniqueFactorization where two joins disagree)."""
     labels = x.labels
     subs = subsets(labels)  # subs[m]: the labels at the set bits of m
     full = len(subs) - 1
     kernel = restriction_bits(fam, x, subs)
-    joins: list = [[] for _ in subs]
     if kernel is not None:
-        rb, make = kernel
-        for S in range(1, full + 1):
-            T = full ^ S
-            while T > S:
-                if rb[S] | rb[T] == rb[S | T]:
-                    joins[S | T].append(S)
-                T = (T - 1) & (full ^ S)
-        return list(map(make, subs, rb)), joins, kernel
+        return kernel[0], None, kernel[1]
     split, mult = fam.comult_fn, fam.mult_fn
     splits = [split(x, S, labels - S) for S in subs]
     r = [first for first, _ in splits]
@@ -235,6 +216,7 @@ def _restrictions(fam: Family, x) -> tuple | None:
             if split(r[U], subs[S], subs[U ^ S]) != (r[S], r[U ^ S]):
                 return None
             S = (S - 1) & U
+    joins: list = [[] for _ in subs]
     for S in range(1, full + 1):
         T = full ^ S
         while T > S:
@@ -276,33 +258,30 @@ def _factor_blocks(r: list, joins: list) -> list:
 
 def _images(fam: Family, table: tuple, parts) -> tuple:
     """(img, image) for the set partitions in `parts`, each a tuple of
-    block bitmasks: image(img[i]) is img(parts[i]).  img(pi) is the fold
-    of mult from the unit over r(B) for the blocks B of pi, in order,
-    which by `_restrictions` is reassemble(pi, x), with no split made.
-    On the kernel img[i] is the int of the image, the fold of `|` over
-    rb(B) from the unit's int, so equal images compare as ints and the
-    caller builds one structure per distinct image; otherwise img[i] is
-    the image itself."""
-    r, _, kernel = table
-    if kernel is None:
-        mult, unit = fam.mult_fn, fam.unit
-        img = [reduce(mult, map(r.__getitem__, blocks), unit) for blocks in parts]
-        return img, lambda y: y
-    rb, make = kernel
-    unit = fam.unit.bits
-    img = [reduce(or_, map(rb.__getitem__, blocks), unit) for blocks in parts]
-    return img, partial(make, r[-1].labels)
+    block bitmasks: image(img[i]) is img(parts[i]), img(pi) being the fold
+    of mult from the unit over r(B) for the blocks B of pi, in order, which
+    by `_restrictions` is reassemble(pi, x), with no split made.  On the
+    kernel img[i] is the image's int, the fold of `|`, so equal images
+    compare as ints and the caller builds one structure per distinct
+    image; otherwise img[i] is the image itself."""
+    r, _, image = table
+    fold, unit = (fam.mult_fn, fam.unit) if image is None else (or_, fam.unit.bits)
+    img = [reduce(fold, map(r.__getitem__, blocks), unit) for blocks in parts]
+    return img, image or (lambda y: y)
 
 
 def _distinct_images(fam: Family, table: tuple, parts) -> tuple:
-    """(img, first, elems): img as `_images` gives it, elems the distinct
-    images in encoding order, one structure built for each, and first maps
-    each distinct img value, in that order, to its first partition's index."""
+    """(img, finest, elems): img as `_images` gives it, elems the distinct
+    images in encoding order, one structure built for each, and finest maps
+    each img value, in that order, to its first partition with most blocks."""
     img, image = _images(fam, table, parts)
-    first = {y: j for j, y in reversed(list(enumerate(img)))}
-    built = {y: image(y) for y in first}
-    keys = sorted(first, key=lambda y: built[y].encode())
-    return img, {y: first[y] for y in keys}, [built[y] for y in keys]
+    finest: dict = {}
+    for j, y in enumerate(img):
+        if len(parts[j]) > len(parts[finest.setdefault(y, j)]):
+            finest[y] = j
+    built = {y: image(y) for y in finest}
+    keys = sorted(finest, key=lambda y: built[y].encode())
+    return img, {y: finest[y] for y in keys}, [built[y] for y in keys]
 
 
 # ---------------------------------------------------------------------------
@@ -397,30 +376,43 @@ def _partition_lattice(n: int) -> tuple:
 
 def _reassembly_images(fam: Family, x, table: tuple) -> tuple:
     """(elems, up, bottom, ell) for the up-set of x in the reassembly
-    order, from the restriction table of x that passed the gate.
-
-    `elems` are the images in encoding order (the order of
-    `reassembly_upset`), up[i] is the bitmask over `elems` of the up-set
-    of elems[i], elems[bottom] is x, and ell[i] is the grading of
-    elems[i], the sum of ell(r(B)) over the blocks B of a partition that
-    gives it (see `_restrictions`).
+    order, from the restriction table of x that passed the gate: `elems`
+    are the images in encoding order (the order of `reassembly_upset`),
+    up[i] is the bitmask over `elems` of the up-set of elems[i],
+    elems[bottom] is x, and ell[i] is the grading of elems[i].
 
     The images are img(pi) = reassemble(pi, x) over the set partitions pi
     of the labels, and by the gate img(pi) is the product of the r(B) over
     the blocks B of pi.  Splitting img(pi) along sigma restricts each r(B)
     to r(B & C) for the blocks C of sigma (Hopf compatibility and the
     gate), so reassembling it along sigma gives img(pi meet sigma): the
-    up-set of img(pi) is {img(rho) : rho refines pi}."""
+    up-set of img(pi) is {img(rho) : rho refines pi}, for any pi giving it.
+
+    On the kernel ell(y) is the block count of y's finest partition.
+    There img(pi) = unit | (x & inside(pi)), inside(pi) the `|` of
+    inside(B) over the blocks B of pi: the elements (edges, same-block
+    pairs, hyperedges, faces) whose labels lie in one block.  An element
+    lies in a block of pi and in one of sigma iff it lies in their
+    intersection, a block of pi meet sigma (blocks are nonempty, so the
+    empty face too), so inside(pi meet sigma) = inside(pi) & inside(sigma)
+    and by distributivity the partitions giving y are closed under meets.
+    Their meet pi0 refines them all and alone has the most blocks.  Each
+    block B of pi0 is indecomposable: were rb(B) = rb(S) | rb(B - S),
+    cutting B in two would give y from a finer partition.  So y is a
+    product of |pi0| indecomposables, and by unique factorization ell(y) =
+    |pi0|.  Elsewhere ell comes from the joins (`_restrictions`)."""
     r, joins, _ = table
     parts, refines = _partitions(len(x.labels)), _partition_lattice(len(x.labels))
-    img, first, elems = _distinct_images(fam, table, parts)
-    index = {y: i for i, y in enumerate(first)}
+    img, finest, elems = _distinct_images(fam, table, parts)
+    index = {y: i for i, y in enumerate(finest)}
     bit = [1 << index[y] for y in img]
-    up = [reduce(or_, map(bit.__getitem__, refines[j])) for j in first.values()]
-    factors = _factor_blocks(r, joins)
-    ell = [sum(len(factors[b]) for b in parts[j]) for j in first.values()]
-    bottom = index[img[0]]  # parts[0] has one block: its image is x
-    return elems, up, bottom, ell
+    up = [reduce(or_, map(bit.__getitem__, refines[j])) for j in finest.values()]
+    if joins is None:
+        ell = [len(parts[j]) for j in finest.values()]
+    else:
+        factors = _factor_blocks(r, joins)
+        ell = [sum(len(factors[b]) for b in parts[j]) for j in finest.values()]
+    return elems, up, index[img[0]], ell  # parts[0] has one block: its image is x
 
 
 def closed_form_antipode(fam: Family, x,
@@ -434,19 +426,20 @@ def closed_form_antipode(fam: Family, x,
     `_reassembly_images`.  With s(z) = (-1)^ell(z), the lower value at y
     is the sum of mu(x, z) s(z) over z <= y.  The upper value u(y), the
     sum of mu(z, y) s(z) over x <= z <= y, sums over [x, w] to s(w): it is
-    the Möbius inversion of s along the up-set of x, the same pass that
-    gives mu(x, .) from the delta at x."""
+    the Möbius inversion of s along the up-set of x, as mu(x, .) is that
+    of the delta at x: one `FinitePoset.walk` over the up-set gives all three."""
     check_set_partition_budget(len(x.labels), budget)
     elems, up, bottom, ell = _reassembly_images(
         fam, x, require_self_adjoint(fam, x))
-    p = FinitePoset(elems, up)
     sign = [(-1) ** k for k in ell]
-    mu = p.mu(bottom)
-    upper = p.invert(bottom, sign.__getitem__)
-    # every element is above x, so [x, y] is the whole down-set of y
-    lower = [sum(mu[k] * sign[k] for k in _bits(below)) for below in p.down]
-    return ClosedFormAntipode(fam.tag, x.labels,
-                              {y: upper[i] for i, y in enumerate(elems)},
+    mu, upper, signed, lower = ([0] * len(elems) for _ in range(4))
+    for w, below in FinitePoset(elems, up).walk(bottom):
+        below = list(_bits(below))  # one bit step per pair for all three rows
+        mu[w] = (w == bottom) - sum(map(mu.__getitem__, below))
+        upper[w] = sign[w] - sum(map(upper.__getitem__, below))
+        signed[w] = mu[w] * sign[w]  # mu(x, w) s(w)
+        lower[w] = signed[w] + sum(map(signed.__getitem__, below))
+    return ClosedFormAntipode(fam.tag, x.labels, dict(zip(elems, upper)),
                               dict(zip(elems, lower)))
 
 

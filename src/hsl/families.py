@@ -512,16 +512,14 @@ def _union(a, b):
 
 
 def restriction_bits(fam: Family, x, subs) -> tuple | None:
-    """(bits, make) where fam splits with `_split` and merges with
-    `_union`, None for any other family.  bits[i] is the int of x
-    restricted to subs[i], `x.bits & inside(subs[i])`, and make(S, b) is
-    the structure on S with int b.  On these ints the split of a
-    restriction is `&` and the merge of restrictions to disjoint label
-    sets is `|`, folded from `fam.unit.bits`."""
+    """(bits, image) where fam splits with `_split` and merges with
+    `_union`, None for any other family: bits[i] = x.bits & inside(subs[i])
+    is x restricted to subs[i], and image(b) is the structure on x's labels
+    with int b.  There a split is `&` and a merge `|`, from the unit's int."""
     if fam.comult_fn is not _split or fam.mult_fn is not _union:
         return None
     cls, bits = type(x), x.bits
-    return [bits & cls._inside(S) for S in subs], partial(_of, cls)
+    return [bits & cls._inside(S) for S in subs], partial(_of, cls, x.labels)
 
 
 def graph_free_product(a, b):

@@ -52,19 +52,21 @@ class FinitePoset:
     maps each element to its position, and up[i] and down[i] are the
     bitsets of the elements above and below elems[i], itself included.
     `family_tag` names the family of a carrier, for the vectors built on
-    it.  The rows mu(x, .) are computed once per element and kept."""
+    it; `down` is the transpose of `up`, passed by a caller that has it.
+    The rows mu(x, .) are computed once per element and kept."""
 
-    def __init__(self, elems, up, family_tag: str | None = None):
+    def __init__(self, elems, up, family_tag: str | None = None, down=None):
         self.elems = tuple(elems)
         self.index = {x: i for i, x in enumerate(self.elems)}
         self.up = tuple(up)
-        down = [0] * len(self.elems)
-        for i, mask in enumerate(self.up):
-            for k in _bits(mask):
-                down[k] |= 1 << i
+        if down is None:
+            down = [0] * len(self.elems)
+            for i, mask in enumerate(self.up):
+                for k in _bits(mask):
+                    down[k] |= 1 << i
         self.down = tuple(down)
         self.family_tag = family_tag
-        self._down_size = [mask.bit_count() for mask in down]
+        self._down_size = [mask.bit_count() for mask in self.down]
         self._mu: dict = {}
 
     @classmethod
@@ -78,7 +80,7 @@ class FinitePoset:
 
     def reverse(self) -> "FinitePoset":
         """The opposite order on the same elements."""
-        return FinitePoset(self.elems, self.down, self.family_tag)
+        return FinitePoset(self.elems, self.down, self.family_tag, self.up)
 
     def carrier(self) -> tuple:
         return self.elems
@@ -89,16 +91,22 @@ class FinitePoset:
     def upset(self, x) -> tuple:
         return tuple(self.elems[k] for k in _bits(self.up[self.index[x]]))
 
+    def walk(self, i: int):
+        """(w, below) for the positions w of the up-set of elems[i] in a
+        linear extension (by down-set size), below the bitset of the y
+        with elems[i] <= y < w; reading every below costs one bit step
+        per comparable pair of the up-set."""
+        up = self.up[i]
+        for w in sorted(_bits(up), key=self._down_size.__getitem__):
+            yield w, (up & self.down[w]) ^ (1 << w)
+
     def invert(self, i: int, s) -> dict:
         """Möbius inversion along the up-set of elems[i]: for s given on
-        the positions of the up-set, the g with the sum of g(y) over
-        elems[i] <= y <= w equal to s(w) for every w in it, as
-        {position: g}.  One pass in a linear extension (by down-set size):
+        its positions, the g with the sum of g(y) over elems[i] <= y <= w
+        equal to s(w) for every w in it, as {position: g}, by one `walk`:
         g(w) = s(w) - sum of g(y) over i <= y < w."""
-        up = self.up[i]
         g: dict = {}
-        for w in sorted(_bits(up), key=self._down_size.__getitem__):
-            below = (up & self.down[w]) ^ (1 << w)
+        for w, below in self.walk(i):
             g[w] = s(w) - sum(map(g.__getitem__, _bits(below)))
         return g
 

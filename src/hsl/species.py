@@ -34,9 +34,10 @@ def check_label_set(labels) -> frozenset[int]:
 
 def subsets(labels) -> tuple[frozenset[int], ...]:
     """All subsets (including empty) in bitmask order over sorted labels."""
-    elems = sorted(labels)
-    return tuple(frozenset(v for i, v in enumerate(elems) if mask >> i & 1)
-                 for mask in range(2 ** len(elems)))
+    out = [frozenset()]
+    for v in sorted(labels):
+        out += [s | {v} for s in out]
+    return tuple(out)
 
 
 @lru_cache(maxsize=16)

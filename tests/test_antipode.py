@@ -238,9 +238,28 @@ def _checked(fam, calls=None):
     return replace(fam, mult_fn=mult)
 
 
+def _kernel_joins(rb):
+    """joins[U]: the S of the splits {S, U - S} with rb(S) | rb(U - S) ==
+    rb(U), ascending: the join sweep the kernel table once ran, kept as
+    the oracle for the joins of the checked route."""
+    full = len(rb) - 1
+    joins = [[] for _ in rb]
+    for S in range(1, full + 1):
+        T = full ^ S
+        while T > S:
+            if rb[S] | rb[T] == rb[S | T]:
+                joins[S | T].append(S)
+            T = (T - 1) & (full ^ S)
+    return joins
+
+
 def test_kernel_table_matches_checked_table():
     # every structure of each family on 0-4 labels, graphs and partitions
-    # on 5: the table built on ints equals the one the maps build
+    # on 5: the restrictions built on ints equal the ones the maps build,
+    # the kernel's join sweep gives the checked route's joins, and both
+    # routes give the same images, up-sets and grading
+    from hsl.families import _of
+
     cases = [(fam, n) for fam in FAMILIES.values() for n in range(5)]
     cases += [(GRAPHS, 5), (PARTITIONS, 5)]
     for fam, n in cases:
@@ -249,7 +268,13 @@ def test_kernel_table_matches_checked_table():
         for x in fam.enumerate(frozenset(range(n))):
             fast, slow = ap._restrictions(fam, x), ap._restrictions(checked, x)
             assert fast[2] is not None and slow[2] is None, x.encode()
-            assert fast[:2] == slow[:2], x.encode()
+            assert fast[1] is None, x.encode()
+            rb = fast[0]
+            r = [_of(type(x), S, b) for S, b in zip(subsets(x.labels), rb)]
+            assert r == slow[0], x.encode()
+            assert _kernel_joins(rb) == slow[1], x.encode()
+            assert (ap._reassembly_images(fam, x, fast)
+                    == ap._reassembly_images(checked, x, slow)), x.encode()
             img, image = ap._images(fam, fast, parts)
             slow_img, slow_image = ap._images(checked, slow, parts)
             assert list(map(image, img)) == list(map(slow_image, slow_img)), x.encode()

@@ -156,6 +156,21 @@ def test_invert_sums_back_over_each_interval():
                 assert sum(g[k] for k in g if p.up[k] >> w & 1) == s[w]
 
 
+def test_walk_visits_the_upset_after_each_half_open_interval():
+    # every w of the up-set of x comes once, after all of [x, w), and
+    # with the bitset of [x, w)
+    for p in (diamond_poset(), chain_poset(4), PARTITIONS.poset(frozenset(range(4))),
+              reassembly_poset(GRAPHS, frozenset(range(3)))):
+        for i, x in enumerate(p.carrier()):
+            seen = 0
+            for w, below in p.walk(i):
+                assert below == sum(1 << p.index[z] for z in interval(p, x, p.elems[w])
+                                    if z != p.elems[w])
+                assert not below & ~seen and not seen >> w & 1
+                seen |= 1 << w
+            assert seen == p.up[i]
+
+
 def test_product_poset_multiplicativity():
     left = GRAPHS.poset(frozenset({0, 1}))
     right = chain_poset(3)
@@ -194,6 +209,24 @@ def test_reverse_view():
     assert set(r.upset(3)) == {0, 1, 2, 3}
     twice = r.reverse()
     assert (twice.elems, twice.up, twice.down) == (p.elems, p.up, p.down)
+
+
+def test_reverse_swaps_the_arrays_of_the_transpose():
+    # a passed `down` against the transpose FinitePoset makes without it,
+    # on every native order with n <= 4 and its opposite
+    for tag, fam in FAMILIES.items():
+        for n in range(5):
+            labels = frozenset(range(n))
+            p = fam.poset(labels)
+            transposed = FinitePoset(p.elems, p.down, p.family_tag)
+            for r in (p.reverse(), fam.poset(labels, reverse=True)):
+                assert (r.elems, r.up, r.down) == (
+                    transposed.elems, transposed.up, transposed.down), (tag, n)
+                assert r._down_size == transposed._down_size, (tag, n)
+                assert r.family_tag == tag
+            twice = p.reverse().reverse()
+            assert (twice.elems, twice.up, twice.down) == (p.elems, p.up, p.down)
+            assert twice._down_size == p._down_size
 
 
 # the native orders as the families once compared them, pair by pair

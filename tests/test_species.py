@@ -16,7 +16,8 @@ from hsl.families import _by_position
 from hsl.posets import _bits
 from hsl.species import (AxiomReport, AxiomResult, Family, _bijections,
                          _partitions, _splits, bell, fubini, reassemble,
-                         verify_axioms, verify_delta_after_mult_identity)
+                         subsets, verify_axioms,
+                         verify_delta_after_mult_identity)
 from literal_oracle import (compose_comult, compose_mult,
                             reassemble as literal_reassemble)
 from partition_oracle import compositions, set_partitions
@@ -122,6 +123,23 @@ def test_block_mask_partitions_match_the_frozenset_oracle():
         assert _partition_lattice(n) == _pair_key_lattice(n), n
     wide = frozenset({2, 5, 9, 30})
     assert [p.blocks for p in PARTITIONS.enumerate(wide)] == list(set_partitions(wide))
+
+
+def _subsets_comprehension(labels):
+    """One frozenset per bitmask over the sorted labels: the oracle for
+    `subsets`, which builds the same tuple by doubling."""
+    elems = sorted(labels)
+    return tuple(frozenset(v for i, v in enumerate(elems) if mask >> i & 1)
+                 for mask in range(2 ** len(elems)))
+
+
+def test_subsets_by_doubling_match_the_comprehension():
+    cases = [range(n) for n in range(9)]
+    cases += [frozenset({2, 5, 9, 30}), {7}, [40, 3, 12, 0, 11, 100, 4, 41]]
+    for labels in cases:
+        got = subsets(labels)
+        assert got == _subsets_comprehension(labels), sorted(labels)
+        assert all(type(s) is frozenset for s in got), sorted(labels)
 
 
 def test_compose_mult_examples():
