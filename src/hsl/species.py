@@ -73,6 +73,8 @@ def _count_upward(n: int, step, cap: int | None) -> int:
     return a[-1]
 
 
+# One entry per (n, cap): the budget checks of one pass ask for a few sizes.
+@lru_cache(maxsize=64)
 def fubini(n: int, cap: int | None = None) -> int:
     """Count of ordered set partitions of an n-set (capped as in
     `_count_upward`)."""
@@ -80,6 +82,7 @@ def fubini(n: int, cap: int | None = None) -> int:
         n, lambda a, m: sum(comb(m, k) * a[m - k] for k in range(1, m + 1)), cap)
 
 
+@lru_cache(maxsize=64)
 def bell(n: int, cap: int | None = None) -> int:
     """Count of unordered set partitions of an n-set (capped as in
     `_count_upward`)."""

@@ -11,13 +11,19 @@ and every grading in `hsl`.
   bipartition sweeps that must agree; `grading` counts them.
 - `graded_char_poly`/`graded_char_eval` are the Möbius-weighted rank
   polynomials of an interval, one interval at a time.
+
+It also keeps the sweep of all 2^|E| orientations of a graph, each tested
+for a cycle by peeling sinks, as the oracle for the cut search of
+`hsl.families.acyclic_orientations_brute`.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 
-from hsl.errors import DEFAULT_BUDGET, LabelMismatch, NonUniqueFactorization
-from hsl.posets import FinitePoset, IntPolynomial, interval, mobius
+from hsl.errors import (DEFAULT_BUDGET, CarrierOverflow, LabelMismatch,
+                        NonUniqueFactorization)
+from hsl.families import _mask, _members, _pair_of
+from hsl.posets import FinitePoset, IntPolynomial, _bits, interval, mobius
 from hsl.species import check_set_partition_budget
 
 from partition_oracle import set_partitions
@@ -189,3 +195,38 @@ def graded_char_poly(p: FinitePoset, x, y, grading, side: str) -> IntPolynomial:
 
 def graded_char_eval(p: FinitePoset, x, y, grading, side: str, t: int) -> int:
     return graded_char_poly(p, x, y, grading, side).evaluate(t)
+
+
+# ---------------------------------------------------------------------------
+# acyclic orientations, all 2^|E| of them
+
+
+def acyclic_orientations_sweep(g) -> int:
+    """Count orientations with no directed cycle by enumerating all of
+    them; only sensible for |E| <= 20."""
+    edges = sorted(map(_pair_of, _bits(g.bits)))
+    m = len(edges)
+    if m > 20:
+        raise CarrierOverflow(f"{m} edges is too many for brute-force orientation")
+    count = 0
+    for mask in range(2 ** m):
+        succ = dict.fromkeys(g.labels, 0)  # vertex -> bitmask of its successors
+        for i, (a, b) in enumerate(edges):
+            tail, head = (a, b) if mask >> i & 1 else (b, a)
+            succ[tail] |= 1 << head
+        count += _is_acyclic(succ)
+    return count
+
+
+def _is_acyclic(succ: dict) -> bool:
+    """Whether taking out vertices with no successor left, again and
+    again, takes out all of them: no directed cycle."""
+    left = _mask(succ)
+    while left:
+        before = left
+        for v in _members(left):
+            if not succ[v] & left:
+                left ^= 1 << v
+        if left == before:
+            return False
+    return True

@@ -1,5 +1,6 @@
 from functools import cache
 from itertools import combinations, islice, permutations
+from math import factorial
 
 import pytest
 
@@ -21,8 +22,8 @@ from hsl import families
 from hsl.posets import IntPolynomial
 from hsl.species import subsets
 from hsl.vectors import FreeVector
-from literal_oracle import (factorize, grading, is_indecomposable,
-                            reassembly_upset)
+from literal_oracle import (acyclic_orientations_sweep, factorize, grading,
+                            is_indecomposable, reassembly_upset)
 from partition_oracle import set_partitions
 
 
@@ -419,6 +420,32 @@ def test_orientation_count_cross_check_small():
         for g in GRAPHS.enumerate(frozenset(range(n))):
             assert (acyclic_orientations_brute(g)
                     == abs(chromatic_polynomial(g).evaluate(-1)))
+
+
+def test_cut_search_matches_the_sweep_of_every_orientation():
+    graphs = ([g for n in range(6) for g in GRAPHS.enumerate(frozenset(range(n)))]
+              + list(islice(GRAPHS.enumerate(frozenset(range(6))), 0, None, 331))
+              + list(GRAPHS.enumerate(frozenset({2, 5, 9, 30}))))
+    for g in graphs:
+        assert acyclic_orientations_brute(g) == acyclic_orientations_sweep(g), g.encode()
+
+
+def test_cut_search_follows_every_branch_where_nothing_closes_a_cycle():
+    # the sparse cases: a 12-edge path cuts nothing, and a 12-edge cycle
+    # cuts only its two cyclic orientations, at its last edge
+    path = Graph(range(13), [(i, i + 1) for i in range(12)])
+    cycle = Graph(range(12), [(i, (i + 1) % 12) for i in range(12)])
+    assert acyclic_orientations_brute(path) == acyclic_orientations_sweep(path) == 2 ** 12
+    assert (acyclic_orientations_brute(cycle) == acyclic_orientations_sweep(cycle)
+            == 2 ** 12 - 2)
+
+
+def test_brute_orientation_count_refuses_more_than_20_edges():
+    k7 = Graph(range(7), combinations(range(7), 2))
+    with pytest.raises(CarrierOverflow) as raised:
+        acyclic_orientations_brute(k7)
+    assert str(raised.value) == "21 edges is too many for brute-force orientation"
+    assert acyclic_orientation_count(k7) == factorial(7)  # the chromatic route
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,21 @@ def test_partition_caches_are_bounded():
     assert _by_position.cache_info().currsize == bound
 
 
+def test_budget_counts_are_cached_exactly_and_within_a_bound():
+    # keyed by (n, cap): each cached value is the recurrence's, and the
+    # 164 keys swept here overflow the cache, which keeps its bound
+    for count in (bell, fubini):
+        bound = count.cache_info().maxsize
+        assert bound is not None
+        count.cache_clear()
+        for cap in (None, 1, 200_000, 10 ** 9):
+            for n in range(41):
+                assert count(n, cap) == count.__wrapped__(n, cap), (count, n, cap)
+                assert count(n, cap) == count.__wrapped__(n, cap)  # a hit
+        info = count.cache_info()
+        assert info.currsize == bound < 4 * 41 and info.hits >= 4 * 41
+
+
 def test_capped_counts_stop_early_and_stay_exact_below_the_cap():
     # no recursion and no giant integers: a capped count of a huge label
     # set stops at the first term above the cap
