@@ -81,8 +81,9 @@ class Adjunction:
 
     kind "delta_box":  split left-adjoint to the free product, native order.
     kind "delta_m":    split left-adjoint to the merge, reassembly order.
-    kind "m_delta":    merge left-adjoint to the split, native order; the
-                       inverted-basis machinery runs on the reversed order.
+    kind "m_delta":    merge left-adjoint to the split, native order; that
+                       is split left-adjoint to the merge on the opposite
+                       order, its `poset`, where it is checked and inverted.
     """
 
     family: Family
@@ -115,25 +116,12 @@ class Adjunction:
         return self.family.poset(labels, self.budget, reverse=reverse)
 
     def galois_setup(self, S, T):
-        """(p, q, f, g) for the order-theoretic check on the split (S, T).
-
-        For the split-side adjunctions, f is the split map from the carrier
-        on S | T into the product order; for merge -| split the roles
-        swap and the native (unreversed) order is used directly."""
-        fam = self.family
+        """(p, q, f, g) for the order-theoretic check on the split (S, T),
+        the one shape of every kind: f the split map from the order on
+        S | T into the product order, g the adjunction's merge back."""
         S, T = frozenset(S), frozenset(T)
-        if self.kind == "m_delta":
-            whole = fam.poset(S | T, self.budget)
-            parts = FinitePoset.product(fam.poset(S, self.budget),
-                                        fam.poset(T, self.budget))
-            f = lambda pair: fam.mult(pair[0], pair[1])
-            g = lambda z: fam.comult(z, S, T)
-            return parts, whole, f, g
-        whole = self.poset(S | T)
-        parts = FinitePoset.product(self.poset(S), self.poset(T))
-        f = lambda z: fam.comult(z, S, T)
-        g = lambda pair: self.box(pair[0], pair[1])
-        return whole, parts, f, g
+        return (self.poset(S | T), FinitePoset.product(self.poset(S), self.poset(T)),
+                lambda z: self.family.comult(z, S, T), lambda pair: self.box(*pair))
 
     def verify(self, S, T) -> GaloisReport:
         """Run the full Galois check on one split and record success."""

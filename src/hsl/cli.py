@@ -145,10 +145,10 @@ def cmd_primitives(args) -> int:
     }
     lines = [f"primitives for {fam.tag} at n={args.n} "
              f"({adj.display}): dimension {len(vectors)}"]
-    for x, v in zip(indec, vectors):
-        lines.append(f"  {x.encode()}")
-        for y, c in v.items():
-            lines.append(f"    {str(c):>6}  {y.encode()}")
+    for enc, v in zip(payload["indecomposables"], payload["vectors"]):
+        lines.append(f"  {enc}")
+        for y, c in v["terms"].items():
+            lines.append(f"    {c:>6}  {y}")
     _emit(args, payload, lines)
     return EXIT_OK
 
@@ -174,8 +174,7 @@ def cmd_verify(args) -> int:
         lines.append(f"adjunction {adj.display}: {'pass' if galois.ok else 'FAIL'}")
         if not galois.ok:
             failures.append(f"adjunction {adj.kind}")
-        duality = duality_pairing_check(
-            fam, lambda L, a=adj: a.poset(L), adj.box, args.n)
+        duality = duality_pairing_check(fam, adj.poset, adj.box, args.n)
         adj_payload[-1]["duality"] = duality.ok
         lines.append(f"  duality pairing: {'pass' if duality.ok else 'FAIL'}")
         if not duality.ok:

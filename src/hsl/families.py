@@ -533,12 +533,6 @@ def graph_free_product(a, b):
 hypergraph_free_product = graph_free_product
 
 
-def partition_union(a: SetPartition, b: SetPartition) -> SetPartition:
-    if not a.labels.isdisjoint(b.labels):  # the constructor rejects the overlap
-        return SetPartition(a.labels | b.labels, a.blocks + b.blocks)
-    return _union(a, b)
-
-
 # ---------------------------------------------------------------------------
 # family registry
 

@@ -72,11 +72,13 @@ class FinitePoset:
     @classmethod
     def product(cls, p: "FinitePoset", q: "FinitePoset") -> "FinitePoset":
         """Componentwise order on the pairs (p.elems[i], q.elems[j]), the
-        pair at position i * |Q| + j."""
+        pair at position i * |Q| + j; its up-sets and down-sets are both
+        built componentwise."""
         width = len(q.elems)
         # the shifted copies of b occupy disjoint blocks of width bits
-        up = [sum(b << width * i for i in _bits(a)) for a in p.up for b in q.up]
-        return cls(((u, v) for u in p.elems for v in q.elems), up)
+        up, down = ([sum(b << width * i for i in _bits(a)) for a in p_sets for b in q_sets]
+                    for p_sets, q_sets in ((p.up, q.up), (p.down, q.down)))
+        return cls(((u, v) for u in p.elems for v in q.elems), up, down=down)
 
     def reverse(self) -> "FinitePoset":
         """The opposite order on the same elements."""
@@ -144,6 +146,29 @@ class GaloisReport:
         return self.ok
 
 
+def _biconditional_failure(p: FinitePoset, q: FinitePoset, fx, gy):
+    """The first position pair (i, j), in element order, at which
+    fx[i] <= j in Q and i <= gy[j] in P disagree, or None: the Galois
+    biconditional f(x) <= y iff x <= g(y), with fx and gy the positions
+    of the images of f and g.  It is read one j at a time, folding over
+    the down-sets of Q: in the adjunction checks and the duality pairing
+    Q is the product order of a split, smaller than P."""
+    preimage = [0] * len(q.elems)  # position in Q -> bitset of the i with fx[i] there
+    for i, k in enumerate(fx):
+        preimage[k] |= 1 << i
+    first = None
+    for j, mask in enumerate(q.down):
+        below_f = 0  # the i with fx[i] <= j
+        for k in _bits(mask):
+            below_f |= preimage[k]
+        diff = p.down[gy[j]] ^ below_f  # the i at which the biconditional fails with j
+        if diff:
+            i = (diff & -diff).bit_length() - 1
+            if first is None or i < first[0]:
+                first = i, j
+    return first
+
+
 def check_galois(p: FinitePoset, q: FinitePoset, f, g) -> GaloisReport:
     """Check that f: P -> Q and g: Q -> P are order-preserving and satisfy
     f(x) <= y iff x <= g(y) for every pair; on failure report a witness,
@@ -159,18 +184,11 @@ def check_galois(p: FinitePoset, q: FinitePoset, f, g) -> GaloisReport:
             for k in _bits(mask):
                 if not dst.up[h[i]] >> h[k] & 1:
                     return GaloisReport(False, reason, (src.elems[i], src.elems[k]))
-    preimage = [0] * len(p.elems)  # position in P -> bitset of the y with g(y) there
-    for j, k in enumerate(gy):
-        preimage[k] |= 1 << j
-    for i, mask in enumerate(p.up):
-        below_g = 0  # the y with x <= g(y)
-        for k in _bits(mask):
-            below_g |= preimage[k]
-        diff = q.up[fx[i]] ^ below_g
-        if diff:
-            j = (diff & -diff).bit_length() - 1
-            return GaloisReport(False, "adjunction biconditional fails",
-                                (p.elems[i], q.elems[j]))
+    failure = _biconditional_failure(p, q, fx, gy)
+    if failure is not None:
+        i, j = failure
+        return GaloisReport(False, "adjunction biconditional fails",
+                            (p.elems[i], q.elems[j]))
     return GaloisReport(True)
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import AdjunctionUnverified, AmbientMismatch
-from .posets import FinitePoset, _Combination, mobius
+from .posets import FinitePoset, _biconditional_failure, _Combination
 
 
 class FreeVector(_Combination):
@@ -135,8 +135,8 @@ def inverted_basis(p: FinitePoset, x) -> FreeVector:
     The coefficient of x itself is always 1."""
     if p.family_tag is None:
         raise AmbientMismatch("poset does not carry a family tag")
-    terms = [(y, mobius(p, x, y)) for y in p.upset(x)]
-    return FreeVector(p.family_tag, x.labels, terms)
+    row = p.mu(p.index[x])
+    return FreeVector(p.family_tag, x.labels, {p.elems[w]: c for w, c in row.items()})
 
 
 def corank_inverted_basis(p: FinitePoset, x) -> FreeVector:
@@ -191,26 +191,24 @@ def duality_pairing_check(fam, poset_for, box, n: int) -> DualityReport:
     """Check <Delta_{S,T}(x), y (x) z> == <x, y box z> for all structures
     and splits on label sets of size up to n.
 
-    `poset_for(labels)` supplies the order; the tensor pairing is the
-    product of zeta pairings."""
+    `poset_for(labels)` supplies the order.  The tensor pairing is the
+    zeta function of the product order, so on each split this is the
+    Galois biconditional split(x) <= (y, z) iff x <= y box z; the witness
+    (x, y, z, S, T) is its first failure, x first, then (y, z) in product
+    order."""
     from .species import subsets
     for k in range(n + 1):
         labels = frozenset(range(k))
         p = poset_for(labels)
         for S in subsets(labels):
             T = labels - S
-            ps = poset_for(S)
-            pt = poset_for(T)
-            # each y box z once per split, as its position in p
-            boxes = [[p.index[box(y, z)] for z in pt.elems] for y in ps.elems]
-            for i, x in enumerate(p.elems):
-                x1, x2 = fam.comult(x, S, T)
-                up1, up2 = ps.up[ps.index[x1]], pt.up[pt.index[x2]]
-                for j, y in enumerate(ps.elems):
-                    for k, z in enumerate(pt.elems):
-                        lhs = up1 >> j & up2 >> k & 1
-                        if lhs != p.up[i] >> boxes[j][k] & 1:
-                            return DualityReport(fam.tag, n, False, (x, y, z, S, T))
+            q = FinitePoset.product(poset_for(S), poset_for(T))
+            fx = [q.index[fam.comult(x, S, T)] for x in p.elems]
+            gy = [p.index[box(y, z)] for y, z in q.elems]
+            failure = _biconditional_failure(p, q, fx, gy)
+            if failure is not None:
+                i, j = failure
+                return DualityReport(fam.tag, n, False, (p.elems[i], *q.elems[j], S, T))
     return DualityReport(fam.tag, n, True)
 
 

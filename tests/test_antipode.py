@@ -11,10 +11,13 @@ from hsl.antipode import (Adjunction, antipode_axiom_check,
                           takeuchi_on_vector)
 from hsl.errors import CarrierOverflow, EngineError, NotSelfAdjoint
 from hsl.families import (FAMILIES, GRAPHS, HYPERGRAPHS, PARTITIONS,
-                          SIMPLICIAL, Graph, is_connected, parse_structure)
+                          SIMPLICIAL, Graph, SimplicialComplex, is_connected,
+                          parse_structure)
+from hsl.posets import check_galois
 from hsl.species import subsets
 from hsl.vectors import FreeVector, comult_vector, inverted_basis
 import literal_oracle as lit
+from adjunction_oracle import merge_split_setup
 from literal_oracle import (factorize, graded_char_eval, grading,
                             literal_poset, reassemble)
 from partition_oracle import compositions, set_partitions
@@ -529,6 +532,34 @@ def test_sc_primitives_use_downward_inverted_basis():
     downset = {x.encode() for x, _ in omega.items()}
     assert full_edge.encode() in downset
     assert all(SIMPLICIAL.leq(x, full_edge) for x, _ in omega.items())
+
+
+def _join_complexes():
+    """Complexes merged by the join, every face of one side with every
+    face of the other: split is no longer right-adjoint to it."""
+    from dataclasses import replace
+
+    def join(a, b):
+        return SimplicialComplex(a.labels | b.labels,
+                                 (s | t for s in a.faces for t in b.faces))
+
+    return replace(SIMPLICIAL, tag="simplicial-join", mult_fn=join)
+
+
+def test_m_delta_as_split_merge_on_the_opposite_order():
+    # split -| merge on the opposite order passes on exactly the splits
+    # where merge -| split passes on the native order
+    failing = 0
+    for fam in (SIMPLICIAL, _join_complexes()):
+        adj = Adjunction(fam, "m_delta")
+        for n in range(4):
+            labels = frozenset(range(n))
+            for S in subsets(labels):
+                T = labels - S
+                ok = adj.verify(S, T).ok
+                assert ok == check_galois(*merge_split_setup(fam, S, T, adj.budget)).ok
+                failing += not ok
+    assert failing > 0  # the join mutant fails on some splits
 
 
 def test_declared_adjunctions_verify_n2():

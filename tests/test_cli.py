@@ -9,8 +9,9 @@ import pytest
 
 import hsl
 from hsl import cli
+from hsl.antipode import box_indecomposables, declared_adjunctions, primitives_basis
 from hsl.errors import CarrierOverflow
-from hsl.families import free_vector_from_json, parse_structure
+from hsl.families import FAMILIES, free_vector_from_json, parse_structure
 from hsl.posets import FinitePoset
 
 
@@ -54,6 +55,26 @@ def test_antipode_unit(capsys):
     for entry in data["results"][:2]:
         assert entry["vector"]["terms"] == {"G:n=0;E=": "1"}
     assert data["agree"] is True
+
+
+def test_primitives_text_matches_the_object_rendering(capsys):
+    # the text view reads the JSON payload; this is the rendering from the
+    # vectors and structures themselves
+    for fam in FAMILIES.values():
+        adj = declared_adjunctions(fam)[0]
+        for n in range(4):
+            labels = frozenset(range(n))
+            vectors = primitives_basis(adj, labels)
+            lines = [f"primitives for {fam.tag} at n={n} "
+                     f"({adj.display}): dimension {len(vectors)}"]
+            for x, v in zip(box_indecomposables(adj, labels), vectors):
+                lines.append(f"  {x.encode()}")
+                for y, c in v.items():
+                    lines.append(f"    {str(c):>6}  {y.encode()}")
+            code, out, _ = run(capsys, "primitives", "--family", fam.tag,
+                               "--n", str(n), "--format", "text", "--jobs", "1")
+            assert code == 0
+            assert out == "".join(line + "\n" for line in lines)
 
 
 def test_parse_error_exit_code(capsys):

@@ -16,7 +16,7 @@ from hsl.families import (FAMILIES, GRAPHS, HYPERGRAPHS, PARTITIONS,
                           closed_form_antipode_sc, contract, graph_components,
                           graph_flats, graph_free_product, graph_rank,
                           hypergraph_free_product, is_connected, is_flat,
-                          parse_structure, partition_union,
+                          parse_structure,
                           sc_gamma_of_flat, sc_one_skeleton)
 from hsl import families
 from hsl.posets import IntPolynomial
@@ -86,8 +86,10 @@ def test_structure_validation():
                           frozenset({frozenset(), frozenset({0, 1})}))
     with pytest.raises(LabelMismatch):
         SetPartition(frozenset({0, 1}), (frozenset({0}),))
-    with pytest.raises(LabelOverlap):
-        GRAPHS.mult(G("G:n=2;E=0-1"), G("G:n=2;E=0-1"))
+    for fam, a, b in ((GRAPHS, "G:n=2;E=0-1", "G:n=2;E=0-1"),
+                      (PARTITIONS, "P:n=2;B=01", "P:n=2;B=0|1")):
+        with pytest.raises(LabelOverlap):
+            fam.mult(G(a), G(b))
 
 
 FIELD = {Graph: "edges", Hypergraph: "edges", SimplicialComplex: "faces",
@@ -232,8 +234,6 @@ def test_trusted_paths_still_reject_bad_labels():
     assert G("G:n=2;E=0-1").restrict({0, 1, 2}) == G("G:n=3;E=0-1")
     with pytest.raises(LabelMismatch):
         G("P:n=2;B=01").restrict({0, 1, 2})
-    with pytest.raises(LabelMismatch):
-        partition_union(G("P:n=2;B=01"), G("P:n=2;B=0|1"))
 
 
 def test_carrier_counts():

@@ -8,7 +8,8 @@ from hsl.antipode import reassembly_poset
 from hsl.errors import CarrierOverflow, NotComparable
 from hsl.families import (FAMILIES, GRAPHS, PARTITIONS, SIMPLICIAL,
                           parse_structure)
-from hsl.posets import (FinitePoset, IntPolynomial, check_galois, interval,
+from hsl.posets import (FinitePoset, IntPolynomial, _biconditional_failure,
+                        check_galois, interval,
                         mobius, rota_transfer_check)
 from hsl.species import _native_poset
 from literal_oracle import graded_char_eval, graded_char_poly
@@ -171,6 +172,16 @@ def test_walk_visits_the_upset_after_each_half_open_interval():
             assert seen == p.up[i]
 
 
+def test_product_downsets_are_the_transpose_of_its_upsets():
+    labels = frozenset(range(2))
+    for left, right in ((GRAPHS.poset(labels), chain_poset(3)),
+                        (PARTITIONS.poset(frozenset(range(3))),
+                         SIMPLICIAL.poset(labels, reverse=True)),
+                        (reassembly_poset(SIMPLICIAL, labels), diamond_poset())):
+        prod = FinitePoset.product(left, right)
+        assert prod.down == FinitePoset(prod.elems, prod.up).down
+
+
 def test_product_poset_multiplicativity():
     left = GRAPHS.poset(frozenset({0, 1}))
     right = chain_poset(3)
@@ -285,6 +296,30 @@ def test_check_galois_graphs_free_product():
     assert check_galois(whole, parts, f, g).ok
     # f is applied once per element, not once per compared pair
     assert sorted(calls, key=lambda g: g.encode()) == list(whole.carrier())
+
+
+def test_biconditional_scan_matches_the_pairwise_scan():
+    # Galois connections (the identity on an order, the graph split and
+    # free product) with up to two images moved, each failure against the
+    # first (i, j) of the pairwise scan in element order
+    rng = random.Random(11)
+    S, T = frozenset({0}), frozenset({1, 2})
+    whole = GRAPHS.poset(S | T)
+    parts = FinitePoset.product(GRAPHS.poset(S), GRAPHS.poset(T))
+    cases = [(p, p, range(len(p.elems)), range(len(p.elems)))
+             for p in (diamond_poset(), SIMPLICIAL.poset(frozenset(range(3)), reverse=True))]
+    cases.append((whole, parts, [parts.index[GRAPHS.comult(x, S, T)] for x in whole.elems],
+                  [whole.index[GRAPHS.box(*pair)] for pair in parts.elems]))
+    for p, q, fx0, gy0 in cases:
+        assert _biconditional_failure(p, q, fx0, gy0) is None
+        for _ in range(200):
+            fx, gy = list(fx0), list(gy0)
+            for _ in range(rng.randint(1, 2)):
+                images, target = rng.choice(((fx, q), (gy, p)))
+                images[rng.randrange(len(images))] = rng.randrange(len(target.elems))
+            expected = next(((i, j) for i in range(len(p.elems)) for j in range(len(q.elems))
+                             if (q.up[fx[i]] >> j & 1) != (p.up[i] >> gy[j] & 1)), None)
+            assert _biconditional_failure(p, q, fx, gy) == expected
 
 
 def test_check_galois_fails_for_disjoint_union():
