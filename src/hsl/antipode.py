@@ -46,7 +46,14 @@ def reassembly_upset(fam: Family, x, budget: int = DEFAULT_BUDGET) -> tuple:
     deduplicated, in encoding order; always contains x via the trivial
     partition.  They are read off the restriction table of x (`_images`),
     and reassembled one partition at a time only where `_restrictions`
-    fails on x."""
+    fails on x.
+
+    The order they make (x below each of its images) is transitive: by
+    compatibility and coassociativity, the piece of img_pi(x) on a block C
+    is the product of the pieces of x on the nonempty B & C, so by
+    associativity and commutativity img_rho(img_pi(x)) is the image of x
+    along the common refinement of pi and rho.  `verify` checks those
+    axioms and the order itself (`hsl.cli._reassembly_poset_axioms`)."""
     check_set_partition_budget(len(x.labels), budget)
     table = _restrictions(fam, x)
     if table is not None:

@@ -174,10 +174,11 @@ def cmd_verify(args) -> int:
         lines.append(f"adjunction {adj.display}: {'pass' if galois.ok else 'FAIL'}")
         if not galois.ok:
             failures.append(f"adjunction {adj.kind}")
-        duality = duality_pairing_check(fam, adj.poset, adj.box, args.n)
-        adj_payload[-1]["duality"] = duality.ok
-        lines.append(f"  duality pairing: {'pass' if duality.ok else 'FAIL'}")
-        if not duality.ok:
+        # on n labels the pairing is the scan verify_all_splits just ran
+        duality = galois.ok and duality_pairing_check(fam, adj.poset, adj.box, args.n - 1).ok
+        adj_payload[-1]["duality"] = duality
+        lines.append(f"  duality pairing: {'pass' if duality else 'FAIL'}")
+        if not duality:
             failures.append(f"duality {adj.kind}")
 
     poset_ok = _reassembly_poset_axioms(fam, args.n, budget)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import AdjunctionUnverified, AmbientMismatch
-from .posets import FinitePoset, _biconditional_failure, _Combination
+from .posets import FinitePoset, _Combination, check_galois
 
 
 class FreeVector(_Combination):
@@ -193,9 +193,9 @@ def duality_pairing_check(fam, poset_for, box, n: int) -> DualityReport:
 
     `poset_for(labels)` supplies the order.  The tensor pairing is the
     zeta function of the product order, so on each split this is the
-    Galois biconditional split(x) <= (y, z) iff x <= y box z; the witness
-    (x, y, z, S, T) is its first failure, x first, then (y, z) in product
-    order."""
+    Galois biconditional split(x) <= (y, z) iff x <= y box z, which
+    `check_galois` scans; the witness (x, y, z, S, T) is its first
+    failure, x first, then (y, z) in product order."""
     from .species import subsets
     for k in range(n + 1):
         labels = frozenset(range(k))
@@ -203,12 +203,10 @@ def duality_pairing_check(fam, poset_for, box, n: int) -> DualityReport:
         for S in subsets(labels):
             T = labels - S
             q = FinitePoset.product(poset_for(S), poset_for(T))
-            fx = [q.index[fam.comult(x, S, T)] for x in p.elems]
-            gy = [p.index[box(y, z)] for y, z in q.elems]
-            failure = _biconditional_failure(p, q, fx, gy)
-            if failure is not None:
-                i, j = failure
-                return DualityReport(fam.tag, n, False, (p.elems[i], *q.elems[j], S, T))
+            report = check_galois(p, q, lambda x: fam.comult(x, S, T), lambda pair: box(*pair))
+            if not report.ok:
+                x, (y, z) = report.witness
+                return DualityReport(fam.tag, n, False, (x, y, z, S, T))
     return DualityReport(fam.tag, n, True)
 
 

@@ -1,5 +1,10 @@
-"""The routes that the one adjunction shape replaced, kept as the oracle
-for it.
+"""The routes that the one adjunction shape and the biconditional-only
+Galois check replaced, kept as the oracle for them.
+
+- `three_scan_check_galois` checks that both maps are order-preserving,
+  one scan per map over every comparable pair, before it scans the
+  biconditional (`biconditional_failure`), where `hsl.posets.check_galois`
+  scans the biconditional alone.
 
 - `duality_by_triples` checks the zeta duality <Delta(x), y (x) z> ==
   <x, y box z> by a loop over every (x, y, z) of each split, where
@@ -14,9 +19,55 @@ for it.
   mu(x, .).
 """
 
-from hsl.posets import FinitePoset, mobius
+from hsl.posets import FinitePoset, GaloisReport, _bits, mobius
 from hsl.species import subsets
 from hsl.vectors import FreeVector
+
+
+def biconditional_failure(p: FinitePoset, q: FinitePoset, fx, gy):
+    """The first position pair (i, j), in element order, at which
+    fx[i] <= j in Q and i <= gy[j] in P disagree, or None: the Galois
+    biconditional f(x) <= y iff x <= g(y), with fx and gy the positions
+    of the images of f and g.  It is read one j at a time, folding over
+    the down-sets of Q: in the adjunction checks and the duality pairing
+    Q is the product order of a split, smaller than P."""
+    preimage = [0] * len(q.elems)  # position in Q -> bitset of the i with fx[i] there
+    for i, k in enumerate(fx):
+        preimage[k] |= 1 << i
+    first = None
+    for j, mask in enumerate(q.down):
+        below_f = 0  # the i with fx[i] <= j
+        for k in _bits(mask):
+            below_f |= preimage[k]
+        diff = p.down[gy[j]] ^ below_f  # the i at which the biconditional fails with j
+        if diff:
+            i = (diff & -diff).bit_length() - 1
+            if first is None or i < first[0]:
+                first = i, j
+    return first
+
+
+def three_scan_check_galois(p: FinitePoset, q: FinitePoset, f, g) -> GaloisReport:
+    """Check that f: P -> Q and g: Q -> P are order-preserving and satisfy
+    f(x) <= y iff x <= g(y) for every pair; on failure report a witness,
+    the first failing pair in element order.
+
+    f and g are applied once per element; the checks then compare
+    bitsets."""
+    fx = [q.index[f(x)] for x in p.elems]
+    gy = [p.index[g(y)] for y in q.elems]
+    for src, dst, h, reason in ((p, q, fx, "left map not order-preserving"),
+                                (q, p, gy, "right map not order-preserving")):
+        for i, mask in enumerate(src.up):
+            for k in _bits(mask):
+                if not dst.up[h[i]] >> h[k] & 1:
+                    return GaloisReport(False, reason, (src.elems[i], src.elems[k]))
+    failure = biconditional_failure(p, q, fx, gy)
+    if failure is not None:
+        i, j = failure
+        return GaloisReport(False, "adjunction biconditional fails",
+                            (p.elems[i], q.elems[j]))
+    return GaloisReport(True)
 
 
 def duality_by_triples(fam, poset_for, box, n: int):

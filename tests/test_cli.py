@@ -9,10 +9,12 @@ import pytest
 
 import hsl
 from hsl import cli
-from hsl.antipode import box_indecomposables, declared_adjunctions, primitives_basis
+from hsl.antipode import (Adjunction, box_indecomposables, declared_adjunctions,
+                          primitives_basis)
 from hsl.errors import CarrierOverflow
 from hsl.families import FAMILIES, free_vector_from_json, parse_structure
 from hsl.posets import FinitePoset
+from hsl.vectors import duality_pairing_check
 
 
 def run(capsys, *argv):
@@ -269,6 +271,32 @@ def test_verify_simplicial_reports_merge_split_adjunction(capsys):
                        "--format", "text", "--jobs", "1")
     assert code == 0
     assert "merge -| split" in out
+
+
+def _duality_flags(capsys, family, n):
+    code, out, _ = run(capsys, "verify", "--family", family, "--n", str(n), "--jobs", "1")
+    return code, {entry["kind"]: entry["duality"] for entry in json.loads(out)["adjunctions"]}
+
+
+def test_verify_duality_flag_is_the_full_pairing(capsys, monkeypatch):
+    # cmd_verify reads the pairing on n labels off the Galois sweep of the
+    # same splits; the flag must equal the pairing checked on every size
+    for fam in FAMILIES.values():
+        for n in range(4):
+            _, flags = _duality_flags(capsys, fam.tag, n)
+            assert flags == {adj.kind: duality_pairing_check(fam, adj.poset, adj.box, n).ok
+                             for adj in declared_adjunctions(fam)}, (fam.tag, n)
+    # a failing pairing: the native order with the merge for graphs
+    monkeypatch.setattr(Adjunction, "box", lambda self, x, y: self.family.mult(x, y))
+    adj = Adjunction(FAMILIES["graphs"], "delta_box")
+    verdicts = []
+    for n in range(4):
+        code, flags = _duality_flags(capsys, "graphs", n)
+        expected = duality_pairing_check(adj.family, adj.poset, adj.box, n).ok
+        assert flags["delta_box"] is expected
+        assert code == (0 if expected else 4)
+        verdicts.append(expected)
+    assert verdicts == [True, True, False, False]
 
 
 def test_primitives_command(capsys):

@@ -8,10 +8,10 @@ from hsl.antipode import reassembly_poset
 from hsl.errors import CarrierOverflow, NotComparable
 from hsl.families import (FAMILIES, GRAPHS, PARTITIONS, SIMPLICIAL,
                           parse_structure)
-from hsl.posets import (FinitePoset, IntPolynomial, _biconditional_failure,
-                        check_galois, interval,
+from hsl.posets import (FinitePoset, IntPolynomial, check_galois, interval,
                         mobius, rota_transfer_check)
 from hsl.species import _native_poset
+from adjunction_oracle import three_scan_check_galois
 from literal_oracle import graded_char_eval, graded_char_poly
 
 
@@ -298,11 +298,14 @@ def test_check_galois_graphs_free_product():
     assert sorted(calls, key=lambda g: g.encode()) == list(whole.carrier())
 
 
-def test_biconditional_scan_matches_the_pairwise_scan():
-    # Galois connections (the identity on an order, the graph split and
-    # free product) with up to two images moved, each failure against the
-    # first (i, j) of the pairwise scan in element order
-    rng = random.Random(11)
+def _position_maps(p, q, fx, gy):
+    """f: P -> Q and g: Q -> P with the images at positions fx and gy."""
+    return (lambda x: q.elems[fx[p.index[x]]]), (lambda y: p.elems[gy[q.index[y]]])
+
+
+def _galois_cases():
+    """(p, q, fx, gy) for Galois connections given by image positions: the
+    identity on two orders, the graph split and free product on {0}|{1, 2}."""
     S, T = frozenset({0}), frozenset({1, 2})
     whole = GRAPHS.poset(S | T)
     parts = FinitePoset.product(GRAPHS.poset(S), GRAPHS.poset(T))
@@ -310,8 +313,15 @@ def test_biconditional_scan_matches_the_pairwise_scan():
              for p in (diamond_poset(), SIMPLICIAL.poset(frozenset(range(3)), reverse=True))]
     cases.append((whole, parts, [parts.index[GRAPHS.comult(x, S, T)] for x in whole.elems],
                   [whole.index[GRAPHS.box(*pair)] for pair in parts.elems]))
-    for p, q, fx0, gy0 in cases:
-        assert _biconditional_failure(p, q, fx0, gy0) is None
+    return cases
+
+
+def test_biconditional_scan_matches_the_pairwise_scan():
+    # Galois connections with up to two images moved, each failure against
+    # the first (i, j) of the pairwise scan in element order
+    rng = random.Random(11)
+    for p, q, fx0, gy0 in _galois_cases():
+        assert check_galois(p, q, *_position_maps(p, q, fx0, gy0)).ok
         for _ in range(200):
             fx, gy = list(fx0), list(gy0)
             for _ in range(rng.randint(1, 2)):
@@ -319,7 +329,49 @@ def test_biconditional_scan_matches_the_pairwise_scan():
                 images[rng.randrange(len(images))] = rng.randrange(len(target.elems))
             expected = next(((i, j) for i in range(len(p.elems)) for j in range(len(q.elems))
                              if (q.up[fx[i]] >> j & 1) != (p.up[i] >> gy[j] & 1)), None)
-            assert _biconditional_failure(p, q, fx, gy) == expected
+            report = check_galois(p, q, *_position_maps(p, q, fx, gy))
+            if expected is None:
+                assert report.ok
+            else:
+                i, j = expected
+                assert (report.ok, report.reason, report.witness) == (
+                    False, "adjunction biconditional fails", (p.elems[i], q.elems[j]))
+
+
+def test_check_galois_verdict_matches_the_three_scan_oracle():
+    # the biconditional alone decides: over partial orders it makes both
+    # maps monotone, so dropping the monotonicity scans changes no verdict.
+    # Maps are adjoint pairs with images moved, constant (monotone) pairs,
+    # or drawn at random; the partition order adds split and merge on
+    # 4 labels.  Non-monotone maps must occur for the check to say anything.
+    rng = random.Random(18)
+    cases = _galois_cases()
+    for S in ({0}, {0, 1}):
+        S, T = frozenset(S), frozenset(range(4)) - frozenset(S)
+        whole = PARTITIONS.poset(S | T)
+        parts = FinitePoset.product(PARTITIONS.poset(S), PARTITIONS.poset(T))
+        cases.append((whole, parts, [parts.index[PARTITIONS.comult(x, S, T)] for x in whole.elems],
+                      [whole.index[PARTITIONS.mult(*pair)] for pair in parts.elems]))
+    reasons = set()
+    for p, q, fx0, gy0 in cases:
+        for trial in range(300):
+            if trial % 3 == 0:
+                fx, gy = list(fx0), list(gy0)
+                for _ in range(rng.randint(1, 3)):
+                    images, target = rng.choice(((fx, q), (gy, p)))
+                    images[rng.randrange(len(images))] = rng.randrange(len(target.elems))
+            elif trial % 3 == 1:
+                fx = [rng.randrange(len(q.elems))] * len(p.elems)
+                gy = [rng.randrange(len(p.elems))] * len(q.elems)
+            else:
+                fx = [rng.randrange(len(q.elems)) for _ in p.elems]
+                gy = [rng.randrange(len(p.elems)) for _ in q.elems]
+            f, g = _position_maps(p, q, fx, gy)
+            expected = three_scan_check_galois(p, q, f, g)
+            reasons.add(expected.reason)
+            assert check_galois(p, q, f, g).ok == expected.ok
+    assert reasons == {None, "left map not order-preserving", "right map not order-preserving",
+                       "adjunction biconditional fails"}
 
 
 def test_check_galois_fails_for_disjoint_union():
