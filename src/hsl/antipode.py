@@ -14,14 +14,14 @@ the two disagree already on two-element chains; see the discrepancy tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from itertools import permutations
 from math import factorial
 from operator import or_
 
 from .errors import (DEFAULT_BUDGET, EngineError, LabelMismatch,
                      NonUniqueFactorization, NotSelfAdjoint)
-from .families import _by_position, restriction_bits
+from .families import SetPartition, _of, _split, _union, partition_masks
 from .posets import (FinitePoset, GaloisReport, _bits, _containment_upsets,
                      check_galois)
 from .species import (Family, _Memo, _partitions, check_set_partition_budget,
@@ -57,7 +57,7 @@ def reassembly_upset(fam: Family, x, budget: int = DEFAULT_BUDGET) -> tuple:
     check_set_partition_budget(len(x.labels), budget)
     table = _restrictions(fam, x)
     if table is not None:
-        return tuple(_distinct_images(fam, table, _partitions(len(x.labels)))[2])
+        return tuple(_distinct_images(fam, x, table)[2])
     seen = {reassemble(fam, blocks, x) for blocks in _label_partitions(x.labels)}
     return tuple(sorted(seen, key=lambda y: y.encode()))
 
@@ -180,11 +180,13 @@ def _restrictions(fam: Family, x) -> tuple | None:
     that `verify_axioms` checks) that is their product, and by (c) any
     two adjacent factors swap, so every order gives the same product.
 
-    On the integer kernel of the four families (`restriction_bits`), r
-    holds the ints rb(S) = x.bits & inside(S), joins is None and image(b)
-    is the structure on I with int b: no map is called, no join is swept.
-    The checks hold by algebra: rb(U) & inside(S) = rb(S) for S in U,
-    which is (a) and (b), and `|` commutes, which is (c).
+    On the integer kernel of the four families (split `_split`, merge
+    `_union`), r and joins are None and image(b) is the structure on I
+    with int b: no map is called and nothing is built per structure.
+    There r(S) has the int x.bits & inside(S), and the checks hold by
+    algebra: (x.bits & inside(U)) & inside(S) = x.bits & inside(S) for S
+    in U, which is (a) and (b), and `|` commutes, which is (c).  So
+    img(pi) has the int x.bits & inside(pi) (`partition_masks`).
 
     Otherwise r holds the structures, image is None and the maps run the
     checks.  joins[U] holds, ascending, each S of a split {S, U - S} with
@@ -193,11 +195,10 @@ def _restrictions(fam: Family, x) -> tuple | None:
     sum of ell(r(B)) over the blocks B of pi (`_factor_blocks`, which
     raises NonUniqueFactorization where two joins disagree)."""
     labels = x.labels
+    if fam.comult_fn is _split and fam.mult_fn is _union:
+        return None, None, partial(_of, type(x), labels)
     subs = subsets(labels)  # subs[m]: the labels at the set bits of m
     full = len(subs) - 1
-    kernel = restriction_bits(fam, x, subs)
-    if kernel is not None:
-        return kernel[0], None, kernel[1]
     split, mult = fam.comult_fn, fam.mult_fn
     splits = [split(x, S, labels - S) for S in subs]
     r = [first for first, _ in splits]
@@ -251,25 +252,26 @@ def _factor_blocks(r: list, joins: list) -> list:
     return blocks
 
 
-def _images(fam: Family, table: tuple, parts) -> tuple:
-    """(img, image) for the set partitions in `parts`, each a tuple of
-    block bitmasks: image(img[i]) is img(parts[i]), img(pi) being the fold
-    of mult from the unit over r(B) for the blocks B of pi, in order, which
-    by `_restrictions` is reassemble(pi, x), with no split made.  On the
-    kernel img[i] is the image's int, the fold of `|`, so equal images
-    compare as ints and the caller builds one structure per distinct
-    image; otherwise img[i] is the image itself."""
+def _images(fam: Family, x, table: tuple) -> tuple:
+    """(img, image) over the set partitions pi of `_partitions`, in order:
+    image(img[i]) is img(pi), the fold of mult from the unit over r(B) for
+    the blocks B of pi, which by `_restrictions` is reassemble(pi, x), with
+    no split made.  On the kernel img[i] is the image's int, x.bits &
+    inside(pi), so equal images compare as ints and the caller builds one
+    structure per distinct image; otherwise img[i] is the image itself."""
     r, _, image = table
-    fold, unit = (fam.mult_fn, fam.unit) if image is None else (or_, fam.unit.bits)
-    img = [reduce(fold, map(r.__getitem__, blocks), unit) for blocks in parts]
-    return img, image or (lambda y: y)
+    if image is not None:
+        return list(map(x.bits.__and__, partition_masks(type(x), x.labels))), image
+    return [reduce(fam.mult_fn, map(r.__getitem__, blocks), fam.unit)
+            for blocks in _partitions(len(x.labels))], (lambda y: y)
 
 
-def _distinct_images(fam: Family, table: tuple, parts) -> tuple:
+def _distinct_images(fam: Family, x, table: tuple) -> tuple:
     """(img, finest, elems): img as `_images` gives it, elems the distinct
     images in encoding order, one structure built for each, and finest maps
     each img value, in that order, to its first partition with most blocks."""
-    img, image = _images(fam, table, parts)
+    img, image = _images(fam, x, table)
+    parts = _partitions(len(x.labels))
     finest: dict = {}
     for j, y in enumerate(img):
         if len(parts[j]) > len(parts[finest.setdefault(y, j)]):
@@ -306,22 +308,20 @@ def takeuchi_antipode(fam: Family, x, budget: int = DEFAULT_BUDGET,
     reassemble x alike, to the product of its blocks' restrictions, so
     the sum runs over the Bell(n) set partitions with weight (-1)^k k!
     (Aguiar and Mahajan, 2010) and reads each image off the table
-    (`_images`): for the four families, an `|` of ints per block, summed
-    by int, with one structure built per distinct image.  Otherwise it
-    falls back to the ordered sum.  The budget bounds the
-    Bell(n) set partitions, and the Fubini(n) ordered ones only before
-    that fallback.  `jobs` is accepted and ignored."""
+    (`_images`): for the four families, one `&` of ints per partition,
+    summed by int, with one structure built per distinct image.  Otherwise
+    it falls back to the ordered sum.  The budget bounds the Bell(n) set
+    partitions, and the Fubini(n) ordered ones only before that fallback.  `jobs` is accepted and ignored."""
     check_set_partition_budget(len(x.labels), budget)
     table = _restrictions(fam, x)
     if table is None:
         check_set_partition_budget(len(x.labels), budget, ordered=True)
         return FreeVector(fam.tag, x.labels, _ordered_sum(fam, x))
     n = len(x.labels)
-    parts = _partitions(n)
-    img, image = _images(fam, table, parts)
+    img, image = _images(fam, x, table)
     weight = [(-1) ** k * factorial(k) for k in range(n + 1)]
     terms: dict = {}
-    for blocks, y in zip(parts, img):
+    for blocks, y in zip(_partitions(n), img):
         terms[y] = terms.get(y, 0) + weight[len(blocks)]
     return FreeVector(fam.tag, x.labels, {image(y): c for y, c in terms.items()})
 
@@ -363,9 +363,10 @@ def _partition_lattice(n: int) -> tuple:
     partitions that refine it, itself included, in ascending order.
 
     rho refines pi iff rho separates every pair that pi separates: the
-    containment order of the separated pairs' bits (`_by_position`)."""
-    pairs = _by_position(tuple(range(n)))[1]
-    keys = [pairs[-1] ^ sum(map(pairs.__getitem__, blocks)) for blocks in _partitions(n)]
+    containment order of the separated pairs' bits, those of the one-block
+    partition's mask (the first) outside pi's (`partition_masks`)."""
+    masks = partition_masks(SetPartition, frozenset(range(n)))
+    keys = [masks[0] ^ m for m in masks]
     return tuple(tuple(_bits(up)) for up in _containment_upsets(keys))
 
 
@@ -384,21 +385,22 @@ def _reassembly_images(fam: Family, x, table: tuple) -> tuple:
     up-set of img(pi) is {img(rho) : rho refines pi}, for any pi giving it.
 
     On the kernel ell(y) is the block count of y's finest partition.
-    There img(pi) = unit | (x & inside(pi)), inside(pi) the `|` of
-    inside(B) over the blocks B of pi: the elements (edges, same-block
+    There img(pi) = x & inside(pi), inside(pi) the `|` of inside(B) over
+    the blocks B of pi (`partition_masks`): the elements (edges, same-block
     pairs, hyperedges, faces) whose labels lie in one block.  An element
     lies in a block of pi and in one of sigma iff it lies in their
     intersection, a block of pi meet sigma (blocks are nonempty, so the
     empty face too), so inside(pi meet sigma) = inside(pi) & inside(sigma)
     and by distributivity the partitions giving y are closed under meets.
     Their meet pi0 refines them all and alone has the most blocks.  Each
-    block B of pi0 is indecomposable: were rb(B) = rb(S) | rb(B - S),
-    cutting B in two would give y from a finer partition.  So y is a
-    product of |pi0| indecomposables, and by unique factorization ell(y) =
-    |pi0|.  Elsewhere ell comes from the joins (`_restrictions`)."""
+    block B of pi0 is indecomposable: were x & inside(B) the `|` of x &
+    inside(S) and x & inside(B - S), cutting B in two would give y from a
+    finer partition.  So y is a product of |pi0| indecomposables, and by
+    unique factorization ell(y) = |pi0|.  Elsewhere ell comes from the
+    joins (`_restrictions`)."""
     r, joins, _ = table
     parts, refines = _partitions(len(x.labels)), _partition_lattice(len(x.labels))
-    img, finest, elems = _distinct_images(fam, table, parts)
+    img, finest, elems = _distinct_images(fam, x, table)
     index = {y: i for i, y in enumerate(finest)}
     bit = [1 << index[y] for y in img]
     up = [reduce(or_, map(bit.__getitem__, refines[j])) for j in finest.values()]

@@ -22,18 +22,21 @@ others) validate; `.edges`, `.faces` and `.blocks` are decoded views.
 No int is wider than MAX_BITS = 2^16 bits (an edge or same-block pair
 joins labels below 362, a hyperedge or face lies in 0..15): whatever
 builds one counts its width first and raises CarrierOverflow past it.
-For a family whose split and merge are these two ops, `restriction_bits`
-gives the antipode's restriction table as ints, with no map call.  The
-family formulas run on the same ints: flats sweep the block-mask set
-partitions of the label positions (`_partitions`), each quotient comes
-out canonical, and the orientation and chromatic caches are keyed by a
-graph's canonical (k, bits) on 0..k-1.
+So x reassembled along a set partition pi of its labels is x.bits &
+inside(pi), inside(pi) the `|` of the restriction masks of pi's blocks: a
+mask of the label set alone.  `partition_masks` keeps one table of them
+per class and label set, in the order of `_partitions`, and the
+antipode's reassemblies, the partition carrier, the refinements and the
+flats all read it.  The family formulas run on the same ints: each
+quotient of a flat comes out canonical, and the chromatic cache, which
+also counts acyclic orientations, is keyed by a graph's canonical (k,
+bits) on 0..k-1.
 """
 
 from __future__ import annotations
 
 import json
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, reduce
 from itertools import combinations, product
 from math import factorial, isqrt
 from operator import or_
@@ -108,20 +111,18 @@ def _subsets_in(S: frozenset) -> int:
     return out
 
 
+# One table per (class, label set): the bound is far above the label sets
+# one command or benchmark pass reassembles or sweeps partitions of.
 @lru_cache(maxsize=256)
-def _by_position(labels: tuple) -> tuple:
-    """(span, pairs) over the position masks m of `labels`, ascending:
-    span[m] is the label mask of the labels at m, pairs[m] the bits of the
-    label pairs among them.  The bound is far above the label sets one
-    command or benchmark pass sweeps partitions of."""
-    if len(labels) > 1:
-        _bit(_pair(labels[-2], labels[-1]))  # the widest pair
-    span, pairs = [0], [0]
-    for v in labels:  # each mask of the labels so far, then with v added
-        low = v * (v - 1) // 2  # the bit of the pair (0, v)
-        pairs += [p | s << low for p, s in zip(pairs, span)]
-        span += [s | 1 << v for s in span]
-    return tuple(span), tuple(pairs)
+def partition_masks(cls, labels: frozenset) -> tuple:
+    """inside(pi) for each set partition pi of `_partitions(len(labels))`
+    over the positions of `labels`: the `|` of inside(B) over the blocks B
+    of pi, from inside(∅).  A structure x of cls on `labels`, split into
+    its restrictions to the blocks (`bits & inside(B)`) and merged back
+    (`|`), is x.bits & inside(pi); x.bits & inside(∅) is the unit's int."""
+    inside = tuple(map(cls._inside, subsets(labels)))  # by position mask
+    return tuple(reduce(or_, map(inside.__getitem__, blocks), inside[0])
+                 for blocks in _partitions(len(labels)))
 
 
 @lru_cache(maxsize=16)
@@ -511,17 +512,6 @@ def _union(a, b):
     return _of(type(a), a.labels | b.labels, a.bits | b.bits)
 
 
-def restriction_bits(fam: Family, x, subs) -> tuple | None:
-    """(bits, image) where fam splits with `_split` and merges with
-    `_union`, None for any other family: bits[i] = x.bits & inside(subs[i])
-    is x restricted to subs[i], and image(b) is the structure on x's labels
-    with int b.  There a split is `&` and a merge `|`, from the unit's int."""
-    if fam.comult_fn is not _split or fam.mult_fn is not _union:
-        return None
-    cls, bits = type(x), x.bits
-    return [bits & cls._inside(S) for S in subs], partial(_of, cls, x.labels)
-
-
 def graph_free_product(a, b):
     """Disjoint union plus every edge, or hyperedge, meeting both sides;
     equals the complement of the disjoint union of the complements."""
@@ -575,11 +565,10 @@ def _sc_enumerate(labels, budget):
 
 
 def _partition_enumerate(labels, budget):
-    """The set partitions of `_partitions` in reverse, the singletons first."""
-    order = tuple(sorted(labels))
-    pairs = _by_position(order)[1]
-    return tuple(_of(SetPartition, labels, sum(map(pairs.__getitem__, blocks)))
-                 for blocks in reversed(_partitions(len(order))))
+    """The set partitions of `_partitions` in reverse, the singletons first:
+    the int of a partition is its mask, the pairs inside its blocks."""
+    return tuple(_of(SetPartition, labels, m)
+                 for m in reversed(partition_masks(SetPartition, labels)))
 
 
 def _relabelled(cls, image):
@@ -670,14 +659,14 @@ def _flats(g: Graph) -> list:
     a set partition whose blocks each induce a connected subgraph, so the
     sweep runs over the Bell(n) set partitions of the positions of g's
     sorted labels (`_partitions`), not over every graph on them (Benedetti
-    and Sagan, 2017).  The blocks are the flat's components as label
+    and Sagan, 2017): the flat along pi is g.bits & inside(pi)
+    (`partition_masks`).  The blocks are the flat's components as label
     masks, by lowest label.  The quotient g/flat is the int of the graph
     on 0..k-1 whose label i is block i, with i-j an edge where g joins
     blocks i and j."""
     labels = tuple(sorted(g.labels))
     n = len(labels)
     check_set_partition_budget(n, DEFAULT_BUDGET)
-    span, pairs = _by_position(labels)
     position = {v: 1 << i for i, v in enumerate(labels)}
     adjacent = dict.fromkeys(labels, 0)
     for k in _bits(g.bits):
@@ -685,29 +674,23 @@ def _flats(g: Graph) -> list:
         adjacent[a] |= position[b]
         adjacent[b] |= position[a]
     near = _or_of_every_subset(adjacent.values())  # positions next to each mask
-    inside = [g.bits & p for p in pairs]  # edges in each mask, None if disconnected
-    for m in range(1, 1 << n):
+    span = _or_of_every_subset(1 << v for v in labels)  # the labels at each mask
+    connected = []  # by mask: does g restricted to it connect it
+    for m in range(1 << n):
         reach = m & -m
         while (grown := reach | near[reach] & m) != reach:
             reach = grown
-        if reach != m:
-            inside[m] = None
+        connected.append(reach == m)
     out = []
-    for blocks in _partitions(n):
-        bits = 0
-        for b in blocks:
-            edges = inside[b]
-            if edges is None:
-                break
-            bits |= edges
-        else:
+    for blocks, inside in zip(_partitions(n), partition_masks(Graph, g.labels)):
+        if all(map(connected.__getitem__, blocks)):
             quotient = 0
             for j, b in enumerate(blocks):
                 low = j * (j - 1) // 2  # the bit of the pair (0, j)
                 for i in range(j):
                     if near[blocks[i]] & b:
                         quotient |= 1 << low + i
-            out.append((bits, tuple(map(span.__getitem__, blocks)), quotient))
+            out.append((g.bits & inside, tuple(map(span.__getitem__, blocks)), quotient))
     return out
 
 
@@ -790,27 +773,10 @@ def _chromatic(k: int, bits: int) -> IntPolynomial:
 
 
 def acyclic_orientation_count(g: Graph) -> int:
-    """Number of acyclic orientations: the exhaustive cut search of
-    `acyclic_orientations_brute` up to 20 edges, |chi(-1)| above, and both,
-    checked against each other at run time, up to 12 edges."""
-    return _orientations(*_canonical(g))
-
-
-# One entry per graph on 0..k-1: a closed-form benchmark pass fills 131.
-@lru_cache(maxsize=4096)
-def _orientations(k: int, bits: int) -> int:
-    """The acyclic orientations of the graph on 0..k-1 with int `bits`."""
-    edges = bits.bit_count()
-    if edges > 20:
-        return abs(_chromatic(k, bits).evaluate(-1))
-    g = _of(Graph, frozenset(range(k)), bits)
-    brute = acyclic_orientations_brute(g)
-    if edges <= 12:
-        via_chromatic = abs(_chromatic(k, bits).evaluate(-1))
-        if brute != via_chromatic:
-            raise ArithmeticError(
-                f"orientation count mismatch on {g.encode()}: {brute} vs {via_chromatic}")
-    return brute
+    """Number of acyclic orientations: |chi(-1)| (Stanley, 1973), from the
+    cached chromatic polynomial.  `acyclic_orientations_brute` counts them
+    one by one, the oracle the tests and criterion 13 check it against."""
+    return abs(chromatic_polynomial(g).evaluate(-1))
 
 
 # ---------------------------------------------------------------------------
@@ -852,7 +818,7 @@ def _flat_terms(g: Graph):
     sweep."""
     for bits, blocks, quotient in _flats(g):
         k = len(blocks)
-        yield bits, blocks, (-1) ** k * _orientations(k, quotient)
+        yield bits, blocks, (-1) ** k * abs(_chromatic(k, quotient).evaluate(-1))
 
 
 def closed_form_antipode_graphs(g: Graph) -> FreeVector:
@@ -863,11 +829,9 @@ def closed_form_antipode_graphs(g: Graph) -> FreeVector:
 
 def _refinements(p: SetPartition):
     """All partitions refining p, with the per-block refinement shape."""
-    per_block = []
-    for m in p.block_masks():
-        pairs = _by_position(_members(m))[1]
-        per_block.append([(sum(map(pairs.__getitem__, blocks)), len(blocks))
-                          for blocks in _partitions(m.bit_count())])
+    per_block = [zip(partition_masks(SetPartition, frozenset(_members(m))),
+                     map(len, _partitions(m.bit_count())))
+                 for m in p.block_masks()]
     for choice in product(*per_block):
         bits = 0
         for same, _ in choice:

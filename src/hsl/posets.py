@@ -73,10 +73,12 @@ class FinitePoset:
     def product(cls, p: "FinitePoset", q: "FinitePoset") -> "FinitePoset":
         """Componentwise order on the pairs (p.elems[i], q.elems[j]), the
         pair at position i * |Q| + j; its up-sets and down-sets are both
-        built componentwise."""
-        width = len(q.elems)
-        # the shifted copies of b occupy disjoint blocks of width bits
-        up, down = ([sum(b << width * i for i in _bits(a)) for a in p_sets for b in q_sets]
+        built componentwise: the set of (a, b) is b * spread(a), where
+        spread(a) holds bit i of a at bit i * |Q|, so the copies of b land
+        in disjoint blocks of |Q| bits and nothing carries."""
+        gap = "0" * (len(q.elems) - 1)
+        spread = lambda a: int(gap.join(bin(a)[2:]), 2)  # a itself when |Q| = 1
+        up, down = ([b * s for s in map(spread, p_sets) for b in q_sets]
                     for p_sets, q_sets in ((p.up, q.up), (p.down, q.down)))
         return cls(((u, v) for u in p.elems for v in q.elems), up, down=down)
 

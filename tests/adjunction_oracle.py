@@ -17,6 +17,8 @@ Galois check replaced, kept as the oracle for them.
 - `inverted_basis_by_mobius` reads each coefficient of omega_x from
   `mobius`, where `hsl.vectors.inverted_basis` reads the compiled row
   mu(x, .).
+- `product_by_shifts` builds each set of the product order as a sum of
+  shifted copies, where `hsl.posets.FinitePoset.product` multiplies.
 """
 
 from hsl.posets import FinitePoset, GaloisReport, _bits, mobius
@@ -104,3 +106,12 @@ def merge_split_setup(fam, S, T, budget):
 def inverted_basis_by_mobius(p: FinitePoset, x) -> FreeVector:
     """omega_x = sum over y >= x of mu(x, y) * y, one `mobius` per y."""
     return FreeVector(p.family_tag, x.labels, [(y, mobius(p, x, y)) for y in p.upset(x)])
+
+
+def product_by_shifts(p: FinitePoset, q: FinitePoset) -> tuple:
+    """(up, down) of the product order, each set the sum of one shifted
+    copy of b per set bit of a, as `FinitePoset.product` built them before
+    it multiplied b by the spread of a."""
+    width = len(q.elems)
+    return tuple([sum(b << width * i for i in _bits(a)) for a in p_sets for b in q_sets]
+                 for p_sets, q_sets in ((p.up, q.up), (p.down, q.down)))

@@ -1,10 +1,13 @@
 """The frozenset enumerations of set partitions, kept as the oracle for
-`_partitions` (block bitmasks), which every sweep in `hsl` reads.
+`_partitions` (block bitmasks), which every sweep in `hsl` reads, and a
+literal fold of restriction masks over them, the oracle for
+`hsl.families.partition_masks`.
 
 Each partition is a tuple of frozenset blocks: in sweep order for
 `compositions`, by minimum for `set_partitions`."""
 
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 
 from hsl.species import subsets
 
@@ -40,3 +43,11 @@ def set_partitions(labels: frozenset) -> tuple:
         for tail in set_partitions(rest - extra):
             out.append((block,) + tail)
     return tuple(out)
+
+
+def partition_masks_by_fold(cls, labels: frozenset) -> tuple:
+    """inside(pi) for each set partition pi of `labels`, in the order of
+    `_partitions` (`set_partitions` reversed): the `|` of cls._inside of
+    each block, from cls._inside of the empty set."""
+    return tuple(reduce(or_, map(cls._inside, blocks), cls._inside(frozenset()))
+                 for blocks in reversed(set_partitions(labels)))

@@ -258,28 +258,28 @@ def _kernel_joins(rb):
 
 def test_kernel_table_matches_checked_table():
     # every structure of each family on 0-4 labels, graphs and partitions
-    # on 5: the restrictions built on ints equal the ones the maps build,
-    # the kernel's join sweep gives the checked route's joins, and both
-    # routes give the same images, up-sets and grading
+    # on 5: the kernel table builds nothing per structure, the restriction
+    # ints x.bits & inside(S) are the restrictions the maps build, their
+    # join sweep gives the checked route's joins, and the mask images, the
+    # up-sets and the grading equal the checked route's
     from hsl.families import _of
 
     cases = [(fam, n) for fam in FAMILIES.values() for n in range(5)]
     cases += [(GRAPHS, 5), (PARTITIONS, 5)]
     for fam, n in cases:
         checked = _checked(fam)
-        parts = ap._partitions(n)
         for x in fam.enumerate(frozenset(range(n))):
             fast, slow = ap._restrictions(fam, x), ap._restrictions(checked, x)
-            assert fast[2] is not None and slow[2] is None, x.encode()
-            assert fast[1] is None, x.encode()
-            rb = fast[0]
-            r = [_of(type(x), S, b) for S, b in zip(subsets(x.labels), rb)]
-            assert r == slow[0], x.encode()
+            assert fast[:2] == (None, None) and fast[2] is not None, x.encode()
+            assert slow[2] is None, x.encode()
+            subs = subsets(x.labels)
+            rb = [x.bits & type(x)._inside(S) for S in subs]
+            assert [_of(type(x), S, b) for S, b in zip(subs, rb)] == slow[0], x.encode()
             assert _kernel_joins(rb) == slow[1], x.encode()
             assert (ap._reassembly_images(fam, x, fast)
                     == ap._reassembly_images(checked, x, slow)), x.encode()
-            img, image = ap._images(fam, fast, parts)
-            slow_img, slow_image = ap._images(checked, slow, parts)
+            img, image = ap._images(fam, x, fast)
+            slow_img, slow_image = ap._images(checked, x, slow)
             assert list(map(image, img)) == list(map(slow_image, slow_img)), x.encode()
 
 

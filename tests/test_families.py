@@ -1,10 +1,11 @@
+import random
 from functools import cache
 from itertools import combinations, islice, permutations
 from math import factorial
 
 import pytest
 
-from hsl.antipode import takeuchi_antipode
+from hsl.antipode import closed_form_antipode, takeuchi_antipode
 from hsl.errors import (CarrierOverflow, LabelMismatch, LabelOverlap,
                         NotAFlat, ParseError)
 from hsl.families import (FAMILIES, GRAPHS, HYPERGRAPHS, PARTITIONS,
@@ -389,8 +390,9 @@ def test_acyclic_orientation_examples():
 
 
 def test_orientation_cache_is_bounded_and_shared_by_relabellings():
+    # the count reads the chromatic cache, keyed by the canonical graph
     import hsl.families as fm
-    cache = fm._orientations
+    cache = fm._chromatic
     bound = cache.cache_info().maxsize
     assert bound is not None
     cache.cache_clear()
@@ -402,9 +404,10 @@ def test_orientation_cache_is_bounded_and_shared_by_relabellings():
     assert cache.cache_info().currsize == bound
     cache.cache_clear()
     assert acyclic_orientation_count(G("G:n=3;E=0-1,1-2")) == 4
+    filled = cache.cache_info()
     assert acyclic_orientation_count(Graph({5, 7, 9}, [(5, 7), (7, 9)])) == 4
     info = cache.cache_info()
-    assert (info.currsize, info.hits) == (1, 1)
+    assert (info.currsize, info.hits) == (filled.currsize, filled.hits + 1)
 
 
 def test_chromatic_polynomial_known_values():
@@ -438,6 +441,33 @@ def test_cut_search_follows_every_branch_where_nothing_closes_a_cycle():
     assert acyclic_orientations_brute(path) == acyclic_orientations_sweep(path) == 2 ** 12
     assert (acyclic_orientations_brute(cycle) == acyclic_orientations_sweep(cycle)
             == 2 ** 12 - 2)
+
+
+def test_orientation_count_matches_the_cut_search_from_13_to_20_edges():
+    # the band where the count once ran the cut search alone: K6, K7 less
+    # one edge, a 13-edge path, and seeded graphs on 7 labels of each size
+    rng = random.Random(13)
+    pairs = list(combinations(range(7), 2))
+    graphs = [Graph(range(6), combinations(range(6), 2)),
+              Graph(range(7), pairs[1:]),
+              Graph(range(14), [(i, i + 1) for i in range(13)])]
+    graphs += [Graph(range(7), rng.sample(pairs, m)) for m in range(13, 21)]
+    for g in graphs:
+        assert 13 <= len(g.edges) <= 20
+        assert acyclic_orientation_count(g) == acyclic_orientations_brute(g), g.encode()
+
+
+def test_runtime_orientation_route_never_runs_the_cut_search(monkeypatch):
+    def cut_search(g):
+        raise AssertionError("the runtime route ran the cut search")
+
+    monkeypatch.setattr(families, "acyclic_orientations_brute", cut_search)
+    families._chromatic.cache_clear()
+    k5 = Graph(range(5), combinations(range(5), 2))
+    assert acyclic_orientation_count(k5) == factorial(5)
+    assert closed_form_antipode_graphs(k5) == closed_form_antipode(GRAPHS, k5).vector
+    for c in SIMPLICIAL.enumerate(frozenset(range(4))):
+        assert closed_form_antipode_sc(c) == closed_form_antipode(SIMPLICIAL, c).vector
 
 
 def test_brute_orientation_count_refuses_more_than_20_edges():
@@ -564,7 +594,6 @@ def test_counts_and_cache_entries_match_the_encoding_caches():
     # caches did: a contraction that left its labels unshifted would key
     # one graph under several ints
     for g in _pinned_graphs():
-        families._orientations.cache_clear()
         families._chromatic.cache_clear()
         orientations, chromatic = {}, {}
         encoding = _canonical_encoding(g)

@@ -6,12 +6,12 @@ import pytest
 
 from hsl.antipode import reassembly_poset
 from hsl.errors import CarrierOverflow, NotComparable
-from hsl.families import (FAMILIES, GRAPHS, PARTITIONS, SIMPLICIAL,
-                          parse_structure)
+from hsl.families import (FAMILIES, GRAPHS, HYPERGRAPHS, PARTITIONS,
+                          SIMPLICIAL, parse_structure)
 from hsl.posets import (FinitePoset, IntPolynomial, check_galois, interval,
                         mobius, rota_transfer_check)
-from hsl.species import _native_poset
-from adjunction_oracle import three_scan_check_galois
+from hsl.species import _native_poset, subsets
+from adjunction_oracle import product_by_shifts, three_scan_check_galois
 from literal_oracle import graded_char_eval, graded_char_poly
 
 
@@ -180,6 +180,18 @@ def test_product_downsets_are_the_transpose_of_its_upsets():
                         (reassembly_poset(SIMPLICIAL, labels), diamond_poset())):
         prod = FinitePoset.product(left, right)
         assert prod.down == FinitePoset(prod.elems, prod.up).down
+
+
+def test_product_by_spread_matches_the_shifted_sum():
+    # a one-element factor on the left and on the right (the trivial
+    # splits), and every split of hypergraphs on 4 labels
+    point, complexes = SIMPLICIAL.poset(frozenset()), SIMPLICIAL.poset(frozenset(range(3)))
+    cases = [(point, complexes), (complexes.reverse(), point)]
+    labels = frozenset(range(4))
+    cases += [(HYPERGRAPHS.poset(S), HYPERGRAPHS.poset(labels - S)) for S in subsets(labels)]
+    for p, q in cases:
+        prod = FinitePoset.product(p, q)
+        assert (list(prod.up), list(prod.down)) == product_by_shifts(p, q)
 
 
 def test_product_poset_multiplicativity():

@@ -9,10 +9,10 @@ import pytest
 import hsl.species as sp
 from hsl.errors import DEFAULT_BUDGET, LabelMismatch
 from hsl.families import (FAMILIES, GRAPHS, HYPERGRAPHS, PARTITIONS,
-                          SIMPLICIAL, Graph, SetPartition, _of, _split,
-                          parse_structure)
+                          SIMPLICIAL, Graph, Hypergraph, SetPartition,
+                          SimplicialComplex, _of, _split,
+                          parse_structure, partition_masks)
 from hsl.antipode import _partition_lattice
-from hsl.families import _by_position
 from hsl.posets import _bits
 from hsl.species import (AxiomReport, AxiomResult, Family, _bijections,
                          _partitions, _splits, bell, fubini, reassemble,
@@ -20,7 +20,7 @@ from hsl.species import (AxiomReport, AxiomResult, Family, _bijections,
                          verify_delta_after_mult_identity)
 from literal_oracle import (compose_comult, compose_mult,
                             reassemble as literal_reassemble)
-from partition_oracle import compositions, set_partitions
+from partition_oracle import compositions, partition_masks_by_fold, set_partitions
 from test_antipode import _skewed_graphs
 
 
@@ -68,13 +68,14 @@ def test_partition_caches_are_bounded():
             cache(n)
         info = cache.cache_info()
         assert info.currsize == 7 <= info.maxsize and info.hits >= 7
-    # the per-label-set cache evicts at its bound
-    bound = _by_position.cache_info().maxsize
+    # the per-(class, label set) cache evicts at its bound: on one label
+    # the one partition's mask holds no pair
+    bound = partition_masks.cache_info().maxsize
     assert bound is not None
-    _by_position.cache_clear()
+    partition_masks.cache_clear()
     for i in range(bound + 1):
-        assert _by_position((i,)) == ((0, 1 << i), (0, 0))
-    assert _by_position.cache_info().currsize == bound
+        assert partition_masks(SetPartition, frozenset({i})) == (0,)
+    assert partition_masks.cache_info().currsize == bound
 
 
 def test_budget_counts_are_cached_exactly_and_within_a_bound():
@@ -138,6 +139,21 @@ def test_block_mask_partitions_match_the_frozenset_oracle():
         assert _partition_lattice(n) == _pair_key_lattice(n), n
     wide = frozenset({2, 5, 9, 30})
     assert [p.blocks for p in PARTITIONS.enumerate(wide)] == list(set_partitions(wide))
+
+
+def test_partition_masks_match_the_literal_fold():
+    # every class on 0..n-1 for n <= 5 and on a gapped label set; the
+    # partition masks are the ints of the partition carrier, reversed
+    for cls in (Graph, Hypergraph, SimplicialComplex, SetPartition):
+        for labels in [frozenset(range(n)) for n in range(6)] + [frozenset({2, 5, 9})]:
+            masks = partition_masks(cls, labels)
+            assert masks == partition_masks_by_fold(cls, labels), (cls, labels)
+            assert masks[0] == cls._inside(labels) | cls._inside(frozenset())
+    for labels in [frozenset(range(n)) for n in range(6)] + [frozenset({2, 5, 9, 30})]:
+        ints = [p.bits for p in PARTITIONS.enumerate(labels)]
+        assert ints == list(reversed(partition_masks(SetPartition, labels)))
+        assert ints == [SetPartition(labels, blocks).bits
+                        for blocks in set_partitions(labels)], labels
 
 
 def _subsets_comprehension(labels):
