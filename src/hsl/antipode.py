@@ -41,12 +41,24 @@ def _label_partitions(labels) -> list:
             for blocks in _partitions(len(labels))]
 
 
+def _upset_images(fam: Family, x, budget: int):
+    """The distinct images of x under split-then-merge along a set
+    partition, in no fixed order.  They are read off the restriction table
+    of x (`_images`), and reassembled one partition at a time only where
+    `_restrictions` fails on x."""
+    check_set_partition_budget(len(x.labels), budget)
+    table = _restrictions(fam, x)
+    if table is not None:
+        return _distinct_images(fam, x, table)[2]
+    return {reassemble(fam, blocks, x) for blocks in _label_partitions(x.labels)}
+
+
 def reassembly_upset(fam: Family, x, budget: int = DEFAULT_BUDGET) -> tuple:
     """All images of x under split-then-merge along a set partition,
     deduplicated, in encoding order; always contains x via the trivial
-    partition.  They are read off the restriction table of x (`_images`),
-    and reassembled one partition at a time only where `_restrictions`
-    fails on x.
+    partition.  The one function of the reassembly order that sorts by
+    encoding: the orders, the closed form and the inverted-basis check
+    read the images unsorted (`_upset_images`, `_reassembly_images`).
 
     The order they make (x below each of its images) is transitive: by
     compatibility and coassociativity, the piece of img_pi(x) on a block C
@@ -54,23 +66,17 @@ def reassembly_upset(fam: Family, x, budget: int = DEFAULT_BUDGET) -> tuple:
     associativity and commutativity img_rho(img_pi(x)) is the image of x
     along the common refinement of pi and rho.  `verify` checks those
     axioms and the order itself (`hsl.cli._reassembly_poset_axioms`)."""
-    check_set_partition_budget(len(x.labels), budget)
-    table = _restrictions(fam, x)
-    if table is not None:
-        return tuple(_distinct_images(fam, x, table)[2])
-    seen = {reassemble(fam, blocks, x) for blocks in _label_partitions(x.labels)}
-    return tuple(sorted(seen, key=lambda y: y.encode()))
+    return tuple(sorted(_upset_images(fam, x, budget), key=lambda y: y.encode()))
 
 
 @lru_cache(maxsize=256)
 def _reassembly_view(fam: Family, labels: frozenset, budget: int) -> FinitePoset:
     """One compiled reassembly order per (family, labels, budget), shared
-    by its callers.  The bound is far above the orders one CLI command
-    builds (one per subset of its labels)."""
+    by its callers, its carrier in encoding order.  The bound is far above
+    the orders one CLI command builds (one per subset of its labels)."""
     elems = sorted(fam.enumerate(labels, budget), key=lambda x: x.encode())
     index = {x: i for i, x in enumerate(elems)}
-    up = [sum(1 << index[y] for y in reassembly_upset(fam, x, budget))
-          for x in elems]
+    up = [sum(1 << index[y] for y in _upset_images(fam, x, budget)) for x in elems]
     return FinitePoset(elems, up, fam.tag)
 
 
@@ -267,18 +273,18 @@ def _images(fam: Family, x, table: tuple) -> tuple:
 
 
 def _distinct_images(fam: Family, x, table: tuple) -> tuple:
-    """(img, finest, elems): img as `_images` gives it, elems the distinct
-    images in encoding order, one structure built for each, and finest maps
-    each img value, in that order, to its first partition with most blocks."""
+    """(img, finest, elems): img as `_images` gives it, finest maps each
+    distinct img value, in the order of its first partition, to its first
+    partition with most blocks, and elems holds one structure built for
+    each, in the same order.  The one-block partition comes first, so
+    elems[0] is x."""
     img, image = _images(fam, x, table)
     parts = _partitions(len(x.labels))
     finest: dict = {}
     for j, y in enumerate(img):
         if len(parts[j]) > len(parts[finest.setdefault(y, j)]):
             finest[y] = j
-    built = {y: image(y) for y in finest}
-    keys = sorted(finest, key=lambda y: built[y].encode())
-    return img, {y: finest[y] for y in keys}, [built[y] for y in keys]
+    return img, finest, list(map(image, finest))
 
 
 # ---------------------------------------------------------------------------
@@ -371,11 +377,13 @@ def _partition_lattice(n: int) -> tuple:
 
 
 def _reassembly_images(fam: Family, x, table: tuple) -> tuple:
-    """(elems, up, bottom, ell) for the up-set of x in the reassembly
-    order, from the restriction table of x that passed the gate: `elems`
-    are the images in encoding order (the order of `reassembly_upset`),
-    up[i] is the bitmask over `elems` of the up-set of elems[i],
-    elems[bottom] is x, and ell[i] is the grading of elems[i].
+    """(elems, up, ell) for the up-set of x in the reassembly order, from
+    the restriction table of x that passed the gate: `elems` are the
+    images in the order of their first partitions (`_distinct_images`),
+    elems[0] being x, up[i] is the bitmask over `elems` of the up-set of
+    elems[i], and ell[i] is the grading of elems[i].  No image is encoded:
+    the closed form and the inverted basis read the order by its walk,
+    which does not depend on the element order.
 
     The images are img(pi) = reassemble(pi, x) over the set partitions pi
     of the labels, and by the gate img(pi) is the product of the r(B) over
@@ -409,7 +417,7 @@ def _reassembly_images(fam: Family, x, table: tuple) -> tuple:
     else:
         factors = _factor_blocks(r, joins)
         ell = [sum(len(factors[b]) for b in parts[j]) for j in finest.values()]
-    return elems, up, index[img[0]], ell  # parts[0] has one block: its image is x
+    return elems, up, ell
 
 
 def closed_form_antipode(fam: Family, x,
@@ -424,15 +432,16 @@ def closed_form_antipode(fam: Family, x,
     is the sum of mu(x, z) s(z) over z <= y.  The upper value u(y), the
     sum of mu(z, y) s(z) over x <= z <= y, sums over [x, w] to s(w): it is
     the Möbius inversion of s along the up-set of x, as mu(x, .) is that
-    of the delta at x: one `FinitePoset.walk` over the up-set gives all three."""
+    of the delta at x: one `FinitePoset.walk` over the up-set gives all
+    three.  `upper` and `lower` hold the images in the order of
+    `_reassembly_images`, not in encoding order."""
     check_set_partition_budget(len(x.labels), budget)
-    elems, up, bottom, ell = _reassembly_images(
-        fam, x, require_self_adjoint(fam, x))
+    elems, up, ell = _reassembly_images(fam, x, require_self_adjoint(fam, x))
     sign = [(-1) ** k for k in ell]
     mu, upper, signed, lower = ([0] * len(elems) for _ in range(4))
-    for w, below in FinitePoset(elems, up).walk(bottom):
+    for w, below in FinitePoset(elems, up).walk(0):  # elems[0] is x
         below = list(_bits(below))  # one bit step per pair for all three rows
-        mu[w] = (w == bottom) - sum(map(mu.__getitem__, below))
+        mu[w] = (w == 0) - sum(map(mu.__getitem__, below))
         upper[w] = sign[w] - sum(map(upper.__getitem__, below))
         signed[w] = mu[w] * sign[w]  # mu(x, w) s(w)
         lower[w] = signed[w] + sum(map(signed.__getitem__, below))
@@ -452,11 +461,10 @@ def antipode_on_inverted_check(fam: Family, x, budget: int = DEFAULT_BUDGET):
 
     Returns (equal, lhs, rhs)."""
     check_set_partition_budget(len(x.labels), budget)
-    elems, up, bottom, ell = _reassembly_images(
-        fam, x, require_self_adjoint(fam, x))
+    elems, up, ell = _reassembly_images(fam, x, require_self_adjoint(fam, x))
     omega = inverted_basis(FinitePoset(elems, up, fam.tag), x)
     lhs = takeuchi_on_vector(fam, omega, budget)
-    rhs = omega * ((-1) ** ell[bottom])
+    rhs = omega * ((-1) ** ell[0])  # elems[0] is x
     return lhs == rhs, lhs, rhs
 
 

@@ -2,8 +2,8 @@
 complexes, and set partitions, with their native orders, free products,
 complements, flats, contractions, and acyclic-orientation counts.
 
-Canonical encodings (bit-exact, used everywhere as dictionary keys and
-in serialized output):
+Canonical encodings (bit-exact, in serialized output and in the sorts of
+public tuples), joined from texts cached per pair, subset or block:
 
     graph:      G:n=<k>;E=<i>-<j>,...      edges sorted lexicographically
     hypergraph: H:n=<k>;E={i,j,...};...    hyperedges sorted by (size, lex)
@@ -153,9 +153,27 @@ def _image_subsets(f: dict, bits: int) -> int:
     return out
 
 
-def _by_size(bits: int) -> list:
-    """The subset bits of `bits` in (size, lex) order of their subsets."""
-    return sorted(_bits(bits), key=lambda m: (m.bit_count(), _members(m)))
+# Encoding texts, one per pair, subset or block: bounded like `_members`.
+@lru_cache(maxsize=4096)
+def _pair_text(k: int) -> tuple:
+    """(sort key, text) of the pair (i, j) at bit k: the key orders pairs
+    lexicographically (j < 2^16), the text is "i-j"."""
+    i, j = _pair_of(k)
+    return i << 16 | j, f"{i}-{j}"
+
+
+@lru_cache(maxsize=4096)
+def _subset_text(m: int) -> tuple:
+    """(sort key, text) of the subset at bit m: the key orders subsets by
+    (size, lex), the text is its members joined by ","."""
+    members = _members(m)
+    return (len(members), members), ",".join(map(str, members))
+
+
+@lru_cache(maxsize=4096)
+def _block_text(m: int, sep: str) -> str:
+    """The members of the label bitmask m joined by sep."""
+    return sep.join(map(str, _members(m)))
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +254,8 @@ class Graph(_Structure):
         return frozenset(frozenset(_pair_of(k)) for k in _bits(self.bits))
 
     def encode(self) -> str:
-        pairs = sorted(map(_pair_of, _bits(self.bits)))
-        parts = ",".join(f"{a}-{b}" for a, b in pairs)
-        return f"G:n={len(self.labels)};E={parts}"
+        edges = [text for _, text in sorted(map(_pair_text, _bits(self.bits)))]
+        return f"G:n={len(self.labels)};E=" + ",".join(edges)
 
     def complement(self) -> "Graph":
         return _of(Graph, self.labels, _pairs_in(self.labels) & ~self.bits)
@@ -263,9 +280,9 @@ class Hypergraph(_Structure):
         return frozenset(map(frozenset, map(_members, _bits(self.bits))))
 
     def encode(self) -> str:
-        parts = ";".join("{" + ",".join(map(str, _members(m))) + "}"
-                         for m in _by_size(self.bits))
-        return f"H:n={len(self.labels)};E={parts}"
+        edges = [text for _, text in sorted(map(_subset_text, _bits(self.bits)))]
+        body = "{" + "};{".join(edges) + "}" if edges else ""
+        return f"H:n={len(self.labels)};E=" + body
 
     def complement(self) -> "Hypergraph":
         labels = self.labels
@@ -298,18 +315,18 @@ class SimplicialComplex(_Structure):
     def faces(self) -> frozenset:
         return frozenset(map(frozenset, map(_members, _bits(self.bits))))
 
-    def _facet_bits(self) -> list:
-        """The facets, faces under no face one label larger, (size, lex)."""
+    def _facet_bits(self) -> int:
+        """The bits of the facets, the faces under no face one label larger."""
         faces = self.bits
         covered = 0
         for v, holding in enumerate(_holding((faces.bit_length() - 1).bit_length())):
             covered |= (faces & holding) >> (1 << v)
-        return _by_size(faces & ~covered)
+        return faces & ~covered
 
     def encode(self) -> str:
-        parts = ";".join("F=" + ",".join(map(str, _members(m)))
-                         for m in self._facet_bits())
-        return f"S:n={len(self.labels)};" + parts
+        facets = sorted(map(_subset_text, _bits(self._facet_bits())))
+        facets = [text for _, text in facets]
+        return f"S:n={len(self.labels)};F=" + ";F=".join(facets)
 
     @classmethod
     def from_facets(cls, labels, facets) -> "SimplicialComplex":
@@ -352,8 +369,8 @@ class SetPartition(_Structure):
 
     def encode(self) -> str:
         sep = "," if self.labels and max(self.labels) > 9 else ""
-        body = "|".join(sep.join(map(str, _members(m))) for m in self.block_masks())
-        return f"P:n={len(self.labels)};B={body}"
+        body = "|".join([_block_text(m, sep) for m in self.block_masks()])
+        return f"P:n={len(self.labels)};B=" + body
 
 
 # ---------------------------------------------------------------------------

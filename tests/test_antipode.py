@@ -354,12 +354,38 @@ def _closed_form_cases():
         yield GRAPHS, x
 
 
+def _by_encoding(structures) -> tuple:
+    """The structures sorted by encoding, the order of `reassembly_upset`
+    and of the literal oracle; the closed form keeps its images in the
+    order of their first partitions."""
+    return tuple(sorted(structures, key=lambda y: y.encode()))
+
+
 def test_closed_form_matches_literal_oracle():
     for fam, x in _closed_form_cases():
         closed = closed_form_antipode(fam, x)
         upper, lower = _literal_closed_form(fam, x)
-        assert list(closed.upper.items()) == list(upper.items()), x.encode()
-        assert list(closed.lower.items()) == list(lower.items()), x.encode()
+        for got, want in ((closed.upper, upper), (closed.lower, lower)):
+            assert ([(y, got[y]) for y in _by_encoding(got)]
+                    == [(y, want[y]) for y in _by_encoding(want)]), x.encode()
+
+
+def test_closed_form_and_inverted_check_encode_nothing(monkeypatch):
+    # the order layer keeps images as ints and positions: with every
+    # encode raising, both routes still answer on every structure up to 4
+    # labels, and the answers are the ones computed with encode in place
+    cases = [(fam, x) for fam in FAMILIES.values() for n in range(5)
+             for x in fam.enumerate(frozenset(range(n)))]
+    expected = [(closed_form_antipode(fam, x), antipode_on_inverted_check(fam, x)[0])
+                for fam, x in cases]
+
+    def refuse(self):
+        raise AssertionError(f"encode called on a {type(self).__name__}")
+    for cls in {type(fam.unit) for fam in FAMILIES.values()}:
+        monkeypatch.setattr(cls, "encode", refuse)
+    for (fam, x), (closed, agrees) in zip(cases, expected):
+        assert closed_form_antipode(fam, x) == closed
+        assert antipode_on_inverted_check(fam, x)[0] is agrees is True
 
 
 def test_table_route_matches_literal_unordered_sum():
@@ -370,18 +396,19 @@ def test_table_route_matches_literal_unordered_sum():
 def test_table_grading_matches_factorize():
     for fam, x in _closed_form_cases():
         table = ap.require_self_adjoint(fam, x)
-        elems, _, _, ell = ap._reassembly_images(fam, x, table)
+        elems, _, ell = ap._reassembly_images(fam, x, table)
         assert ell == [grading(fam, y) for y in elems], x.encode()
 
 
 def test_derived_upsets_match_reassembly_upset():
     for fam, x in _closed_form_cases():
         table = ap.require_self_adjoint(fam, x)
-        elems, up, bottom, _ = ap._reassembly_images(fam, x, table)
-        assert elems[bottom] == x
-        assert tuple(elems) == lit.reassembly_upset(fam, x), x.encode()
+        elems, up, _ = ap._reassembly_images(fam, x, table)
+        assert elems[0] == x
+        assert _by_encoding(elems) == lit.reassembly_upset(fam, x), x.encode()
+        assert reassembly_upset(fam, x) == lit.reassembly_upset(fam, x), x.encode()
         for y, mask in zip(elems, up):
-            derived = tuple(elems[k] for k in ap._bits(mask))
+            derived = _by_encoding(elems[k] for k in ap._bits(mask))
             assert derived == lit.reassembly_upset(fam, y), (x.encode(), y.encode())
 
 

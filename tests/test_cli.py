@@ -60,8 +60,9 @@ def test_antipode_unit(capsys):
 
 
 def test_primitives_text_matches_the_object_rendering(capsys):
-    # the text view reads the JSON payload; this is the rendering from the
-    # vectors and structures themselves
+    # the text view reads the JSON payload, whose vectors are read by
+    # position off one encoding per element; this is the rendering from
+    # the vectors and structures themselves
     for fam in FAMILIES.values():
         adj = declared_adjunctions(fam)[0]
         for n in range(4):
@@ -77,6 +78,10 @@ def test_primitives_text_matches_the_object_rendering(capsys):
                                "--n", str(n), "--format", "text", "--jobs", "1")
             assert code == 0
             assert out == "".join(line + "\n" for line in lines)
+            code, out, _ = run(capsys, "primitives", "--family", fam.tag,
+                               "--n", str(n), "--jobs", "1")
+            assert code == 0
+            assert json.loads(out)["vectors"] == [v.to_json_dict() for v in vectors]
 
 
 def test_parse_error_exit_code(capsys):

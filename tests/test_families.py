@@ -26,6 +26,7 @@ from hsl.vectors import FreeVector
 from literal_oracle import (acyclic_orientations_sweep, factorize, grading,
                             is_indecomposable, reassembly_upset)
 from partition_oracle import set_partitions
+import encode_oracle
 
 
 def G(text):
@@ -67,6 +68,27 @@ def test_partition_encoding_wide_labels():
     wide = SetPartition(frozenset(range(11)), (frozenset(range(10)), frozenset({10})))
     assert wide.encode() == "P:n=11;B=0,1,2,3,4,5,6,7,8,9|10"
     assert parse_structure(wide.encode()) == wide
+
+
+def test_encode_matches_the_old_bodies():
+    """The encodings joined from cached texts against the bodies that
+    decode and print every structure afresh (`encode_oracle`): every
+    carrier up to 5-7 labels, carried onto the label set {2, 5, 9, 11, 13,
+    14, 15}, onto labels led by 10 (the least top label that puts commas
+    in a partition) and onto random labels up to 15 (hypergraphs and
+    complexes, whose subsets lie in 0..15) or 40 (graphs and partitions)."""
+    rng = random.Random(20)
+    spreads = ((2, 5, 9, 11, 13, 14, 15), (10, 1, 3, 4, 6, 7, 8))
+    tops = {GRAPHS: (5, 40), HYPERGRAPHS: (4, 15), SIMPLICIAL: (5, 15),
+            PARTITIONS: (7, 40)}
+    for fam, (top, widest) in tops.items():
+        for k in range(top + 1):
+            fixed = [dict(zip(range(k), spread)) for spread in spreads]
+            for x in fam.enumerate(frozenset(range(k))):
+                at_random = dict(zip(range(k), rng.sample(range(widest + 1), k)))
+                for f in (None, *fixed, at_random):
+                    y = x if f is None else fam.relabel(f, x)
+                    assert y.encode() == encode_oracle.encode(y), encode_oracle.encode(y)
 
 
 def test_parse_errors():
