@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial, reduce
 from itertools import permutations
 from math import factorial
-from operator import or_
 
 from .errors import (DEFAULT_BUDGET, EngineError, LabelMismatch,
                      NonUniqueFactorization, NotSelfAdjoint)
@@ -43,13 +42,15 @@ def _label_partitions(labels) -> list:
 
 def _upset_images(fam: Family, x, budget: int):
     """The distinct images of x under split-then-merge along a set
-    partition, in no fixed order.  They are read off the restriction table
-    of x (`_images`), and reassembled one partition at a time only where
+    partition, in no fixed order, for one pass.  They are read off the
+    restriction table of x (`_images`), one structure built per distinct
+    image, and reassembled one partition at a time only where
     `_restrictions` fails on x."""
     check_set_partition_budget(len(x.labels), budget)
     table = _restrictions(fam, x)
     if table is not None:
-        return _distinct_images(fam, x, table)[2]
+        img, image = _images(fam, x, table)
+        return map(image, set(img))
     return {reassemble(fam, blocks, x) for blocks in _label_partitions(x.labels)}
 
 
@@ -272,21 +273,6 @@ def _images(fam: Family, x, table: tuple) -> tuple:
             for blocks in _partitions(len(x.labels))], (lambda y: y)
 
 
-def _distinct_images(fam: Family, x, table: tuple) -> tuple:
-    """(img, finest, elems): img as `_images` gives it, finest maps each
-    distinct img value, in the order of its first partition, to its first
-    partition with most blocks, and elems holds one structure built for
-    each, in the same order.  The one-block partition comes first, so
-    elems[0] is x."""
-    img, image = _images(fam, x, table)
-    parts = _partitions(len(x.labels))
-    finest: dict = {}
-    for j, y in enumerate(img):
-        if len(parts[j]) > len(parts[finest.setdefault(y, j)]):
-            finest[y] = j
-    return img, finest, list(map(image, finest))
-
-
 # ---------------------------------------------------------------------------
 # the defining antipode sum
 
@@ -317,7 +303,8 @@ def takeuchi_antipode(fam: Family, x, budget: int = DEFAULT_BUDGET,
     (`_images`): for the four families, one `&` of ints per partition,
     summed by int, with one structure built per distinct image.  Otherwise
     it falls back to the ordered sum.  The budget bounds the Bell(n) set
-    partitions, and the Fubini(n) ordered ones only before that fallback.  `jobs` is accepted and ignored."""
+    partitions, and the Fubini(n) ordered ones only before that fallback.
+    `jobs` is accepted and ignored."""
     check_set_partition_budget(len(x.labels), budget)
     table = _restrictions(fam, x)
     if table is None:
@@ -363,27 +350,14 @@ class ClosedFormAntipode:
         return FreeVector(self.family, self.labels, self.lower)
 
 
-@lru_cache(maxsize=16)
-def _partition_lattice(n: int) -> tuple:
-    """For each partition in `_partitions(n)`, the indices of the
-    partitions that refine it, itself included, in ascending order.
-
-    rho refines pi iff rho separates every pair that pi separates: the
-    containment order of the separated pairs' bits, those of the one-block
-    partition's mask (the first) outside pi's (`partition_masks`)."""
-    masks = partition_masks(SetPartition, frozenset(range(n)))
-    keys = [masks[0] ^ m for m in masks]
-    return tuple(tuple(_bits(up)) for up in _containment_upsets(keys))
-
-
 def _reassembly_images(fam: Family, x, table: tuple) -> tuple:
-    """(elems, up, ell) for the up-set of x in the reassembly order, from
+    """(elems, down, ell) for the up-set of x in the reassembly order, from
     the restriction table of x that passed the gate: `elems` are the
-    images in the order of their first partitions (`_distinct_images`),
-    elems[0] being x, up[i] is the bitmask over `elems` of the up-set of
-    elems[i], and ell[i] is the grading of elems[i].  No image is encoded:
-    the closed form and the inverted basis read the order by its walk,
-    which does not depend on the element order.
+    distinct images of `_images`, one structure each, in the order of
+    their first partitions (the one-block partition comes first, so
+    elems[0] is x), down[i] is the bitmask over `elems` of the images at
+    or below elems[i], and ell[i] is the grading of elems[i].  No image is
+    encoded, and nothing is built per partition of the labels.
 
     The images are img(pi) = reassemble(pi, x) over the set partitions pi
     of the labels, and by the gate img(pi) is the product of the r(B) over
@@ -391,33 +365,40 @@ def _reassembly_images(fam: Family, x, table: tuple) -> tuple:
     to r(B & C) for the blocks C of sigma (Hopf compatibility and the
     gate), so reassembling it along sigma gives img(pi meet sigma): the
     up-set of img(pi) is {img(rho) : rho refines pi}, for any pi giving it.
+    So if img(pi) = img(sigma) = y, then img(pi meet sigma) = reassemble(y,
+    sigma) = img(sigma) = y, on the kernel and through the maps alike: the
+    partitions giving y are closed under meets.  Their meet pi0(y) refines
+    them all and alone has the most blocks, so it is y's first partition
+    with most blocks.  Then z >= y iff pi0(z) refines pi0(y): z is some
+    img(rho) with rho refining pi0(y), and pi0(z) refines that rho; the
+    converse takes rho = pi0(z).  A partition refines another iff its
+    same-block pairs lie among the other's, inside(pi) of `SetPartition`,
+    so the down-sets are one containment compile over the inside(pi0(y))
+    of the distinct images (`_containment_upsets`).
 
-    On the kernel ell(y) is the block count of y's finest partition.
-    There img(pi) = x & inside(pi), inside(pi) the `|` of inside(B) over
-    the blocks B of pi (`partition_masks`): the elements (edges, same-block
-    pairs, hyperedges, faces) whose labels lie in one block.  An element
-    lies in a block of pi and in one of sigma iff it lies in their
-    intersection, a block of pi meet sigma (blocks are nonempty, so the
-    empty face too), so inside(pi meet sigma) = inside(pi) & inside(sigma)
-    and by distributivity the partitions giving y are closed under meets.
-    Their meet pi0 refines them all and alone has the most blocks.  Each
-    block B of pi0 is indecomposable: were x & inside(B) the `|` of x &
-    inside(S) and x & inside(B - S), cutting B in two would give y from a
-    finer partition.  So y is a product of |pi0| indecomposables, and by
-    unique factorization ell(y) = |pi0|.  Elsewhere ell comes from the
-    joins (`_restrictions`)."""
+    On the kernel ell(y) = |pi0(y)|.  There img(pi) = x & inside(pi),
+    inside(pi) the `|` of inside(B) over the blocks B of pi
+    (`partition_masks`).  Each block B of pi0 is indecomposable: were x &
+    inside(B) the `|` of x & inside(S) and x & inside(B - S), cutting B in
+    two would give y from a finer partition.  So y is a product of |pi0|
+    indecomposables, and by unique factorization ell(y) = |pi0|.
+    Elsewhere ell comes from the joins (`_restrictions`)."""
     r, joins, _ = table
-    parts, refines = _partitions(len(x.labels)), _partition_lattice(len(x.labels))
-    img, finest, elems = _distinct_images(fam, x, table)
-    index = {y: i for i, y in enumerate(finest)}
-    bit = [1 << index[y] for y in img]
-    up = [reduce(or_, map(bit.__getitem__, refines[j])) for j in finest.values()]
+    img, image = _images(fam, x, table)
+    parts = _partitions(len(x.labels))
+    finest: dict = {}  # each distinct image, by first partition: pi0 of it
+    for j, y in enumerate(img):
+        if len(parts[j]) > len(parts[finest.setdefault(y, j)]):
+            finest[y] = j
+    elems = list(map(image, finest))
+    masks = partition_masks(SetPartition, frozenset(range(len(x.labels))))
+    down = _containment_upsets([masks[j] for j in finest.values()])
     if joins is None:
         ell = [len(parts[j]) for j in finest.values()]
     else:
         factors = _factor_blocks(r, joins)
         ell = [sum(len(factors[b]) for b in parts[j]) for j in finest.values()]
-    return elems, up, ell
+    return elems, down, ell
 
 
 def closed_form_antipode(fam: Family, x,
@@ -432,16 +413,17 @@ def closed_form_antipode(fam: Family, x,
     is the sum of mu(x, z) s(z) over z <= y.  The upper value u(y), the
     sum of mu(z, y) s(z) over x <= z <= y, sums over [x, w] to s(w): it is
     the Möbius inversion of s along the up-set of x, as mu(x, .) is that
-    of the delta at x: one `FinitePoset.walk` over the up-set gives all
-    three.  `upper` and `lower` hold the images in the order of
-    `_reassembly_images`, not in encoding order."""
+    of the delta at x.  Every image lies above x, so [x, w] is the down-set
+    of w, and one pass over the images by down-set size (a linear
+    extension) gives all three.  `upper` and `lower` hold the images in
+    the order of `_reassembly_images`, not in encoding order."""
     check_set_partition_budget(len(x.labels), budget)
-    elems, up, ell = _reassembly_images(fam, x, require_self_adjoint(fam, x))
+    elems, down, ell = _reassembly_images(fam, x, require_self_adjoint(fam, x))
     sign = [(-1) ** k for k in ell]
     mu, upper, signed, lower = ([0] * len(elems) for _ in range(4))
-    for w, below in FinitePoset(elems, up).walk(0):  # elems[0] is x
-        below = list(_bits(below))  # one bit step per pair for all three rows
-        mu[w] = (w == 0) - sum(map(mu.__getitem__, below))
+    for w in sorted(range(len(elems)), key=lambda w: down[w].bit_count()):
+        below = list(_bits(down[w] ^ 1 << w))  # one bit step per pair for all three rows
+        mu[w] = (w == 0) - sum(map(mu.__getitem__, below))  # elems[0] is x
         upper[w] = sign[w] - sum(map(upper.__getitem__, below))
         signed[w] = mu[w] * sign[w]  # mu(x, w) s(w)
         lower[w] = signed[w] + sum(map(signed.__getitem__, below))
@@ -461,8 +443,8 @@ def antipode_on_inverted_check(fam: Family, x, budget: int = DEFAULT_BUDGET):
 
     Returns (equal, lhs, rhs)."""
     check_set_partition_budget(len(x.labels), budget)
-    elems, up, ell = _reassembly_images(fam, x, require_self_adjoint(fam, x))
-    omega = inverted_basis(FinitePoset(elems, up, fam.tag), x)
+    elems, down, ell = _reassembly_images(fam, x, require_self_adjoint(fam, x))
+    omega = inverted_basis(FinitePoset(elems, down, fam.tag).reverse(), x)
     lhs = takeuchi_on_vector(fam, omega, budget)
     rhs = omega * ((-1) ** ell[0])  # elems[0] is x
     return lhs == rhs, lhs, rhs

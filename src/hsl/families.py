@@ -26,11 +26,11 @@ So x reassembled along a set partition pi of its labels is x.bits &
 inside(pi), inside(pi) the `|` of the restriction masks of pi's blocks: a
 mask of the label set alone.  `partition_masks` keeps one table of them
 per class and label set, in the order of `_partitions`, and the
-antipode's reassemblies, the partition carrier, the refinements and the
-flats all read it.  The family formulas run on the same ints: each
-quotient of a flat comes out canonical, and the chromatic cache, which
-also counts acyclic orientations, is keyed by a graph's canonical (k,
-bits) on 0..k-1.
+antipode's reassemblies and the order of its images, the partition
+carrier, the refinements and the flats all read it.  The family formulas
+run on the same ints: each quotient of a flat comes out canonical, and
+the chromatic cache, which also counts acyclic orientations, is keyed by
+a graph's canonical (k, bits) on 0..k-1.
 """
 
 from __future__ import annotations

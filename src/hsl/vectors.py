@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from .errors import AdjunctionUnverified, AmbientMismatch
 from .posets import FinitePoset, _Combination, check_galois
+from .species import subsets
 
 
 class FreeVector(_Combination):
@@ -196,7 +197,6 @@ def duality_pairing_check(fam, poset_for, box, n: int) -> DualityReport:
     Galois biconditional split(x) <= (y, z) iff x <= y box z, which
     `check_galois` scans; the witness (x, y, z, S, T) is its first
     failure, x first, then (y, z) in product order."""
-    from .species import subsets
     for k in range(n + 1):
         labels = frozenset(range(k))
         p = poset_for(labels)

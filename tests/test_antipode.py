@@ -370,6 +370,25 @@ def test_closed_form_matches_literal_oracle():
                     == [(y, want[y]) for y in _by_encoding(want)]), x.encode()
 
 
+def test_closed_form_compiles_the_order_of_the_distinct_images_only(monkeypatch):
+    # one containment compile per closed form, with one key per distinct
+    # image of x and none per partition of its labels: 2 for one edge on
+    # 10 labels, 2^9 for the 9-edge star, all 877 for the one-block
+    # partition on 7; on the one edge the closed form is the defining sum
+    sizes = []
+    compile_order = ap._containment_upsets
+    monkeypatch.setattr(ap, "_containment_upsets",
+                        lambda keys: sizes.append(len(keys)) or compile_order(keys))
+    star = "G:n=10;E=" + ",".join(f"0-{j}" for j in range(1, 10))
+    for fam, text, count in ((GRAPHS, "G:n=10;E=0-1", 2), (GRAPHS, star, 512),
+                             (PARTITIONS, "P:n=7;B=0123456", 877)):
+        del sizes[:]
+        closed = closed_form_antipode(fam, G(text))
+        assert sizes == [count] == [len(closed.upper)], text
+    edge = G("G:n=10;E=0-1")
+    assert closed_form_antipode(GRAPHS, edge).vector == takeuchi_antipode(GRAPHS, edge)
+
+
 def test_closed_form_and_inverted_check_encode_nothing(monkeypatch):
     # the order layer keeps images as ints and positions: with every
     # encode raising, both routes still answer on every structure up to 4
@@ -401,14 +420,16 @@ def test_table_grading_matches_factorize():
 
 
 def test_derived_upsets_match_reassembly_upset():
+    # the up-set of each image, read off the down-sets as the images whose
+    # down-set holds it, against the literal sweep from that image
     for fam, x in _closed_form_cases():
         table = ap.require_self_adjoint(fam, x)
-        elems, up, _ = ap._reassembly_images(fam, x, table)
+        elems, down, _ = ap._reassembly_images(fam, x, table)
         assert elems[0] == x
         assert _by_encoding(elems) == lit.reassembly_upset(fam, x), x.encode()
         assert reassembly_upset(fam, x) == lit.reassembly_upset(fam, x), x.encode()
-        for y, mask in zip(elems, up):
-            derived = _by_encoding(elems[k] for k in ap._bits(mask))
+        for i, y in enumerate(elems):
+            derived = _by_encoding(z for z, mask in zip(elems, down) if mask >> i & 1)
             assert derived == lit.reassembly_upset(fam, y), (x.encode(), y.encode())
 
 

@@ -1,8 +1,6 @@
 from dataclasses import replace
-from functools import reduce
 from itertools import permutations
 from math import factorial
-from operator import and_
 
 import pytest
 
@@ -12,7 +10,7 @@ from hsl.families import (FAMILIES, GRAPHS, HYPERGRAPHS, PARTITIONS,
                           SIMPLICIAL, Graph, Hypergraph, SetPartition,
                           SimplicialComplex, _of, _split,
                           parse_structure, partition_masks)
-from hsl.antipode import _partition_lattice
+from hsl.antipode import _reassembly_images, _restrictions
 from hsl.posets import _bits
 from hsl.species import (AxiomReport, AxiomResult, Family, _bijections,
                          _partitions, _splits, bell, fubini, reassemble,
@@ -60,14 +58,13 @@ def test_set_partition_counts_match_bell():
 
 
 def test_partition_caches_are_bounded():
-    # the per-size caches: a finite bound and one entry per label count
-    for cache in (_partitions, _partition_lattice):
-        assert cache.cache_info().maxsize is not None
-        cache.cache_clear()
-        for n in list(range(7)) * 2:
-            cache(n)
-        info = cache.cache_info()
-        assert info.currsize == 7 <= info.maxsize and info.hits >= 7
+    # the per-size cache: a finite bound and one entry per label count
+    assert _partitions.cache_info().maxsize is not None
+    _partitions.cache_clear()
+    for n in list(range(7)) * 2:
+        _partitions(n)
+    info = _partitions.cache_info()
+    assert info.currsize == 7 <= info.maxsize and info.hits >= 7
     # the per-(class, label set) cache evicts at its bound: on one label
     # the one partition's mask holds no pair
     bound = partition_masks.cache_info().maxsize
@@ -114,18 +111,15 @@ def test_enumeration_is_deterministic():
 
 def _pair_key_lattice(n):
     """The refinement lattice from separated-pair keys with the pair
-    i < j at bit i*n + j: the oracle for `_partition_lattice`."""
+    i < j at bit i*n + j, one pair of partitions at a time: for each
+    partition of `_partitions(n)`, the bitset of the partitions that it
+    refines, those whose separated pairs it separates too.  The one-block
+    partition's images are the partitions themselves, and these are their
+    down-sets in the reassembly order: the oracle for `_reassembly_images`."""
     pairs = lambda m: sum((m >> i + 1) << (i * n + i + 1) for i in _bits(m))
-    parts = _partitions(n)
-    keys = [pairs((1 << n) - 1) & ~sum(map(pairs, blocks)) for blocks in parts]
-    has: dict = {}
-    for j, key in enumerate(keys):
-        for e in _bits(key):
-            has[e] = has.get(e, 0) | 1 << j
-    everything = (1 << len(parts)) - 1
-    return tuple(tuple(_bits(reduce(and_, map(has.__getitem__, _bits(key)),
-                                    everything)))
-                 for key in keys)
+    keys = [pairs((1 << n) - 1) & ~sum(map(pairs, blocks)) for blocks in _partitions(n)]
+    return [sum(1 << k for k, other in enumerate(keys) if not other & ~key)
+            for key in keys]
 
 
 def test_block_mask_partitions_match_the_frozenset_oracle():
@@ -136,7 +130,11 @@ def test_block_mask_partitions_match_the_frozenset_oracle():
         as_sets = [tuple(frozenset(_bits(b)) for b in blocks) for blocks in _partitions(n)]
         assert as_sets == list(reversed(oracle)), n
         assert [p.blocks for p in PARTITIONS.enumerate(range(n))] == list(oracle), n
-        assert _partition_lattice(n) == _pair_key_lattice(n), n
+        one_block = PARTITIONS.enumerate(range(n))[-1]
+        elems, down, _ = _reassembly_images(PARTITIONS, one_block,
+                                            _restrictions(PARTITIONS, one_block))
+        assert [y.blocks for y in elems] == as_sets, n
+        assert down == _pair_key_lattice(n), n
     wide = frozenset({2, 5, 9, 30})
     assert [p.blocks for p in PARTITIONS.enumerate(wide)] == list(set_partitions(wide))
 
