@@ -26,9 +26,22 @@ from .antipode import (Adjunction, antipode_axiom_check,
                        closed_form_antipode, declared_adjunctions,
                        primitives_basis, reassembly_poset, reassembly_upset,
                        takeuchi_antipode)
-from .fock import (OrbitClass, fock_coproduct, fock_primitive_check,
-                   orbit_canonicalize, partition_char_poly_check,
-                   power_sum_identity_check, symfunc_bridge)
-from .symfunc import SymFunc, newton_p_in_h
 
 __version__ = "0.1.0"
+
+# The symmetric-function modules load on first use of their names: only
+# `hsl fock` reads them, and every other cold command skips their import.
+_FOCK = frozenset({"OrbitClass", "fock_coproduct", "fock_primitive_check",
+                   "orbit_canonicalize", "partition_char_poly_check",
+                   "power_sum_identity_check", "symfunc_bridge"})
+_SYMFUNC = frozenset({"SymFunc", "newton_p_in_h"})
+
+
+def __getattr__(name):
+    if name in _FOCK:
+        from . import fock
+        return getattr(fock, name)
+    if name in _SYMFUNC:
+        from . import symfunc
+        return getattr(symfunc, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -13,7 +13,6 @@ the two disagree already on two-element chains; see the discrepancy tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache, partial, reduce
 from itertools import permutations
 from math import factorial
@@ -21,8 +20,8 @@ from math import factorial
 from .errors import (DEFAULT_BUDGET, EngineError, LabelMismatch,
                      NonUniqueFactorization, NotSelfAdjoint)
 from .families import SetPartition, _of, _split, _union, partition_masks
-from .posets import (FinitePoset, GaloisReport, _bits, _containment_upsets,
-                     check_galois)
+from .posets import (FinitePoset, GaloisReport, _Record, _bits,
+                     _containment_upsets, check_galois)
 from .species import (Family, _Memo, _partitions, check_set_partition_budget,
                       check_subset_budget, reassemble, subsets)
 from .vectors import FreeVector, inverted_basis
@@ -89,7 +88,6 @@ def reassembly_poset(fam: Family, labels, budget: int = DEFAULT_BUDGET) -> Finit
 # adjunctions
 
 
-@dataclass(eq=False)
 class Adjunction:
     """A declared Galois connection between the split map and a merge map.
 
@@ -98,19 +96,19 @@ class Adjunction:
     kind "m_delta":    merge left-adjoint to the split, native order; that
                        is split left-adjoint to the merge on the opposite
                        order, its `poset`, where it is checked and inverted.
+
+    An adjunction compares and hashes by identity.
     """
 
-    family: Family
-    kind: str
-    budget: int = DEFAULT_BUDGET
-    _verified: set = field(default_factory=set)
-
-    def __post_init__(self):
-        if self.kind not in ("delta_box", "delta_m", "m_delta"):
-            raise EngineError(f"unknown adjunction kind {self.kind!r}")
-        if self.kind not in self.family.adjunction_kinds:
-            raise EngineError(
-                f"family {self.family.tag} does not declare {self.kind}")
+    def __init__(self, family: Family, kind: str, budget: int = DEFAULT_BUDGET):
+        if kind not in ("delta_box", "delta_m", "m_delta"):
+            raise EngineError(f"unknown adjunction kind {kind!r}")
+        if kind not in family.adjunction_kinds:
+            raise EngineError(f"family {family.tag} does not declare {kind}")
+        self.family = family
+        self.kind = kind
+        self.budget = budget
+        self._verified: set = set()
 
     @property
     def display(self) -> str:
@@ -328,18 +326,18 @@ def takeuchi_on_vector(fam: Family, v: FreeVector,
 # closed form
 
 
-@dataclass
-class ClosedFormAntipode:
+class ClosedFormAntipode(_Record):
     """Closed-form antipode with both characteristic evaluations.
 
     `vector` carries the upper-side coefficients (the form that matches
     the defining sum); `literal_lower_vector` carries the lower-side
     evaluation of the characteristic polynomial at -1."""
 
-    family: str
-    labels: frozenset
-    upper: dict
-    lower: dict
+    def __init__(self, family: str, labels: frozenset, upper: dict, lower: dict):
+        self.family = family
+        self.labels = labels
+        self.upper = upper
+        self.lower = lower
 
     @property
     def vector(self) -> FreeVector:

@@ -25,7 +25,6 @@ from .antipode import (antipode_axiom_check, closed_form_antipode,
 from .errors import (CarrierOverflow, DEFAULT_BUDGET, EngineError,
                      NotSelfAdjoint, ParseError)
 from .families import FAMILIES, parse_label_count, parse_structure
-from .fock import partition_char_poly_check, power_sum_identity_check
 from .posets import _bits
 from .species import (check_set_partition_budget, check_subset_budget,
                       verify_axioms)
@@ -224,6 +223,7 @@ def _reassembly_poset_axioms(fam, n: int, budget: int) -> bool:
 
 
 def cmd_fock(args) -> int:
+    from .fock import partition_char_poly_check, power_sum_identity_check
     _check_n(args, 1)
     budget = _budget_from(args)
     power = power_sum_identity_check(args.n, budget)

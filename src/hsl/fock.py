@@ -5,27 +5,38 @@ Möbius inversion over the partition order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from math import comb, factorial, prod
 
 from .errors import CarrierOverflow, DEFAULT_BUDGET, EngineError
-from .posets import IntPolynomial, _accumulate, _as_fraction, mobius
+from .posets import IntPolynomial, _Record, _accumulate, _as_fraction, mobius
 from .species import Family, _count_upward, bell, subsets
 from .symfunc import SymFunc, power_sum_monomial
 
 _MAX_ORBIT_DEGREE = 7
 
 
-@dataclass(frozen=True)
 class OrbitClass:
     """Relabeling orbit of a structure, stored as its encoding-minimal
-    representative on labels 0..n-1."""
+    representative on labels 0..n-1.  Orbit classes compare and hash by
+    value: they key the terms of `fock_coproduct`."""
 
-    family_tag: str
-    degree: int
-    rep: object
+    def __init__(self, family_tag: str, degree: int, rep: object):
+        self.family_tag = family_tag
+        self.degree = degree
+        self.rep = rep
+
+    def _key(self) -> tuple:
+        return self.family_tag, self.degree, self.rep
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def encode(self) -> str:
         return self.rep.encode()
@@ -114,15 +125,18 @@ def _check_partition_order_budget(n: int, budget: int) -> None:
                               f"labels exceed budget {budget}")
 
 
-@dataclass
-class PowerSumReport:
-    n: int
-    image_h: SymFunc
-    image_monomial: SymFunc
-    proportional: bool
-    scalar: Fraction | None
-    printed_expression_status: str  # "exact" | "proportional" | "neither"
-    printed_expression: SymFunc
+class PowerSumReport(_Record):
+    def __init__(self, n: int, image_h: SymFunc, image_monomial: SymFunc,
+                 proportional: bool, scalar: Fraction | None,
+                 printed_expression_status: str, printed_expression: SymFunc):
+        self.n = n
+        self.image_h = image_h
+        self.image_monomial = image_monomial
+        self.proportional = proportional
+        self.scalar = scalar
+        # "exact" | "proportional" | "neither"
+        self.printed_expression_status = printed_expression_status
+        self.printed_expression = printed_expression
 
     def lines(self) -> list[str]:
         out = [f"power-sum recovery at degree {self.n}:"]
@@ -181,13 +195,16 @@ _EXPONENTS = {
 }
 
 
-@dataclass
-class CharPolyReport:
-    n: int
-    polynomials: dict  # (side, exponent_name) -> IntPolynomial
-    falling: IntPolynomial
-    matches: list  # conventions whose polynomial equals the falling factorial
-    value_at_minus_one_ok: bool
+class CharPolyReport(_Record):
+    def __init__(self, n: int, polynomials: dict, falling: IntPolynomial,
+                 matches: list, value_at_minus_one_ok: bool):
+        self.n = n
+        # (side, exponent_name) -> IntPolynomial
+        self.polynomials = polynomials
+        self.falling = falling
+        # the conventions whose polynomial equals the falling factorial
+        self.matches = matches
+        self.value_at_minus_one_ok = value_at_minus_one_ok
 
     @property
     def ok(self) -> bool:

@@ -1,7 +1,8 @@
 """Finite-poset kernel: one compiled order class, Möbius functions,
-intervals and Galois-connection checks; and the one sparse exact
+intervals and Galois-connection checks; the one sparse exact
 combination (`_Combination`) that vectors, tensors, symmetric functions
-and integer polynomials share.
+and integer polynomials share; and `_Record`, the value equality of the
+engine's result reports.
 
 A `FinitePoset` keeps its elements (hashable frozen structures, or pairs
 of them) in a fixed order, and each element's up-set and down-set as a
@@ -16,7 +17,6 @@ refuses floats.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import and_, index
@@ -138,11 +138,29 @@ def mobius(p: FinitePoset, x, y) -> int:
     return p.mu(p.index[x])[p.index[y]]
 
 
-@dataclass
-class GaloisReport:
-    ok: bool
-    reason: str | None = None
-    witness: tuple | None = None
+class _Record:
+    """A result report: two reports are equal when they are of one class
+    and their attributes are equal, a report is unhashable, and its repr
+    lists its attributes in the order its constructor sets them."""
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"{type(self).__name__}({fields})"
+
+
+class GaloisReport(_Record):
+    def __init__(self, ok: bool, reason: str | None = None,
+                 witness: tuple | None = None):
+        self.ok = ok
+        self.reason = reason
+        self.witness = witness
 
     def __bool__(self):
         return self.ok

@@ -13,15 +13,14 @@ enumerated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable
 from functools import lru_cache, reduce
 from itertools import permutations
 from math import comb, factorial
-from typing import Callable
 
 from .errors import (DEFAULT_BUDGET, CarrierOverflow, EngineError,
                      LabelMismatch, LabelOverlap)
-from .posets import FinitePoset, _containment_upsets
+from .posets import FinitePoset, _containment_upsets, _Record
 
 
 def check_label_set(labels) -> frozenset[int]:
@@ -105,24 +104,34 @@ def check_set_partition_budget(n: int, budget: int, ordered: bool = False) -> No
                               f"labels exceed budget {budget}")
 
 
-@dataclass(frozen=True, eq=False)
 class Family:
     """A structure family: enumeration, relabeling, merge and split maps,
     an optional free product, and an optional native order.
 
     The native order is containment of key bits: x <= y iff
-    order_key(x) has no bit outside order_key(y)."""
+    order_key(x) has no bit outside order_key(y).  A family compares and
+    hashes by identity: it keys the cache of compiled native orders."""
 
-    tag: str
-    count_fn: Callable[[frozenset], int] | None
-    enumerate_fn: Callable[[frozenset, int], tuple]
-    unit: object
-    relabel_fn: Callable[[dict, object], object]
-    mult_fn: Callable[[object, object], object]
-    comult_fn: Callable[[object, frozenset, frozenset], tuple]
-    box_fn: Callable[[object, object], object] | None = None
-    order_key: Callable[[object], int] | None = None
-    adjunction_kinds: tuple[str, ...] = ()
+    def __init__(self, tag: str,
+                 count_fn: Callable[[frozenset], int] | None,
+                 enumerate_fn: Callable[[frozenset, int], tuple],
+                 unit: object,
+                 relabel_fn: Callable[[dict, object], object],
+                 mult_fn: Callable[[object, object], object],
+                 comult_fn: Callable[[object, frozenset, frozenset], tuple],
+                 box_fn: Callable[[object, object], object] | None = None,
+                 order_key: Callable[[object], int] | None = None,
+                 adjunction_kinds: tuple[str, ...] = ()):
+        self.tag = tag
+        self.count_fn = count_fn
+        self.enumerate_fn = enumerate_fn
+        self.unit = unit
+        self.relabel_fn = relabel_fn
+        self.mult_fn = mult_fn
+        self.comult_fn = comult_fn
+        self.box_fn = box_fn
+        self.order_key = order_key
+        self.adjunction_kinds = adjunction_kinds
 
     def enumerate(self, labels, budget: int = DEFAULT_BUDGET) -> tuple:
         labels = check_label_set(labels)
@@ -199,18 +208,18 @@ def reassemble(fam: Family, partition, x):
     return reduce(fam.mult, pieces, fam.unit)
 
 
-@dataclass
-class AxiomResult:
-    name: str
-    passed: bool
-    witness: str | None = None
+class AxiomResult(_Record):
+    def __init__(self, name: str, passed: bool, witness: str | None = None):
+        self.name = name
+        self.passed = passed
+        self.witness = witness
 
 
-@dataclass
-class AxiomReport:
-    family: str
-    n: int
-    results: list[AxiomResult] = field(default_factory=list)
+class AxiomReport(_Record):
+    def __init__(self, family: str, n: int):
+        self.family = family
+        self.n = n
+        self.results: list[AxiomResult] = []
 
     @property
     def passed(self) -> bool:

@@ -7,11 +7,10 @@ No floating point anywhere; every check is an exact identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import AdjunctionUnverified, AmbientMismatch
-from .posets import FinitePoset, _Combination, check_galois
+from .posets import FinitePoset, _Combination, _Record, check_galois
 from .species import subsets
 
 
@@ -180,12 +179,13 @@ def delta_on_inverted_check(adj, x, S, T):
     return lhs == rhs, lhs, rhs
 
 
-@dataclass
-class DualityReport:
-    family: str
-    n: int
-    ok: bool
-    witness: tuple | None = None
+class DualityReport(_Record):
+    def __init__(self, family: str, n: int, ok: bool,
+                 witness: tuple | None = None):
+        self.family = family
+        self.n = n
+        self.ok = ok
+        self.witness = witness
 
 
 def duality_pairing_check(fam, poset_for, box, n: int) -> DualityReport:

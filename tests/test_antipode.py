@@ -165,7 +165,7 @@ def test_collapsed_sum_matches_ordered_sum():
 def _skewed_graphs():
     """Graphs whose merge of two single vertices adds the edge when the
     larger label comes first: not commutative."""
-    from dataclasses import replace
+    from family_replace import replace
 
     def skewed(a, b):
         if len(a.labels) == 1 and len(b.labels) == 1 and min(a.labels) > min(b.labels):
@@ -230,7 +230,7 @@ def _checked(fam, calls=None):
     """fam with its merge wrapped: the same maps, which `_restrictions`
     does not recognize as the integer kernel's, so it checks (a)-(c) by
     calling them.  Each call appends to `calls` when one is given."""
-    from dataclasses import replace
+    from family_replace import replace
     from hsl.families import _union
 
     def mult(a, b):
@@ -526,6 +526,13 @@ def test_primitives_partitions_n3():
     assert [x.encode() for x in indecs] == ["P:n=3;B=012"]
 
 
+def test_adjunctions_keep_their_own_verified_splits():
+    first, second = Adjunction(GRAPHS, "delta_box"), Adjunction(GRAPHS, "delta_box")
+    assert first != second
+    assert first.verify({0}, {1}).ok
+    assert first.is_verified({0}, {1}) and not second.is_verified({0}, {1})
+
+
 def test_primitives_annihilate_proper_splits():
     cases = [(Adjunction(GRAPHS, "delta_box"), 3),
              (Adjunction(HYPERGRAPHS, "delta_box"), 3),
@@ -585,7 +592,7 @@ def test_sc_primitives_use_downward_inverted_basis():
 def _join_complexes():
     """Complexes merged by the join, every face of one side with every
     face of the other: split is no longer right-adjoint to it."""
-    from dataclasses import replace
+    from family_replace import replace
 
     def join(a, b):
         return SimplicialComplex(a.labels | b.labels,
@@ -627,7 +634,7 @@ def _lossy_graphs(path):
     """Graphs whose merge returns `path` for any two pieces on its labels
     with one edge between them: two different bipartitions of the path
     both recompose it, with genuinely different factor multisets."""
-    from dataclasses import replace
+    from family_replace import replace
 
     def lossy_mult(a, b):
         plain = GRAPHS.mult_fn(a, b)
@@ -661,7 +668,7 @@ def test_table_grading_detects_join_disagreement():
 
 def test_gate_rejects_comult_off_its_labels():
     # a split that hands each side the other side's piece
-    from dataclasses import replace
+    from family_replace import replace
     from hsl.errors import LabelMismatch
 
     swapped = replace(GRAPHS, tag="graphs-swapped",

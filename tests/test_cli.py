@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import resource
@@ -216,6 +217,64 @@ def _poset_axioms_literal(view):
                 if not view.leq(x, z):
                     return False
     return True
+
+
+# every name `hsl` exports, by the module that defines it
+_EXPORTS = {
+    "errors": ["AdjunctionUnverified", "AmbientMismatch", "CarrierOverflow",
+               "DEFAULT_BUDGET", "EngineError", "LabelMismatch", "LabelOverlap",
+               "NonUniqueFactorization", "NotAFlat", "NotComparable",
+               "NotSelfAdjoint", "ParseError"],
+    "posets": ["FinitePoset", "IntPolynomial", "check_galois", "interval",
+               "mobius", "rota_transfer_check"],
+    "species": ["Family", "bell", "fubini", "verify_axioms",
+                "verify_delta_after_mult_identity"],
+    "vectors": ["FreeVector", "TensorVector", "delta_on_inverted_check",
+                "duality_pairing_check", "inverted_basis",
+                "product_of_inverted_check", "tensor", "zeta_pairing"],
+    "families": ["FAMILIES", "GRAPHS", "HYPERGRAPHS", "PARTITIONS", "SIMPLICIAL",
+                 "Graph", "Hypergraph", "SetPartition", "SimplicialComplex",
+                 "acyclic_orientation_count", "chromatic_polynomial",
+                 "closed_form_antipode_graphs", "closed_form_antipode_partitions",
+                 "closed_form_antipode_sc", "contract", "graph_flats",
+                 "graph_free_product", "hypergraph_free_product",
+                 "parse_structure", "sc_gamma_of_flat", "sc_one_skeleton"],
+    "antipode": ["Adjunction", "antipode_axiom_check", "antipode_on_inverted_check",
+                 "box_indecomposables", "closed_form_antipode",
+                 "declared_adjunctions", "primitives_basis", "reassembly_poset",
+                 "reassembly_upset", "takeuchi_antipode"],
+    "fock": ["OrbitClass", "fock_coproduct", "fock_primitive_check",
+             "orbit_canonicalize", "partition_char_poly_check",
+             "power_sum_identity_check", "symfunc_bridge"],
+    "symfunc": ["SymFunc", "newton_p_in_h"],
+}
+
+
+def test_cold_import_loads_only_what_commands_share():
+    # a fresh interpreter: the modules `import hsl.cli` adds must not
+    # include dataclasses (which pulls in inspect, ast, dis and tokenize)
+    # or the symmetric-function modules, which only `hsl fock` reads;
+    # comparing against the modules loaded before the import keeps this
+    # valid where `site` preloads some of them
+    src = os.path.dirname(os.path.dirname(hsl.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import hsl.cli\n"
+            "print(' '.join(sorted(set(sys.modules) - before)))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    new = set(proc.stdout.split())
+    assert "hsl.cli" in new
+    assert not new & {"dataclasses", "inspect", "hsl.fock", "hsl.symfunc"}
+    # every exported name still resolves, to the object its module defines
+    for module, names in _EXPORTS.items():
+        defined = importlib.import_module(f"hsl.{module}")
+        for name in names:
+            assert getattr(hsl, name) is getattr(defined, name), name
+    with pytest.raises(AttributeError):
+        hsl.no_such_name
 
 
 def test_reassembly_poset_axioms_read_bits(monkeypatch):

@@ -145,6 +145,17 @@ def test_orbit_canonicalize_budget():
         orbit_canonicalize(GRAPHS, wide)
 
 
+def test_orbit_classes_compare_and_hash_by_value():
+    # two canonicalizations of one orbit are distinct objects that key
+    # the same term of the coproduct
+    a = orbit_canonicalize(GRAPHS, G("G:n=3;E=1-2"))
+    b = orbit_canonicalize(GRAPHS, G("G:n=3;E=0-2"))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a: 1, b: 2}) == 1
+    assert a != orbit_canonicalize(GRAPHS, G("G:n=3;E="))
+    assert a != orbit_canonicalize(PARTITIONS, G("P:n=3;B=01|2"))
+
+
 def test_fock_coproduct_frozen_examples():
     two_block = orbit_canonicalize(PARTITIONS, G("P:n=2;B=01"))
     one = orbit_canonicalize(PARTITIONS, G("P:n=1;B=0"))

@@ -12,6 +12,7 @@ from hsl.posets import (FinitePoset, IntPolynomial, check_galois, interval,
                         mobius, rota_transfer_check)
 from hsl.species import _native_poset, subsets
 from adjunction_oracle import product_by_shifts, three_scan_check_galois
+from family_replace import replace
 from literal_oracle import graded_char_eval, graded_char_poly
 
 
@@ -292,10 +293,34 @@ def test_native_poset_cache_is_bounded():
     assert _native_poset.cache_info().currsize == bound
 
 
+def test_native_poset_cache_keys_families_by_identity():
+    # a copy with the same maps is another family: it hashes by identity
+    # and compiles its own order, under its own tag
+    twin = replace(GRAPHS, tag="graphs-twin")
+    same = replace(GRAPHS)
+    assert twin != GRAPHS and same != GRAPHS
+    assert hash(same) == object.__hash__(same) != hash(GRAPHS)
+    labels = frozenset(range(2))
+    assert GRAPHS.poset(labels) is GRAPHS.poset(labels)
+    ours, theirs = GRAPHS.poset(labels), twin.poset(labels)
+    assert theirs is not ours and theirs.family_tag == "graphs-twin"
+    assert theirs.elems == ours.elems and theirs.up == ours.up
+    assert len({GRAPHS: 0, twin: 1, same: 2}) == 3
+
+
 def test_check_galois_identity():
     p = GRAPHS.poset(frozenset(range(2)))
     ident = lambda x: x
     assert check_galois(p, p, ident, ident).ok
+
+
+def test_galois_report_is_truthy_exactly_when_ok():
+    p = GRAPHS.poset(frozenset(range(2)))
+    ident = lambda x: x
+    passed = check_galois(p, p, ident, ident)
+    failed = check_galois(p, p, ident, lambda x: p.elems[0])
+    assert passed.ok and bool(passed)
+    assert not failed.ok and not bool(failed) and failed.witness is not None
 
 
 def test_check_galois_graphs_free_product():

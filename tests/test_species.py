@@ -1,4 +1,3 @@
-from dataclasses import replace
 from itertools import permutations
 from math import factorial
 
@@ -16,6 +15,7 @@ from hsl.species import (AxiomReport, AxiomResult, Family, _bijections,
                          _partitions, _splits, bell, fubini, reassemble,
                          subsets, verify_axioms,
                          verify_delta_after_mult_identity)
+from family_replace import replace
 from literal_oracle import (compose_comult, compose_mult,
                             reassemble as literal_reassemble)
 from partition_oracle import compositions, partition_masks_by_fold, set_partitions
@@ -216,6 +216,15 @@ def test_verify_axioms_all_families_n3():
 def test_verify_axioms_partitions_n4():
     report = verify_axioms(PARTITIONS, 4)
     assert report.passed
+
+
+def test_axiom_reports_keep_their_own_results():
+    first, second = AxiomReport("graphs", 1), AxiomReport("graphs", 1)
+    first.results.append(AxiomResult("unitality", False, "witness"))
+    assert second.results == [] and not first.passed and second.passed
+    # records compare by value
+    assert verify_axioms(GRAPHS, 2) == verify_axioms(GRAPHS, 2)
+    assert first != second
 
 
 def _mutant_graphs():
