@@ -17,8 +17,8 @@ from functools import lru_cache, partial, reduce
 from itertools import permutations
 from math import factorial
 
-from .errors import (DEFAULT_BUDGET, EngineError, LabelMismatch,
-                     NonUniqueFactorization, NotSelfAdjoint)
+from .errors import (DEFAULT_BUDGET, AmbientMismatch, EngineError,
+                     LabelMismatch, NonUniqueFactorization, NotSelfAdjoint)
 from .families import SetPartition, _of, _split, _union, partition_masks
 from .posets import (FinitePoset, GaloisReport, _Record, _bits,
                      _containment_upsets, check_galois)
@@ -42,13 +42,13 @@ def _label_partitions(labels) -> list:
 def _upset_images(fam: Family, x, budget: int):
     """The distinct images of x under split-then-merge along a set
     partition, in no fixed order, for one pass.  They are read off the
-    restriction table of x (`_images`), one structure built per distinct
-    image, and reassembled one partition at a time only where
+    restriction table of x (`_restrictions`), one structure built per
+    distinct image, and reassembled one partition at a time only where
     `_restrictions` fails on x."""
     check_set_partition_budget(len(x.labels), budget)
     table = _restrictions(fam, x)
     if table is not None:
-        img, image = _images(fam, x, table)
+        img, image, _ = table
         return map(image, set(img))
     return {reassemble(fam, blocks, x) for blocks in _label_partitions(x.labels)}
 
@@ -166,7 +166,12 @@ def declared_adjunctions(fam: Family, budget: int = DEFAULT_BUDGET) -> list[Adju
 
 
 def _restrictions(fam: Family, x) -> tuple | None:
-    """(r, joins, image) when the checks below hold on x, else None.
+    """(img, image, grades) when the checks below hold on x, else None.
+
+    img[j] stands for the image of x along the j-th set partition of
+    `_partitions`, equal entries for equal images, image(img[j]) is that
+    image as a structure, and grades(js) lists ell(img[j]) at positions j
+    each the finest partition giving its image (`_reassembly_images`).
 
     Let I be the labels of x and r(S) = comult(x, S, I - S)[0], indexed by
     the bitmask of S over the sorted labels.  The check:
@@ -183,25 +188,32 @@ def _restrictions(fam: Family, x) -> tuple | None:
     are r(B1), ..., r(Bk) in every block order.  The merge folds them
     from the unit; by unitality and associativity of mult (Hopf axioms
     that `verify_axioms` checks) that is their product, and by (c) any
-    two adjacent factors swap, so every order gives the same product.
+    two adjacent factors swap, so every order gives the same product:
+    img(pi) = reassemble(pi, x) is the fold of mult over the r(B) for the
+    blocks B of pi, with no split made.
 
     On the integer kernel of the four families (split `_split`, merge
-    `_union`), r and joins are None and image(b) is the structure on I
-    with int b: no map is called and nothing is built per structure.
+    `_union`), no map is called and nothing is built per structure.
     There r(S) has the int x.bits & inside(S), and the checks hold by
     algebra: (x.bits & inside(U)) & inside(S) = x.bits & inside(S) for S
     in U, which is (a) and (b), and `|` commutes, which is (c).  So
-    img(pi) has the int x.bits & inside(pi) (`partition_masks`).
+    img[j] is the int x.bits & inside(pi) (`partition_masks`), image
+    builds the structure on I with that int, and grades counts the blocks
+    of pi.
 
-    Otherwise r holds the structures, image is None and the maps run the
-    checks.  joins[U] holds, ascending, each S of a split {S, U - S} with
-    mult(r(S), r(U - S)) == r(U), along which r(U) decomposes.  By unique
-    factorization (Aguiar and Mahajan, 2010, ch. 8) ell(img pi) is the
-    sum of ell(r(B)) over the blocks B of pi (`_factor_blocks`, which
-    raises NonUniqueFactorization where two joins disagree)."""
+    Otherwise the maps run the checks, img[j] is the image itself and
+    image is the identity.  joins[U] holds, ascending, each S of a split
+    {S, U - S} with mult(r(S), r(U - S)) == r(U), along which r(U)
+    decomposes.  By unique factorization (Aguiar and Mahajan, 2010, ch. 8)
+    ell(img pi) is the sum of ell(r(B)) over the blocks B of pi.  grades
+    reads those from the joins (`_factor_blocks`, which raises
+    NonUniqueFactorization where two joins disagree) only when called, so
+    the defining sum, which grades nothing, answers where they disagree."""
     labels = x.labels
+    parts = _partitions(len(labels))
     if fam.comult_fn is _split and fam.mult_fn is _union:
-        return None, None, partial(_of, type(x), labels)
+        return (list(map(x.bits.__and__, partition_masks(type(x), labels))),
+                partial(_of, type(x), labels), lambda js: [len(parts[j]) for j in js])
     subs = subsets(labels)  # subs[m]: the labels at the set bits of m
     full = len(subs) - 1
     split, mult = fam.comult_fn, fam.mult_fn
@@ -227,7 +239,13 @@ def _restrictions(fam: Family, x) -> tuple | None:
             if y == r[S | T]:
                 joins[S | T].append(S)
             T = (T - 1) & (full ^ S)
-    return r, joins, None
+
+    def grades(js) -> list:
+        factors = _factor_blocks(r, joins)
+        return [sum(len(factors[b]) for b in parts[j]) for j in js]
+
+    img = [reduce(mult, map(r.__getitem__, blocks), fam.unit) for blocks in parts]
+    return img, (lambda y: y), grades
 
 
 def require_self_adjoint(fam: Family, x) -> tuple:
@@ -257,20 +275,6 @@ def _factor_blocks(r: list, joins: list) -> list:
     return blocks
 
 
-def _images(fam: Family, x, table: tuple) -> tuple:
-    """(img, image) over the set partitions pi of `_partitions`, in order:
-    image(img[i]) is img(pi), the fold of mult from the unit over r(B) for
-    the blocks B of pi, which by `_restrictions` is reassemble(pi, x), with
-    no split made.  On the kernel img[i] is the image's int, x.bits &
-    inside(pi), so equal images compare as ints and the caller builds one
-    structure per distinct image; otherwise img[i] is the image itself."""
-    r, _, image = table
-    if image is not None:
-        return list(map(x.bits.__and__, partition_masks(type(x), x.labels))), image
-    return [reduce(fam.mult_fn, map(r.__getitem__, blocks), fam.unit)
-            for blocks in _partitions(len(x.labels))], (lambda y: y)
-
-
 # ---------------------------------------------------------------------------
 # the defining antipode sum
 
@@ -297,11 +301,11 @@ def takeuchi_antipode(fam: Family, x, budget: int = DEFAULT_BUDGET,
     Where `_restrictions` holds for x, the k! orders of one set partition
     reassemble x alike, to the product of its blocks' restrictions, so
     the sum runs over the Bell(n) set partitions with weight (-1)^k k!
-    (Aguiar and Mahajan, 2010) and reads each image off the table
-    (`_images`): for the four families, one `&` of ints per partition,
-    summed by int, with one structure built per distinct image.  Otherwise
-    it falls back to the ordered sum.  The budget bounds the Bell(n) set
-    partitions, and the Fubini(n) ordered ones only before that fallback.
+    (Aguiar and Mahajan, 2010) and reads each image off the table: for
+    the four families, one `&` of ints per partition, summed by int, with
+    one structure built per distinct image.  Otherwise it falls back to
+    the ordered sum.  The budget bounds the Bell(n) set partitions, and
+    the Fubini(n) ordered ones only before that fallback.
     `jobs` is accepted and ignored."""
     check_set_partition_budget(len(x.labels), budget)
     table = _restrictions(fam, x)
@@ -309,7 +313,7 @@ def takeuchi_antipode(fam: Family, x, budget: int = DEFAULT_BUDGET,
         check_set_partition_budget(len(x.labels), budget, ordered=True)
         return FreeVector(fam.tag, x.labels, _ordered_sum(fam, x))
     n = len(x.labels)
-    img, image = _images(fam, x, table)
+    img, image, _ = table
     weight = [(-1) ** k * factorial(k) for k in range(n + 1)]
     terms: dict = {}
     for blocks, y in zip(_partitions(n), img):
@@ -348,10 +352,10 @@ class ClosedFormAntipode(_Record):
         return FreeVector(self.family, self.labels, self.lower)
 
 
-def _reassembly_images(fam: Family, x, table: tuple) -> tuple:
+def _reassembly_images(x, table: tuple) -> tuple:
     """(elems, down, ell) for the up-set of x in the reassembly order, from
     the restriction table of x that passed the gate: `elems` are the
-    distinct images of `_images`, one structure each, in the order of
+    distinct images of the table, one structure each, in the order of
     their first partitions (the one-block partition comes first, so
     elems[0] is x), down[i] is the bitmask over `elems` of the images at
     or below elems[i], and ell[i] is the grading of elems[i].  No image is
@@ -374,49 +378,39 @@ def _reassembly_images(fam: Family, x, table: tuple) -> tuple:
     so the down-sets are one containment compile over the inside(pi0(y))
     of the distinct images (`_containment_upsets`).
 
-    On the kernel ell(y) = |pi0(y)|.  There img(pi) = x & inside(pi),
-    inside(pi) the `|` of inside(B) over the blocks B of pi
-    (`partition_masks`).  Each block B of pi0 is indecomposable: were x &
-    inside(B) the `|` of x & inside(S) and x & inside(B - S), cutting B in
-    two would give y from a finer partition.  So y is a product of |pi0|
-    indecomposables, and by unique factorization ell(y) = |pi0|.
-    Elsewhere ell comes from the joins (`_restrictions`)."""
-    r, joins, _ = table
-    img, image = _images(fam, x, table)
+    ell is the table's grades at the pi0(y) (`_restrictions`).  On the
+    kernel that is |pi0(y)|, and it is ell(y): there img(pi) = x &
+    inside(pi), inside(pi) the `|` of inside(B) over the blocks B of pi
+    (`partition_masks`), and each block B of pi0 is indecomposable: were
+    x & inside(B) the `|` of x & inside(S) and x & inside(B - S), cutting
+    B in two would give y from a finer partition.  So y is a product of
+    |pi0| indecomposables, and by unique factorization ell(y) = |pi0|."""
+    img, image, grades = table
     parts = _partitions(len(x.labels))
     finest: dict = {}  # each distinct image, by first partition: pi0 of it
     for j, y in enumerate(img):
         if len(parts[j]) > len(parts[finest.setdefault(y, j)]):
             finest[y] = j
-    elems = list(map(image, finest))
     masks = partition_masks(SetPartition, frozenset(range(len(x.labels))))
     down = _containment_upsets([masks[j] for j in finest.values()])
-    if joins is None:
-        ell = [len(parts[j]) for j in finest.values()]
-    else:
-        factors = _factor_blocks(r, joins)
-        ell = [sum(len(factors[b]) for b in parts[j]) for j in finest.values()]
-    return elems, down, ell
+    return list(map(image, finest)), down, grades(finest.values())
 
 
-def closed_form_antipode(fam: Family, x,
-                         budget: int = DEFAULT_BUDGET) -> ClosedFormAntipode:
-    """Antipode from the reassembly order: the coefficient of y is the
-    upper characteristic evaluation at -1 over the interval [x, y] graded
-    by factorization length.  The lower evaluation is reported alongside.
+def _upset_walk(fam: Family, x, budget: int) -> tuple:
+    """(elems, ell, mu, upper, lower) on the up-set of x in the reassembly
+    order, where the gate (`require_self_adjoint`) holds on x: the images
+    and their grading from `_reassembly_images`, then mu(x, .) and the
+    closed form's upper and lower values, each a list over `elems`.
 
-    The up-set of x, its order and its grading come from the restriction
-    table that the gate (`require_self_adjoint`) returns; see
-    `_reassembly_images`.  With s(z) = (-1)^ell(z), the lower value at y
-    is the sum of mu(x, z) s(z) over z <= y.  The upper value u(y), the
-    sum of mu(z, y) s(z) over x <= z <= y, sums over [x, w] to s(w): it is
-    the Möbius inversion of s along the up-set of x, as mu(x, .) is that
-    of the delta at x.  Every image lies above x, so [x, w] is the down-set
+    With s(z) = (-1)^ell(z), the lower value at y is the sum of
+    mu(x, z) s(z) over z <= y.  The upper value u(y), the sum of
+    mu(z, y) s(z) over x <= z <= y, sums over [x, w] to s(w): it is the
+    Möbius inversion of s along the up-set of x, as mu(x, .) is that of
+    the delta at x.  Every image lies above x, so [x, w] is the down-set
     of w, and one pass over the images by down-set size (a linear
-    extension) gives all three.  `upper` and `lower` hold the images in
-    the order of `_reassembly_images`, not in encoding order."""
+    extension) gives all three."""
     check_set_partition_budget(len(x.labels), budget)
-    elems, down, ell = _reassembly_images(fam, x, require_self_adjoint(fam, x))
+    elems, down, ell = _reassembly_images(x, require_self_adjoint(fam, x))
     sign = [(-1) ** k for k in ell]
     mu, upper, signed, lower = ([0] * len(elems) for _ in range(4))
     for w in sorted(range(len(elems)), key=lambda w: down[w].bit_count()):
@@ -425,6 +419,21 @@ def closed_form_antipode(fam: Family, x,
         upper[w] = sign[w] - sum(map(upper.__getitem__, below))
         signed[w] = mu[w] * sign[w]  # mu(x, w) s(w)
         lower[w] = signed[w] + sum(map(signed.__getitem__, below))
+    return elems, ell, mu, upper, lower
+
+
+def closed_form_antipode(fam: Family, x,
+                         budget: int = DEFAULT_BUDGET) -> ClosedFormAntipode:
+    """Antipode from the reassembly order: the coefficient of y is the
+    upper characteristic evaluation at -1 over the interval [x, y] graded
+    by factorization length.  The lower evaluation is reported alongside.
+
+    Both come from one pass over the images of x in its restriction table
+    (`_upset_walk`), which raises NotSelfAdjoint where the gate fails on x
+    and NonUniqueFactorization where the grading is not unique.  `upper`
+    and `lower` hold the images in the order of `_reassembly_images`, not
+    in encoding order."""
+    elems, _, _, upper, lower = _upset_walk(fam, x, budget)
     return ClosedFormAntipode(fam.tag, x.labels, dict(zip(elems, upper)),
                               dict(zip(elems, lower)))
 
@@ -435,14 +444,14 @@ def closed_form_antipode(fam: Family, x,
 
 def antipode_on_inverted_check(fam: Family, x, budget: int = DEFAULT_BUDGET):
     """Check S(omega_x) == (-1)^ell(x) * omega_x on the reassembly order,
-    an identity of commutative, cocommutative families: omega_x and ell(x)
-    come from x's restriction table (`_reassembly_images`), and where the
-    gate fails on x it raises NotSelfAdjoint, as `closed_form_antipode` does.
+    an identity of commutative, cocommutative families: omega_x, the sum
+    of mu(x, y) y over the up-set of x, and ell(x) come from the closed
+    form's pass over x's images (`_upset_walk`), and where the gate fails
+    on x it raises NotSelfAdjoint, as `closed_form_antipode` does.
 
     Returns (equal, lhs, rhs)."""
-    check_set_partition_budget(len(x.labels), budget)
-    elems, down, ell = _reassembly_images(fam, x, require_self_adjoint(fam, x))
-    omega = inverted_basis(FinitePoset(elems, down, fam.tag).reverse(), x)
+    elems, ell, mu, _, _ = _upset_walk(fam, x, budget)
+    omega = FreeVector(fam.tag, x.labels, dict(zip(elems, mu)))
     lhs = takeuchi_on_vector(fam, omega, budget)
     rhs = omega * ((-1) ** ell[0])  # elems[0] is x
     return lhs == rhs, lhs, rhs
@@ -462,12 +471,14 @@ def antipode_axiom_check(fam: Family, n: int, antipode=None,
         labels = frozenset(range(k))
         unit_vec = FreeVector.basis(fam.tag, fam.unit) if k == 0 else None
         for x in fam.enumerate(labels, budget):
-            total = FreeVector.zero(fam.tag, labels)
+            terms = []  # one vector at the end, not a running sum
             for S in subsets(labels):
-                T = labels - S
-                x1, x2 = fam.comult(x, S, T)
-                total = total + values[x1].map_structures(
-                    lambda a: fam.mult(a, x2), labels)
+                x1, x2 = fam.comult(x, S, labels - S)
+                piece = values[x1]
+                if piece.family_tag != fam.tag:
+                    raise AmbientMismatch(piece._mismatch)
+                terms += [(fam.mult(a, x2), c) for a, c in piece.terms.items()]
+            total = FreeVector(fam.tag, labels, terms)
             expected = unit_vec if k == 0 else FreeVector.zero(fam.tag, labels)
             if total != expected:
                 return False, (x, total)
@@ -479,10 +490,10 @@ def antipode_axiom_check(fam: Family, n: int, antipode=None,
 
 
 def box_indecomposables(adj: Adjunction, labels) -> list:
-    """Structures not expressible as a proper box-product."""
+    """Structures not expressible as a proper box-product, in the
+    encoding order of the adjunction's compiled order."""
     labels = frozenset(labels)
     fam = adj.family
-    carrier = fam.enumerate(labels, adj.budget)
     decomposable = set()
     for S in subsets(labels):
         T = labels - S
@@ -491,8 +502,7 @@ def box_indecomposables(adj: Adjunction, labels) -> list:
         for x1 in fam.enumerate(S, adj.budget):
             for x2 in fam.enumerate(T, adj.budget):
                 decomposable.add(adj.box(x1, x2))
-    return [x for x in sorted(carrier, key=lambda s: s.encode())
-            if labels and x not in decomposable]
+    return [x for x in adj.poset(labels).elems if labels and x not in decomposable]
 
 
 def primitives_basis(adj: Adjunction, labels) -> list[FreeVector]:

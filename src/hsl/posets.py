@@ -95,31 +95,19 @@ class FinitePoset:
     def upset(self, x) -> tuple:
         return tuple(self.elems[k] for k in _bits(self.up[self.index[x]]))
 
-    def walk(self, i: int):
-        """(w, below) for the positions w of the up-set of elems[i] in a
-        linear extension (by down-set size), below the bitset of the y
-        with elems[i] <= y < w; reading every below costs one bit step
-        per comparable pair of the up-set."""
-        up = self.up[i]
-        for w in sorted(_bits(up), key=self._down_size.__getitem__):
-            yield w, (up & self.down[w]) ^ (1 << w)
-
-    def invert(self, i: int, s) -> dict:
-        """Möbius inversion along the up-set of elems[i]: for s given on
-        its positions, the g with the sum of g(y) over elems[i] <= y <= w
-        equal to s(w) for every w in it, as {position: g}, by one `walk`:
-        g(w) = s(w) - sum of g(y) over i <= y < w."""
-        g: dict = {}
-        for w, below in self.walk(i):
-            g[w] = s(w) - sum(map(g.__getitem__, _bits(below)))
-        return g
-
     def mu(self, i: int) -> dict:
-        """mu(elems[i], .) on the up-set of elems[i]: `invert` with s the
-        delta at i."""
+        """mu(elems[i], .) on the up-set of elems[i], as {position: value},
+        by one pass over the up-set in a linear extension (by down-set
+        size): mu(i, w) is 1 at w = i, else minus the sum of mu(i, y) over
+        i <= y < w, a half-open interval read as one `&` and one bit step
+        per comparable pair of the up-set."""
         row = self._mu.get(i)
         if row is None:
-            row = self._mu[i] = self.invert(i, lambda w: int(w == i))
+            row = self._mu[i] = {}
+            up = self.up[i]
+            for w in sorted(_bits(up), key=self._down_size.__getitem__):
+                below = (up & self.down[w]) ^ (1 << w)
+                row[w] = (w == i) - sum(map(row.__getitem__, _bits(below)))
         return row
 
 
@@ -318,10 +306,6 @@ class IntPolynomial(_Combination):
     @property
     def coeffs(self) -> dict:
         return self.terms
-
-    @classmethod
-    def term(cls, coefficient: int, exponent: int) -> "IntPolynomial":
-        return cls({exponent: coefficient})
 
     @classmethod
     def falling_factorial(cls, n: int) -> "IntPolynomial":

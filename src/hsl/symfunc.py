@@ -150,10 +150,6 @@ def h(k: int) -> SymFunc:
     return SymFunc("h", {(k,): 1}) if k else SymFunc("h", {(): 1})
 
 
-def p(k: int) -> SymFunc:
-    return SymFunc("p", {(k,): 1}) if k else SymFunc("p", {(): 1})
-
-
 def power_sum_monomial(n: int) -> SymFunc:
     """p_n expanded in the monomial basis: exactly m_(n)."""
     return SymFunc("m", {(n,): 1})

@@ -53,18 +53,18 @@ class FreeVector(_Combination):
     def items(self):
         return sorted(self.terms.items(), key=lambda kv: kv[0].encode())
 
-    def map_structures(self, fn, labels=None) -> "FreeVector":
-        """Linear extension of a structure-to-structure map."""
-        terms = [(fn(x), c) for x, c in self.terms.items()]
-        if labels is None:
-            labels = terms[0][0].labels if terms else self.labels
-        return FreeVector(self.family_tag, labels, terms)
-
     def bind(self, fn) -> "FreeVector":
-        """Linear extension of a structure-to-vector map."""
-        pieces = [fn(x) * c for x, c in self.terms.items()]
-        return sum(pieces[1:], pieces[0]) if pieces else FreeVector.zero(
-            self.family_tag, self.labels)
+        """Linear extension of a structure-to-vector map, its terms summed
+        in one pass; AmbientMismatch where two images lie in different
+        spaces."""
+        pieces = [(fn(x), c) for x, c in self.terms.items()]
+        if not pieces:
+            return FreeVector.zero(self.family_tag, self.labels)
+        first = pieces[0][0]
+        for v, _ in pieces:
+            first._check_ambient(v)
+        return FreeVector(*first._ambient, [(y, c * d) for v, c in pieces
+                                            for y, d in v.terms.items()])
 
     def ambient_string(self) -> str:
         return f"{self.family_tag}:" + ",".join(map(str, sorted(self.labels)))
@@ -122,10 +122,9 @@ def comult_vector(fam, v: FreeVector, S, T) -> TensorVector:
     return TensorVector(fam.tag, S, T, terms)
 
 
-def mult_tensor(fam, tv: TensorVector, mult=None) -> FreeVector:
-    """Linear extension of a merge map to a tensor."""
-    mult = mult or fam.mult
-    terms = [(mult(a, b), c) for (a, b), c in tv.terms.items()]
+def mult_tensor(fam, tv: TensorVector) -> FreeVector:
+    """Linear extension of the merge map to a tensor."""
+    terms = [(fam.mult(a, b), c) for (a, b), c in tv.terms.items()]
     return FreeVector(fam.tag, tv.left_labels | tv.right_labels, terms)
 
 

@@ -19,11 +19,16 @@ Galois check replaced, kept as the oracle for them.
   mu(x, .).
 - `product_by_shifts` builds each set of the product order as a sum of
   shifted copies, where `hsl.posets.FinitePoset.product` multiplies.
+- `inverted_check_by_view` compiles x's images into a `FinitePoset`,
+  reverses it and reads omega_x with `inverted_basis`, where
+  `hsl.antipode.antipode_on_inverted_check` reads mu(x, .) off the closed
+  form's pass over the images.
 """
 
+from hsl.antipode import _reassembly_images, require_self_adjoint, takeuchi_on_vector
 from hsl.posets import FinitePoset, GaloisReport, _bits, mobius
 from hsl.species import subsets
-from hsl.vectors import FreeVector
+from hsl.vectors import FreeVector, inverted_basis
 
 
 def biconditional_failure(p: FinitePoset, q: FinitePoset, fx, gy):
@@ -115,3 +120,14 @@ def product_by_shifts(p: FinitePoset, q: FinitePoset) -> tuple:
     width = len(q.elems)
     return tuple([sum(b << width * i for i in _bits(a)) for a in p_sets for b in q_sets]
                  for p_sets, q_sets in ((p.up, q.up), (p.down, q.down)))
+
+
+def inverted_check_by_view(fam, x):
+    """(equal, lhs, rhs) for S(omega_x) == (-1)^ell(x) * omega_x, omega_x
+    the inverted basis of the order compiled from the down-sets of x's
+    images and reversed into up-sets."""
+    elems, down, ell = _reassembly_images(x, require_self_adjoint(fam, x))
+    omega = inverted_basis(FinitePoset(elems, down, fam.tag).reverse(), x)
+    lhs = takeuchi_on_vector(fam, omega)
+    rhs = omega * ((-1) ** ell[0])
+    return lhs == rhs, lhs, rhs

@@ -9,15 +9,16 @@ from hsl.antipode import (Adjunction, antipode_axiom_check,
                           primitives_basis, reassembly_poset,
                           reassembly_upset, takeuchi_antipode,
                           takeuchi_on_vector)
-from hsl.errors import CarrierOverflow, EngineError, NotSelfAdjoint
+from hsl.errors import (AmbientMismatch, CarrierOverflow, EngineError,
+                        NotSelfAdjoint)
 from hsl.families import (FAMILIES, GRAPHS, HYPERGRAPHS, PARTITIONS,
                           SIMPLICIAL, Graph, SimplicialComplex, is_connected,
                           parse_structure)
 from hsl.posets import check_galois
-from hsl.species import subsets
+from hsl.species import _partitions, subsets
 from hsl.vectors import FreeVector, comult_vector, inverted_basis
 import literal_oracle as lit
-from adjunction_oracle import merge_split_setup
+from adjunction_oracle import inverted_check_by_view, merge_split_setup
 from literal_oracle import (factorize, graded_char_eval, grading,
                             literal_poset, reassemble)
 from partition_oracle import compositions, set_partitions
@@ -241,46 +242,27 @@ def _checked(fam, calls=None):
     return replace(fam, mult_fn=mult)
 
 
-def _kernel_joins(rb):
-    """joins[U]: the S of the splits {S, U - S} with rb(S) | rb(U - S) ==
-    rb(U), ascending: the join sweep the kernel table once ran, kept as
-    the oracle for the joins of the checked route."""
-    full = len(rb) - 1
-    joins = [[] for _ in rb]
-    for S in range(1, full + 1):
-        T = full ^ S
-        while T > S:
-            if rb[S] | rb[T] == rb[S | T]:
-                joins[S | T].append(S)
-            T = (T - 1) & (full ^ S)
-    return joins
-
-
 def test_kernel_table_matches_checked_table():
     # every structure of each family on 0-4 labels, graphs and partitions
-    # on 5: the kernel table builds nothing per structure, the restriction
-    # ints x.bits & inside(S) are the restrictions the maps build, their
-    # join sweep gives the checked route's joins, and the mask images, the
-    # up-sets and the grading equal the checked route's
-    from hsl.families import _of
-
+    # on 5: the kernel table holds each image as the int x.bits &
+    # inside(pi) and builds nothing per structure, and its images, the
+    # structures they give and their grades at the finest partitions equal
+    # the checked route's, which runs the maps
     cases = [(fam, n) for fam in FAMILIES.values() for n in range(5)]
     cases += [(GRAPHS, 5), (PARTITIONS, 5)]
     for fam, n in cases:
         checked = _checked(fam)
+        blocks = list(map(len, _partitions(n)))
         for x in fam.enumerate(frozenset(range(n))):
-            fast, slow = ap._restrictions(fam, x), ap._restrictions(checked, x)
-            assert fast[:2] == (None, None) and fast[2] is not None, x.encode()
-            assert slow[2] is None, x.encode()
-            subs = subsets(x.labels)
-            rb = [x.bits & type(x)._inside(S) for S in subs]
-            assert [_of(type(x), S, b) for S, b in zip(subs, rb)] == slow[0], x.encode()
-            assert _kernel_joins(rb) == slow[1], x.encode()
-            assert (ap._reassembly_images(fam, x, fast)
-                    == ap._reassembly_images(checked, x, slow)), x.encode()
-            img, image = ap._images(fam, x, fast)
-            slow_img, slow_image = ap._images(checked, x, slow)
+            img, image, grades = ap._restrictions(fam, x)
+            slow_img, slow_image, slow_grades = ap._restrictions(checked, x)
+            assert all(type(b) is int for b in img), x.encode()
             assert list(map(image, img)) == list(map(slow_image, slow_img)), x.encode()
+            # the finest partition of each image: the last of most blocks
+            finest = {y: j for j, y in sorted(enumerate(img), key=lambda jy: blocks[jy[0]])}
+            assert grades(finest.values()) == slow_grades(finest.values()), x.encode()
+            assert (ap._reassembly_images(x, (img, image, grades))
+                    == ap._reassembly_images(x, (slow_img, slow_image, slow_grades))), x.encode()
 
 
 def test_wrapped_maps_take_the_checked_route():
@@ -289,8 +271,8 @@ def test_wrapped_maps_take_the_checked_route():
         checked = _checked(fam, calls)
         for x in fam.enumerate(frozenset(range(3))):
             del calls[:]
-            assert ap._restrictions(checked, x)[2] is None
-            assert calls, x.encode()
+            img, image, _ = ap._restrictions(checked, x)
+            assert calls and all(image(y) is y for y in img), x.encode()
             assert takeuchi_antipode(checked, x) == takeuchi_antipode(fam, x)
             assert closed_form_antipode(checked, x) == closed_form_antipode(fam, x)
 
@@ -415,7 +397,7 @@ def test_table_route_matches_literal_unordered_sum():
 def test_table_grading_matches_factorize():
     for fam, x in _closed_form_cases():
         table = ap.require_self_adjoint(fam, x)
-        elems, _, ell = ap._reassembly_images(fam, x, table)
+        elems, _, ell = ap._reassembly_images(x, table)
         assert ell == [grading(fam, y) for y in elems], x.encode()
 
 
@@ -424,7 +406,7 @@ def test_derived_upsets_match_reassembly_upset():
     # down-set holds it, against the literal sweep from that image
     for fam, x in _closed_form_cases():
         table = ap.require_self_adjoint(fam, x)
-        elems, down, _ = ap._reassembly_images(fam, x, table)
+        elems, down, _ = ap._reassembly_images(x, table)
         assert elems[0] == x
         assert _by_encoding(elems) == lit.reassembly_upset(fam, x), x.encode()
         assert reassembly_upset(fam, x) == lit.reassembly_upset(fam, x), x.encode()
@@ -467,6 +449,17 @@ def test_inverted_check_reads_omega_and_sign_off_the_table():
             assert ok and rhs == omega * (-1) ** grading(fam, x), x.encode()
 
 
+def test_inverted_check_matches_the_reversed_view():
+    # omega_x from the closed form's pass against omega_x read off the
+    # compiled, reversed order of x's images, on every structure of every
+    # family up to 4 labels
+    for fam in FAMILIES.values():
+        for n in range(5):
+            for x in fam.enumerate(frozenset(range(n))):
+                assert (antipode_on_inverted_check(fam, x)
+                        == inverted_check_by_view(fam, x)), x.encode()
+
+
 def test_reassembly_view_cache_is_bounded():
     bound = ap._reassembly_view.cache_info().maxsize
     assert bound is not None
@@ -505,6 +498,8 @@ def test_convolution_rejects_wrong_antipode():
     literal = lambda y: closed_form_antipode(GRAPHS, y).literal_lower_vector
     ok, witness = antipode_axiom_check(GRAPHS, 2, antipode=literal)
     assert not ok and witness is not None
+    with pytest.raises(AmbientMismatch):
+        antipode_axiom_check(GRAPHS, 1, antipode=lambda y: FreeVector.basis("other", y))
 
 
 def test_primitives_graphs_counts():
@@ -664,6 +659,22 @@ def test_table_grading_detects_join_disagreement():
     assert ap._restrictions(mutant, path) is not None
     with pytest.raises(NonUniqueFactorization):
         closed_form_antipode(mutant, path)
+
+
+def test_lossy_merge_keeps_the_defining_sum():
+    # the table grades only when asked: on the lossy merge the closed form
+    # raises, and the defining sum, which grades nothing, still answers,
+    # as the ordered sum and the literal unordered sum do
+    from hsl.errors import NonUniqueFactorization
+
+    path = G("G:n=3;E=0-1,1-2")
+    mutant = _lossy_graphs(path)
+    with pytest.raises(NonUniqueFactorization):
+        closed_form_antipode(mutant, path)
+    answer = takeuchi_antipode(mutant, path)
+    assert answer == _ordered(mutant, path) == _unordered_sum(mutant, path)
+    assert answer == FreeVector(mutant.tag, path.labels,
+                                [(G("G:n=3;E="), -4), (path, 3)])
 
 
 def test_gate_rejects_comult_off_its_labels():

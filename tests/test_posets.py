@@ -145,32 +145,16 @@ def test_mobius_inversion_round_trip():
             assert sum(g[y] for y in p.upset(x)) == f[x]
 
 
-def test_invert_sums_back_over_each_interval():
-    # the g that `invert` returns sums over [x, w] to s(w), for every w >= x
-    rng = random.Random(11)
-    for p in (diamond_poset(), PARTITIONS.poset(frozenset(range(4))),
-              reassembly_poset(GRAPHS, frozenset(range(3)))):
-        for i in range(len(p.carrier())):
-            s = [rng.randint(-9, 9) for _ in p.carrier()]
-            g = p.invert(i, s.__getitem__)
-            assert set(g) == {p.index[y] for y in p.upset(p.carrier()[i])}
-            for w in g:
-                assert sum(g[k] for k in g if p.up[k] >> w & 1) == s[w]
-
-
-def test_walk_visits_the_upset_after_each_half_open_interval():
-    # every w of the up-set of x comes once, after all of [x, w), and
-    # with the bitset of [x, w)
+def test_mu_row_sums_to_the_delta_over_each_interval():
+    # the row mu(x, .) covers the up-set of x, and sums over [x, w] to 1
+    # at w = x and 0 above it, for every w >= x
     for p in (diamond_poset(), chain_poset(4), PARTITIONS.poset(frozenset(range(4))),
               reassembly_poset(GRAPHS, frozenset(range(3)))):
         for i, x in enumerate(p.carrier()):
-            seen = 0
-            for w, below in p.walk(i):
-                assert below == sum(1 << p.index[z] for z in interval(p, x, p.elems[w])
-                                    if z != p.elems[w])
-                assert not below & ~seen and not seen >> w & 1
-                seen |= 1 << w
-            assert seen == p.up[i]
+            row = p.mu(i)
+            assert set(row) == {p.index[y] for y in p.upset(x)}
+            for w in row:
+                assert sum(row[k] for k in row if p.up[k] >> w & 1) == (w == i)
 
 
 def test_product_downsets_are_the_transpose_of_its_upsets():

@@ -131,8 +131,7 @@ def test_block_mask_partitions_match_the_frozenset_oracle():
         assert as_sets == list(reversed(oracle)), n
         assert [p.blocks for p in PARTITIONS.enumerate(range(n))] == list(oracle), n
         one_block = PARTITIONS.enumerate(range(n))[-1]
-        elems, down, _ = _reassembly_images(PARTITIONS, one_block,
-                                            _restrictions(PARTITIONS, one_block))
+        elems, down, _ = _reassembly_images(one_block, _restrictions(PARTITIONS, one_block))
         assert [y.blocks for y in elems] == as_sets, n
         assert down == _pair_key_lattice(n), n
     wide = frozenset({2, 5, 9, 30})

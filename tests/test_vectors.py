@@ -40,6 +40,19 @@ def test_free_vector_ambient_mismatch():
         FreeVector("graphs", frozenset({0}), [(K2, 1)])
 
 
+def test_bind_sums_its_images_in_one_space():
+    u = FreeVector("graphs", K2.labels, [(K2, 2), (EMPTY2, 3)])
+    both = FreeVector("graphs", K2.labels, [(K2, 1), (EMPTY2, -1)])
+    single = lambda x: both if x == K2 else FreeVector.basis("graphs", K2)
+    assert u.bind(single) == FreeVector("graphs", K2.labels, [(K2, 5), (EMPTY2, -2)])
+    assert u.bind(lambda x: both * (3 if x == K2 else -2)).is_zero
+    assert FreeVector.zero("graphs", K2.labels).bind(single).is_zero
+    pt = Graph(frozenset({0}), frozenset())
+    for other in (FreeVector.basis("graphs", pt), FreeVector.basis("other", K2)):
+        with pytest.raises(AmbientMismatch):
+            u.bind(lambda x: both if x == K2 else other)
+
+
 def test_free_vector_json_round_trip():
     v = FreeVector("graphs", K2.labels, [(K2, Fraction(-1, 3)), (EMPTY2, 2)])
     blob = v.to_json()
