@@ -493,6 +493,7 @@ def box_indecomposables(adj: Adjunction, labels) -> list:
     """Structures not expressible as a proper box-product, in the
     encoding order of the adjunction's compiled order."""
     labels = frozenset(labels)
+    check_subset_budget(len(labels), adj.budget)
     fam = adj.family
     decomposable = set()
     for S in subsets(labels):

@@ -76,9 +76,7 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 def cmd_antipode(args) -> int:
     budget = _budget_from(args)
     fam = _family_from(args)
-    expected = {"graphs": "G", "hypergraphs": "H",
-                "simplicial": "S", "partitions": "P"}[fam.tag]
-    if not args.object.startswith(expected + ":"):
+    if not args.object.startswith(fam.unit.encode()[:2]):
         raise ParseError(f"object {args.object!r} is not a {fam.tag} encoding")
     # the Bell(n) check both methods make, from the header alone: a huge
     # label count exits 3 before any label set or structure is built

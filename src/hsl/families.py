@@ -17,8 +17,9 @@ and faces set the bit of their label bitmask (the empty face is bit 0).
 Restriction to S is `bits & mask(S)`, the disjoint-union merge is `|`,
 the native orders compare key ints with `&`, and relabelling permutes
 bits.  Ints built from valid ints that way are canonical, so only the
-parsers and the public constructors (`Graph(labels, edges)` and the
-others) validate; `.edges`, `.faces` and `.blocks` are decoded views.
+public constructors (`Graph(labels, edges)` and the others) validate, and
+`parse_structure` checks just an encoding's syntax and label range before
+it calls them; `.edges`, `.faces` and `.blocks` are decoded views.
 No int is wider than MAX_BITS = 2^16 bits (an edge or same-block pair
 joins labels below 362, a hyperedge or face lies in 0..15): whatever
 builds one counts its width first and raises CarrierOverflow past it.
@@ -183,7 +184,9 @@ def _block_text(m: int, sep: str) -> str:
 class _Structure:
     """A label set and the int over the family's subsets of it; immutable.
     Subclasses name the decoded view (`_view`), its validation into bits
-    (`_validated`) and the restriction mask (`_inside`)."""
+    (`_validated`, which makes every check before it builds a bit, so an
+    invalid part is a LabelMismatch however wide the valid ones are) and
+    the restriction mask (`_inside`)."""
 
     __slots__ = ("labels", "bits")
 
@@ -242,12 +245,11 @@ class Graph(_Structure):
 
     @staticmethod
     def _validated(labels, edges) -> int:
-        bits = 0
-        for e in map(frozenset, edges):
+        edges = set(map(frozenset, edges))
+        for e in edges:
             if len(e) != 2 or not e <= labels:
                 raise LabelMismatch(f"bad edge {sorted(e)}")
-            bits |= _bit(_pair(*sorted(e)))
-        return bits
+        return sum(_bit(_pair(*sorted(e))) for e in edges)
 
     @property
     def edges(self) -> frozenset:
@@ -268,12 +270,11 @@ class Hypergraph(_Structure):
 
     @staticmethod
     def _validated(labels, edges) -> int:
-        bits = 0
-        for e in map(frozenset, edges):
+        edges = set(map(frozenset, edges))
+        for e in edges:
             if len(e) < 2 or not e <= labels:
                 raise LabelMismatch(f"bad hyperedge {sorted(e)}")
-            bits |= _bit(_mask(e))
-        return bits
+        return sum(_bit(_mask(e)) for e in edges)
 
     @property
     def edges(self) -> frozenset:
@@ -301,15 +302,13 @@ class SimplicialComplex(_Structure):
     @staticmethod
     def _validated(labels, faces) -> int:
         faces = frozenset(map(frozenset, faces)) | {frozenset()}
-        bits = 0
         for f in faces:
             if not f <= labels:
                 raise LabelMismatch(f"face {sorted(f)} outside the ground set")
             for drop in f:
                 if f - {drop} not in faces:
                     raise LabelMismatch(f"faces not downward closed at {sorted(f)}")
-            bits |= _bit(_mask(f))
-        return bits
+        return sum(_bit(_mask(f)) for f in faces)
 
     @property
     def faces(self) -> frozenset:
@@ -384,105 +383,67 @@ def _parse_int(text: str, what: str) -> int:
         raise ParseError(f"bad {what}: {text!r}") from None
 
 
-def _parse_header(text: str, prefix: str, section: str = ""):
-    """(n, the body after its section tag); no label set is built."""
-    if not text.startswith(prefix + ":n="):
-        raise ParseError(f"expected {prefix}:n=..., got {text!r}")
-    rest = text[len(prefix) + 3:]
-    head, sep, body = rest.partition(";")
+# prefix: (section tag, part separator, the validating builder, and the
+# label texts of one part, or None where its syntax is wrong).  Partitions
+# are canonical with one digit per label up to ten labels and commas
+# beyond, where a one-label block such as "10" has no comma to go by.
+_GRAMMAR = {
+    "G": ("E=", ",", Graph,
+          lambda part, n: part.split("-", 1) if "-" in part else None),
+    "H": ("E=", ";", Hypergraph,
+          lambda part, n: [v for v in part[1:-1].split(",") if v]
+          if part[:1] == "{" and part[-1:] == "}" else None),
+    "S": ("F=", ";F=", SimplicialComplex.from_facets,
+          lambda part, n: [v for v in part.split(",") if v]),
+    "P": ("B=", "|", SetPartition,
+          lambda part, n: part.split(",") if "," in part or n > 10 else part),
+}
+
+
+def _parse_header(text: str) -> tuple:
+    """(the grammar of text's prefix, n, the body after the header); no
+    label set is built."""
+    grammar = _GRAMMAR.get(text[:1])
+    if grammar is None:
+        raise ParseError(f"unknown structure encoding {text!r}")
+    if text[1:4] != ":n=":
+        raise ParseError(f"expected {text[0]}:n=..., got {text!r}")
+    head, sep, body = text[4:].partition(";")
     if not sep:
         raise ParseError(f"missing ';' in {text!r}")
     n = _parse_int(head, "label count")
     if n < 0:
         raise ParseError(f"negative label count in {text!r}")
-    if not body.startswith(section):
-        raise ParseError(f"expected {section} section in {text!r}")
-    return n, body[len(section):]
+    return grammar, n, body
 
 
 def parse_label_count(text: str) -> int:
     """The label count in the header of any encoding; the body is not read."""
-    if not text or text[0] not in _PARSERS:
-        raise ParseError(f"unknown structure encoding {text!r}")
-    return _parse_header(text, text[0])[0]
-
-
-def parse_graph(text: str) -> Graph:
-    n, payload = _parse_header(text, "G", "E=")
-    labels = frozenset(range(n))
-    edges = set()
-    if payload:
-        for part in payload.split(","):
-            a, sep, b = part.partition("-")
-            if not sep:
-                raise ParseError(f"bad edge {part!r}")
-            edge = frozenset({_parse_int(a, "vertex"), _parse_int(b, "vertex")})
-            if not edge <= labels or len(edge) != 2:
-                raise ParseError(f"edge {part!r} outside label range")
-            edges.add(edge)
-    return Graph(labels, edges)
-
-
-def parse_hypergraph(text: str) -> Hypergraph:
-    n, payload = _parse_header(text, "H", "E=")
-    labels = frozenset(range(n))
-    edges = set()
-    if payload:
-        for part in payload.split(";"):
-            if not (part.startswith("{") and part.endswith("}")):
-                raise ParseError(f"bad hyperedge {part!r}")
-            members = frozenset(_parse_int(v, "vertex")
-                                for v in part[1:-1].split(",") if v != "")
-            if len(members) < 2 or not members <= labels:
-                raise ParseError(f"bad hyperedge {part!r}")
-            edges.add(members)
-    return Hypergraph(labels, edges)
-
-
-def parse_simplicial(text: str) -> SimplicialComplex:
-    n, payload = _parse_header(text, "S", "F=")
-    labels = frozenset(range(n))
-    facets = []
-    for part in ("F=" + payload).split(";"):
-        if not part.startswith("F="):
-            raise ParseError(f"bad facet section {part!r}")
-        payload = part[2:]
-        members = frozenset(_parse_int(v, "vertex")
-                            for v in payload.split(",") if v != "")
-        if not members <= labels:
-            raise ParseError(f"facet {payload!r} outside label range")
-        facets.append(members)
-    return SimplicialComplex.from_facets(labels, facets)
-
-
-def parse_partition(text: str) -> SetPartition:
-    n, payload = _parse_header(text, "P", "B=")
-    labels = frozenset(range(n))
-    blocks = []
-    if payload:
-        for part in payload.split("|"):
-            # canonical: one digit per label up to ten labels, commas beyond,
-            # where a one-label block such as "10" has no comma to go by
-            digits = part.split(",") if "," in part or n > 10 else part
-            members = frozenset(_parse_int(v, "label") for v in digits)
-            if not members:
-                raise ParseError(f"empty block in {text!r}")
-            blocks.append(members)
-    covered = frozenset().union(*blocks) if blocks else frozenset()
-    if covered != labels:
-        raise ParseError(f"blocks do not cover 0..{n - 1} in {text!r}")
-    return SetPartition(labels, tuple(blocks))
-
-
-_PARSERS = {"G": parse_graph, "H": parse_hypergraph,
-            "S": parse_simplicial, "P": parse_partition}
+    return _parse_header(text)[1]
 
 
 def parse_structure(text: str):
-    """Parse any canonical encoding, dispatching on its prefix letter."""
-    if not text or text[0] not in _PARSERS:
-        raise ParseError(f"unknown structure encoding {text!r}")
-    return _PARSERS[text[0]](text)
+    """Parse any encoding on the labels 0..n-1 by its prefix's grammar.
+    This checks the syntax and that every label is in range, before the
+    builder runs, so an out-of-range part is a ParseError however wide the
+    others are.  The builder, a public constructor, checks the rest, and
+    its LabelMismatch is re-raised as ParseError."""
+    (section, sep, build, tokens), n, body = _parse_header(text)
+    if not body.startswith(section):
+        raise ParseError(f"expected {section} section in {text!r}")
+    parts = []
+    for part in body[len(section):].split(sep) if body != section else ():
+        texts = tokens(part, n)
+        if texts is None:
+            raise ParseError(f"bad part {part!r} in {text!r}")
+        members = frozenset(_parse_int(v, "label") for v in texts)
+        if not all(0 <= v < n for v in members):
+            raise ParseError(f"part {part!r} outside 0..{n - 1} in {text!r}")
+        parts.append(members)
+    try:
+        return build(frozenset(range(n)), parts)
+    except LabelMismatch as exc:
+        raise ParseError(f"{text!r}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -588,6 +549,11 @@ def _partition_enumerate(labels, budget):
                  for m in reversed(partition_masks(SetPartition, labels)))
 
 
+def _capped_power(e: int, cap: int) -> int:
+    """2^e, or a power of two above cap where 2^e is (as `bell(n, cap)`)."""
+    return 1 << min(e, cap.bit_length())
+
+
 def _relabelled(cls, image):
     """The relabel map of cls, with `image` the map of its bits.
     `Family.relabel` checks that f is a bijection; this checks its image."""
@@ -596,7 +562,7 @@ def _relabelled(cls, image):
 
 GRAPHS = Family(
     tag="graphs",
-    count_fn=lambda labels: 2 ** (len(labels) * (len(labels) - 1) // 2),
+    count_fn=lambda n, cap: _capped_power(n * (n - 1) // 2, cap),
     enumerate_fn=_graph_enumerate,
     unit=Graph(frozenset(), frozenset()),
     relabel_fn=_relabelled(Graph, _image_pairs),
@@ -609,7 +575,7 @@ GRAPHS = Family(
 
 HYPERGRAPHS = Family(
     tag="hypergraphs",
-    count_fn=lambda labels: 2 ** (2 ** len(labels) - len(labels) - 1),
+    count_fn=lambda n, cap: _capped_power((1 << n) - n - 1, cap),
     enumerate_fn=_hypergraph_enumerate,
     unit=Hypergraph(frozenset(), frozenset()),
     relabel_fn=_relabelled(Hypergraph, _image_subsets),
@@ -635,7 +601,7 @@ SIMPLICIAL = Family(
 
 PARTITIONS = Family(
     tag="partitions",
-    count_fn=lambda labels: bell(len(labels)),
+    count_fn=bell,
     enumerate_fn=_partition_enumerate,
     unit=SetPartition(frozenset(), ()),
     relabel_fn=_relabelled(SetPartition, _image_pairs),
@@ -859,6 +825,7 @@ def _refinements(p: SetPartition):
 def closed_form_antipode_partitions(p: SetPartition) -> FreeVector:
     """Sum over refinements tau of (-1)^len(tau) * prod(lambda_i!) * tau,
     where lambda_i counts the blocks of tau inside the i-th block of p."""
+    check_set_partition_budget(len(p.labels), DEFAULT_BUDGET)
     terms: dict = {}
     for tau, shape in _refinements(p):
         coeff = (-1) ** sum(shape)

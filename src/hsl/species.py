@@ -108,12 +108,14 @@ class Family:
     """A structure family: enumeration, relabeling, merge and split maps,
     an optional free product, and an optional native order.
 
-    The native order is containment of key bits: x <= y iff
-    order_key(x) has no bit outside order_key(y).  A family compares and
-    hashes by identity: it keys the cache of compiled native orders."""
+    count_fn(n, cap) counts the carrier on n labels, or stops at a count
+    above cap as `bell(n, cap)` does.  The native order is containment of
+    key bits: x <= y iff order_key(x) has no bit outside order_key(y).  A
+    family compares and hashes by identity: it keys the cache of compiled
+    native orders."""
 
     def __init__(self, tag: str,
-                 count_fn: Callable[[frozenset], int] | None,
+                 count_fn: Callable[[int, int], int] | None,
                  enumerate_fn: Callable[[frozenset, int], tuple],
                  unit: object,
                  relabel_fn: Callable[[dict, object], object],
@@ -135,12 +137,9 @@ class Family:
 
     def enumerate(self, labels, budget: int = DEFAULT_BUDGET) -> tuple:
         labels = check_label_set(labels)
-        if self.count_fn is not None:
-            count = self.count_fn(labels)
-            if count > budget:
-                raise CarrierOverflow(
-                    f"{self.tag} carrier on {len(labels)} labels has {count} "
-                    f"elements (budget {budget})")
+        if self.count_fn is not None and self.count_fn(len(labels), budget) > budget:
+            raise CarrierOverflow(f"{self.tag} carrier on {len(labels)} labels "
+                                  f"has more than {budget} elements")
         return self.enumerate_fn(labels, budget)
 
     def mult(self, x, y):

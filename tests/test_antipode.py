@@ -227,6 +227,16 @@ def test_takeuchi_budget_counts_set_partitions_where_the_gate_holds(monkeypatch)
         takeuchi_antipode(mutant, k4, budget=20)
 
 
+def test_box_indecomposables_counts_the_splits_first(monkeypatch):
+    # 2^24 label subsets, each a frozenset, before any split is boxed
+    def no_subsets(labels):
+        raise AssertionError("the subsets were built past the budget")
+
+    monkeypatch.setattr(ap, "subsets", no_subsets)
+    with pytest.raises(CarrierOverflow):
+        box_indecomposables(Adjunction(GRAPHS, "delta_box"), range(24))
+
+
 def _checked(fam, calls=None):
     """fam with its merge wrapped: the same maps, which `_restrictions`
     does not recognize as the integer kernel's, so it checks (a)-(c) by

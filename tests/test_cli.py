@@ -95,6 +95,14 @@ def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "antipode", "--family", "nosuch",
                        "--object", "G:n=2;E=", "--jobs", "1")
     assert code == 2
+    # the parser leaves arity and block rules to the constructors and
+    # re-raises their LabelMismatch: blocks that cover the labels but
+    # overlap got past the old partition parser and exited 4
+    for family, text in (("graphs", "G:n=2;E=0-0"), ("hypergraphs", "H:n=2;E={0}"),
+                         ("partitions", "P:n=2;B=0|0"), ("partitions", "P:n=2;B=01|0")):
+        code, out, err = run(capsys, "antipode", "--family", family,
+                             "--object", text, "--jobs", "1")
+        assert code == 2 and err.startswith("parse error") and not out, (text, err)
 
 
 def test_budget_exit_code(capsys):

@@ -27,6 +27,7 @@ from literal_oracle import (acyclic_orientations_sweep, factorize, grading,
                             is_indecomposable, reassembly_upset)
 from partition_oracle import set_partitions
 import encode_oracle
+import parse_oracle
 
 
 def G(text):
@@ -97,6 +98,71 @@ def test_parse_errors():
                 "P:n=2;B=01|", "G:n=-1;E="):
         with pytest.raises(ParseError):
             parse_structure(bad)
+
+
+def _spellings(rng, count: int) -> list:
+    """Random spellings near the four grammars: one half random headers and
+    bodies made of labels, separators and junk, the other half canonical
+    encodings with one to three characters deleted, doubled or replaced."""
+    counts = ["0", "1", "2", "3", "4", "11", "20", "400", "02", " 3", "+2",
+              "-1", "", "x"]
+    pieces = ["0", "1", "2", "3", "10", "19", "50", "399", "-1", " 2", "+1",
+              "", "x", ",", "-", ";", "|", "{", "}", ";F=", "F=", "01", "012"]
+    canonical = [x.encode() for fam, n in ((GRAPHS, 3), (HYPERGRAPHS, 3),
+                                           (SIMPLICIAL, 3), (PARTITIONS, 4))
+                 for x in fam.enumerate(range(n))]
+    out = []
+    for _ in range(count // 2):
+        prefix = rng.choice("GHSPX")
+        section = {"G": "E=", "H": "E=", "S": "F=", "P": "B="}.get(prefix, "")
+        if rng.random() < 0.2:
+            section = rng.choice(["E=", "F=", "B=", ""])
+        body = "".join(rng.choice(pieces) for _ in range(rng.randrange(9)))
+        out.append(f"{prefix}:n={rng.choice(counts)};{section}{body}")
+    for _ in range(count - count // 2):
+        text = rng.choice(canonical)
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(text))
+            text = text[:i] + rng.choice(["", text[i] * 2, rng.choice(pieces)]) + text[i + 1:]
+        out.append(text)
+    return out
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except (ParseError, LabelMismatch, CarrierOverflow) as exc:
+        return type(exc)
+
+
+def test_parser_matches_the_per_family_parsers():
+    """One grammar table and the constructors' checks against the four
+    parsers they replaced (`parse_oracle`): the same structure or the same
+    exception class on edge cases and on seeded random spellings.  The old
+    partition parser let blocks that cover the labels but overlap through
+    to the constructor, whose LabelMismatch is a ParseError now."""
+    edge_cases = {"G:n=2;E=0-0": ParseError, "P:n=2;B=0|0": ParseError,
+                  "P:n=3;B=01": ParseError, "P:n=2;B=01|0": ParseError,
+                  # a bad part next to one whose int would overflow
+                  "S:n=20;F=0,19;F=0,50": ParseError,
+                  "H:n=20;E={0,19};{0}": ParseError,
+                  "G:n=400;E=0-399,0-0": ParseError,
+                  "H:n=20;E={0,19}": CarrierOverflow,
+                  # other spellings of valid structures
+                  "S:n=3;F=0,1;F=2": SimplicialComplex,
+                  "P:n=3;B=2|01": SetPartition, "G:n=02;E=": Graph}
+    for text, expected in edge_cases.items():
+        got = _outcome(parse_structure, text)
+        assert got is expected or type(got) is expected, (text, got)
+    parsed = 0
+    for text in [*edge_cases, *_spellings(random.Random(24), 6000)]:
+        old, new = _outcome(parse_oracle.parse_structure, text), _outcome(parse_structure, text)
+        if old is LabelMismatch:
+            assert text.startswith("P:") and new is ParseError, text
+        else:
+            assert type(new) is type(old) and new == old, (text, old, new)
+        parsed += not isinstance(new, type)
+    assert parsed > 300  # the spellings reach the builders, not just the syntax
 
 
 def test_structure_validation():
@@ -288,9 +354,14 @@ def test_simplicial_enumeration_matches_brute_force():
 
 def test_carrier_budget_overflow():
     with pytest.raises(CarrierOverflow):
-        HYPERGRAPHS.enumerate(frozenset(range(5)))
-    with pytest.raises(CarrierOverflow):
         SIMPLICIAL.enumerate(frozenset(range(4)), budget=50)
+    # counted as bell(n, cap) counts: the exact graph count on 3,000 labels
+    # has over 4,300 digits, the hypergraph count on 30 labels 2^30 bits,
+    # and Bell(3000) is thousands of sums of big ints
+    for fam, n in ((GRAPHS, 3000), (GRAPHS, 200000), (HYPERGRAPHS, 5),
+                   (HYPERGRAPHS, 30), (PARTITIONS, 3000)):
+        with pytest.raises(CarrierOverflow, match="has more than 200000 elements"):
+            fam.enumerate(range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -738,6 +809,16 @@ def _closed_form_sc_literal(c):
         (sc_gamma_of_flat(c, f),
          (-1) ** (n - graph_rank(f)) * acyclic_orientation_count(contract(skel, f)))
         for f in graph_flats(skel)])
+
+
+def test_partition_formula_counts_bell_before_its_sweep(monkeypatch):
+    # Bell(13) = 27,644,437 refinements of the one-block partition
+    def refinements(p):
+        raise AssertionError("the refinement sweep ran past its budget")
+
+    monkeypatch.setattr(families, "_refinements", refinements)
+    with pytest.raises(CarrierOverflow):
+        closed_form_antipode_partitions(SetPartition(range(13), [range(13)]))
 
 
 def test_closed_forms_read_components_off_the_flat_sweep(monkeypatch):
