@@ -14,7 +14,7 @@ the two disagree already on two-element chains; see the discrepancy tests.
 from __future__ import annotations
 
 from functools import lru_cache, partial, reduce
-from itertools import permutations
+from itertools import permutations, product
 from math import factorial
 
 from .errors import (DEFAULT_BUDGET, AmbientMismatch, EngineError,
@@ -24,7 +24,7 @@ from .posets import (FinitePoset, GaloisReport, _Record, _bits,
                      _containment_upsets, check_galois)
 from .species import (Family, _Memo, _partitions, check_set_partition_budget,
                       check_subset_budget, reassemble, subsets)
-from .vectors import FreeVector, inverted_basis
+from .vectors import FreeVector, inverted_basis, split_galois_setup
 
 
 # ---------------------------------------------------------------------------
@@ -72,9 +72,9 @@ def reassembly_upset(fam: Family, x, budget: int = DEFAULT_BUDGET) -> tuple:
 @lru_cache(maxsize=256)
 def _reassembly_view(fam: Family, labels: frozenset, budget: int) -> FinitePoset:
     """One compiled reassembly order per (family, labels, budget), shared
-    by its callers, its carrier in encoding order.  The bound is far above
-    the orders one CLI command builds (one per subset of its labels)."""
-    elems = sorted(fam.enumerate(labels, budget), key=lambda x: x.encode())
+    by its callers.  The bound is far above the orders one CLI command
+    builds (one per subset of its labels)."""
+    elems = fam.enumerate(labels, budget)
     index = {x: i for i, x in enumerate(elems)}
     up = [sum(1 << index[y] for y in _upset_images(fam, x, budget)) for x in elems]
     return FinitePoset(elems, up, fam.tag)
@@ -127,19 +127,10 @@ class Adjunction:
         reverse = self.kind == "m_delta"
         return self.family.poset(labels, self.budget, reverse=reverse)
 
-    def galois_setup(self, S, T):
-        """(p, q, f, g) for the order-theoretic check on the split (S, T),
-        the one shape of every kind: f the split map from the order on
-        S | T into the product order, g the adjunction's merge back."""
-        S, T = frozenset(S), frozenset(T)
-        return (self.poset(S | T), FinitePoset.product(self.poset(S), self.poset(T)),
-                lambda z: self.family.comult(z, S, T), lambda pair: self.box(*pair))
-
     def verify(self, S, T) -> GaloisReport:
         """Run the full Galois check on one split and record success."""
         S, T = frozenset(S), frozenset(T)
-        p, q, f, g = self.galois_setup(S, T)
-        report = check_galois(p, q, f, g)
+        report = check_galois(*split_galois_setup(self.family, self.poset, self.box, S, T))
         if report.ok:
             self._verified.add((S, T))
         return report
@@ -490,20 +481,17 @@ def antipode_axiom_check(fam: Family, n: int, antipode=None,
 
 
 def box_indecomposables(adj: Adjunction, labels) -> list:
-    """Structures not expressible as a proper box-product, in the
-    encoding order of the adjunction's compiled order."""
+    """Structures not expressible as a proper box-product, by encoding."""
     labels = frozenset(labels)
     check_subset_budget(len(labels), adj.budget)
+    if not labels:
+        return []
     fam = adj.family
-    decomposable = set()
-    for S in subsets(labels):
-        T = labels - S
-        if not S or not T:
-            continue
-        for x1 in fam.enumerate(S, adj.budget):
-            for x2 in fam.enumerate(T, adj.budget):
-                decomposable.add(adj.box(x1, x2))
-    return [x for x in adj.poset(labels).elems if labels and x not in decomposable]
+    decomposable = {adj.box(x1, x2) for S in subsets(labels)[1:-1]  # S, T nonempty
+                    for x1, x2 in product(fam.enumerate(S, adj.budget),
+                                          fam.enumerate(labels - S, adj.budget))}
+    return sorted(set(fam.enumerate(labels, adj.budget)) - decomposable,
+                  key=lambda x: x.encode())
 
 
 def primitives_basis(adj: Adjunction, labels) -> list[FreeVector]:

@@ -132,15 +132,17 @@ def cmd_primitives(args) -> int:
     adj = declared_adjunctions(fam, budget)[0]
     vectors = primitives_basis(adj, labels)
     indec = box_indecomposables(adj, labels)
-    order = adj.poset(labels)
-    names = [x.encode() for x in order.elems]
+    # every term lies in the order: each element is encoded once
+    names = {x: x.encode() for x in adj.poset(labels).elems}
     payload = {
         "family": fam.tag,
         "n": args.n,
         "adjunction": adj.display,
         "dimension": len(vectors),
-        "indecomposables": [names[order.index[x]] for x in indec],
-        "vectors": [_json_by_position(v, order.index, names) for v in vectors],
+        "indecomposables": [names[x] for x in indec],
+        "vectors": [{"ambient": v.ambient_string(),
+                     "terms": dict(sorted((names[y], str(c)) for y, c in v.terms.items()))}
+                    for v in vectors],
     }
     lines = [f"primitives for {fam.tag} at n={args.n} "
              f"({adj.display}): dimension {len(vectors)}"]
@@ -150,15 +152,6 @@ def cmd_primitives(args) -> int:
             lines.append(f"    {c:>6}  {y}")
     _emit(args, payload, lines)
     return EXIT_OK
-
-
-def _json_by_position(v, index: dict, names: list) -> dict:
-    """v.to_json_dict() for a vector on the elements of an order whose
-    element order is encoding order: names[index[y]] is the encoding of y,
-    so sorting the terms' positions sorts their encodings, and no term is
-    encoded again."""
-    terms = sorted((index[y], str(c)) for y, c in v.terms.items())
-    return {"ambient": v.ambient_string(), "terms": {names[i]: c for i, c in terms}}
 
 
 def cmd_verify(args) -> int:

@@ -23,6 +23,8 @@ it calls them; `.edges`, `.faces` and `.blocks` are decoded views.
 No int is wider than MAX_BITS = 2^16 bits (an edge or same-block pair
 joins labels below 362, a hyperedge or face lies in 0..15): whatever
 builds one counts its width first and raises CarrierOverflow past it.
+So `parse_structure` refuses more than MAX_BITS labels before it builds
+the label set, and `from_facets` a wider facet before any face.
 So x reassembled along a set partition pi of its labels is x.bits &
 inside(pi), inside(pi) the `|` of the restriction masks of pi's blocks: a
 mask of the label set alone.  `partition_masks` keeps one table of them
@@ -329,7 +331,14 @@ class SimplicialComplex(_Structure):
 
     @classmethod
     def from_facets(cls, labels, facets) -> "SimplicialComplex":
-        return cls(labels, (face for f in facets for face in subsets(f)))
+        """The `|` of the facets' subset masks, each facet checked to lie
+        in the labels first: no face is built as a set."""
+        labels = check_label_set(labels)
+        facets = [frozenset(f) for f in facets]
+        for f in facets:
+            if not f <= labels:
+                raise LabelMismatch(f"face {sorted(f)} outside the ground set")
+        return _of(cls, labels, reduce(or_, map(_subsets_in, facets), 1))
 
 
 class SetPartition(_Structure):
@@ -429,6 +438,8 @@ def parse_structure(text: str):
     others are.  The builder, a public constructor, checks the rest, and
     its LabelMismatch is re-raised as ParseError."""
     (section, sep, build, tokens), n, body = _parse_header(text)
+    if n > MAX_BITS:
+        raise CarrierOverflow(f"{n} labels need a mask wider than {MAX_BITS} bits")
     if not body.startswith(section):
         raise ParseError(f"expected {section} section in {text!r}")
     parts = []
@@ -525,20 +536,20 @@ def _hypergraph_enumerate(labels, budget):
 
 
 def _sc_enumerate(labels, budget):
-    """Grow complexes from {()} one face at a time, its boundary present."""
-    labels = frozenset(labels)
-    # each nonempty subset's bit, with the bits of its boundary faces
-    candidates = [(_bit(m), sum(1 << (m ^ 1 << v) for v in c))
-                  for k in range(1, len(labels) + 1)
-                  for c in combinations(sorted(labels), k) for m in [_mask(c)]]
-    seen = frontier = {1}
-    while frontier:
-        frontier = {faces | face for faces in frontier for face, boundary in candidates
-                    if not faces & face and faces & boundary == boundary} - seen
-        if len(seen) + len(frontier) > budget:
-            raise CarrierOverflow(f"simplicial carrier exceeds budget {budget}")
-        seen = seen | frontier
-    return tuple(sorted((_of(SimplicialComplex, labels, b) for b in seen),
+    """The complexes by their links, over the labels in ascending order: a
+    complex on the labels up to v is its deletion a of v plus the cone
+    over its link b, a subcomplex of a (0: v is no vertex), whose faces,
+    b's with v added, lie 2^v bits above b's."""
+    _bit((2 << max(labels, default=0)) - 1)  # every face's bit is below 2^(top label + 1)
+    level = [1]
+    for v in sorted(labels):
+        row = []
+        for a in level:
+            row += [a | b << (1 << v) for b in (0, *level) if not b & ~a]
+            if len(row) > budget:
+                raise CarrierOverflow(f"simplicial carrier exceeds budget {budget}")
+        level = row
+    return tuple(sorted((_of(SimplicialComplex, labels, b) for b in level),
                         key=SimplicialComplex.encode))
 
 

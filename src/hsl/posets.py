@@ -48,7 +48,7 @@ def _containment_upsets(keys) -> list:
 class FinitePoset:
     """A finite partial order compiled to bitsets.
 
-    `elems` is the element order (encoding order for a carrier), `index`
+    `elems` is the element order (a carrier's enumeration order), `index`
     maps each element to its position, and up[i] and down[i] are the
     bitsets of the elements above and below elems[i], itself included.
     `family_tag` names the family of a carrier, for the vectors built on

@@ -187,7 +187,7 @@ def _native_poset(fam: Family, labels: frozenset, budget: int,
     (two per subset of its labels)."""
     if reverse:
         return _native_poset(fam, labels, budget, False).reverse()
-    elems = sorted(fam.enumerate(labels, budget), key=lambda x: x.encode())
+    elems = fam.enumerate(labels, budget)
     up = _containment_upsets([fam.order_key(x) for x in elems])
     return FinitePoset(elems, up, fam.tag)
 

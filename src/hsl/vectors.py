@@ -187,6 +187,14 @@ class DualityReport(_Record):
         self.witness = witness
 
 
+def split_galois_setup(fam, poset_for, box, S, T) -> tuple:
+    """(p, q, f, g) for the Galois check on the split (S, T): the order on
+    S | T, the product order P(S) x P(T), the split and the merge `box`."""
+    S, T = frozenset(S), frozenset(T)
+    return (poset_for(S | T), FinitePoset.product(poset_for(S), poset_for(T)),
+            lambda z: fam.comult(z, S, T), lambda pair: box(*pair))
+
+
 def duality_pairing_check(fam, poset_for, box, n: int) -> DualityReport:
     """Check <Delta_{S,T}(x), y (x) z> == <x, y box z> for all structures
     and splits on label sets of size up to n.
@@ -198,11 +206,9 @@ def duality_pairing_check(fam, poset_for, box, n: int) -> DualityReport:
     failure, x first, then (y, z) in product order."""
     for k in range(n + 1):
         labels = frozenset(range(k))
-        p = poset_for(labels)
         for S in subsets(labels):
             T = labels - S
-            q = FinitePoset.product(poset_for(S), poset_for(T))
-            report = check_galois(p, q, lambda x: fam.comult(x, S, T), lambda pair: box(*pair))
+            report = check_galois(*split_galois_setup(fam, poset_for, box, S, T))
             if not report.ok:
                 x, (y, z) = report.witness
                 return DualityReport(fam.tag, n, False, (x, y, z, S, T))

@@ -12,7 +12,7 @@ Galois check replaced, kept as the oracle for them.
   of `hsl.posets` on the product order.
 - `merge_split_setup` is the check of merge -| split on the native
   order, merge from the product order into the order on S | T and split
-  back, where `Adjunction.galois_setup` checks split -| merge on the
+  back, where `hsl.vectors.split_galois_setup` sets up split -| merge on the
   opposite order.
 - `inverted_basis_by_mobius` reads each coefficient of omega_x from
   `mobius`, where `hsl.vectors.inverted_basis` reads the compiled row

@@ -97,6 +97,12 @@ def literal_poset(fam, labels) -> FinitePoset:
     return _literal_view(fam, frozenset(labels))
 
 
+def relation(p: FinitePoset) -> frozenset:
+    """The comparable pairs (x, y), x <= y, of a compiled order: what two
+    orders on one carrier must share, whatever their element order."""
+    return frozenset((x, y) for x in p.elems for y in p.upset(x))
+
+
 @lru_cache(maxsize=64)
 def _literal_view(fam, labels: frozenset) -> FinitePoset:
     elems = sorted(fam.enumerate(labels), key=lambda x: x.encode())

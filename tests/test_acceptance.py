@@ -19,7 +19,8 @@ from hsl.families import (GRAPHS, HYPERGRAPHS, PARTITIONS, SIMPLICIAL,
                           closed_form_antipode_sc, parse_structure)
 from hsl.posets import check_galois, rota_transfer_check
 from hsl.species import subsets, verify_axioms
-from hsl.vectors import FreeVector, comult_vector, inverted_basis, zeta_pairing
+from hsl.vectors import (FreeVector, comult_vector, inverted_basis,
+                         split_galois_setup, zeta_pairing)
 from hsl.fock import partition_char_poly_check, power_sum_identity_check
 
 
@@ -195,7 +196,7 @@ def test_criterion_09_adjunction_matrix():
             labels = frozenset(range(n))
             for S in subsets(labels):
                 T = labels - S
-                p, q, f, g = adj.galois_setup(S, T)
+                p, q, f, g = split_galois_setup(adj.family, adj.poset, adj.box, S, T)
                 ok = ok and check_galois(p, q, f, g).ok
                 for x in p.carrier():
                     for b in q.carrier():

@@ -6,8 +6,8 @@ from math import factorial
 import pytest
 
 from hsl.antipode import closed_form_antipode, takeuchi_antipode
-from hsl.errors import (CarrierOverflow, LabelMismatch, LabelOverlap,
-                        NotAFlat, ParseError)
+from hsl.errors import (DEFAULT_BUDGET, CarrierOverflow, LabelMismatch,
+                        LabelOverlap, NotAFlat, ParseError)
 from hsl.families import (FAMILIES, GRAPHS, HYPERGRAPHS, PARTITIONS,
                           SIMPLICIAL, Graph, Hypergraph, SetPartition,
                           SimplicialComplex, acyclic_orientation_count,
@@ -26,6 +26,7 @@ from hsl.vectors import FreeVector
 from literal_oracle import (acyclic_orientations_sweep, factorize, grading,
                             is_indecomposable, reassembly_upset)
 from partition_oracle import set_partitions
+from complex_oracle import sc_enumerate_by_faces
 import encode_oracle
 import parse_oracle
 
@@ -133,6 +134,32 @@ def _outcome(parse, text):
         return parse(text)
     except (ParseError, LabelMismatch, CarrierOverflow) as exc:
         return type(exc)
+
+
+def test_facets_close_by_masks_before_any_face_is_built(monkeypatch):
+    # a facet on 24 labels is refused by its width, not after its 2^24
+    # faces are built as sets; a facet off the labels is checked first
+    def no_subsets(labels):
+        raise AssertionError("the faces of a facet were built as sets")
+
+    monkeypatch.setattr(families, "subsets", no_subsets)
+    with pytest.raises(CarrierOverflow):
+        parse_structure("S:n=24;F=" + ",".join(map(str, range(24))))
+    with pytest.raises(LabelMismatch):
+        SimplicialComplex.from_facets(range(24), [range(24), {99}])
+    closed = SimplicialComplex.from_facets(range(4), [{0, 1, 2}, {2, 3}])
+    assert closed == SimplicialComplex(range(4), [{0, 1, 2}, {0, 1}, {0, 2}, {1, 2},
+                                                  {2, 3}, {0}, {1}, {2}, {3}])
+
+
+def test_parser_counts_labels_before_building_the_label_set():
+    # past MAX_BITS labels no mask of the label set fits, and the label
+    # set of a huge header is not built
+    for prefix in ("G:n=70000;E=", "H:n=70000;E=", "S:n=70000;F=", "P:n=70000;B="):
+        with pytest.raises(CarrierOverflow):
+            parse_structure(prefix)
+    wide = parse_structure(f"G:n={families.MAX_BITS};E=")
+    assert wide.labels == frozenset(range(families.MAX_BITS)) and not wide.bits
 
 
 def test_parser_matches_the_per_family_parsers():
@@ -350,6 +377,22 @@ def test_simplicial_enumeration_matches_brute_force():
         if all((g in fam) for f in fam for g in map(frozenset, subsets(f))):
             found.add(frozenset(fam))
     assert found == {c.faces for c in SIMPLICIAL.enumerate(labels)}
+
+
+def test_complexes_by_links_match_the_breadth_first_sweep():
+    # the link recursion against the face-by-face oracle, in the same
+    # (encoding) order: on 0..k-1, on labels with gaps, on labels whose
+    # encodings cross a digit boundary, and at the budget boundary of the
+    # 167 complexes on 4 labels
+    for labels in [range(k) for k in range(6)] + [{2, 5, 7}, {3, 9, 10, 12}]:
+        labels = frozenset(labels)
+        assert SIMPLICIAL.enumerate(labels) == sc_enumerate_by_faces(
+            labels, DEFAULT_BUDGET), sorted(labels)
+    labels = frozenset(range(4))
+    assert SIMPLICIAL.enumerate(labels, 167) == sc_enumerate_by_faces(labels, 167)
+    for enumerate_ in (SIMPLICIAL.enumerate, sc_enumerate_by_faces):
+        with pytest.raises(CarrierOverflow, match="exceeds budget 166"):
+            enumerate_(labels, 166)
 
 
 def test_carrier_budget_overflow():
