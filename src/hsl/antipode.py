@@ -76,8 +76,12 @@ def _reassembly_view(fam: Family, labels: frozenset, budget: int) -> FinitePoset
     builds (one per subset of its labels)."""
     elems = fam.enumerate(labels, budget)
     index = {x: i for i, x in enumerate(elems)}
-    up = [sum(1 << index[y] for y in _upset_images(fam, x, budget)) for x in elems]
-    return FinitePoset(elems, up, fam.tag)
+    up, down = [0] * len(elems), [0] * len(elems)
+    for i, x in enumerate(elems):
+        for k in map(index.__getitem__, _upset_images(fam, x, budget)):
+            up[i] |= 1 << k
+            down[k] |= 1 << i
+    return FinitePoset(elems, up, down, fam.tag)
 
 
 def reassembly_poset(fam: Family, labels, budget: int = DEFAULT_BUDGET) -> FinitePoset:
@@ -498,9 +502,14 @@ def primitives_basis(adj: Adjunction, labels) -> list[FreeVector]:
     """Inverted-basis vectors of the structures that are indecomposable
     for the adjunction's merge; each returned vector is killed by every
     proper split.  Verifies the Galois connection first."""
+    return list(_primitives_by_indecomposable(adj, labels).values())
+
+
+def _primitives_by_indecomposable(adj: Adjunction, labels) -> dict:
+    """{x: omega_x} over the box indecomposables x, by encoding."""
     labels = frozenset(labels)
     report = adj.verify_all_splits(labels)
     if not report.ok:
         raise EngineError(f"adjunction fails on {sorted(labels)}: {report.reason}")
     p = adj.poset(labels)
-    return [inverted_basis(p, x) for x in box_indecomposables(adj, labels)]
+    return {x: inverted_basis(p, x) for x in box_indecomposables(adj, labels)}

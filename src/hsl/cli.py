@@ -18,10 +18,9 @@ import json
 import os
 import sys
 
-from .antipode import (antipode_axiom_check, closed_form_antipode,
-                       declared_adjunctions, reassembly_poset,
-                       takeuchi_antipode, box_indecomposables,
-                       primitives_basis)
+from .antipode import (_primitives_by_indecomposable, antipode_axiom_check,
+                       closed_form_antipode, declared_adjunctions,
+                       reassembly_poset, takeuchi_antipode)
 from .errors import (CarrierOverflow, DEFAULT_BUDGET, EngineError,
                      NotSelfAdjoint, ParseError)
 from .families import FAMILIES, parse_label_count, parse_structure
@@ -130,22 +129,21 @@ def cmd_primitives(args) -> int:
     check_subset_budget(args.n, budget)
     labels = frozenset(range(args.n))
     adj = declared_adjunctions(fam, budget)[0]
-    vectors = primitives_basis(adj, labels)
-    indec = box_indecomposables(adj, labels)
+    basis = _primitives_by_indecomposable(adj, labels)
     # every term lies in the order: each element is encoded once
     names = {x: x.encode() for x in adj.poset(labels).elems}
     payload = {
         "family": fam.tag,
         "n": args.n,
         "adjunction": adj.display,
-        "dimension": len(vectors),
-        "indecomposables": [names[x] for x in indec],
+        "dimension": len(basis),
+        "indecomposables": [names[x] for x in basis],
         "vectors": [{"ambient": v.ambient_string(),
                      "terms": dict(sorted((names[y], str(c)) for y, c in v.terms.items()))}
-                    for v in vectors],
+                    for v in basis.values()],
     }
     lines = [f"primitives for {fam.tag} at n={args.n} "
-             f"({adj.display}): dimension {len(vectors)}"]
+             f"({adj.display}): dimension {len(basis)}"]
     for enc, v in zip(payload["indecomposables"], payload["vectors"]):
         lines.append(f"  {enc}")
         for y, c in v["terms"].items():

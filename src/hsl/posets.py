@@ -6,12 +6,12 @@ engine's result reports.
 
 A `FinitePoset` keeps its elements (hashable frozen structures, or pairs
 of them) in a fixed order, and each element's up-set and down-set as a
-Python-int bitset over that order: comparing two elements is a bit test
-and an interval is one `&`.  Möbius values come from one inversion pass
-along an up-set in a linear extension (Rota, "On the foundations of
-combinatorial theory I", 1964).  A combination maps keys to nonzero
-coefficients, exact rationals or, in an `IntPolynomial`, ints; it
-refuses floats.
+Python-int bitset over that order, both passed by its builder: comparing
+two elements is a bit test and an interval is one `&`.  Möbius values
+come from one inversion pass along an up-set in a linear extension
+(Rota, "On the foundations of combinatorial theory I", 1964).  A
+combination maps keys to nonzero coefficients, exact rationals or, in an
+`IntPolynomial`, ints; it refuses floats.
 """
 
 from __future__ import annotations
@@ -52,18 +52,13 @@ class FinitePoset:
     maps each element to its position, and up[i] and down[i] are the
     bitsets of the elements above and below elems[i], itself included.
     `family_tag` names the family of a carrier, for the vectors built on
-    it; `down` is the transpose of `up`, passed by a caller that has it.
-    The rows mu(x, .) are computed once per element and kept."""
+    it; every builder passes `down` with `up`, from what it holds.  The
+    rows mu(x, .) are computed once per element and kept."""
 
-    def __init__(self, elems, up, family_tag: str | None = None, down=None):
+    def __init__(self, elems, up, down, family_tag: str | None = None):
         self.elems = tuple(elems)
         self.index = {x: i for i, x in enumerate(self.elems)}
         self.up = tuple(up)
-        if down is None:
-            down = [0] * len(self.elems)
-            for i, mask in enumerate(self.up):
-                for k in _bits(mask):
-                    down[k] |= 1 << i
         self.down = tuple(down)
         self.family_tag = family_tag
         self._down_size = [mask.bit_count() for mask in self.down]
@@ -80,11 +75,11 @@ class FinitePoset:
         spread = lambda a: int(gap.join(bin(a)[2:]), 2)  # a itself when |Q| = 1
         up, down = ([b * s for s in map(spread, p_sets) for b in q_sets]
                     for p_sets, q_sets in ((p.up, q.up), (p.down, q.down)))
-        return cls(((u, v) for u in p.elems for v in q.elems), up, down=down)
+        return cls(((u, v) for u in p.elems for v in q.elems), up, down)
 
     def reverse(self) -> "FinitePoset":
         """The opposite order on the same elements."""
-        return FinitePoset(self.elems, self.down, self.family_tag, self.up)
+        return FinitePoset(self.elems, self.down, self.up, self.family_tag)
 
     def carrier(self) -> tuple:
         return self.elems
@@ -198,8 +193,8 @@ def rota_transfer_check(p: FinitePoset, q: FinitePoset, f, g, x, b):
 
     Returns (equal, left_sum, right_sum)."""
     left = sum(mobius(p, x, y) for y in p.upset(x) if f(y) == b)
-    right = sum(mobius(q, a, b) for a in q.carrier()
-                if q.leq(a, b) and g(a) == x)
+    below_b = (q.elems[k] for k in _bits(q.down[q.index[b]]))
+    right = sum(mobius(q, a, b) for a in below_b if g(a) == x)
     return left == right, left, right
 
 

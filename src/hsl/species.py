@@ -188,8 +188,10 @@ def _native_poset(fam: Family, labels: frozenset, budget: int,
     if reverse:
         return _native_poset(fam, labels, budget, False).reverse()
     elems = fam.enumerate(labels, budget)
-    up = _containment_upsets([fam.order_key(x) for x in elems])
-    return FinitePoset(elems, up, fam.tag)
+    keys = [fam.order_key(x) for x in elems]
+    top = reduce(int.__or__, keys, 0)  # y <= x iff top ^ key(x) has no bit outside top ^ key(y)
+    down = _containment_upsets([top ^ key for key in keys])
+    return FinitePoset(elems, _containment_upsets(keys), down, fam.tag)
 
 
 def reassemble(fam: Family, partition, x):

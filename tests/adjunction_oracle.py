@@ -19,8 +19,8 @@ Galois check replaced, kept as the oracle for them.
   mu(x, .).
 - `product_by_shifts` builds each set of the product order as a sum of
   shifted copies, where `hsl.posets.FinitePoset.product` multiplies.
-- `inverted_check_by_view` compiles x's images into a `FinitePoset`,
-  reverses it and reads omega_x with `inverted_basis`, where
+- `inverted_check_by_view` compiles x's images into a `FinitePoset`
+  and reads omega_x with `inverted_basis`, where
   `hsl.antipode.antipode_on_inverted_check` reads mu(x, .) off the closed
   form's pass over the images.
 """
@@ -29,6 +29,7 @@ from hsl.antipode import _reassembly_images, require_self_adjoint, takeuchi_on_v
 from hsl.posets import FinitePoset, GaloisReport, _bits, mobius
 from hsl.species import subsets
 from hsl.vectors import FreeVector, inverted_basis
+from literal_oracle import transpose
 
 
 def biconditional_failure(p: FinitePoset, q: FinitePoset, fx, gy):
@@ -125,9 +126,9 @@ def product_by_shifts(p: FinitePoset, q: FinitePoset) -> tuple:
 def inverted_check_by_view(fam, x):
     """(equal, lhs, rhs) for S(omega_x) == (-1)^ell(x) * omega_x, omega_x
     the inverted basis of the order compiled from the down-sets of x's
-    images and reversed into up-sets."""
+    images, its up-sets their transpose."""
     elems, down, ell = _reassembly_images(x, require_self_adjoint(fam, x))
-    omega = inverted_basis(FinitePoset(elems, down, fam.tag).reverse(), x)
+    omega = inverted_basis(FinitePoset(elems, transpose(down), down, fam.tag), x)
     lhs = takeuchi_on_vector(fam, omega)
     rhs = omega * ((-1) ** ell[0])
     return lhs == rhs, lhs, rhs

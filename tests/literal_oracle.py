@@ -11,6 +11,9 @@ and every grading in `hsl`.
   bipartition sweeps that must agree; `grading` counts them.
 - `graded_char_poly`/`graded_char_eval` are the Möbius-weighted rank
   polynomials of an interval, one interval at a time.
+- `transpose` makes down-sets from up-sets, one bit step per comparable
+  pair, where every builder of a `hsl.posets.FinitePoset` passes both
+  arrays from what it already holds.
 
 It also keeps the sweep of all 2^|E| orientations of a graph, each tested
 for a cycle by peeling sinks, as the oracle for the cut search of
@@ -97,6 +100,16 @@ def literal_poset(fam, labels) -> FinitePoset:
     return _literal_view(fam, frozenset(labels))
 
 
+def transpose(up) -> tuple:
+    """The down-sets of the order whose up-sets are `up`: bit i of
+    down[k] is bit k of up[i]."""
+    down = [0] * len(up)
+    for i, mask in enumerate(up):
+        for k in _bits(mask):
+            down[k] |= 1 << i
+    return tuple(down)
+
+
 def relation(p: FinitePoset) -> frozenset:
     """The comparable pairs (x, y), x <= y, of a compiled order: what two
     orders on one carrier must share, whatever their element order."""
@@ -108,7 +121,7 @@ def _literal_view(fam, labels: frozenset) -> FinitePoset:
     elems = sorted(fam.enumerate(labels), key=lambda x: x.encode())
     index = {x: i for i, x in enumerate(elems)}
     up = [sum(1 << index[y] for y in reassembly_upset(fam, x)) for x in elems]
-    return FinitePoset(elems, up, fam.tag)
+    return FinitePoset(elems, up, transpose(up), fam.tag)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import time
 import pytest
 
 import hsl
+import hsl.antipode as ap
 from hsl import cli
 from hsl.antipode import (Adjunction, box_indecomposables, declared_adjunctions,
                           primitives_basis)
@@ -16,6 +17,7 @@ from hsl.errors import CarrierOverflow
 from hsl.families import FAMILIES, free_vector_from_json, parse_structure
 from hsl.posets import FinitePoset
 from hsl.vectors import duality_pairing_check
+from literal_oracle import transpose
 
 
 def run(capsys, *argv):
@@ -83,6 +85,24 @@ def test_primitives_text_matches_the_object_rendering(capsys):
                                "--n", str(n), "--jobs", "1")
             assert code == 0
             assert json.loads(out)["vectors"] == [v.to_json_dict() for v in vectors]
+
+
+def test_primitives_sweeps_the_indecomposables_once(capsys, monkeypatch):
+    # the names and the vectors of `hsl primitives` come from one sweep of
+    # the splits' boxes; the sweep is counted in `hsl.antipode` and under
+    # its name in `hsl.cli`, wherever the command reaches it
+    sweeps = []
+
+    def counted(adj, labels, sweep=ap.box_indecomposables):
+        sweeps.append((adj.family.tag, frozenset(labels)))
+        return sweep(adj, labels)
+
+    monkeypatch.setattr(ap, "box_indecomposables", counted)
+    monkeypatch.setattr(cli, "box_indecomposables", counted, raising=False)
+    for tag in ("graphs", "partitions"):
+        sweeps.clear()
+        code, _, _ = run(capsys, "primitives", "--family", tag, "--n", "3", "--jobs", "1")
+        assert code == 0 and sweeps == [(tag, frozenset(range(3)))], sweeps
 
 
 def test_parse_error_exit_code(capsys):
@@ -293,7 +313,7 @@ def test_reassembly_poset_axioms_read_bits(monkeypatch):
                  "not antisymmetric": [0b011, 0b011, 0b100],
                  "not transitive": [0b011, 0b110, 0b100]}
     for name, up in relations.items():
-        view = FinitePoset("abc", up)
+        view = FinitePoset("abc", up, transpose(up))
         monkeypatch.setattr(cli, "reassembly_poset", lambda *args, v=view: v)
         verdict = cli._reassembly_poset_axioms(None, 3, 1)
         assert verdict == _poset_axioms_literal(view) == (name == "chain"), name

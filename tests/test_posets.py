@@ -13,14 +13,14 @@ from hsl.posets import (FinitePoset, IntPolynomial, check_galois, interval,
 from hsl.species import _native_poset, subsets
 from adjunction_oracle import product_by_shifts, three_scan_check_galois
 from family_replace import replace
-from literal_oracle import graded_char_eval, graded_char_poly
+from literal_oracle import graded_char_eval, graded_char_poly, transpose
 
 
 def from_leq(elems, leq, family_tag=None):
     """Compile an order oracle over `elems`, one call per pair."""
     elems = tuple(elems)
     up = [sum(1 << j for j, y in enumerate(elems) if leq(x, y)) for x in elems]
-    return FinitePoset(elems, up, family_tag)
+    return FinitePoset(elems, up, transpose(up), family_tag)
 
 
 def chain_poset(n):
@@ -164,7 +164,32 @@ def test_product_downsets_are_the_transpose_of_its_upsets():
                          SIMPLICIAL.poset(labels, reverse=True)),
                         (reassembly_poset(SIMPLICIAL, labels), diamond_poset())):
         prod = FinitePoset.product(left, right)
-        assert prod.down == FinitePoset(prod.elems, prod.up).down
+        assert prod.down == transpose(prod.up)
+
+
+def test_every_compiled_order_carries_the_transpose_of_its_upsets():
+    # the native orders and their opposites of every family on at most 4
+    # labels and of graphs on 5, and the reassembly orders on at most 4
+    # (products: the test above); on 0 labels the carrier is one element,
+    # and the element whose key is the `|` of all keys has everything below it
+    orders = []
+    for fam in FAMILIES.values():
+        for k in range(5):
+            labels = frozenset(range(k))
+            p = fam.poset(labels)
+            top = 0
+            for x in p.elems:
+                top |= fam.order_key(x)
+            tops = [i for i, x in enumerate(p.elems) if fam.order_key(x) == top]
+            assert len(tops) == 1, (fam.tag, k)
+            assert p.down[tops[0]] == (1 << len(p.elems)) - 1, (fam.tag, k)
+            if k == 0:
+                assert (p.up, p.down) == ((1,), (1,)), fam.tag
+            orders += [p, fam.poset(labels, reverse=True), reassembly_poset(fam, labels)]
+    labels = frozenset(range(5))
+    orders += [GRAPHS.poset(labels), GRAPHS.poset(labels, reverse=True)]
+    for p in orders:
+        assert p.down == transpose(p.up), (p.family_tag, len(p.elems))
 
 
 def test_product_by_spread_matches_the_shifted_sum():
@@ -220,17 +245,16 @@ def test_reverse_view():
 
 
 def test_reverse_swaps_the_arrays_of_the_transpose():
-    # a passed `down` against the transpose FinitePoset makes without it,
-    # on every native order with n <= 4 and its opposite
+    # the opposite's up-sets are the transpose oracle's down-sets of the
+    # order, and its down-sets the order's up-sets, on every native order
+    # with n <= 4
     for tag, fam in FAMILIES.items():
         for n in range(5):
             labels = frozenset(range(n))
             p = fam.poset(labels)
-            transposed = FinitePoset(p.elems, p.down, p.family_tag)
             for r in (p.reverse(), fam.poset(labels, reverse=True)):
-                assert (r.elems, r.up, r.down) == (
-                    transposed.elems, transposed.up, transposed.down), (tag, n)
-                assert r._down_size == transposed._down_size, (tag, n)
+                assert (r.elems, r.up, r.down) == (p.elems, transpose(p.up), p.up), (tag, n)
+                assert r._down_size == [mask.bit_count() for mask in p.up], (tag, n)
                 assert r.family_tag == tag
             twice = p.reverse().reverse()
             assert (twice.elems, twice.up, twice.down) == (p.elems, p.up, p.down)
