@@ -10,7 +10,7 @@ from itertools import permutations
 from math import comb, factorial, prod
 
 from .errors import CarrierOverflow, DEFAULT_BUDGET, EngineError
-from .posets import IntPolynomial, _Record, _accumulate, _as_fraction, mobius
+from .posets import IntPolynomial, _Record, _accumulate, _as_fraction
 from .species import Family, _count_upward, bell, subsets
 from .symfunc import SymFunc, power_sum_monomial
 
@@ -125,6 +125,23 @@ def _check_partition_order_budget(n: int, budget: int) -> None:
                               f"labels exceed budget {budget}")
 
 
+def _partition_rows(n: int, budget: int) -> list:
+    """(block sizes largest first, mu(bottom, tau), mu(tau, top)) for the
+    partitions tau of range(n) in carrier order, bottom the one block and
+    top the singletons: one Möbius row of the partition order and one of
+    its opposite, where mu(tau, top) is mu(top, tau)."""
+    from .families import PARTITIONS
+    if n < 1:
+        raise EngineError("degree must be positive")
+    _check_partition_order_budget(n, budget)
+    labels = frozenset(range(n))
+    view = PARTITIONS.poset(labels, budget)
+    shapes = [integer_partition_of(tau) for tau in view.elems]
+    lower = view.mu(shapes.index((n,)))
+    upper = PARTITIONS.poset(labels, budget, reverse=True).mu(shapes.index((1,) * n))
+    return [(lam, lower[k], upper[k]) for k, lam in enumerate(shapes)]
+
+
 class PowerSumReport(_Record):
     def __init__(self, n: int, image_h: SymFunc, image_monomial: SymFunc,
                  proportional: bool, scalar: Fraction | None,
@@ -156,22 +173,12 @@ def power_sum_identity_check(n: int, budget: int = DEFAULT_BUDGET) -> PowerSumRe
     Also evaluates the same Möbius sum without the factorial scaling,
     divided by the Möbius value of the full interval, and classifies it
     against p_n (exact / proportional / neither)."""
-    from .families import PARTITIONS
-    if n < 1:
-        raise EngineError("degree must be positive")
-    _check_partition_order_budget(n, budget)
-    labels = frozenset(range(n))
-    view = PARTITIONS.poset(labels, budget)
-    carrier = view.carrier()
-    shapes = [integer_partition_of(q) for q in carrier]
-    bottom, top = carrier[shapes.index((n,))], carrier[shapes.index((1,) * n)]
-
+    rows = _partition_rows(n, budget)
     # the sum of mu(bottom, tau) over the taus of each block shape
-    weight = SymFunc("h", [(lam, mobius(view, bottom, tau))
-                           for tau, lam in zip(carrier, shapes)])
+    weight = SymFunc("h", [(lam, lower) for lam, lower, _ in rows])
     image = SymFunc("h", {lam: w * prod(map(factorial, lam))
                           for lam, w in weight.terms.items()})
-    printed = weight * Fraction(1, mobius(view, bottom, top))
+    printed = weight * Fraction(1, next(lower for lam, lower, _ in rows if len(lam) == n))
 
     image_m = image.to_monomial()
     target = power_sum_monomial(n)
@@ -226,23 +233,10 @@ def partition_char_poly_check(n: int, budget: int = DEFAULT_BUDGET) -> CharPolyR
     the full partition interval, for lower and upper Möbius weights and
     three exponent conventions, against t(t-1)...(t-n+1); the value at
     t=-1 must be (-1)^n n! under any matching convention."""
-    from .families import PARTITIONS
-    _check_partition_order_budget(n, budget)
-    labels = frozenset(range(n))
-    view = PARTITIONS.poset(labels, budget)
-    # mu(tau, top) is mu(top, tau) in the opposite order: one row, not one per tau
-    opposite = PARTITIONS.poset(labels, budget, reverse=True)
-    carrier = view.carrier()
-    ells = [len(q.block_masks()) for q in carrier]
-    bottom, top = carrier[ells.index(1)], carrier[ells.index(n)]
-
-    polys: dict = {}
-    for side in ("lower", "upper"):
-        mus = [mobius(view, bottom, tau) if side == "lower"
-               else mobius(opposite, top, tau) for tau in carrier]
-        for name, expo in _EXPONENTS.items():
-            polys[(side, name)] = IntPolynomial(
-                (expo(ell, n), mu) for ell, mu in zip(ells, mus))
+    rows = _partition_rows(n, budget)
+    polys = {(side, name): IntPolynomial((expo(len(row[0]), n), row[column]) for row in rows)
+             for column, side in enumerate(("lower", "upper"), 1)
+             for name, expo in _EXPONENTS.items()}
 
     falling = IntPolynomial.falling_factorial(n)
     matches = [conv for conv, poly in polys.items() if poly == falling]

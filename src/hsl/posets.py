@@ -186,16 +186,30 @@ def check_galois(p: FinitePoset, q: FinitePoset, f, g) -> GaloisReport:
     return GaloisReport(False, "adjunction biconditional fails", (p.elems[i], q.elems[j]))
 
 
-def rota_transfer_check(p: FinitePoset, q: FinitePoset, f, g, x, b):
-    """Compare the two Möbius sums transported along a Galois connection:
-    sum of mu_P(x, y) over y >= x with f(y) = b, against
-    sum of mu_Q(a, b) over a <= b with g(a) = x.
-
-    Returns (equal, left_sum, right_sum)."""
-    left = sum(mobius(p, x, y) for y in p.upset(x) if f(y) == b)
-    below_b = (q.elems[k] for k in _bits(q.down[q.index[b]]))
-    right = sum(mobius(q, a, b) for a in below_b if g(a) == x)
-    return left == right, left, right
+def rota_transfer_check(p: FinitePoset, q: FinitePoset, f, g) -> GaloisReport:
+    """Rota's transfer along a Galois connection, for every pair (x, b) of
+    P x Q in one pass: the sum of mu_P(x, y) over the y >= x with f(y) = b
+    equals the sum of mu_Q(a, b) over the a <= b with g(a) = x.  f and g
+    are applied once per element; each row mu_P(x, .) of `FinitePoset.mu`
+    is summed by f, and each row mu_Q(., b), row b of the opposite order,
+    by g.  The witness is the first failing (x, b), least x then least b,
+    and the reason names its two sums."""
+    fx = [q.index[f(x)] for x in p.elems]
+    gy = [p.index[g(y)] for y in q.elems]
+    diff: dict = {}  # (i, j) -> the left sum minus the right sum, where nonzero
+    for i in range(len(p.elems)):
+        for k, m in p.mu(i).items():
+            _accumulate(diff, (i, fx[k]), m)
+    opposite = q.reverse()
+    for j in range(len(q.elems)):
+        for k, m in opposite.mu(j).items():
+            _accumulate(diff, (gy[k], j), -m)
+    if not diff:
+        return GaloisReport(True)
+    i, j = min(diff)
+    left = sum(m for k, m in p.mu(i).items() if fx[k] == j)
+    return GaloisReport(False, f"transfer sums differ: {left} over f, {left - diff[i, j]} over g",
+                        (p.elems[i], q.elems[j]))
 
 
 def _as_fraction(value) -> int | Fraction:

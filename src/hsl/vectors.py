@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import AdjunctionUnverified, AmbientMismatch
-from .posets import FinitePoset, _Combination, _Record, check_galois
+from .posets import FinitePoset, GaloisReport, _Combination, check_galois
 from .species import subsets
 
 
@@ -178,15 +178,6 @@ def delta_on_inverted_check(adj, x, S, T):
     return lhs == rhs, lhs, rhs
 
 
-class DualityReport(_Record):
-    def __init__(self, family: str, n: int, ok: bool,
-                 witness: tuple | None = None):
-        self.family = family
-        self.n = n
-        self.ok = ok
-        self.witness = witness
-
-
 def split_galois_setup(fam, poset_for, box, S, T) -> tuple:
     """(p, q, f, g) for the Galois check on the split (S, T): the order on
     S | T, the product order P(S) x P(T), the split and the merge `box`."""
@@ -195,7 +186,7 @@ def split_galois_setup(fam, poset_for, box, S, T) -> tuple:
             lambda z: fam.comult(z, S, T), lambda pair: box(*pair))
 
 
-def duality_pairing_check(fam, poset_for, box, n: int) -> DualityReport:
+def duality_pairing_check(fam, poset_for, box, n: int) -> GaloisReport:
     """Check <Delta_{S,T}(x), y (x) z> == <x, y box z> for all structures
     and splits on label sets of size up to n.
 
@@ -211,8 +202,8 @@ def duality_pairing_check(fam, poset_for, box, n: int) -> DualityReport:
             report = check_galois(*split_galois_setup(fam, poset_for, box, S, T))
             if not report.ok:
                 x, (y, z) = report.witness
-                return DualityReport(fam.tag, n, False, (x, y, z, S, T))
-    return DualityReport(fam.tag, n, True)
+                return GaloisReport(False, report.reason, (x, y, z, S, T))
+    return GaloisReport(True)
 
 
 def product_of_inverted_check(fam, poset_for, x, y):

@@ -14,6 +14,10 @@ and every grading in `hsl`.
 - `transpose` makes down-sets from up-sets, one bit step per comparable
   pair, where every builder of a `hsl.posets.FinitePoset` passes both
   arrays from what it already holds.
+- `rota_transfer_pair` sums both sides of Rota's transfer for one pair
+  (x, b), one `mobius` per term and one `leq` test per element of Q,
+  where `hsl.posets.rota_transfer_check` checks every pair of a split in
+  one pass over the compiled Möbius rows.
 
 It also keeps the sweep of all 2^|E| orientations of a graph, each tested
 for a cycle by peeling sinks, as the oracle for the cut search of
@@ -108,6 +112,15 @@ def transpose(up) -> tuple:
         for k in _bits(mask):
             down[k] |= 1 << i
     return tuple(down)
+
+
+def rota_transfer_pair(p: FinitePoset, q: FinitePoset, f, g, x, b) -> tuple:
+    """(equal, left, right): left is the sum of mu_P(x, y) over the y >= x
+    with f(y) = b, right the sum of mu_Q(a, b) over the a <= b with
+    g(a) = x."""
+    left = sum(mobius(p, x, y) for y in p.upset(x) if f(y) == b)
+    right = sum(mobius(q, a, b) for a in q.elems if q.leq(a, b) and g(a) == x)
+    return left == right, left, right
 
 
 def relation(p: FinitePoset) -> frozenset:

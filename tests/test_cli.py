@@ -10,6 +10,7 @@ import pytest
 
 import hsl
 import hsl.antipode as ap
+import hsl.posets as posets
 from hsl import cli
 from hsl.antipode import (Adjunction, box_indecomposables, declared_adjunctions,
                           primitives_basis)
@@ -103,6 +104,25 @@ def test_primitives_sweeps_the_indecomposables_once(capsys, monkeypatch):
         sweeps.clear()
         code, _, _ = run(capsys, "primitives", "--family", tag, "--n", "3", "--jobs", "1")
         assert code == 0 and sweeps == [(tag, frozenset(range(3)))], sweeps
+
+
+def test_fock_reads_rows_not_mobius_values(capsys, monkeypatch):
+    # both fock checks read one Möbius row of the partition order and one
+    # of its opposite; `mobius` is counted under its name in every loaded
+    # `hsl` module that holds it
+    import hsl.fock  # noqa: F401  (loaded first, so its names are counted too)
+    calls = []
+    mobius = posets.mobius
+
+    def counted(p, x, y):
+        calls.append((x, y))
+        return mobius(p, x, y)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "hsl" and getattr(module, "mobius", None) is mobius:
+            monkeypatch.setattr(module, "mobius", counted)
+    code, _, _ = run(capsys, "fock", "--n", "4", "--jobs", "1")
+    assert code == 0 and calls == []
 
 
 def test_parse_error_exit_code(capsys):

@@ -326,6 +326,13 @@ def test_power_sum_printed_expression_statuses():
     assert power_sum_identity_check(3).printed_expression_status == "neither"
 
 
+def test_both_fock_checks_refuse_degree_zero():
+    # the char poly check used to raise a bare ValueError from a list lookup
+    for check in (power_sum_identity_check, partition_char_poly_check):
+        with pytest.raises(EngineError, match="^degree must be positive$"):
+            check(0)
+
+
 def test_partition_char_poly_small():
     for n in range(1, 5):
         report = partition_char_poly_check(n)

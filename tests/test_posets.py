@@ -8,12 +8,13 @@ from hsl.antipode import reassembly_poset
 from hsl.errors import CarrierOverflow, NotComparable
 from hsl.families import (FAMILIES, GRAPHS, HYPERGRAPHS, PARTITIONS,
                           SIMPLICIAL, parse_structure)
-from hsl.posets import (FinitePoset, IntPolynomial, check_galois, interval,
-                        mobius, rota_transfer_check)
+from hsl.posets import (FinitePoset, GaloisReport, IntPolynomial, check_galois,
+                        interval, mobius, rota_transfer_check)
 from hsl.species import _native_poset, subsets
 from adjunction_oracle import product_by_shifts, three_scan_check_galois
 from family_replace import replace
-from literal_oracle import graded_char_eval, graded_char_poly, transpose
+from literal_oracle import (graded_char_eval, graded_char_poly, rota_transfer_pair,
+                            transpose)
 
 
 def from_leq(elems, leq, family_tag=None):
@@ -442,11 +443,12 @@ def test_rota_transfer_trivial_and_graphs():
     g = lambda pair: GRAPHS.box(pair[0], pair[1])
     k2 = parse_structure("G:n=2;E=0-1")
     pt_pair = f(k2)
-    equal, left, right = rota_transfer_check(whole, parts, f, g, k2, pt_pair)
+    equal, left, right = rota_transfer_pair(whole, parts, f, g, k2, pt_pair)
     assert equal and left == 1 == right
     empty = parse_structure("G:n=2;E=")
-    equal, left, right = rota_transfer_check(whole, parts, f, g, empty, pt_pair)
+    equal, left, right = rota_transfer_pair(whole, parts, f, g, empty, pt_pair)
     assert equal and left == 0 == right
+    assert rota_transfer_check(whole, parts, f, g) == GaloisReport(True)
 
 
 def test_rota_transfer_partitions():
@@ -457,8 +459,9 @@ def test_rota_transfer_partitions():
     g = lambda pair: PARTITIONS.mult(pair[0], pair[1])
     x = parse_structure("P:n=3;B=012")
     b = f(x)  # (one block on S, one block on T)
-    equal, left, right = rota_transfer_check(whole, parts, f, g, x, b)
+    equal, left, right = rota_transfer_pair(whole, parts, f, g, x, b)
     assert equal, (left, right)
+    assert rota_transfer_check(whole, parts, f, g) == GaloisReport(True)
 
 
 def test_rota_transfer_everywhere_on_small_galois_pairs():
@@ -468,9 +471,10 @@ def test_rota_transfer_everywhere_on_small_galois_pairs():
     f = lambda g: GRAPHS.comult(g, S, T)
     g = lambda pair: GRAPHS.box(pair[0], pair[1])
     assert check_galois(whole, parts, f, g).ok
+    assert rota_transfer_check(whole, parts, f, g).ok
     for x in whole.carrier():
         for b in parts.carrier():
-            equal, _, _ = rota_transfer_check(whole, parts, f, g, x, b)
+            equal, _, _ = rota_transfer_pair(whole, parts, f, g, x, b)
             assert equal
 
 

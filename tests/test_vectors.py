@@ -9,12 +9,15 @@ from hsl.errors import AdjunctionUnverified, AmbientMismatch
 from hsl.families import (FAMILIES, GRAPHS, HYPERGRAPHS, PARTITIONS,
                           SIMPLICIAL, Graph, SetPartition,
                           free_vector_from_json, parse_structure)
+from hsl.posets import GaloisReport, rota_transfer_check
 from hsl.species import subsets
 from hsl.vectors import (FreeVector, TensorVector, comult_vector,
                          delta_on_inverted_check, duality_pairing_check,
                          inverted_basis, mult_tensor,
-                         product_of_inverted_check, tensor, zeta_pairing)
+                         product_of_inverted_check, split_galois_setup, tensor,
+                         zeta_pairing)
 from adjunction_oracle import duality_by_triples, inverted_basis_by_mobius
+from literal_oracle import rota_transfer_pair
 
 K2 = parse_structure("G:n=2;E=0-1")
 EMPTY2 = parse_structure("G:n=2;E=")
@@ -223,23 +226,30 @@ def test_duality_pairing_check_pass_and_fail():
     assert bad.witness is not None
 
 
-def test_duality_scan_matches_the_triple_loop():
-    # each family's merge against its native order (the opposite order
-    # for partitions) fails; every declared adjunction passes
+def _forgetful(y, z):
+    # the free product, but edgeless on three labels: it first fails
+    # there, with several (y, z) for one x, which pins their order
+    xy = GRAPHS.box(y, z)
+    return Graph(xy.labels, ()) if len(xy.labels) == 3 else xy
+
+
+def merge_setups() -> tuple:
+    """(failing, passing), each a list of (family, poset_for, box): each
+    family's merge against its native order (the opposite order for
+    partitions), and the forgetful product, fail; every declared
+    adjunction passes."""
     failing = [(fam, lambda L, f=fam: f.poset(L), fam.mult)
                for fam in (GRAPHS, HYPERGRAPHS, SIMPLICIAL)]
     failing.append((PARTITIONS, lambda L: PARTITIONS.poset(L, reverse=True),
                     PARTITIONS.mult))
-
-    def forgetful(y, z):
-        # the free product, but edgeless on three labels: it first fails
-        # there, with several (y, z) for one x, which pins their order
-        xy = GRAPHS.box(y, z)
-        return Graph(xy.labels, ()) if len(xy.labels) == 3 else xy
-
-    failing.append((GRAPHS, GRAPHS.poset, forgetful))
+    failing.append((GRAPHS, GRAPHS.poset, _forgetful))
     passing = [(adj.family, adj.poset, adj.box)
                for fam in FAMILIES.values() for adj in declared_adjunctions(fam)]
+    return failing, passing
+
+
+def test_duality_scan_matches_the_triple_loop():
+    failing, passing = merge_setups()
     for pairings, verdict in ((failing, False), (passing, True)):
         for fam, poset_for, box in pairings:
             for n in range(4):
@@ -247,6 +257,40 @@ def test_duality_scan_matches_the_triple_loop():
                 assert (report.ok, report.witness) == duality_by_triples(
                     fam, poset_for, box, n)
             assert report.ok is verdict, fam.tag
+
+
+def first_transfer_failure(p, q, f, g):
+    """(x, b, left, right) at the first pair, least x then least b, whose
+    two transfer sums differ by the per-pair oracle, or None."""
+    for x in p.elems:
+        for b in q.elems:
+            equal, left, right = rota_transfer_pair(p, q, f, g, x, b)
+            if not equal:
+                return x, b, left, right
+    return None
+
+
+def test_transfer_scan_matches_the_per_pair_oracle():
+    # on every split of 0-3 labels: the scan's verdict, its first failing
+    # (x, b), least x then least b, and the two sums it names
+    failing, passing = merge_setups()
+    for pairings, verdict in ((failing, False), (passing, True)):
+        for fam, poset_for, box in pairings:
+            failures = 0
+            for n in range(4):
+                labels = frozenset(range(n))
+                for S in subsets(labels):
+                    p, q, f, g = split_galois_setup(fam, poset_for, box, S, labels - S)
+                    report = rota_transfer_check(p, q, f, g)
+                    first = first_transfer_failure(p, q, f, g)
+                    if first is None:
+                        assert report == GaloisReport(True)
+                        continue
+                    failures += 1
+                    x, b, left, right = first
+                    assert report == GaloisReport(
+                        False, f"transfer sums differ: {left} over f, {right} over g", (x, b))
+            assert (failures == 0) is verdict, fam.tag
 
 
 def test_inverted_basis_matches_per_term_mobius():
