@@ -2,17 +2,16 @@
 Möbius inversion, zeta duality, antipodes by independent methods, and the
 symmetric-function bridge, all in exact rational arithmetic."""
 
-from .errors import (AdjunctionUnverified, AmbientMismatch, CarrierOverflow,
-                     DEFAULT_BUDGET, EngineError, LabelMismatch, LabelOverlap,
+from .errors import (AmbientMismatch, CarrierOverflow, DEFAULT_BUDGET,
+                     EngineError, LabelMismatch, LabelOverlap,
                      NonUniqueFactorization, NotAFlat, NotComparable,
                      NotSelfAdjoint, ParseError)
 from .posets import (FinitePoset, IntPolynomial, check_galois, interval,
                      mobius, rota_transfer_check)
 from .species import (Family, bell, fubini, verify_axioms,
                       verify_delta_after_mult_identity)
-from .vectors import (FreeVector, TensorVector, delta_on_inverted_check,
-                      duality_pairing_check, inverted_basis,
-                      product_of_inverted_check, tensor, zeta_pairing)
+from .vectors import (FreeVector, TensorVector, duality_pairing_check,
+                      inverted_basis, product_of_inverted_check, tensor)
 from .families import (FAMILIES, GRAPHS, HYPERGRAPHS, PARTITIONS, SIMPLICIAL,
                        Graph, Hypergraph, SetPartition, SimplicialComplex,
                        acyclic_orientation_count, chromatic_polynomial,

@@ -112,7 +112,6 @@ class Adjunction:
         self.family = family
         self.kind = kind
         self.budget = budget
-        self._verified: set = set()
 
     @property
     def display(self) -> str:
@@ -132,12 +131,8 @@ class Adjunction:
         return self.family.poset(labels, self.budget, reverse=reverse)
 
     def verify(self, S, T) -> GaloisReport:
-        """Run the full Galois check on one split and record success."""
-        S, T = frozenset(S), frozenset(T)
-        report = check_galois(*split_galois_setup(self.family, self.poset, self.box, S, T))
-        if report.ok:
-            self._verified.add((S, T))
-        return report
+        """Run the full Galois check on one split."""
+        return check_galois(*split_galois_setup(self.family, self.poset, self.box, S, T))
 
     def verify_all_splits(self, labels) -> GaloisReport:
         labels = frozenset(labels)
@@ -147,9 +142,6 @@ class Adjunction:
             if not report.ok:
                 return report
         return GaloisReport(True)
-
-    def is_verified(self, S, T) -> bool:
-        return (frozenset(S), frozenset(T)) in self._verified
 
 
 def declared_adjunctions(fam: Family, budget: int = DEFAULT_BUDGET) -> list[Adjunction]:

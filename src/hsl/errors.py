@@ -38,11 +38,6 @@ class NotSelfAdjoint(EngineError):
     commutativity/cocommutativity criterion."""
 
 
-class AdjunctionUnverified(EngineError):
-    """An operation requiring a verified Galois connection was called
-    before the connection was checked."""
-
-
 class NonUniqueFactorization(EngineError):
     """Two splits of one structure gave different factors; the family does
     not have the unique factorization property."""

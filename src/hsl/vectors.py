@@ -1,6 +1,15 @@
 """Free vector spaces over structure carriers with exact rational
-coefficients: the zeta bilinear form, the Möbius-inverted basis, and the
-coproduct/duality/product identities as executable checks.
+coefficients: the Möbius-inverted basis, the split set-up that the
+Galois checks of `hsl.posets` read, and the duality and product
+identities as executable checks.
+
+The split of omega_x as a fibre sum of omega_{x1} (x) omega_{x2} over
+x1 box x2 = x is Rota's transfer on that split: its coefficient at b is
+the sum of mu_P(x, y) over the y >= x that split to b, and the fibre
+sum's is the sum of mu_Q(a, b) over the a <= b with box(a) = x, mu of
+the product order Q being the product of its factors'.  So
+`rota_transfer_check(*split_galois_setup(...))` checks it for every x
+at once.
 
 No floating point anywhere; every check is an exact identity.
 """
@@ -9,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import AdjunctionUnverified, AmbientMismatch
+from .errors import AmbientMismatch
 from .posets import FinitePoset, GaloisReport, _Combination, check_galois
 from .species import subsets
 
@@ -141,41 +150,6 @@ def inverted_basis(p: FinitePoset, x) -> FreeVector:
 def corank_inverted_basis(p: FinitePoset, x) -> FreeVector:
     """The down-set twin: sum over y <= x of mu(y, x) * y."""
     return inverted_basis(p.reverse(), x)
-
-
-def zeta_pairing(v: FreeVector, w: FreeVector, p: FinitePoset) -> Fraction:
-    """Bilinear extension of zeta(a, b) = 1 if a <= b else 0."""
-    v._check_ambient(w)
-    total = Fraction(0)
-    for a, ca in v.terms.items():
-        for b, cb in w.terms.items():
-            if p.leq(a, b):
-                total += ca * cb
-    return total
-
-
-def delta_on_inverted_check(adj, x, S, T):
-    """Check Delta_{S,T}(omega_x) against the sum of omega_{x1} (x) omega_{x2}
-    over all pairs with x1 box x2 = x.
-
-    Requires the adjunction to have been verified for this split; returns
-    (equal, lhs, rhs)."""
-    S, T = frozenset(S), frozenset(T)
-    if not adj.is_verified(S, T):
-        raise AdjunctionUnverified(
-            f"run adjunction verification for split {sorted(S)}|{sorted(T)} first")
-    fam = adj.family
-    p = adj.poset(x.labels)
-    lhs = comult_vector(fam, inverted_basis(p, x), S, T)
-
-    ps = adj.poset(S)
-    pt = adj.poset(T)
-    rhs = TensorVector(fam.tag, S, T)
-    for x1 in ps.carrier():
-        for x2 in pt.carrier():
-            if adj.box(x1, x2) == x:
-                rhs = rhs + tensor(inverted_basis(ps, x1), inverted_basis(pt, x2))
-    return lhs == rhs, lhs, rhs
 
 
 def split_galois_setup(fam, poset_for, box, S, T) -> tuple:

@@ -19,6 +19,11 @@ Galois check replaced, kept as the oracle for them.
   mu(x, .).
 - `product_by_shifts` builds each set of the product order as a sum of
   shifted copies, where `hsl.posets.FinitePoset.product` multiplies.
+- `delta_on_inverted_by_vectors` expands both sides of the split of
+  omega_x as a fibre sum, Delta_{S,T}(omega_x) against the sum of
+  omega_{x1} (x) omega_{x2} over x1 box x2 = x, as vectors, for one x,
+  where `hsl.posets.rota_transfer_check` on `hsl.vectors.split_galois_setup`
+  checks the same coefficients for every x of the split in one scan.
 - `inverted_check_by_view` compiles x's images into a `FinitePoset`
   and reads omega_x with `inverted_basis`, where
   `hsl.antipode.antipode_on_inverted_check` reads mu(x, .) off the closed
@@ -28,7 +33,8 @@ Galois check replaced, kept as the oracle for them.
 from hsl.antipode import _reassembly_images, require_self_adjoint, takeuchi_on_vector
 from hsl.posets import FinitePoset, GaloisReport, _bits, mobius
 from hsl.species import subsets
-from hsl.vectors import FreeVector, inverted_basis
+from hsl.vectors import (FreeVector, TensorVector, comult_vector,
+                         inverted_basis, tensor)
 from literal_oracle import transpose
 
 
@@ -112,6 +118,21 @@ def merge_split_setup(fam, S, T, budget):
 def inverted_basis_by_mobius(p: FinitePoset, x) -> FreeVector:
     """omega_x = sum over y >= x of mu(x, y) * y, one `mobius` per y."""
     return FreeVector(p.family_tag, x.labels, [(y, mobius(p, x, y)) for y in p.upset(x)])
+
+
+def delta_on_inverted_by_vectors(fam, poset_for, box, x, S, T) -> tuple:
+    """(equal, lhs, rhs): lhs is Delta_{S,T}(omega_x), rhs the sum of
+    omega_{x1} (x) omega_{x2} over all pairs with x1 box x2 = x, each
+    omega read in the order `poset_for` gives its labels."""
+    S, T = frozenset(S), frozenset(T)
+    lhs = comult_vector(fam, inverted_basis(poset_for(x.labels), x), S, T)
+    ps, pt = poset_for(S), poset_for(T)
+    rhs = TensorVector(fam.tag, S, T)
+    for x1 in ps.elems:
+        for x2 in pt.elems:
+            if box(x1, x2) == x:
+                rhs = rhs + tensor(inverted_basis(ps, x1), inverted_basis(pt, x2))
+    return lhs == rhs, lhs, rhs
 
 
 def product_by_shifts(p: FinitePoset, q: FinitePoset) -> tuple:

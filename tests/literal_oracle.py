@@ -18,6 +18,10 @@ and every grading in `hsl`.
   (x, b), one `mobius` per term and one `leq` test per element of Q,
   where `hsl.posets.rota_transfer_check` checks every pair of a split in
   one pass over the compiled Möbius rows.
+- `zeta_pairing` extends zeta(a, b) = [a <= b] bilinearly, one `leq` per
+  pair of terms, where criterion 14 reads the Kronecker duality
+  <omega_x, y> as the sum of the compiled row mu(x, .) over
+  up(x) & down(y).
 
 It also keeps the sweep of all 2^|E| orientations of a graph, each tested
 for a cycle by peeling sinks, as the oracle for the cut search of
@@ -25,6 +29,7 @@ for a cycle by peeling sinks, as the oracle for the cut search of
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 from hsl.errors import (DEFAULT_BUDGET, CarrierOverflow, LabelMismatch,
@@ -121,6 +126,17 @@ def rota_transfer_pair(p: FinitePoset, q: FinitePoset, f, g, x, b) -> tuple:
     left = sum(mobius(p, x, y) for y in p.upset(x) if f(y) == b)
     right = sum(mobius(q, a, b) for a in q.elems if q.leq(a, b) and g(a) == x)
     return left == right, left, right
+
+
+def zeta_pairing(v, w, p: FinitePoset) -> Fraction:
+    """Bilinear extension of zeta(a, b) = 1 if a <= b else 0."""
+    v._check_ambient(w)
+    total = Fraction(0)
+    for a, ca in v.terms.items():
+        for b, cb in w.terms.items():
+            if p.leq(a, b):
+                total += ca * cb
+    return total
 
 
 def relation(p: FinitePoset) -> frozenset:

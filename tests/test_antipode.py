@@ -570,13 +570,6 @@ def test_primitives_partitions_n3():
     assert [x.encode() for x in indecs] == ["P:n=3;B=012"]
 
 
-def test_adjunctions_keep_their_own_verified_splits():
-    first, second = Adjunction(GRAPHS, "delta_box"), Adjunction(GRAPHS, "delta_box")
-    assert first != second
-    assert first.verify({0}, {1}).ok
-    assert first.is_verified({0}, {1}) and not second.is_verified({0}, {1})
-
-
 def test_primitives_annihilate_proper_splits():
     cases = [(Adjunction(GRAPHS, "delta_box"), 3),
              (Adjunction(HYPERGRAPHS, "delta_box"), 3),

@@ -5,19 +5,19 @@ from fractions import Fraction
 import pytest
 
 from hsl.antipode import Adjunction, declared_adjunctions, reassembly_poset
-from hsl.errors import AdjunctionUnverified, AmbientMismatch
+from hsl.errors import AmbientMismatch
 from hsl.families import (FAMILIES, GRAPHS, HYPERGRAPHS, PARTITIONS,
                           SIMPLICIAL, Graph, SetPartition,
                           free_vector_from_json, parse_structure)
 from hsl.posets import GaloisReport, rota_transfer_check
 from hsl.species import subsets
 from hsl.vectors import (FreeVector, TensorVector, comult_vector,
-                         delta_on_inverted_check, duality_pairing_check,
-                         inverted_basis, mult_tensor,
-                         product_of_inverted_check, split_galois_setup, tensor,
-                         zeta_pairing)
-from adjunction_oracle import duality_by_triples, inverted_basis_by_mobius
-from literal_oracle import rota_transfer_pair
+                         duality_pairing_check, inverted_basis, mult_tensor,
+                         product_of_inverted_check, split_galois_setup, tensor)
+from adjunction_oracle import (delta_on_inverted_by_vectors, duality_by_triples,
+                               inverted_basis_by_mobius)
+from literal_oracle import rota_transfer_pair, zeta_pairing
+from test_acceptance import kronecker_row
 
 K2 = parse_structure("G:n=2;E=0-1")
 EMPTY2 = parse_structure("G:n=2;E=")
@@ -137,13 +137,16 @@ def test_zeta_pairing_bilinear_in_rescaling():
 
 
 def test_kronecker_duality_native_orders():
-    for fam, n in ((GRAPHS, 3), (HYPERGRAPHS, 3), (PARTITIONS, 3), (SIMPLICIAL, 3)):
-        p = fam.poset(frozenset(range(n)))
-        for x in p.carrier():
-            omega = inverted_basis(p, x)
-            for y in p.carrier():
-                expected = 1 if x == y else 0
-                assert zeta_pairing(omega, FreeVector.basis(fam.tag, y), p) == expected
+    # the row sums of criterion 14 against the bilinear zeta form
+    for fam in FAMILIES.values():
+        for n in range(4):
+            p = fam.poset(frozenset(range(n)))
+            for i, x in enumerate(p.elems):
+                row = kronecker_row(p, i)
+                omega = inverted_basis(p, x)
+                for j, y in enumerate(p.elems):
+                    pairing = zeta_pairing(omega, FreeVector.basis(fam.tag, y), p)
+                    assert row.get(j, 0) == pairing == (x == y)
 
 
 def test_basis_change_round_trip():
@@ -157,21 +160,19 @@ def test_basis_change_round_trip():
             assert total == FreeVector.basis(fam.tag, x)
 
 
-def test_delta_on_inverted_requires_verification():
-    adj = Adjunction(GRAPHS, "delta_box")
-    with pytest.raises(AdjunctionUnverified):
-        delta_on_inverted_check(adj, K2, frozenset({0}), frozenset({1}))
+def delta_on_inverted(adj, x, S, T):
+    return delta_on_inverted_by_vectors(adj.family, adj.poset, adj.box, x, S, T)
 
 
 def test_delta_on_inverted_examples():
     adj = Adjunction(GRAPHS, "delta_box")
     S, T = frozenset({0}), frozenset({1})
     assert adj.verify(S, T).ok
-    ok, lhs, rhs = delta_on_inverted_check(adj, K2, S, T)
+    ok, lhs, rhs = delta_on_inverted(adj, K2, S, T)
     pt0 = Graph(S, frozenset())
     pt1 = Graph(T, frozenset())
     assert ok and lhs == TensorVector("graphs", S, T, {(pt0, pt1): 1})
-    ok, lhs, rhs = delta_on_inverted_check(adj, EMPTY2, S, T)
+    ok, lhs, rhs = delta_on_inverted(adj, EMPTY2, S, T)
     assert ok and lhs.is_zero and rhs.is_zero
 
 
@@ -179,7 +180,7 @@ def test_delta_on_inverted_trivial_split():
     adj = Adjunction(GRAPHS, "delta_box")
     S, T = frozenset({0, 1}), frozenset()
     assert adj.verify(S, T).ok
-    ok, lhs, _ = delta_on_inverted_check(adj, K2, S, T)
+    ok, lhs, _ = delta_on_inverted(adj, K2, S, T)
     assert ok
     assert lhs.coefficient(K2, GRAPHS.unit) == 1
 
@@ -187,14 +188,13 @@ def test_delta_on_inverted_trivial_split():
 def test_delta_on_inverted_simplicial_reversed_order():
     # merge right-adjoint to split: the identity holds with the down-set
     # inverted basis, exercised through the reversed order
-    from hsl.families import SIMPLICIAL
     adj = Adjunction(SIMPLICIAL, "m_delta")
     labels = frozenset(range(3))
     for S in subsets(labels):
         T = labels - S
         assert adj.verify(S, T).ok
         for x in SIMPLICIAL.enumerate(labels):
-            ok, _, _ = delta_on_inverted_check(adj, x, S, T)
+            ok, _, _ = delta_on_inverted(adj, x, S, T)
             assert ok
 
 
@@ -213,7 +213,7 @@ def test_delta_on_inverted_exhaustive_n2_hypergraphs():
         T = labels - S
         assert adj.verify(S, T).ok
         for x in HYPERGRAPHS.enumerate(labels):
-            ok, _, _ = delta_on_inverted_check(adj, x, S, T)
+            ok, _, _ = delta_on_inverted(adj, x, S, T)
             assert ok
 
 
@@ -290,6 +290,29 @@ def test_transfer_scan_matches_the_per_pair_oracle():
                     x, b, left, right = first
                     assert report == GaloisReport(
                         False, f"transfer sums differ: {left} over f, {right} over g", (x, b))
+            assert (failures == 0) is verdict, fam.tag
+
+
+def test_transfer_scan_is_the_inverted_coproduct():
+    # on every split of 0-3 labels: the transfer scan's verdict and first
+    # failing x against Delta_{S,T}(omega_x) == the fibre sum, expanded as
+    # vectors for each x in element order
+    failing, passing = merge_setups()
+    for pairings, verdict in ((failing, False), (passing, True)):
+        for fam, poset_for, box in pairings:
+            failures = 0
+            for n in range(4):
+                labels = frozenset(range(n))
+                for S in subsets(labels):
+                    T = labels - S
+                    setup = split_galois_setup(fam, poset_for, box, S, T)
+                    report = rota_transfer_check(*setup)
+                    first = next((x for x in setup[0].elems if not delta_on_inverted_by_vectors(
+                        fam, poset_for, box, x, S, T)[0]), None)
+                    assert report.ok is (first is None), (fam.tag, sorted(S))
+                    if first is not None:
+                        failures += 1
+                        assert report.witness[0] == first, (fam.tag, sorted(S))
             assert (failures == 0) is verdict, fam.tag
 
 
