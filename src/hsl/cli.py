@@ -95,9 +95,8 @@ def cmd_antipode(args) -> int:
         results.append({"method": "takeuchi", "vector": vec.to_json_dict()})
     if args.method in ("closed", "both"):
         closed = closed_form_antipode(fam, x, budget)
-        vectors["closed-upper"] = closed.vector
-        results.append({"method": "closed-upper",
-                        "vector": closed.vector.to_json_dict()})
+        vec = vectors["closed-upper"] = closed.vector
+        results.append({"method": "closed-upper", "vector": vec.to_json_dict()})
         if args.method == "both":
             results.append({"method": "closed-lower-paper-literal",
                             "vector": closed.literal_lower_vector.to_json_dict()})

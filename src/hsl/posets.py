@@ -237,15 +237,29 @@ class _Combination:
     key to its nonzero coefficient.  `_ambient` (the constructor's leading
     arguments) names the space, `_coefficient` makes a coefficient exact
     (a rational unless a subclass says otherwise) and rejects floats,
-    `_key` gives the stored key or rejects one from outside the space, and
-    `_show` prints a key."""
+    `_key` gives the stored key or rejects one from outside the space,
+    `_keys_fit` tells whether every key of a dict passes `_key` as it is,
+    and `_show` prints a key.
+
+    A dict whose coefficients are all exact ints and whose keys all fit is
+    filled in one pass: `dict(terms)` copies it in C with the hashes it
+    holds, and any zero entries are then dropped.  Any other dict, and
+    every list of pairs, goes term by term through `_coefficient` and
+    `_key`, which convert or raise at the first offending term.  A
+    subclass whose `_key` rewrites keys passes pairs (`SymFunc`)."""
 
     __slots__ = ()
     _coefficient = staticmethod(_as_fraction)
 
     def _fill(self, terms) -> None:
-        self.terms = out = {}
         distinct = isinstance(terms, dict)  # else pairs whose keys may repeat
+        if distinct and {*map(type, terms.values())} <= {int} and self._keys_fit(terms):
+            self.terms = out = dict(terms)
+            if 0 in out.values():
+                for key in [k for k, c in out.items() if not c]:
+                    del out[key]
+            return
+        self.terms = out = {}
         for key, c in (terms.items() if distinct else terms):
             c = self._coefficient(c)
             if c:
@@ -257,6 +271,9 @@ class _Combination:
 
     def _key(self, key):
         return key
+
+    def _keys_fit(self, terms) -> bool:
+        return True
 
     def _check_ambient(self, other):
         if self._ambient != other._ambient:

@@ -17,10 +17,13 @@ No floating point anywhere; every check is an exact identity.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import attrgetter
 
 from .errors import AmbientMismatch
 from .posets import FinitePoset, GaloisReport, _Combination, check_galois
 from .species import subsets
+
+_labels = attrgetter("labels")
 
 
 class FreeVector(_Combination):
@@ -43,6 +46,12 @@ class FreeVector(_Combination):
             raise AmbientMismatch(
                 f"term {x.encode()} not on labels {sorted(self.labels)}")
         return x
+
+    def _keys_fit(self, terms) -> bool:
+        try:
+            return {*map(_labels, terms)} <= {self.labels}
+        except AttributeError:  # not a structure: `_key` raises at its term
+            return False
 
     @staticmethod
     def _show(x) -> str:
@@ -104,6 +113,13 @@ class TensorVector(_Combination):
         if a.labels != self.left_labels or b.labels != self.right_labels:
             raise AmbientMismatch("tensor factor on the wrong label set")
         return pair
+
+    def _keys_fit(self, terms) -> bool:
+        split = self.left_labels, self.right_labels
+        try:
+            return {(a.labels, b.labels) for a, b in terms} <= {split}
+        except (AttributeError, TypeError, ValueError):  # not a pair of structures
+            return False
 
     @staticmethod
     def _show(pair) -> str:

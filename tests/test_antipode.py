@@ -12,7 +12,10 @@ from hsl.antipode import (Adjunction, antipode_axiom_check,
 from hsl.errors import (AmbientMismatch, CarrierOverflow, EngineError,
                         NotSelfAdjoint)
 from hsl.families import (FAMILIES, GRAPHS, HYPERGRAPHS, PARTITIONS,
-                          SIMPLICIAL, Graph, SimplicialComplex, is_connected,
+                          SIMPLICIAL, Graph, SimplicialComplex,
+                          closed_form_antipode_graphs,
+                          closed_form_antipode_partitions,
+                          closed_form_antipode_sc, is_connected,
                           parse_structure)
 from hsl.posets import check_galois
 from hsl.species import _native_poset, _partitions, subsets
@@ -440,6 +443,27 @@ def test_closed_form_and_inverted_check_encode_nothing(monkeypatch):
 def test_table_route_matches_literal_unordered_sum():
     for fam, x in _closed_form_cases():
         assert takeuchi_antipode(fam, x) == _unordered_sum(fam, x), x.encode()
+
+
+def test_dict_filled_vectors_match_the_per_term_loop():
+    # the defining sum, both closed forms and the graph and partition
+    # formulas fill their vectors from dicts of int coefficients, which
+    # `_fill` copies in one pass; each vector against the one rebuilt from
+    # its terms as pairs, which `_fill` reads term by term, and the closed
+    # forms also against the raw dicts they copy
+    formulas = {GRAPHS: closed_form_antipode_graphs, SIMPLICIAL: closed_form_antipode_sc,
+                PARTITIONS: closed_form_antipode_partitions}
+    for fam, x in _closed_form_cases():
+        closed = closed_form_antipode(fam, x)
+        vectors = [(takeuchi_antipode(fam, x), None), (closed.vector, closed.upper),
+                   (closed.literal_lower_vector, closed.lower)]
+        if fam in formulas:
+            vectors.append((formulas[fam](x), None))
+        for v, raw in vectors:
+            assert {*map(type, v.terms.values())} <= {int}, x.encode()
+            for terms in (v.terms, raw or v.terms):
+                slow = FreeVector(fam.tag, x.labels, list(terms.items()))
+                assert slow == v and slow.terms == v.terms, x.encode()
 
 
 def test_table_grading_matches_factorize():

@@ -1,5 +1,6 @@
 import functools
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from hsl.errors import AmbientMismatch
 from hsl.families import (FAMILIES, GRAPHS, HYPERGRAPHS, PARTITIONS,
                           SIMPLICIAL, Graph, SetPartition,
                           free_vector_from_json, parse_structure)
-from hsl.posets import GaloisReport, rota_transfer_check
+from hsl.posets import GaloisReport, IntPolynomial, rota_transfer_check
 from hsl.species import subsets
 from hsl.vectors import (FreeVector, TensorVector, comult_vector,
                          duality_pairing_check, inverted_basis, mult_tensor,
@@ -64,6 +65,60 @@ def test_free_vector_json_round_trip():
     assert data["terms"] == {"G:n=2;E=": "2", "G:n=2;E=0-1": "-1/3"}
     assert free_vector_from_json(blob) == v
     assert json.dumps(data, sort_keys=True) == blob  # canonical key order
+
+
+PT0, PT1 = Graph({0}, ()), Graph({1}, ())
+EMPTY12, K12 = Graph({1, 2}, ()), Graph({1, 2}, [(1, 2)])
+FILL_CASES = {
+    # class -> (constructor on terms, two keys in the space, a key outside
+    # it and the message that rejects it, or None where nothing is checked)
+    "free": (lambda t: FreeVector("graphs", K2.labels, t), K2, EMPTY2,
+             (PT0, "term G:n=1;E= not on labels [0, 1]")),
+    "tensor": (lambda t: TensorVector("graphs", {0}, {1, 2}, t), (PT0, K12), (PT0, EMPTY12),
+               ((PT1, K2), "tensor factor on the wrong label set")),
+    "polynomial": (IntPolynomial, 1, 0, None),
+}
+
+
+@pytest.mark.parametrize("kind", FILL_CASES)
+def test_fill_reads_a_dict_as_it_reads_pairs(kind):
+    # a dict of int coefficients whose keys all lie in the space is copied
+    # in one pass; every other input goes term by term, and both shapes
+    # must give the same combination or raise the same error
+    make, a, b, outside = FILL_CASES[kind]
+    rational = kind != "polynomial"
+    other = Fraction(1, 2) if rational else 3  # sends a dict term by term where it can
+    for shape in (dict, lambda terms: list(terms.items())):
+        fill = lambda terms: make(shape(terms))
+        assert fill({a: 2, b: -1}) == make([(a, 2), (b, -1)])
+        assert fill({a: 2, b: other}) == make([(b, other), (a, 2)])
+        with pytest.raises(TypeError):
+            fill({a: 1, b: 0.5})
+        if rational:
+            v = fill({a: True, b: "1/2"})
+            assert v.terms == {a: 1, b: Fraction(1, 2)}
+            assert {type(c) for c in v.terms.values()} == {Fraction}
+        else:  # ints only, through `index`
+            assert [(c, type(c)) for c in fill({a: True}).terms.values()] == [(1, int)]
+            with pytest.raises(TypeError):
+                fill({a: "1/2"})
+        assert fill({a: 0, b: 3}).terms == {b: 3}
+        assert fill({a: 0, b: 0}).is_zero and make([(a, 1), (a, -1)]).is_zero
+        if outside is None:
+            continue
+        off, message = outside
+        assert fill({off: 0, "not a structure": 0, a: 1}).terms == {a: 1}
+        for terms in ({off: 1}, {a: 1, off: -2}, {off: 1, a: 0.5}):
+            with pytest.raises(AmbientMismatch, match=f"^{re.escape(message)}$"):
+                fill(terms)
+        with pytest.raises(TypeError):
+            fill({a: 0.5, off: 1})
+    given = {a: 1, b: -1}
+    v = make(given)
+    given[a] = 5
+    given[off if outside else 7] = 1
+    del given[b]
+    assert v == make([(a, 1), (b, -1)]) and v.terms == {a: 1, b: -1}
 
 
 def test_tensor_vector_basics():
