@@ -24,7 +24,7 @@ from .posets import (FinitePoset, GaloisReport, _Record, _bits,
                      _containment_upsets, check_galois)
 from .species import (Family, _Memo, _partitions, check_set_partition_budget,
                       check_subset_budget, reassemble, subsets)
-from .vectors import FreeVector, inverted_basis, split_galois_setup
+from .vectors import FreeVector, _galois_splits, inverted_basis, split_galois_setup
 
 
 # ---------------------------------------------------------------------------
@@ -135,13 +135,10 @@ class Adjunction:
         return check_galois(*split_galois_setup(self.family, self.poset, self.box, S, T))
 
     def verify_all_splits(self, labels) -> GaloisReport:
+        """The Galois check on every split of labels (`_galois_splits`)."""
         labels = frozenset(labels)
         check_subset_budget(len(labels), self.budget)
-        for S in subsets(labels):
-            report = self.verify(S, labels - S)
-            if not report.ok:
-                return report
-        return GaloisReport(True)
+        return _galois_splits(self.family, self.poset, self.box, labels)
 
 
 def declared_adjunctions(fam: Family, budget: int = DEFAULT_BUDGET) -> list[Adjunction]:

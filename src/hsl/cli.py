@@ -155,47 +155,37 @@ def cmd_verify(args) -> int:
     _check_n(args, 0)
     budget = _budget_from(args)
     fam = _family_from(args)
-    failures = []
 
     report = verify_axioms(fam, args.n, budget)
     axioms_payload = {r.name: {"passed": r.passed, "witness": r.witness}
                       for r in report.results}
-    if not report.passed:
-        failures.append("axioms")
-    lines = report.lines()
+    verdicts = [("\n".join(report.lines()), report.passed, "axioms")]  # (text, passed, name)
+
+    def verdict(label, passed, failure):
+        verdicts.append((f"{label}: {'pass' if passed else 'FAIL'}", passed, failure))
 
     adj_payload = []
     for adj in declared_adjunctions(fam, budget):
         galois = adj.verify_all_splits(frozenset(range(args.n)))
-        adj_payload.append({"kind": adj.kind, "display": adj.display,
-                            "passed": galois.ok, "reason": galois.reason})
-        lines.append(f"adjunction {adj.display}: {'pass' if galois.ok else 'FAIL'}")
-        if not galois.ok:
-            failures.append(f"adjunction {adj.kind}")
+        verdict(f"adjunction {adj.display}", galois.ok, f"adjunction {adj.kind}")
         # on n labels the pairing is the scan verify_all_splits just ran
         duality = galois.ok and duality_pairing_check(fam, adj.poset, adj.box, args.n - 1).ok
-        adj_payload[-1]["duality"] = duality
-        lines.append(f"  duality pairing: {'pass' if duality else 'FAIL'}")
-        if not duality:
-            failures.append(f"duality {adj.kind}")
-
+        verdict("  duality pairing", duality, f"duality {adj.kind}")
+        adj_payload.append({"kind": adj.kind, "display": adj.display, "passed": galois.ok,
+                            "reason": galois.reason, "duality": duality})
     poset_ok = _reassembly_poset_axioms(fam, args.n, budget)
-    lines.append(f"reassembly order is a poset: {'pass' if poset_ok else 'FAIL'}")
-    if not poset_ok:
-        failures.append("reassembly poset")
-
+    verdict("reassembly order is a poset", poset_ok, "reassembly poset")
     conv_ok, _ = antipode_axiom_check(fam, min(args.n, 3), budget=budget)
-    lines.append(f"antipode convolution identity: {'pass' if conv_ok else 'FAIL'}")
-    if not conv_ok:
-        failures.append("convolution")
+    verdict("antipode convolution identity", conv_ok, "convolution")
 
+    failures = [name for _, passed, name in verdicts if not passed]
     payload = {"family": fam.tag, "n": args.n, "axioms": axioms_payload,
                "adjunctions": adj_payload, "reassembly_poset": poset_ok,
                "convolution": conv_ok, "passed": not failures}
-    lines.append("all checks passed" if not failures
-                 else f"FAILED: {', '.join(failures)}")
+    lines = [text for text, _, _ in verdicts]
+    lines.append(f"FAILED: {', '.join(failures)}" if failures else "all checks passed")
     _emit(args, payload, lines)
-    return EXIT_OK if not failures else EXIT_VERIFY
+    return EXIT_VERIFY if failures else EXIT_OK
 
 
 def _reassembly_poset_axioms(fam, n: int, budget: int) -> bool:

@@ -72,7 +72,7 @@ class FinitePoset:
         spread(a) holds bit i of a at bit i * |Q|, so the copies of b land
         in disjoint blocks of |Q| bits and nothing carries."""
         gap = "0" * (len(q.elems) - 1)
-        spread = lambda a: int(gap.join(bin(a)[2:]), 2)  # a itself when |Q| = 1
+        spread = (lambda a: int(gap.join(bin(a)[2:]), 2)) if gap else (lambda a: a)
         up, down = ([b * s for s in map(spread, p_sets) for b in q_sets]
                     for p_sets, q_sets in ((p.up, q.up), (p.down, q.down)))
         return cls(((u, v) for u in p.elems for v in q.elems), up, down)
@@ -190,20 +190,19 @@ def rota_transfer_check(p: FinitePoset, q: FinitePoset, f, g) -> GaloisReport:
     """Rota's transfer along a Galois connection, for every pair (x, b) of
     P x Q in one pass: the sum of mu_P(x, y) over the y >= x with f(y) = b
     equals the sum of mu_Q(a, b) over the a <= b with g(a) = x.  f and g
-    are applied once per element; each row mu_P(x, .) of `FinitePoset.mu`
-    is summed by f, and each row mu_Q(., b), row b of the opposite order,
-    by g.  The witness is the first failing (x, b), least x then least b,
-    and the reason names its two sums."""
+    are applied once per element, and each order's own rows mu(a, .)
+    (`FinitePoset.mu`) are read: mu_P(x, y) is added at (x, f(y)) and
+    mu_Q(a, b) subtracted at (g(a), b).  The witness is the first failing
+    (x, b), least x then least b, and the reason names its two sums."""
     fx = [q.index[f(x)] for x in p.elems]
     gy = [p.index[g(y)] for y in q.elems]
     diff: dict = {}  # (i, j) -> the left sum minus the right sum, where nonzero
     for i in range(len(p.elems)):
         for k, m in p.mu(i).items():
             _accumulate(diff, (i, fx[k]), m)
-    opposite = q.reverse()
     for j in range(len(q.elems)):
-        for k, m in opposite.mu(j).items():
-            _accumulate(diff, (gy[k], j), -m)
+        for k, m in q.mu(j).items():
+            _accumulate(diff, (gy[j], k), -m)
     if not diff:
         return GaloisReport(True)
     i, j = min(diff)

@@ -271,7 +271,8 @@ class _Carriers(dict):
     position, so the checks compare positions.  `product`, `split` and
     `relabelling` memoize the family's public maps, with their checks, on
     positions, and `key` the order key: each value is computed once per
-    table."""
+    table.  `splits` lists the splits (k, S, T) of 0..k-1 for k <= n, k
+    ascending, then S in bitmask order."""
 
     def __init__(self, fam: Family, n: int, budget: int):
         self.fam, self.budget, self.elems = fam, budget, []
@@ -283,6 +284,8 @@ class _Carriers(dict):
         self.key = _Memo(lambda i: fam.order_key(self.elems[i]))
         self._maps: dict = {}
         super().__init__((k, self.sub[frozenset(range(k))]) for k in range(n + 1))
+        _check_relabel_budget(self)  # before the 2^k splits of each k are listed
+        self.splits = [(k, S, T) for k in self for S, T in _splits(frozenset(range(k)))]
 
     def name(self, i: int) -> str:
         return self.elems[i].encode()
@@ -309,27 +312,13 @@ def verify_axioms(fam: Family, n: int, budget: int = DEFAULT_BUDGET) -> AxiomRep
     """Exhaustively check the monoid/comonoid/Hopf axioms on carriers of
     size up to n, plus (co)commutativity and, when the family carries a
     native order, order-preservation of the structure maps.  The checks
-    compare positions in one value table (`_Carriers`) case by case."""
+    of `_CHECKS` compare positions in one value table (`_Carriers`)."""
     report = AxiomReport(fam.tag, n)
     carriers = _Carriers(fam, n, budget)
-    _check_relabel_budget(carriers)
-
-    def record(name, witness):
+    checks = _CHECKS if fam.order_key is not None else _CHECKS[:-2]
+    for name, check in checks:
+        witness = check(carriers)
         report.results.append(AxiomResult(name, witness is None, witness))
-
-    record("relabel_functorial", _check_relabel_functorial(carriers))
-    record("naturality_mult", _check_naturality_mult(carriers))
-    record("naturality_comult", _check_naturality_comult(carriers))
-    record("unitality", _check_unitality(carriers))
-    record("counitality", _check_counitality(carriers))
-    record("associativity", _check_associativity(carriers))
-    record("coassociativity", _check_coassociativity(carriers))
-    record("compatibility", _check_compatibility(carriers))
-    record("commutativity", _check_commutativity(carriers))
-    record("cocommutativity", _check_cocommutativity(carriers))
-    if fam.order_key is not None:
-        record("order_preservation_mult", _check_order_mult(carriers))
-        record("order_preservation_comult", _check_order_comult(carriers))
     return report
 
 
@@ -385,38 +374,34 @@ def _check_relabel_budget(carriers) -> None:
 
 def _check_naturality_mult(carriers):
     product = carriers.product
-    for k in carriers:
-        labels = frozenset(range(k))
-        for S, T in _splits(labels):
-            xs = carriers.sub[S]
-            ys = carriers.sub[T]
-            for f in _bijections(labels):
-                rf = carriers.relabelling(f)
-                rS = carriers.relabelling({i: f[i] for i in S})
-                rT = carriers.relabelling({i: f[i] for i in T})
-                for x in xs:
-                    for y in ys:
-                        if rf[product[x, y]] != product[rS[x], rT[y]]:
-                            return (f"m not natural: x={carriers.name(x)} "
-                                    f"y={carriers.name(y)} f={f}")
+    for _, S, T in carriers.splits:
+        xs = carriers.sub[S]
+        ys = carriers.sub[T]
+        for f in _bijections(S | T):
+            rf = carriers.relabelling(f)
+            rS = carriers.relabelling({i: f[i] for i in S})
+            rT = carriers.relabelling({i: f[i] for i in T})
+            for x in xs:
+                for y in ys:
+                    if rf[product[x, y]] != product[rS[x], rT[y]]:
+                        return (f"m not natural: x={carriers.name(x)} "
+                                f"y={carriers.name(y)} f={f}")
     return None
 
 
 def _check_naturality_comult(carriers):
     # factor order follows the merge diagram: sigma(S) with x|S
-    for k, carrier in carriers.items():
-        labels = frozenset(range(k))
-        for S, T in _splits(labels):
-            split = carriers.split(S, T)
-            for f in _bijections(labels):
-                fS = {i: f[i] for i in S}
-                fT = {i: f[i] for i in T}
-                rf, rS, rT = map(carriers.relabelling, (f, fS, fT))
-                split_f = carriers.split(fS.values(), fT.values())
-                for x in carrier:
-                    x1, x2 = split[x]
-                    if split_f[rf[x]] != (rS[x1], rT[x2]):
-                        return f"delta not natural: x={carriers.name(x)} f={f}"
+    for k, S, T in carriers.splits:
+        split = carriers.split(S, T)
+        for f in _bijections(S | T):
+            fS = {i: f[i] for i in S}
+            fT = {i: f[i] for i in T}
+            rf, rS, rT = map(carriers.relabelling, (f, fS, fT))
+            split_f = carriers.split(fS.values(), fT.values())
+            for x in carriers[k]:
+                x1, x2 = split[x]
+                if split_f[rf[x]] != (rS[x1], rT[x2]):
+                    return f"delta not natural: x={carriers.name(x)} f={f}"
     return None
 
 
@@ -443,114 +428,116 @@ def _check_counitality(carriers):
 
 def _check_associativity(carriers):
     product, name = carriers.product, carriers.name
-    for k in carriers:
-        labels = frozenset(range(k))
-        for S, rest in _splits(labels):
-            for T, R in _splits(rest):
-                for x in carriers.sub[S]:
-                    for y in carriers.sub[T]:
-                        for z in carriers.sub[R]:
-                            if product[product[x, y], z] != product[x, product[y, z]]:
-                                return f"assoc fails: {name(x)},{name(y)},{name(z)}"
+    for _, S, rest in carriers.splits:
+        for T, R in _splits(rest):
+            for x in carriers.sub[S]:
+                for y in carriers.sub[T]:
+                    for z in carriers.sub[R]:
+                        if product[product[x, y], z] != product[x, product[y, z]]:
+                            return f"assoc fails: {name(x)},{name(y)},{name(z)}"
     return None
 
 
 def _check_coassociativity(carriers):
-    for k, carrier in carriers.items():
-        labels = frozenset(range(k))
-        for S, rest in _splits(labels):
-            for T, R in _splits(rest):
-                left, right = carriers.split(S, rest), carriers.split(T, R)
-                outer, inner = carriers.split(S | T, R), carriers.split(S, T)
-                for x in carrier:
-                    xs, xr1 = left[x]
-                    xt, xr = right[xr1]
-                    x_st, xr2 = outer[x]
-                    xs2, xt2 = inner[x_st]
-                    if (xs, xt, xr) != (xs2, xt2, xr2):
-                        return (f"coassoc fails on {carriers.name(x)} "
-                                f"split {sorted(S)}|{sorted(T)}|{sorted(R)}")
+    for k, S, rest in carriers.splits:
+        for T, R in _splits(rest):
+            left, right = carriers.split(S, rest), carriers.split(T, R)
+            outer, inner = carriers.split(S | T, R), carriers.split(S, T)
+            for x in carriers[k]:
+                xs, xr1 = left[x]
+                xt, xr = right[xr1]
+                x_st, xr2 = outer[x]
+                xs2, xt2 = inner[x_st]
+                if (xs, xt, xr) != (xs2, xt2, xr2):
+                    return (f"coassoc fails on {carriers.name(x)} "
+                            f"split {sorted(S)}|{sorted(T)}|{sorted(R)}")
     return None
 
 
 def _check_compatibility(carriers):
     product = carriers.product
-    for k in carriers:
-        labels = frozenset(range(k))
-        for S1, S2 in _splits(labels):
-            xs = carriers.sub[S1]
-            ys = carriers.sub[S2]
-            for T1, T2 in _splits(labels):
-                split = carriers.split(T1, T2)
-                split_x = carriers.split(S1 & T1, S1 & T2)
-                split_y = carriers.split(S2 & T1, S2 & T2)
-                for x in xs:
-                    for y in ys:
-                        (xa, xb), (yc, yd) = split_x[x], split_y[y]
-                        if split[product[x, y]] != (product[xa, yc], product[xb, yd]):
-                            return (f"compatibility fails: x={carriers.name(x)} "
-                                    f"y={carriers.name(y)} T1={sorted(T1)}")
+    for _, S1, S2 in carriers.splits:
+        xs = carriers.sub[S1]
+        ys = carriers.sub[S2]
+        for T1, T2 in _splits(S1 | S2):
+            split = carriers.split(T1, T2)
+            split_x = carriers.split(S1 & T1, S1 & T2)
+            split_y = carriers.split(S2 & T1, S2 & T2)
+            for x in xs:
+                for y in ys:
+                    (xa, xb), (yc, yd) = split_x[x], split_y[y]
+                    if split[product[x, y]] != (product[xa, yc], product[xb, yd]):
+                        return (f"compatibility fails: x={carriers.name(x)} "
+                                f"y={carriers.name(y)} T1={sorted(T1)}")
     return None
 
 
 def _check_commutativity(carriers):
     product = carriers.product
-    for k in carriers:
-        labels = frozenset(range(k))
-        for S, T in _splits(labels):
-            for x in carriers.sub[S]:
-                for y in carriers.sub[T]:
-                    if product[x, y] != product[y, x]:
-                        return (f"m not commutative on {carriers.name(x)}, "
-                                f"{carriers.name(y)}")
+    for _, S, T in carriers.splits:
+        for x in carriers.sub[S]:
+            for y in carriers.sub[T]:
+                if product[x, y] != product[y, x]:
+                    return (f"m not commutative on {carriers.name(x)}, "
+                            f"{carriers.name(y)}")
     return None
 
 
 def _check_cocommutativity(carriers):
-    for k, carrier in carriers.items():
-        labels = frozenset(range(k))
-        for S, T in _splits(labels):
-            split_ST, split_TS = carriers.split(S, T), carriers.split(T, S)
-            for x in carrier:
-                if split_ST[x] != split_TS[x][::-1]:
-                    return f"delta not cocommutative on {carriers.name(x)}"
+    for k, S, T in carriers.splits:
+        split_ST, split_TS = carriers.split(S, T), carriers.split(T, S)
+        for x in carriers[k]:
+            if split_ST[x] != split_TS[x][::-1]:
+                return f"delta not cocommutative on {carriers.name(x)}"
     return None
 
 
 def _check_order_mult(carriers):
     key = carriers.key
-    for k in carriers:
-        labels = frozenset(range(k))
-        for S, T in _splits(labels):
-            xs = carriers.sub[S]
-            ys = carriers.sub[T]
-            xkeys = [key[x] for x in xs]
-            ykeys = [key[y] for y in ys]
-            prods = [[key[carriers.product[x, y]] for y in ys] for x in xs]
-            for x1, k1, p1 in zip(xs, xkeys, prods):
-                for k2, p2 in zip(xkeys, prods):
-                    if k1 & ~k2:
-                        continue
-                    for l1, q1 in zip(ykeys, p1):
-                        for l2, q2 in zip(ykeys, p2):
-                            if not l1 & ~l2 and q1 & ~q2:
-                                return f"m not order-preserving at {carriers.name(x1)}"
+    for _, S, T in carriers.splits:
+        xs = carriers.sub[S]
+        ys = carriers.sub[T]
+        xkeys = [key[x] for x in xs]
+        ykeys = [key[y] for y in ys]
+        prods = [[key[carriers.product[x, y]] for y in ys] for x in xs]
+        for x1, k1, p1 in zip(xs, xkeys, prods):
+            for k2, p2 in zip(xkeys, prods):
+                if k1 & ~k2:
+                    continue
+                for l1, q1 in zip(ykeys, p1):
+                    for l2, q2 in zip(ykeys, p2):
+                        if not l1 & ~l2 and q1 & ~q2:
+                            return f"m not order-preserving at {carriers.name(x1)}"
     return None
 
 
 def _check_order_comult(carriers):
     key = carriers.key
-    for k, carrier in carriers.items():
-        labels = frozenset(range(k))
+    for k, S, T in carriers.splits:
+        carrier = carriers[k]
         keys = [key[x] for x in carrier]
-        for S, T in _splits(labels):
-            split = carriers.split(S, T)
-            splits = [(key[a], key[b]) for a, b in map(split.__getitem__, carrier)]
-            for x, kx, (xa, xb) in zip(carrier, keys, splits):
-                for ky, (ya, yb) in zip(keys, splits):
-                    if not kx & ~ky and (xa & ~ya or xb & ~yb):
-                        return f"delta not order-preserving at {carriers.name(x)}"
+        split = carriers.split(S, T)
+        splits = [(key[a], key[b]) for a, b in map(split.__getitem__, carrier)]
+        for x, kx, (xa, xb) in zip(carrier, keys, splits):
+            for ky, (ya, yb) in zip(keys, splits):
+                if not kx & ~ky and (xa & ~ya or xb & ~yb):
+                    return f"delta not order-preserving at {carriers.name(x)}"
     return None
+
+
+# (name, check) in report order, the two order checks last
+_CHECKS = (("relabel_functorial", _check_relabel_functorial),
+           ("naturality_mult", _check_naturality_mult),
+           ("naturality_comult", _check_naturality_comult),
+           ("unitality", _check_unitality),
+           ("counitality", _check_counitality),
+           ("associativity", _check_associativity),
+           ("coassociativity", _check_coassociativity),
+           ("compatibility", _check_compatibility),
+           ("commutativity", _check_commutativity),
+           ("cocommutativity", _check_cocommutativity),
+           ("order_preservation_mult", _check_order_mult),
+           ("order_preservation_comult", _check_order_comult))
 
 
 def verify_delta_after_mult_identity(fam: Family, n: int,

@@ -176,24 +176,30 @@ def split_galois_setup(fam, poset_for, box, S, T) -> tuple:
             lambda z: fam.comult(z, S, T), lambda pair: box(*pair))
 
 
+def _galois_splits(fam, poset_for, box, labels) -> GaloisReport:
+    """`check_galois` on each split (S, labels - S), S in bitmask order;
+    the first failure's witness is (x, y, z, S, T)."""
+    for S in subsets(labels):
+        T = labels - S
+        report = check_galois(*split_galois_setup(fam, poset_for, box, S, T))
+        if not report.ok:
+            x, (y, z) = report.witness
+            return GaloisReport(False, report.reason, (x, y, z, S, T))
+    return GaloisReport(True)
+
+
 def duality_pairing_check(fam, poset_for, box, n: int) -> GaloisReport:
     """Check <Delta_{S,T}(x), y (x) z> == <x, y box z> for all structures
     and splits on label sets of size up to n.
 
     `poset_for(labels)` supplies the order.  The tensor pairing is the
     zeta function of the product order, so on each split this is the
-    Galois biconditional split(x) <= (y, z) iff x <= y box z, which
-    `check_galois` scans; the witness (x, y, z, S, T) is its first
+    Galois biconditional split(x) <= (y, z) iff x <= y box z: the pairing
+    is the split loop of `Adjunction.verify_all_splits` run on each label
+    set 0..k-1, k = 0..n.  The witness (x, y, z, S, T) is the first
     failure, x first, then (y, z) in product order."""
-    for k in range(n + 1):
-        labels = frozenset(range(k))
-        for S in subsets(labels):
-            T = labels - S
-            report = check_galois(*split_galois_setup(fam, poset_for, box, S, T))
-            if not report.ok:
-                x, (y, z) = report.witness
-                return GaloisReport(False, report.reason, (x, y, z, S, T))
-    return GaloisReport(True)
+    reports = (_galois_splits(fam, poset_for, box, frozenset(range(k))) for k in range(n + 1))
+    return next((report for report in reports if not report.ok), GaloisReport(True))
 
 
 def product_of_inverted_check(fam, poset_for, x, y):

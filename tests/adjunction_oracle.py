@@ -7,9 +7,11 @@ Galois check replaced, kept as the oracle for them.
   scans the biconditional alone.
 
 - `duality_by_triples` checks the zeta duality <Delta(x), y (x) z> ==
-  <x, y box z> by a loop over every (x, y, z) of each split, where
-  `hsl.vectors.duality_pairing_check` runs the Galois biconditional scan
-  of `hsl.posets` on the product order.
+  <x, y box z> by a loop over every (x, y, z) of each split
+  (`first_failing_triple`, one label set), where
+  `hsl.vectors.duality_pairing_check` and
+  `hsl.antipode.Adjunction.verify_all_splits` run the Galois
+  biconditional scan of `hsl.posets` on the product order.
 - `merge_split_setup` is the check of merge -| split on the native
   order, merge from the product order into the order on S | T and split
   back, where `hsl.vectors.split_galois_setup` sets up split -| merge on the
@@ -85,23 +87,32 @@ def three_scan_check_galois(p: FinitePoset, q: FinitePoset, f, g) -> GaloisRepor
 
 
 def duality_by_triples(fam, poset_for, box, n: int):
-    """(ok, witness) with witness (x, y, z, S, T), the first failure with
-    x in element order, then y, then z."""
+    """(ok, witness) with witness (x, y, z, S, T), the first failure on
+    the label sets 0..k-1, k = 0..n (`first_failing_triple`)."""
     for k in range(n + 1):
-        labels = frozenset(range(k))
-        p = poset_for(labels)
-        for S in subsets(labels):
-            T = labels - S
-            ps = poset_for(S)
-            pt = poset_for(T)
-            for x in p.elems:
-                x1, x2 = fam.comult(x, S, T)
-                for y in ps.elems:
-                    for z in pt.elems:
-                        lhs = ps.leq(x1, y) and pt.leq(x2, z)
-                        if lhs != p.leq(x, box(y, z)):
-                            return False, (x, y, z, S, T)
+        witness = first_failing_triple(fam, poset_for, box, frozenset(range(k)))
+        if witness is not None:
+            return False, witness
     return True, None
+
+
+def first_failing_triple(fam, poset_for, box, labels):
+    """The first (x, y, z, S, T) over the splits of labels, S in bitmask
+    order, then x in element order, then y, then z, at which
+    <Delta_{S,T}(x), y (x) z> and <x, y box z> differ, or None."""
+    p = poset_for(labels)
+    for S in subsets(labels):
+        T = labels - S
+        ps = poset_for(S)
+        pt = poset_for(T)
+        for x in p.elems:
+            x1, x2 = fam.comult(x, S, T)
+            for y in ps.elems:
+                for z in pt.elems:
+                    lhs = ps.leq(x1, y) and pt.leq(x2, z)
+                    if lhs != p.leq(x, box(y, z)):
+                        return x, y, z, S, T
+    return None
 
 
 def merge_split_setup(fam, S, T, budget):

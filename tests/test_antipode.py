@@ -21,7 +21,8 @@ from hsl.posets import check_galois
 from hsl.species import _native_poset, _partitions, subsets
 from hsl.vectors import FreeVector, comult_vector, inverted_basis
 import literal_oracle as lit
-from adjunction_oracle import inverted_check_by_view, merge_split_setup
+from adjunction_oracle import (first_failing_triple, inverted_check_by_view,
+                               merge_split_setup)
 from literal_oracle import (factorize, graded_char_eval, grading,
                             literal_poset, reassemble)
 from partition_oracle import compositions, set_partitions
@@ -682,6 +683,21 @@ def test_declared_adjunctions_verify_n2():
     for fam in FAMILIES.values():
         for adj in declared_adjunctions(fam):
             assert adj.verify_all_splits(frozenset(range(2))).ok
+
+
+def test_verify_all_splits_names_the_failing_split(monkeypatch):
+    # with the merge for the free product, split -| box fails on graphs
+    # from 2 labels on; the witness is the first failing (x, y, z, S, T)
+    # of the triple loop over that label set's splits
+    monkeypatch.setattr(Adjunction, "box", lambda self, x, y: self.family.mult(x, y))
+    adj = Adjunction(GRAPHS, "delta_box")
+    for n in (2, 3):
+        labels = frozenset(range(n))
+        report = adj.verify_all_splits(labels)
+        expected = first_failing_triple(GRAPHS, adj.poset, adj.box, labels)
+        assert expected is not None
+        assert (report.ok, report.reason) == (False, "adjunction biconditional fails")
+        assert report.witness == expected, n
 
 
 def test_adjunction_rejects_undeclared_kind():

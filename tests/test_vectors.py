@@ -10,7 +10,7 @@ from hsl.errors import AmbientMismatch
 from hsl.families import (FAMILIES, GRAPHS, HYPERGRAPHS, PARTITIONS,
                           SIMPLICIAL, Graph, SetPartition,
                           free_vector_from_json, parse_structure)
-from hsl.posets import GaloisReport, IntPolynomial, rota_transfer_check
+from hsl.posets import FinitePoset, GaloisReport, IntPolynomial, rota_transfer_check
 from hsl.species import subsets
 from hsl.vectors import (FreeVector, TensorVector, comult_vector,
                          duality_pairing_check, inverted_basis, mult_tensor,
@@ -369,6 +369,27 @@ def test_transfer_scan_is_the_inverted_coproduct():
                         failures += 1
                         assert report.witness[0] == first, (fam.tag, sorted(S))
             assert (failures == 0) is verdict, fam.tag
+
+
+def test_transfer_scan_reads_each_orders_own_rows(monkeypatch):
+    # the scan reads mu_Q(a, .) off Q itself and builds no opposite order:
+    # with `reverse` refused, its verdicts and witnesses on every split of
+    # 0-2 labels still equal the per-pair oracle's
+    failing, passing = merge_setups()
+    setups = [split_galois_setup(fam, poset_for, box, S, frozenset(range(n)) - S)
+              for fam, poset_for, box in failing + passing
+              for n in range(3) for S in subsets(frozenset(range(n)))]
+    expected = [first_transfer_failure(*setup) for setup in setups]
+
+    def refuse(self):
+        raise AssertionError("the transfer scan built an opposite order")
+
+    monkeypatch.setattr(FinitePoset, "reverse", refuse)
+    for setup, first in zip(setups, expected):
+        report = rota_transfer_check(*setup)
+        assert report.ok is (first is None)
+        assert report.witness == (first and first[:2])
+    assert any(expected) and not all(expected)
 
 
 def test_inverted_basis_matches_per_term_mobius():
