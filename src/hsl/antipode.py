@@ -20,8 +20,8 @@ from math import factorial
 from .errors import (DEFAULT_BUDGET, AmbientMismatch, EngineError,
                      LabelMismatch, NonUniqueFactorization, NotSelfAdjoint)
 from .families import SetPartition, _of, _split, _union, partition_masks
-from .posets import (FinitePoset, GaloisReport, _Record, _bits,
-                     _containment_upsets, check_galois)
+from .posets import (FinitePoset, GaloisReport, _Record, _containment_upsets,
+                     _positions, check_galois)
 from .species import (Family, _Memo, _partitions, check_set_partition_budget,
                       check_subset_budget, reassemble, subsets)
 from .vectors import FreeVector, _galois_splits, inverted_basis, split_galois_setup
@@ -339,11 +339,16 @@ class ClosedFormAntipode(_Record):
 def _reassembly_images(x, table: tuple) -> tuple:
     """(elems, down, ell) for the up-set of x in the reassembly order, from
     the restriction table of x that passed the gate: `elems` are the
-    distinct images of the table, one structure each, in the order of
-    their first partitions (the one-block partition comes first, so
-    elems[0] is x), down[i] is the bitmask over `elems` of the images at
-    or below elems[i], and ell[i] is the grading of elems[i].  No image is
-    encoded, and nothing is built per partition of the labels.
+    distinct images of the table, one structure each, down[i] is the
+    bitmask over `elems` of the images at or below elems[i], and ell[i] is
+    the grading of elems[i].  No image is encoded, and nothing is built
+    per partition of the labels.
+
+    The images are in the order of their finest partitions pi0 in
+    `_partitions`, which lists a partition before each that strictly
+    refines it (`hsl.species._partitions`).  That order is a linear
+    extension: z < w means pi0(w) strictly refines pi0(z) (see below); x,
+    below every other image, comes first.
 
     The images are img(pi) = reassemble(pi, x) over the set partitions pi
     of the labels, and by the gate img(pi) is the product of the r(B) over
@@ -354,10 +359,10 @@ def _reassembly_images(x, table: tuple) -> tuple:
     So if img(pi) = img(sigma) = y, then img(pi meet sigma) = reassemble(y,
     sigma) = img(sigma) = y, on the kernel and through the maps alike: the
     partitions giving y are closed under meets.  Their meet pi0(y) refines
-    them all and alone has the most blocks, so it is y's first partition
-    with most blocks.  Then z >= y iff pi0(z) refines pi0(y): z is some
-    img(rho) with rho refining pi0(y), and pi0(z) refines that rho; the
-    converse takes rho = pi0(z).  A partition refines another iff its
+    them all, so it is the last partition giving y, the one a dict pass
+    over the table keeps.  Then z >= y iff pi0(z) refines pi0(y): z is
+    some img(rho) with rho refining pi0(y), and pi0(z) refines that rho;
+    the converse takes rho = pi0(z).  A partition refines another iff its
     same-block pairs lie among the other's, inside(pi) of `SetPartition`,
     so the down-sets are one containment compile over the inside(pi0(y))
     of the distinct images (`_containment_upsets`).
@@ -370,14 +375,10 @@ def _reassembly_images(x, table: tuple) -> tuple:
     B in two would give y from a finer partition.  So y is a product of
     |pi0| indecomposables, and by unique factorization ell(y) = |pi0|."""
     img, image, grades = table
-    parts = _partitions(len(x.labels))
-    finest: dict = {}  # each distinct image, by first partition: pi0 of it
-    for j, y in enumerate(img):
-        if len(parts[j]) > len(parts[finest.setdefault(y, j)]):
-            finest[y] = j
+    pi0 = sorted(dict(zip(img, range(len(img)))).values())  # each image's last partition
     masks = partition_masks(SetPartition, frozenset(range(len(x.labels))))
-    down = _containment_upsets([masks[j] for j in finest.values()])
-    return list(map(image, finest)), down, grades(finest.values())
+    down = _containment_upsets([masks[j] for j in pi0])
+    return [image(img[j]) for j in pi0], down, grades(pi0)
 
 
 def _upset_walk(fam: Family, x, budget: int) -> tuple:
@@ -391,14 +392,15 @@ def _upset_walk(fam: Family, x, budget: int) -> tuple:
     mu(z, y) s(z) over x <= z <= y, sums over [x, w] to s(w): it is the
     Möbius inversion of s along the up-set of x, as mu(x, .) is that of
     the delta at x.  Every image lies above x, so [x, w] is the down-set
-    of w, and one pass over the images by down-set size (a linear
-    extension) gives all three."""
+    of w, and one pass over the images in their order, which is a linear
+    extension (`_reassembly_images`), gives all three, each below-set
+    read once from the bit kernel."""
     check_set_partition_budget(len(x.labels), budget)
     elems, down, ell = _reassembly_images(x, require_self_adjoint(fam, x))
     sign = [(-1) ** k for k in ell]
     mu, upper, signed, lower = ([0] * len(elems) for _ in range(4))
-    for w in sorted(range(len(elems)), key=lambda w: down[w].bit_count()):
-        below = list(_bits(down[w] ^ 1 << w))  # one bit step per pair for all three rows
+    for w, mask in enumerate(down):
+        below = _positions(mask ^ 1 << w)
         mu[w] = (w == 0) - sum(map(mu.__getitem__, below))  # elems[0] is x
         upper[w] = sign[w] - sum(map(upper.__getitem__, below))
         signed[w] = mu[w] * sign[w]  # mu(x, w) s(w)

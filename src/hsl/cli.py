@@ -24,7 +24,7 @@ from .antipode import (_primitives_by_indecomposable, antipode_axiom_check,
 from .errors import (CarrierOverflow, DEFAULT_BUDGET, EngineError,
                      NotSelfAdjoint, ParseError)
 from .families import FAMILIES, parse_label_count, parse_structure
-from .posets import _bits
+from .posets import _positions
 from .species import (check_set_partition_budget, check_subset_budget,
                       verify_axioms)
 from .vectors import duality_pairing_check
@@ -195,7 +195,7 @@ def _reassembly_poset_axioms(fam, n: int, budget: int) -> bool:
     for i, mask in enumerate(up):
         if not mask >> i & 1 or mask & down[i] != 1 << i:
             return False
-        if any(up[k] & ~mask for k in _bits(mask)):
+        if any(up[k] & ~mask for k in _positions(mask)):
             return False
     return True
 

@@ -32,8 +32,8 @@ per class and label set, in the order of `_partitions`, and the
 antipode's reassemblies and the order of its images, the partition
 carrier, the refinements and the flats all read it.  The family formulas
 run on the same ints: each quotient of a flat comes out canonical, and
-the chromatic cache, which also counts acyclic orientations, is keyed by
-a graph's canonical (k, bits) on 0..k-1.
+the chromatic cache and the integer acyclic-orientation memo are keyed
+by a graph's canonical (k, bits) on 0..k-1.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from operator import or_
 
 from .errors import (DEFAULT_BUDGET, CarrierOverflow, LabelMismatch, NotAFlat,
                      ParseError)
-from .posets import IntPolynomial, _bits
+from .posets import IntPolynomial, _positions
 from .species import (Family, _partitions, bell, check_label_set,
                       check_set_partition_budget, subsets)
 from .vectors import FreeVector
@@ -81,12 +81,6 @@ def _pair_of(k: int) -> tuple:
 def _mask(S) -> int:
     """The label bitmask of S: the bit of S as a hyperedge or a face."""
     return sum(1 << v for v in S)
-
-
-@lru_cache(maxsize=4096)
-def _members(m: int) -> tuple:
-    """The positions of the set bits of m, ascending."""
-    return tuple(_bits(m))
 
 
 # Restriction masks, one per label set: the bounds are far above the label
@@ -140,7 +134,7 @@ def _holding(top: int) -> tuple:
 def _image_pairs(f: dict, bits: int) -> int:
     """The pair bits of f's images of the pairs at `bits`, less loops."""
     out = 0
-    for k in _bits(bits):
+    for k in _positions(bits):
         i, j = _pair_of(k)
         a, b = f[i], f[j]
         if a != b:
@@ -151,12 +145,12 @@ def _image_pairs(f: dict, bits: int) -> int:
 def _image_subsets(f: dict, bits: int) -> int:
     """The subset bits of f's images of the subsets at `bits`; f is 1-1."""
     out = 0
-    for m in _bits(bits):
-        out |= _bit(_mask(f[v] for v in _members(m)))
+    for m in _positions(bits):
+        out |= _bit(_mask(f[v] for v in _positions(m)))
     return out
 
 
-# Encoding texts, one per pair, subset or block: bounded like `_members`.
+# Encoding texts, one per pair, subset or block: bounded like the bit kernel's cache.
 @lru_cache(maxsize=4096)
 def _pair_text(k: int) -> tuple:
     """(sort key, text) of the pair (i, j) at bit k: the key orders pairs
@@ -169,14 +163,14 @@ def _pair_text(k: int) -> tuple:
 def _subset_text(m: int) -> tuple:
     """(sort key, text) of the subset at bit m: the key orders subsets by
     (size, lex), the text is its members joined by ","."""
-    members = _members(m)
+    members = _positions(m)
     return (len(members), members), ",".join(map(str, members))
 
 
 @lru_cache(maxsize=4096)
 def _block_text(m: int, sep: str) -> str:
     """The members of the label bitmask m joined by sep."""
-    return sep.join(map(str, _members(m)))
+    return sep.join(map(str, _positions(m)))
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +249,10 @@ class Graph(_Structure):
 
     @property
     def edges(self) -> frozenset:
-        return frozenset(frozenset(_pair_of(k)) for k in _bits(self.bits))
+        return frozenset(frozenset(_pair_of(k)) for k in _positions(self.bits))
 
     def encode(self) -> str:
-        edges = [text for _, text in sorted(map(_pair_text, _bits(self.bits)))]
+        edges = [text for _, text in sorted(map(_pair_text, _positions(self.bits)))]
         return f"G:n={len(self.labels)};E=" + ",".join(edges)
 
     def complement(self) -> "Graph":
@@ -280,10 +274,10 @@ class Hypergraph(_Structure):
 
     @property
     def edges(self) -> frozenset:
-        return frozenset(map(frozenset, map(_members, _bits(self.bits))))
+        return frozenset(map(frozenset, map(_positions, _positions(self.bits))))
 
     def encode(self) -> str:
-        edges = [text for _, text in sorted(map(_subset_text, _bits(self.bits)))]
+        edges = [text for _, text in sorted(map(_subset_text, _positions(self.bits)))]
         body = "{" + "};{".join(edges) + "}" if edges else ""
         return f"H:n={len(self.labels)};E=" + body
 
@@ -314,7 +308,7 @@ class SimplicialComplex(_Structure):
 
     @property
     def faces(self) -> frozenset:
-        return frozenset(map(frozenset, map(_members, _bits(self.bits))))
+        return frozenset(map(frozenset, map(_positions, _positions(self.bits))))
 
     def _facet_bits(self) -> int:
         """The bits of the facets, the faces under no face one label larger."""
@@ -325,7 +319,7 @@ class SimplicialComplex(_Structure):
         return faces & ~covered
 
     def encode(self) -> str:
-        facets = sorted(map(_subset_text, _bits(self._facet_bits())))
+        facets = sorted(map(_subset_text, _positions(self._facet_bits())))
         facets = [text for _, text in facets]
         return f"S:n={len(self.labels)};F=" + ";F=".join(facets)
 
@@ -373,7 +367,7 @@ class SetPartition(_Structure):
 
     @property
     def blocks(self) -> tuple:
-        return tuple(frozenset(_members(m)) for m in self.block_masks())
+        return tuple(frozenset(_positions(m)) for m in self.block_masks())
 
     def encode(self) -> str:
         sep = "," if self.labels and max(self.labels) > 9 else ""
@@ -468,18 +462,11 @@ def _components(labels, groups) -> tuple:
     for group in groups:  # the components that a group meets become one
         met = [c for c in comps if c & group]
         comps = [c for c in comps if not c & group] + [sum(met)]
-    return tuple(frozenset(_members(c)) for c in sorted(comps, key=lambda c: c & -c))
-
-
-def _edge_masks(bits: int):
-    """The label bitmask of each pair at `bits`."""
-    for k in _bits(bits):
-        i, j = _pair_of(k)
-        yield 1 << i | 1 << j
+    return tuple(frozenset(_positions(c)) for c in sorted(comps, key=lambda c: c & -c))
 
 
 def graph_components(g: Graph) -> tuple:
-    return _components(g.labels, _edge_masks(g.bits))
+    return _components(g.labels, (_mask(_pair_of(k)) for k in _positions(g.bits)))
 
 
 def is_connected(x) -> bool:
@@ -488,7 +475,7 @@ def is_connected(x) -> bool:
     if isinstance(x, Graph):
         return len(graph_components(x)) == 1
     if isinstance(x, Hypergraph):  # each hyperedge bit is its label bitmask
-        return len(_components(x.labels, _bits(x.bits))) == 1
+        return len(_components(x.labels, _positions(x.bits))) == 1
     raise TypeError(f"no connectivity notion for {type(x)}")
 
 
@@ -663,7 +650,7 @@ def _flats(g: Graph) -> list:
     check_set_partition_budget(n, DEFAULT_BUDGET)
     position = {v: 1 << i for i, v in enumerate(labels)}
     adjacent = dict.fromkeys(labels, 0)
-    for k in _bits(g.bits):
+    for k in _positions(g.bits):
         a, b = _pair_of(k)
         adjacent[a] |= position[b]
         adjacent[b] |= position[a]
@@ -724,7 +711,7 @@ def acyclic_orientations_brute(g: Graph) -> int:
     would.  Otherwise every reach holding tail gains reach[head].  Each
     acyclic orientation is one leaf, built once: an exhaustive count,
     independent of the chromatic polynomial it is checked against."""
-    edges = sorted(map(_pair_of, _bits(g.bits)))
+    edges = sorted(map(_pair_of, _positions(g.bits)))
     if len(edges) > 20:
         raise CarrierOverflow(
             f"{len(edges)} edges is too many for brute-force orientation")
@@ -753,24 +740,37 @@ def chromatic_polynomial(g: Graph) -> IntPolynomial:
     return _chromatic(*_canonical(g))
 
 
-# One entry per graph on 0..k-1: a closed-form benchmark pass fills 235, K8 92.
+def _contract_edge(k: int, bits: int) -> tuple:
+    """The graph on 0..k-1 less its least edge a-b; that with b merged into a, on 0..k-2."""
+    a, b = min(map(_pair_of, _positions(bits)))
+    rest = bits & ~(1 << _pair(a, b))
+    return rest, _image_pairs([*range(b), a, *range(b, k - 1)], rest)
+
+
+# One entry per graph on 0..k-1: K8 fills 92.
 @lru_cache(maxsize=4096)
 def _chromatic(k: int, bits: int) -> IntPolynomial:
     """The chromatic polynomial of the graph on 0..k-1 with int `bits`."""
     if not bits:
         return IntPolynomial({k: 1})
-    a, b = min(map(_pair_of, _bits(bits)))
-    rest = bits & ~(1 << _pair(a, b))
-    # contract b into a; the labels above b move down one, onto 0..k-2
-    merge = [*range(b), a, *range(b, k - 1)]
-    return _chromatic(k, rest) - _chromatic(k - 1, _image_pairs(merge, rest))
+    rest, merged = _contract_edge(k, bits)
+    return _chromatic(k, rest) - _chromatic(k - 1, merged)
+
+
+# Keyed and bounded like `_chromatic`: a closed-form benchmark pass fills 237.
+@lru_cache(maxsize=4096)
+def _acyclic(k: int, bits: int) -> int:
+    if not bits:
+        return 1
+    rest, merged = _contract_edge(k, bits)
+    return _acyclic(k, rest) + _acyclic(k - 1, merged)
 
 
 def acyclic_orientation_count(g: Graph) -> int:
-    """Number of acyclic orientations: |chi(-1)| (Stanley, 1973), from the
-    cached chromatic polynomial.  `acyclic_orientations_brute` counts them
-    one by one, the oracle the tests and criterion 13 check it against."""
-    return abs(chromatic_polynomial(g).evaluate(-1))
+    """Number of acyclic orientations, |chi(-1)| (Stanley, 1973), by integer
+    deletion-contraction, a(G) = a(G - e) + a(G / e) and 1 with no edge;
+    `acyclic_orientations_brute`, one by one, is its oracle."""
+    return _acyclic(*_canonical(g))
 
 
 # ---------------------------------------------------------------------------
@@ -778,11 +778,8 @@ def acyclic_orientation_count(g: Graph) -> int:
 
 
 def sc_one_skeleton(c: SimplicialComplex) -> Graph:
-    bits = 0
-    for m in _bits(c.bits):
-        if m.bit_count() == 2:
-            bits |= 1 << _pair((m & -m).bit_length() - 1, m.bit_length() - 1)
-    return _of(Graph, c.labels, bits)
+    edges = (_positions(m) for m in _positions(c.bits) if m.bit_count() == 2)
+    return _of(Graph, c.labels, sum(1 << _pair(i, j) for i, j in edges))
 
 
 def sc_gamma_of_flat(c: SimplicialComplex, f: Graph) -> SimplicialComplex:
@@ -797,7 +794,7 @@ def sc_gamma_of_flat(c: SimplicialComplex, f: Graph) -> SimplicialComplex:
 def _gamma(c: SimplicialComplex, blocks) -> SimplicialComplex:
     """The faces of c inside one of the blocks (label masks), and the
     empty face."""
-    inside = reduce(or_, (_subsets_in(frozenset(_members(b))) for b in blocks), 1)
+    inside = reduce(or_, (_subsets_in(frozenset(_positions(b))) for b in blocks), 1)
     return _of(SimplicialComplex, c.labels, c.bits & inside)
 
 
@@ -812,7 +809,7 @@ def _flat_terms(g: Graph):
     sweep."""
     for bits, blocks, quotient in _flats(g):
         k = len(blocks)
-        yield bits, blocks, (-1) ** k * abs(_chromatic(k, quotient).evaluate(-1))
+        yield bits, blocks, (-1) ** k * _acyclic(k, quotient)
 
 
 def closed_form_antipode_graphs(g: Graph) -> FreeVector:
@@ -823,7 +820,7 @@ def closed_form_antipode_graphs(g: Graph) -> FreeVector:
 
 def _refinements(p: SetPartition):
     """All partitions refining p, with the per-block refinement shape."""
-    per_block = [zip(partition_masks(SetPartition, frozenset(_members(m))),
+    per_block = [zip(partition_masks(SetPartition, frozenset(_positions(m))),
                      map(len, _partitions(m.bit_count())))
                  for m in p.block_masks()]
     for choice in product(*per_block):

@@ -7,8 +7,9 @@ engine's result reports.
 A `FinitePoset` keeps its elements (hashable frozen structures, or pairs
 of them) in a fixed order, and each element's up-set and down-set as a
 Python-int bitset over that order, both passed by its builder: comparing
-two elements is a bit test and an interval is one `&`.  Möbius values
-come from one inversion pass along an up-set in a linear extension
+two elements is a bit test, an interval is one `&`, and one kernel,
+`_positions`, reads the set bits of every int.  Möbius values come from
+one inversion pass along an up-set in a linear extension
 (Rota, "On the foundations of combinatorial theory I", 1964).  A
 combination maps keys to nonzero coefficients, exact rationals or, in an
 `IntPolynomial`, ints; it refuses floats.
@@ -18,18 +19,34 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import reduce
-from operator import and_, index
+from functools import lru_cache, reduce
+from operator import and_, index, or_
 
 from .errors import AmbientMismatch, NotComparable
 
 
-def _bits(m: int):
-    """Positions of the set bits of m, lowest first."""
-    while m:
-        low = m & -m
-        yield low.bit_length() - 1
-        m ^= low
+_BYTE = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
+_HIGH = tuple(tuple(8 + i for i in t) for t in _BYTE)  # for the second byte of an int
+
+
+@lru_cache(maxsize=4096)  # ints below 2^64 (keys, structures, small sets) recur
+def _word(m: int) -> tuple:
+    if m < 1 << 16:
+        return _BYTE[m & 255] + _HIGH[m >> 8]
+    data = m.to_bytes(m.bit_length() + 7 >> 3, "little")
+    return tuple([8 * k + i for k, b in enumerate(data) if b for i in _BYTE[b]])
+
+
+def _positions(m: int) -> tuple:
+    """The positions of the set bits of m >= 0, lowest first: the bit
+    kernel, one read of the byte table `_BYTE` per nonzero byte.  Ints
+    below 2^64 are cached (`_word`); wider ones, the sets of large orders,
+    are read afresh, each zero 64-bit word passed over."""
+    if m < 1 << 64:
+        return _word(m)
+    data = m.to_bytes(8 * -(-m.bit_length() // 64), "little")
+    return tuple([8 * k + i for w, word in enumerate(memoryview(data).cast("Q")) if word
+                  for k in range(8 * w, 8 * w + 8) if (b := data[k]) for i in _BYTE[b]])
 
 
 def _containment_upsets(keys) -> list:
@@ -37,12 +54,13 @@ def _containment_upsets(keys) -> list:
     keys[x] has no bit outside keys[y].  Each bit e of a key gets the
     bitset has[e] of the positions whose key holds it; the up-set of x is
     the `&` of has[e] over the bits e of keys[x]."""
+    members = list(map(_positions, keys))  # the bits of each key
     has: dict = {}
-    for i, key in enumerate(keys):
-        for e in _bits(key):
+    for i, bits in enumerate(members):
+        for e in bits:
             has[e] = has.get(e, 0) | 1 << i
     everything = (1 << len(keys)) - 1
-    return [reduce(and_, map(has.__getitem__, _bits(key)), everything) for key in keys]
+    return [reduce(and_, map(has.__getitem__, bits), everything) for bits in members]
 
 
 class FinitePoset:
@@ -70,12 +88,16 @@ class FinitePoset:
         pair at position i * |Q| + j; its up-sets and down-sets are both
         built componentwise: the set of (a, b) is b * spread(a), where
         spread(a) holds bit i of a at bit i * |Q|, so the copies of b land
-        in disjoint blocks of |Q| bits and nothing carries."""
+        in disjoint blocks of |Q| bits and nothing carries.  A one-element
+        factor keeps the other's sets and positions, so they share rows."""
         gap = "0" * (len(q.elems) - 1)
         spread = (lambda a: int(gap.join(bin(a)[2:]), 2)) if gap else (lambda a: a)
         up, down = ([b * s for s in map(spread, p_sets) for b in q_sets]
                     for p_sets, q_sets in ((p.up, q.up), (p.down, q.down)))
-        return cls(((u, v) for u in p.elems for v in q.elems), up, down)
+        out = cls(((u, v) for u in p.elems for v in q.elems), up, down)
+        if len(q.elems) == 1 or len(p.elems) == 1:
+            out._mu = (q if len(p.elems) == 1 else p)._mu
+        return out
 
     def reverse(self) -> "FinitePoset":
         """The opposite order on the same elements."""
@@ -88,21 +110,21 @@ class FinitePoset:
         return bool(self.up[self.index[x]] >> self.index[y] & 1)
 
     def upset(self, x) -> tuple:
-        return tuple(self.elems[k] for k in _bits(self.up[self.index[x]]))
+        return tuple(self.elems[k] for k in _positions(self.up[self.index[x]]))
 
     def mu(self, i: int) -> dict:
         """mu(elems[i], .) on the up-set of elems[i], as {position: value},
         by one pass over the up-set in a linear extension (by down-set
         size): mu(i, w) is 1 at w = i, else minus the sum of mu(i, y) over
-        i <= y < w, a half-open interval read as one `&` and one bit step
-        per comparable pair of the up-set."""
+        i <= y < w, a half-open interval read as one `&` and one kernel
+        call (`_positions`), not one int step per comparable pair."""
         row = self._mu.get(i)
         if row is None:
             row = self._mu[i] = {}
             up = self.up[i]
-            for w in sorted(_bits(up), key=self._down_size.__getitem__):
+            for w in sorted(_positions(up), key=self._down_size.__getitem__):
                 below = (up & self.down[w]) ^ (1 << w)
-                row[w] = (w == i) - sum(map(row.__getitem__, _bits(below)))
+                row[w] = (w == i) - sum(map(row.__getitem__, _positions(below)))
         return row
 
 
@@ -110,7 +132,7 @@ def interval(p: FinitePoset, x, y) -> tuple:
     """All z with x <= z <= y, in the poset's element order."""
     if not p.leq(x, y):
         raise NotComparable(f"{x!r} and {y!r} are not comparable")
-    return tuple(p.elems[k] for k in _bits(p.up[p.index[x]] & p.down[p.index[y]]))
+    return tuple(p.elems[k] for k in _positions(p.up[p.index[x]] & p.down[p.index[y]]))
 
 
 def mobius(p: FinitePoset, x, y) -> int:
@@ -172,9 +194,7 @@ def check_galois(p: FinitePoset, q: FinitePoset, f, g) -> GaloisReport:
         preimage[k] |= 1 << i
     first = None
     for j, (y, mask) in enumerate(zip(q.elems, q.down)):
-        below_f = 0  # the i with fx[i] <= j
-        for k in _bits(mask):
-            below_f |= preimage[k]
+        below_f = reduce(or_, map(preimage.__getitem__, _positions(mask)), 0)  # fx[i] <= j
         diff = p.down[p.index[g(y)]] ^ below_f  # the i at which the biconditional fails with j
         if diff:
             i = (diff & -diff).bit_length() - 1

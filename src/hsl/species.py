@@ -42,7 +42,11 @@ def subsets(labels) -> tuple[frozenset[int], ...]:
 @lru_cache(maxsize=16)
 def _partitions(n: int) -> tuple:
     """The set partitions of the positions 0..n-1, each a tuple of block
-    bitmasks ordered by lowest bit; the one-block partition comes first."""
+    bitmasks ordered by lowest bit; the one-block partition comes first,
+    and each partition before every one that strictly refines it: the
+    block of the lowest position takes the other positions `extra` in
+    descending bitmask order, a proper subset being a smaller int, and
+    partitions with that block in common follow the order of the rest."""
     def of(m: int) -> list:
         if not m:
             return [()]

@@ -33,11 +33,11 @@ Galois check replaced, kept as the oracle for them.
 """
 
 from hsl.antipode import _reassembly_images, require_self_adjoint, takeuchi_on_vector
-from hsl.posets import FinitePoset, GaloisReport, _bits, mobius
+from hsl.posets import FinitePoset, GaloisReport, mobius
 from hsl.species import subsets
 from hsl.vectors import (FreeVector, TensorVector, comult_vector,
                          inverted_basis, tensor)
-from literal_oracle import transpose
+from literal_oracle import _bits, transpose
 
 
 def biconditional_failure(p: FinitePoset, q: FinitePoset, fx, gy):

@@ -5,8 +5,13 @@ is decoded and printed here on each call, and each body sorts by its own
 key."""
 
 from hsl.families import (Graph, Hypergraph, SetPartition, SimplicialComplex,
-                          _holding, _members, _pair_of)
-from hsl.posets import _bits
+                          _holding, _pair_of)
+
+from literal_oracle import _bits
+
+
+def _members(m: int) -> tuple:
+    return tuple(_bits(m))
 
 
 def _by_size(bits: int) -> list:

@@ -23,6 +23,10 @@ and every grading in `hsl`.
   <omega_x, y> as the sum of the compiled row mu(x, .) over
   up(x) & down(y).
 
+`_bits`, the generator of set-bit positions, is the oracle for the bit
+kernel `hsl.posets._positions`; the oracles in `tests/` decode ints with
+it, so none of them reads the kernel it checks.
+
 It also keeps the sweep of all 2^|E| orientations of a graph, each tested
 for a cycle by peeling sinks, as the oracle for the cut search of
 `hsl.families.acyclic_orientations_brute`.
@@ -34,11 +38,21 @@ from functools import lru_cache
 
 from hsl.errors import (DEFAULT_BUDGET, CarrierOverflow, LabelMismatch,
                         NonUniqueFactorization)
-from hsl.families import _mask, _members, _pair_of
-from hsl.posets import FinitePoset, IntPolynomial, _bits, interval, mobius
+from hsl.families import _mask, _pair_of
+from hsl.posets import FinitePoset, IntPolynomial, interval, mobius
 from hsl.species import check_set_partition_budget
 
 from partition_oracle import set_partitions
+
+
+def _bits(m: int):
+    """Positions of the set bits of m, lowest first, one int step per set
+    bit: the generator that `hsl.posets._positions` replaced, kept as its
+    oracle and as the decoder of the oracles here."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +286,7 @@ def _is_acyclic(succ: dict) -> bool:
     left = _mask(succ)
     while left:
         before = left
-        for v in _members(left):
+        for v in _bits(left):
             if not succ[v] & left:
                 left ^= 1 << v
         if left == before:

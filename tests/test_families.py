@@ -23,7 +23,7 @@ from hsl import families
 from hsl.posets import IntPolynomial
 from hsl.species import subsets
 from hsl.vectors import FreeVector
-from literal_oracle import (acyclic_orientations_sweep, factorize, grading,
+from literal_oracle import (_bits, acyclic_orientations_sweep, factorize, grading,
                             is_indecomposable, reassembly_upset)
 from partition_oracle import set_partitions
 from complex_oracle import sc_enumerate_by_faces
@@ -526,9 +526,10 @@ def test_acyclic_orientation_examples():
 
 
 def test_orientation_cache_is_bounded_and_shared_by_relabellings():
-    # the count reads the chromatic cache, keyed by the canonical graph
+    # the count reads the integer deletion-contraction memo, keyed by the
+    # canonical graph
     import hsl.families as fm
-    cache = fm._chromatic
+    cache = fm._acyclic
     bound = cache.cache_info().maxsize
     assert bound is not None
     cache.cache_clear()
@@ -544,6 +545,23 @@ def test_orientation_cache_is_bounded_and_shared_by_relabellings():
     assert acyclic_orientation_count(Graph({5, 7, 9}, [(5, 7), (7, 9)])) == 4
     info = cache.cache_info()
     assert (info.currsize, info.hits) == (filled.currsize, filled.hits + 1)
+
+
+def test_acyclic_memo_matches_the_brute_count_and_chromatic_at_minus_one():
+    # the integer deletion-contraction a(G) = a(G - e) + a(G / e) against
+    # the exhaustive cut search and |chi(-1)| on every graph on up to 5
+    # labels, K6 and K7 less one edge; K7 has 21 edges, past the cut
+    # search, and is checked against |chi(-1)| and 7!
+    pairs = list(combinations(range(7), 2))
+    graphs = [g for n in range(6) for g in GRAPHS.enumerate(frozenset(range(n)))]
+    graphs += [Graph(range(6), combinations(range(6), 2)), Graph(range(7), pairs[1:])]
+    for g in graphs:
+        count = acyclic_orientation_count(g)
+        assert type(count) is int, g.encode()
+        assert count == acyclic_orientations_brute(g) == abs(
+            chromatic_polynomial(g).evaluate(-1)), g.encode()
+    k7 = Graph(range(7), pairs)
+    assert acyclic_orientation_count(k7) == abs(chromatic_polynomial(k7).evaluate(-1)) == 5040
 
 
 def test_chromatic_polynomial_known_values():
@@ -695,7 +713,7 @@ def _flat_terms_literal(g, orientations, chromatic):
 
 
 def _as_label_sets(blocks):
-    return frozenset(frozenset(families._members(b)) for b in blocks)
+    return frozenset(frozenset(_bits(b)) for b in blocks)
 
 
 def test_flats_and_quotients_match_the_frozenset_sweep():
@@ -728,15 +746,19 @@ def test_flat_terms_and_family_formulas_match_the_encoding_route():
 def test_counts_and_cache_entries_match_the_encoding_caches():
     # the int caches hold one entry per canonical graph, as the encoding
     # caches did: a contraction that left its labels unshifted would key
-    # one graph under several ints
+    # one graph under several ints.  The chromatic cache and the acyclic
+    # memo contract the same edge, so each holds the literal recursion's
+    # graphs
     for g in _pinned_graphs():
         families._chromatic.cache_clear()
+        families._acyclic.cache_clear()
         orientations, chromatic = {}, {}
         encoding = _canonical_encoding(g)
         assert acyclic_orientation_count(g) == _orientations_literal(
             encoding, orientations, chromatic), g.encode()
         assert chromatic_polynomial(g) == _chromatic_literal(encoding, chromatic)
         assert families._chromatic.cache_info().currsize == len(chromatic), g.encode()
+        assert families._acyclic.cache_info().currsize == len(chromatic), g.encode()
 
 
 def test_graph_rank():

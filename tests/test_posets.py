@@ -8,13 +8,13 @@ from hsl.antipode import reassembly_poset
 from hsl.errors import CarrierOverflow, NotComparable
 from hsl.families import (FAMILIES, GRAPHS, HYPERGRAPHS, PARTITIONS,
                           SIMPLICIAL, parse_structure)
-from hsl.posets import (FinitePoset, GaloisReport, IntPolynomial, check_galois,
-                        interval, mobius, rota_transfer_check)
+from hsl.posets import (FinitePoset, GaloisReport, IntPolynomial, _positions, _word,
+                        check_galois, interval, mobius, rota_transfer_check)
 from hsl.species import _native_poset, subsets
 from adjunction_oracle import product_by_shifts, three_scan_check_galois
 from family_replace import replace
-from literal_oracle import (graded_char_eval, graded_char_poly, rota_transfer_pair,
-                            transpose)
+from literal_oracle import (_bits, graded_char_eval, graded_char_poly,
+                            rota_transfer_pair, transpose)
 
 
 def from_leq(elems, leq, family_tag=None):
@@ -518,3 +518,34 @@ def test_int_polynomial():
     for bad in ({1: Fraction(1, 2), 2: 2.7}, {2: 2.0}):
         with pytest.raises(TypeError):
             IntPolynomial(bad)
+
+
+def test_bit_kernel_matches_the_generator_oracle():
+    # the positions of 0, of every single bit up to 2^130 and of seeded
+    # sparse, half-full and nearly full ints of each width, on both sides
+    # of the 2^64 cache boundary and up to the 32,768 graphs on 6 labels,
+    # against the generator that yields one position per int step
+    rng = random.Random(31)
+    cases = [0] + [1 << k for k in range(131)]
+    for width in (1, 8, 63, 64, 65, 128, 203, 4140, 21147, 32768):
+        top = 1 << width - 1
+        cases.append(top)
+        for density in (0.01, 0.5, 0.99):
+            text = "".join("1" if rng.random() < density else "0" for _ in range(width))
+            cases.append(top | int(text, 2))
+    for m in cases:
+        got = _positions(m)
+        assert type(got) is tuple and got == tuple(_bits(m)), m.bit_length()
+
+
+def test_bit_kernel_caches_only_small_ints_and_stays_bounded():
+    _word.cache_clear()
+    bound = _word.cache_info().maxsize
+    assert bound is not None
+    for m in range(bound + 100):
+        assert _positions(m) == tuple(_bits(m))
+    assert _word.cache_info().currsize == bound
+    _word.cache_clear()
+    wide = 1 << 64 | 1 << 200 | 5
+    assert _positions(wide) == (0, 2, 64, 200) == _positions(wide)
+    assert _word.cache_info().currsize == 0

@@ -10,13 +10,12 @@ from hsl.families import (FAMILIES, GRAPHS, HYPERGRAPHS, PARTITIONS,
                           SimplicialComplex, _of, _split,
                           parse_structure, partition_masks)
 from hsl.antipode import _reassembly_images, _restrictions
-from hsl.posets import _bits
 from hsl.species import (AxiomReport, AxiomResult, Family, _bijections,
                          _partitions, _splits, bell, fubini, reassemble,
                          subsets, verify_axioms,
                          verify_delta_after_mult_identity)
 from family_replace import replace
-from literal_oracle import (compose_comult, compose_mult,
+from literal_oracle import (_bits, compose_comult, compose_mult,
                             reassemble as literal_reassemble)
 from partition_oracle import compositions, partition_masks_by_fold, set_partitions
 from test_antipode import _skewed_graphs
@@ -107,6 +106,17 @@ def test_enumeration_is_deterministic():
     assert _partitions(0) == ((),)
     assert PARTITIONS.enumerate(range(4)) == PARTITIONS.enumerate(range(4))
     assert PARTITIONS.enumerate(()) == (PARTITIONS.unit,)
+
+
+def test_partitions_come_before_their_strict_refinements():
+    # the closed form keeps x's images in the order of their finest
+    # partitions, a linear extension of the reassembly order by this
+    for n in range(7):
+        parts = _partitions(n)
+        for i, coarse in enumerate(parts):
+            for j, fine in enumerate(parts):
+                if i != j and all(any(not b & ~c for c in coarse) for b in fine):
+                    assert i < j, (n, coarse, fine)
 
 
 def _pair_key_lattice(n):

@@ -10,7 +10,8 @@ from hsl.errors import AmbientMismatch
 from hsl.families import (FAMILIES, GRAPHS, HYPERGRAPHS, PARTITIONS,
                           SIMPLICIAL, Graph, SetPartition,
                           free_vector_from_json, parse_structure)
-from hsl.posets import FinitePoset, GaloisReport, IntPolynomial, rota_transfer_check
+from hsl.posets import (FinitePoset, GaloisReport, IntPolynomial, check_galois,
+                        rota_transfer_check)
 from hsl.species import subsets
 from hsl.vectors import (FreeVector, TensorVector, comult_vector,
                          duality_pairing_check, inverted_basis, mult_tensor,
@@ -390,6 +391,43 @@ def test_transfer_scan_reads_each_orders_own_rows(monkeypatch):
         assert report.ok is (first is None)
         assert report.witness == (first and first[:2])
     assert any(expected) and not all(expected)
+
+
+def test_one_point_products_read_the_other_factors_rows(monkeypatch):
+    # where one factor has one element, the product's Möbius rows are the
+    # other factor's: on the two trivial splits of 3 labels they fill no
+    # row once the order on the labels has its rows, and on every split
+    # of 0-3 labels the Galois and transfer verdicts and witnesses equal
+    # those on the same product with rows of its own
+    failing, passing = merge_setups()
+    reports = []
+    for fam, poset_for, box in failing + passing:
+        for n in range(4):
+            labels = frozenset(range(n))
+            for S in subsets(labels):
+                p, q, f, g = split_galois_setup(fam, poset_for, box, S, labels - S)
+                own = FinitePoset(q.elems, q.up, q.down)
+                got = [check_galois(p, q, f, g), rota_transfer_check(p, q, f, g)]
+                assert got == [check_galois(p, own, f, g),
+                               rota_transfer_check(p, own, f, g)], (fam.tag, sorted(S))
+                assert all(q.mu(j) == own.mu(j) for j in range(len(q.elems)))
+                reports += got
+        p = poset_for(labels)
+        for i in range(len(p.elems)):
+            p.mu(i)
+        filled = []
+        fill = FinitePoset.mu
+
+        def spy(self, i, fill=fill):
+            if i not in self._mu:
+                filled.append(i)
+            return fill(self, i)
+        monkeypatch.setattr(FinitePoset, "mu", spy)
+        for S in (frozenset(), labels):
+            rota_transfer_check(*split_galois_setup(fam, poset_for, box, S, labels - S))
+        monkeypatch.undo()
+        assert filled == [], fam.tag
+    assert any(not r.ok for r in reports) and any(r.ok for r in reports)
 
 
 def test_inverted_basis_matches_per_term_mobius():
