@@ -10,8 +10,8 @@ from .posets import (FinitePoset, IntPolynomial, check_galois, interval,
                      mobius, rota_transfer_check)
 from .species import (Family, bell, fubini, verify_axioms,
                       verify_delta_after_mult_identity)
-from .vectors import (FreeVector, TensorVector, duality_pairing_check,
-                      inverted_basis, product_of_inverted_check, tensor)
+from .vectors import (FreeVector, TensorVector, inverted_basis,
+                      product_of_inverted_check, tensor)
 from .families import (FAMILIES, GRAPHS, HYPERGRAPHS, PARTITIONS, SIMPLICIAL,
                        Graph, Hypergraph, SetPartition, SimplicialComplex,
                        acyclic_orientation_count, chromatic_polynomial,

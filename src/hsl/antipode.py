@@ -127,8 +127,8 @@ class Adjunction:
     def poset(self, labels) -> FinitePoset:
         if self.kind == "delta_m":
             return reassembly_poset(self.family, labels, self.budget)
-        reverse = self.kind == "m_delta"
-        return self.family.poset(labels, self.budget, reverse=reverse)
+        native = self.family.poset(labels, self.budget)
+        return native.reverse() if self.kind == "m_delta" else native
 
     def verify(self, S, T) -> GaloisReport:
         """Run the full Galois check on one split."""

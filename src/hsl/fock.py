@@ -129,7 +129,7 @@ def _partition_rows(n: int, budget: int) -> list:
     """(block sizes largest first, mu(bottom, tau), mu(tau, top)) for the
     partitions tau of range(n) in carrier order, bottom the one block and
     top the singletons: one Möbius row of the partition order and one of
-    its opposite, where mu(tau, top) is mu(top, tau)."""
+    its opposite (`reverse()`), where mu(tau, top) is mu(top, tau)."""
     from .families import PARTITIONS
     if n < 1:
         raise EngineError("degree must be positive")
@@ -138,7 +138,7 @@ def _partition_rows(n: int, budget: int) -> list:
     view = PARTITIONS.poset(labels, budget)
     shapes = [integer_partition_of(tau) for tau in view.elems]
     lower = view.mu(shapes.index((n,)))
-    upper = PARTITIONS.poset(labels, budget, reverse=True).mu(shapes.index((1,) * n))
+    upper = view.reverse().mu(shapes.index((1,) * n))
     return [(lam, lower[k], upper[k]) for k, lam in enumerate(shapes)]
 
 

@@ -71,7 +71,7 @@ class FinitePoset:
     bitsets of the elements above and below elems[i], itself included.
     `family_tag` names the family of a carrier, for the vectors built on
     it; every builder passes `down` with `up`, from what it holds.  The
-    rows mu(x, .) are computed once per element and kept."""
+    rows mu(x, .) and the opposite order (`reverse`) are built once and kept."""
 
     def __init__(self, elems, up, down, family_tag: str | None = None):
         self.elems = tuple(elems)
@@ -81,6 +81,7 @@ class FinitePoset:
         self.family_tag = family_tag
         self._down_size = [mask.bit_count() for mask in self.down]
         self._mu: dict = {}
+        self._opposite = None
 
     @classmethod
     def product(cls, p: "FinitePoset", q: "FinitePoset") -> "FinitePoset":
@@ -100,11 +101,12 @@ class FinitePoset:
         return out
 
     def reverse(self) -> "FinitePoset":
-        """The opposite order on the same elements."""
-        return FinitePoset(self.elems, self.down, self.up, self.family_tag)
-
-    def carrier(self) -> tuple:
-        return self.elems
+        """The opposite order on the same elements, built on the first call
+        and kept; its own `reverse()` is this order."""
+        if self._opposite is None:
+            self._opposite = FinitePoset(self.elems, self.down, self.up, self.family_tag)
+            self._opposite._opposite = self
+        return self._opposite
 
     def leq(self, x, y) -> bool:
         return bool(self.up[self.index[x]] >> self.index[y] & 1)

@@ -175,22 +175,19 @@ class Family:
         """x <= y in the native order."""
         return not self.order_key(x) & ~self.order_key(y)
 
-    def poset(self, labels, budget: int = DEFAULT_BUDGET,
-              reverse: bool = False) -> FinitePoset:
-        """The native order on the carrier over `labels`, or its opposite."""
+    def poset(self, labels, budget: int = DEFAULT_BUDGET) -> FinitePoset:
+        """The native order on the carrier over `labels`; its `reverse()`
+        is the opposite order, kept on it."""
         if self.order_key is None:
             raise EngineError(f"family {self.tag} has no native order")
-        return _native_poset(self, check_label_set(labels), budget, reverse)
+        return _native_poset(self, check_label_set(labels), budget)
 
 
 @lru_cache(maxsize=256)
-def _native_poset(fam: Family, labels: frozenset, budget: int,
-                  reverse: bool) -> FinitePoset:
-    """One compiled native order per (family, labels, budget) and its
-    opposite.  The bound is far above the orders one CLI command builds
-    (two per subset of its labels)."""
-    if reverse:
-        return _native_poset(fam, labels, budget, False).reverse()
+def _native_poset(fam: Family, labels: frozenset, budget: int) -> FinitePoset:
+    """One compiled native order per (family, labels, budget), which keeps
+    its own opposite.  The bound is far above the orders one CLI command
+    builds (one per subset of its labels)."""
     elems = fam.enumerate(labels, budget)
     keys = [fam.order_key(x) for x in elems]
     top = reduce(int.__or__, keys, 0)  # y <= x iff top ^ key(x) has no bit outside top ^ key(y)

@@ -1,7 +1,9 @@
 """Free vector spaces over structure carriers with exact rational
 coefficients: the Möbius-inverted basis, the split set-up that the
-Galois checks of `hsl.posets` read, and the duality and product
-identities as executable checks.
+Galois checks of `hsl.posets` read, and the product identity as an
+executable check.  The duality pairing <Delta_{S,T}(x), y (x) z> ==
+<x, y box z> is the zeta function of the product order, so on a split it
+is the Galois biconditional that `_galois_splits` scans.
 
 The split of omega_x as a fibre sum of omega_{x1} (x) omega_{x2} over
 x1 box x2 = x is Rota's transfer on that split: its coefficient at b is
@@ -164,7 +166,7 @@ def inverted_basis(p: FinitePoset, x) -> FreeVector:
 
 
 def corank_inverted_basis(p: FinitePoset, x) -> FreeVector:
-    """The down-set twin: sum over y <= x of mu(y, x) * y."""
+    """The down-set twin: sum over y <= x of mu(y, x) * y, read off p's kept opposite."""
     return inverted_basis(p.reverse(), x)
 
 
@@ -186,20 +188,6 @@ def _galois_splits(fam, poset_for, box, labels) -> GaloisReport:
             x, (y, z) = report.witness
             return GaloisReport(False, report.reason, (x, y, z, S, T))
     return GaloisReport(True)
-
-
-def duality_pairing_check(fam, poset_for, box, n: int) -> GaloisReport:
-    """Check <Delta_{S,T}(x), y (x) z> == <x, y box z> for all structures
-    and splits on label sets of size up to n.
-
-    `poset_for(labels)` supplies the order.  The tensor pairing is the
-    zeta function of the product order, so on each split this is the
-    Galois biconditional split(x) <= (y, z) iff x <= y box z: the pairing
-    is the split loop of `Adjunction.verify_all_splits` run on each label
-    set 0..k-1, k = 0..n.  The witness (x, y, z, S, T) is the first
-    failure, x first, then (y, z) in product order."""
-    reports = (_galois_splits(fam, poset_for, box, frozenset(range(k))) for k in range(n + 1))
-    return next((report for report in reports if not report.ok), GaloisReport(True))
 
 
 def product_of_inverted_check(fam, poset_for, x, y):

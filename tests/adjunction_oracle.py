@@ -9,9 +9,9 @@ Galois check replaced, kept as the oracle for them.
 - `duality_by_triples` checks the zeta duality <Delta(x), y (x) z> ==
   <x, y box z> by a loop over every (x, y, z) of each split
   (`first_failing_triple`, one label set), where
-  `hsl.vectors.duality_pairing_check` and
-  `hsl.antipode.Adjunction.verify_all_splits` run the Galois
-  biconditional scan of `hsl.posets` on the product order.
+  `hsl.antipode.Adjunction.verify_all_splits` on each label set (the
+  `duality` field of `hsl verify`) runs the Galois biconditional scan
+  of `hsl.posets` on the product order.  Criterion 14 reads it.
 - `merge_split_setup` is the check of merge -| split on the native
   order, merge from the product order into the order on S | T and split
   back, where `hsl.vectors.split_galois_setup` sets up split -| merge on the

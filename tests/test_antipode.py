@@ -46,7 +46,7 @@ def test_reassembly_relation_is_partial_order():
                       (PARTITIONS, 4)):
         for n in range(nmax + 1):
             view = reassembly_poset(fam, frozenset(range(n)))
-            for x in view.carrier():
+            for x in view.elems:
                 ups = set(view.upset(x))
                 assert x in ups
                 for y in ups:
@@ -55,8 +55,8 @@ def test_reassembly_relation_is_partial_order():
     # partitional reassembly order coincides with refinement
     for n in range(5):
         view = reassembly_poset(PARTITIONS, frozenset(range(n)))
-        for x in view.carrier():
-            for y in view.carrier():
+        for x in view.elems:
+            for y in view.elems:
                 assert view.leq(x, y) == PARTITIONS.leq(x, y)
 
 
@@ -74,7 +74,7 @@ def test_grading_monotone_on_reassembly_order():
                       (PARTITIONS, 4)):
         for n in range(nmax + 1):
             view = reassembly_poset(fam, frozenset(range(n)))
-            for x in view.carrier():
+            for x in view.elems:
                 lx = grading(fam, x)
                 for y in view.upset(x):
                     assert lx <= grading(fam, y)
@@ -84,7 +84,7 @@ def test_covering_steps_raise_grading_by_one_where_graded():
     for fam, nmax in ((GRAPHS, 4), (SIMPLICIAL, 4), (PARTITIONS, 4)):
         for n in range(nmax + 1):
             view = reassembly_poset(fam, frozenset(range(n)))
-            for x in view.carrier():
+            for x in view.elems:
                 ups = view.upset(x)
                 for y in ups:
                     if y == x:

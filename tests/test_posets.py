@@ -4,13 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from hsl.antipode import reassembly_poset
+from hsl.antipode import Adjunction, reassembly_poset
 from hsl.errors import CarrierOverflow, NotComparable
 from hsl.families import (FAMILIES, GRAPHS, HYPERGRAPHS, PARTITIONS,
                           SIMPLICIAL, parse_structure)
 from hsl.posets import (FinitePoset, GaloisReport, IntPolynomial, _positions, _word,
                         check_galois, interval, mobius, rota_transfer_check)
 from hsl.species import _native_poset, subsets
+from hsl.vectors import corank_inverted_basis
 from adjunction_oracle import product_by_shifts, three_scan_check_galois
 from family_replace import replace
 from literal_oracle import (_bits, graded_char_eval, graded_char_poly,
@@ -47,7 +48,7 @@ def recursive_mobius(p, x, y, memo):
 def mobius_matrix_oracle(p):
     """Invert the zeta matrix of the carrier by back substitution, from
     `leq` alone.  Returns {(x, y): mu(x, y)} over the pairs x <= y."""
-    elems = list(p.carrier())
+    elems = list(p.elems)
     n = len(elems)
     order = sorted(range(n), key=lambda i: sum(1 for j in range(n) if p.leq(elems[j], elems[i])))
     mu = {}
@@ -100,7 +101,7 @@ def test_mobius_against_zeta_inversion_oracle():
         oracle = mobius_matrix_oracle(p)
         memo: dict = {}
         pairs = 0
-        for x in p.carrier():
+        for x in p.elems:
             for y in p.upset(x):
                 assert mobius(p, x, y) == oracle[(x, y)] == recursive_mobius(p, x, y, memo)
                 pairs += 1
@@ -139,7 +140,7 @@ def test_mobius_inversion_round_trip():
     for p in (chain_poset(5), diamond_poset(),
               GRAPHS.poset(frozenset(range(3))),
               PARTITIONS.poset(frozenset(range(4)))):
-        carrier = p.carrier()
+        carrier = p.elems
         f = {x: rng.randint(-9, 9) for x in carrier}
         g = {x: sum(mobius(p, x, y) * f[y] for y in p.upset(x)) for x in carrier}
         for x in carrier:
@@ -151,7 +152,7 @@ def test_mu_row_sums_to_the_delta_over_each_interval():
     # at w = x and 0 above it, for every w >= x
     for p in (diamond_poset(), chain_poset(4), PARTITIONS.poset(frozenset(range(4))),
               reassembly_poset(GRAPHS, frozenset(range(3)))):
-        for i, x in enumerate(p.carrier()):
+        for i, x in enumerate(p.elems):
             row = p.mu(i)
             assert set(row) == {p.index[y] for y in p.upset(x)}
             for w in row:
@@ -162,7 +163,7 @@ def test_product_downsets_are_the_transpose_of_its_upsets():
     labels = frozenset(range(2))
     for left, right in ((GRAPHS.poset(labels), chain_poset(3)),
                         (PARTITIONS.poset(frozenset(range(3))),
-                         SIMPLICIAL.poset(labels, reverse=True)),
+                         SIMPLICIAL.poset(labels).reverse()),
                         (reassembly_poset(SIMPLICIAL, labels), diamond_poset())):
         prod = FinitePoset.product(left, right)
         assert prod.down == transpose(prod.up)
@@ -186,9 +187,9 @@ def test_every_compiled_order_carries_the_transpose_of_its_upsets():
             assert p.down[tops[0]] == (1 << len(p.elems)) - 1, (fam.tag, k)
             if k == 0:
                 assert (p.up, p.down) == ((1,), (1,)), fam.tag
-            orders += [p, fam.poset(labels, reverse=True), reassembly_poset(fam, labels)]
+            orders += [p, fam.poset(labels).reverse(), reassembly_poset(fam, labels)]
     labels = frozenset(range(5))
-    orders += [GRAPHS.poset(labels), GRAPHS.poset(labels, reverse=True)]
+    orders += [GRAPHS.poset(labels), GRAPHS.poset(labels).reverse()]
     for p in orders:
         assert p.down == transpose(p.up), (p.family_tag, len(p.elems))
 
@@ -209,11 +210,11 @@ def test_product_poset_multiplicativity():
     left = GRAPHS.poset(frozenset({0, 1}))
     right = chain_poset(3)
     prod = FinitePoset.product(left, right)
-    assert prod.carrier() == tuple((u, v) for u in left.carrier()
-                                   for v in right.carrier())
-    for a in left.carrier():
+    assert prod.elems == tuple((u, v) for u in left.elems
+                                   for v in right.elems)
+    for a in left.elems:
         for c in left.upset(a):
-            for b in right.carrier():
+            for b in right.elems:
                 for d in right.upset(b):
                     assert (mobius(prod, (a, b), (c, d))
                             == mobius(left, a, c) * mobius(right, b, d))
@@ -222,7 +223,7 @@ def test_product_poset_multiplicativity():
 def test_boolean_lattice_closed_form():
     for n in range(5):
         p = GRAPHS.poset(frozenset(range(n)))
-        for g in p.carrier():
+        for g in p.elems:
             for h in p.upset(g):
                 assert mobius(p, g, h) == (-1) ** len(h.edges - g.edges)
 
@@ -253,13 +254,45 @@ def test_reverse_swaps_the_arrays_of_the_transpose():
         for n in range(5):
             labels = frozenset(range(n))
             p = fam.poset(labels)
-            for r in (p.reverse(), fam.poset(labels, reverse=True)):
-                assert (r.elems, r.up, r.down) == (p.elems, transpose(p.up), p.up), (tag, n)
-                assert r._down_size == [mask.bit_count() for mask in p.up], (tag, n)
-                assert r.family_tag == tag
-            twice = p.reverse().reverse()
+            r = p.reverse()
+            assert (r.elems, r.up, r.down) == (p.elems, transpose(p.up), p.up), (tag, n)
+            assert r._down_size == [mask.bit_count() for mask in p.up], (tag, n)
+            assert r.family_tag == tag
+            twice = r.reverse()
             assert (twice.elems, twice.up, twice.down) == (p.elems, p.up, p.down)
             assert twice._down_size == p._down_size
+
+
+def test_each_order_keeps_one_opposite(monkeypatch):
+    # the opposite is built once and its opposite is the order itself, so
+    # each direction fills its Möbius rows once and the compiled-order
+    # cache holds one entry per label set, not one per direction
+    for p in (chain_poset(4), diamond_poset(), GRAPHS.poset(frozenset(range(3))),
+              reassembly_poset(PARTITIONS, frozenset(range(3)))):
+        assert p.reverse() is p.reverse()
+        assert p.reverse().reverse() is p
+    adj = Adjunction(SIMPLICIAL, "m_delta")
+    for n in range(4):
+        labels = frozenset(range(n))
+        assert adj.poset(labels) is SIMPLICIAL.poset(labels).reverse()
+    p = GRAPHS.poset(frozenset(range(3)))
+    x = p.elems[-1]
+    first = corank_inverted_basis(p, x)
+    filled = []
+    fill = FinitePoset.mu
+
+    def spy(self, i):
+        if i not in self._mu:
+            filled.append(i)
+        return fill(self, i)
+
+    monkeypatch.setattr(FinitePoset, "mu", spy)
+    assert corank_inverted_basis(p, x) == first
+    assert filled == []
+    monkeypatch.undo()
+    _native_poset.cache_clear()
+    assert adj.verify_all_splits(range(3)).ok
+    assert _native_poset.cache_info().currsize == 8
 
 
 # the native orders as the families once compared them, pair by pair
@@ -286,7 +319,7 @@ def test_key_set_orders_match_old_comparators():
             old = OLD_COMPARATORS[tag]
             oracle = from_leq(range(len(views)), lambda i, j: old(views[i], views[j]))
             assert p.up == oracle.up and p.down == oracle.down, (tag, n)
-            opposite = fam.poset(labels, reverse=True)
+            opposite = fam.poset(labels).reverse()
             assert opposite.up == oracle.down and opposite.down == oracle.up
             if n <= 3:
                 assert all(fam.leq(x, y) == OLD_COMPARATORS[tag](x, y)
@@ -341,7 +374,7 @@ def test_check_galois_graphs_free_product():
     g = lambda pair: GRAPHS.box(pair[0], pair[1])
     assert check_galois(whole, parts, f, g).ok
     # f is applied once per element, not once per compared pair
-    assert sorted(calls, key=whole.index.__getitem__) == list(whole.carrier())
+    assert sorted(calls, key=whole.index.__getitem__) == list(whole.elems)
 
 
 def _position_maps(p, q, fx, gy):
@@ -356,7 +389,7 @@ def _galois_cases():
     whole = GRAPHS.poset(S | T)
     parts = FinitePoset.product(GRAPHS.poset(S), GRAPHS.poset(T))
     cases = [(p, p, range(len(p.elems)), range(len(p.elems)))
-             for p in (diamond_poset(), SIMPLICIAL.poset(frozenset(range(3)), reverse=True))]
+             for p in (diamond_poset(), SIMPLICIAL.poset(frozenset(range(3))).reverse())]
     cases.append((whole, parts, [parts.index[GRAPHS.comult(x, S, T)] for x in whole.elems],
                   [whole.index[GRAPHS.box(*pair)] for pair in parts.elems]))
     return cases
@@ -472,8 +505,8 @@ def test_rota_transfer_everywhere_on_small_galois_pairs():
     g = lambda pair: GRAPHS.box(pair[0], pair[1])
     assert check_galois(whole, parts, f, g).ok
     assert rota_transfer_check(whole, parts, f, g).ok
-    for x in whole.carrier():
-        for b in parts.carrier():
+    for x in whole.elems:
+        for b in parts.elems:
             equal, _, _ = rota_transfer_pair(whole, parts, f, g, x, b)
             assert equal
 

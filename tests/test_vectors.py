@@ -13,9 +13,9 @@ from hsl.families import (FAMILIES, GRAPHS, HYPERGRAPHS, PARTITIONS,
 from hsl.posets import (FinitePoset, GaloisReport, IntPolynomial, check_galois,
                         rota_transfer_check)
 from hsl.species import subsets
-from hsl.vectors import (FreeVector, TensorVector, comult_vector,
-                         duality_pairing_check, inverted_basis, mult_tensor,
-                         product_of_inverted_check, split_galois_setup, tensor)
+from hsl.vectors import (FreeVector, TensorVector, _galois_splits, comult_vector,
+                         inverted_basis, mult_tensor, product_of_inverted_check,
+                         split_galois_setup, tensor)
 from adjunction_oracle import (delta_on_inverted_by_vectors, duality_by_triples,
                                inverted_basis_by_mobius)
 from literal_oracle import rota_transfer_pair, zeta_pairing
@@ -170,7 +170,7 @@ def test_inverted_basis_partitions_reassembly():
 def test_inverted_basis_coefficient_of_base_is_one():
     for fam, n in ((GRAPHS, 3), (HYPERGRAPHS, 3), (PARTITIONS, 3)):
         p = fam.poset(frozenset(range(n)))
-        for x in p.carrier():
+        for x in p.elems:
             assert inverted_basis(p, x).coefficient(x) == 1
 
 
@@ -209,7 +209,7 @@ def test_basis_change_round_trip():
     # x equals the sum of omega_z over z >= x
     for fam, n in ((GRAPHS, 3), (PARTITIONS, 3), (HYPERGRAPHS, 3)):
         p = fam.poset(frozenset(range(n)))
-        for x in p.carrier():
+        for x in p.elems:
             total = FreeVector.zero(fam.tag, x.labels)
             for z in p.upset(x):
                 total = total + inverted_basis(p, z)
@@ -273,13 +273,20 @@ def test_delta_on_inverted_exhaustive_n2_hypergraphs():
             assert ok
 
 
+def galois_pairing(fam, poset_for, box, n: int) -> GaloisReport:
+    """The duality pairing on the label sets 0..k-1, k = 0..n: the split
+    loop `_galois_splits` on each, and the first failure."""
+    reports = (_galois_splits(fam, poset_for, box, frozenset(range(k))) for k in range(n + 1))
+    return next((report for report in reports if not report.ok), GaloisReport(True))
+
+
 def test_duality_pairing_check_pass_and_fail():
     adj = Adjunction(GRAPHS, "delta_box")
-    good = duality_pairing_check(GRAPHS, lambda L: adj.poset(L), adj.box, 3)
-    assert good.ok
-    bad = duality_pairing_check(GRAPHS, lambda L: GRAPHS.poset(L), GRAPHS.mult, 3)
+    good = galois_pairing(GRAPHS, lambda L: adj.poset(L), adj.box, 3)
+    assert good.ok and duality_by_triples(GRAPHS, adj.poset, adj.box, 3) == (True, None)
+    bad = galois_pairing(GRAPHS, lambda L: GRAPHS.poset(L), GRAPHS.mult, 3)
     assert not bad.ok
-    assert bad.witness is not None
+    assert (False, bad.witness) == duality_by_triples(GRAPHS, GRAPHS.poset, GRAPHS.mult, 3)
 
 
 def _forgetful(y, z):
@@ -296,7 +303,7 @@ def merge_setups() -> tuple:
     adjunction passes."""
     failing = [(fam, lambda L, f=fam: f.poset(L), fam.mult)
                for fam in (GRAPHS, HYPERGRAPHS, SIMPLICIAL)]
-    failing.append((PARTITIONS, lambda L: PARTITIONS.poset(L, reverse=True),
+    failing.append((PARTITIONS, lambda L: PARTITIONS.poset(L).reverse(),
                     PARTITIONS.mult))
     failing.append((GRAPHS, GRAPHS.poset, _forgetful))
     passing = [(adj.family, adj.poset, adj.box)
@@ -309,7 +316,7 @@ def test_duality_scan_matches_the_triple_loop():
     for pairings, verdict in ((failing, False), (passing, True)):
         for fam, poset_for, box in pairings:
             for n in range(4):
-                report = duality_pairing_check(fam, poset_for, box, n)
+                report = galois_pairing(fam, poset_for, box, n)
                 assert (report.ok, report.witness) == duality_by_triples(
                     fam, poset_for, box, n)
             assert report.ok is verdict, fam.tag
@@ -434,7 +441,7 @@ def test_inverted_basis_matches_per_term_mobius():
     for fam in FAMILIES.values():
         for n in range(4):
             labels = frozenset(range(n))
-            for p in (fam.poset(labels), fam.poset(labels, reverse=True),
+            for p in (fam.poset(labels), fam.poset(labels).reverse(),
                       reassembly_poset(fam, labels)):
                 for x in p.elems:
                     assert inverted_basis(p, x) == inverted_basis_by_mobius(p, x)
