@@ -3,7 +3,7 @@ complexes, and set partitions, with their native orders, free products,
 complements, flats, contractions, and acyclic-orientation counts.
 
 Canonical encodings (bit-exact, in serialized output and in the sorts of
-public tuples), joined from texts cached per pair, subset or block:
+public tuples), joined from per-byte tables of part texts or block texts:
 
     graph:      G:n=<k>;E=<i>-<j>,...      edges sorted lexicographically
     hypergraph: H:n=<k>;E={i,j,...};...    hyperedges sorted by (size, lex)
@@ -124,10 +124,10 @@ def partition_masks(cls, labels: frozenset) -> tuple:
 
 @lru_cache(maxsize=16)
 def _holding(top: int) -> tuple:
-    """For each label v < top, the bits of the subsets of 0..top-1 that hold
-    v: the upper half of each period of 2^(v+1) bits."""
+    """For each label v < top, the bits of the subsets of 0..top-1 holding v
+    (the upper half of each period of 2^(v+1) bits) and 2^v, the shift that drops v."""
     repunit = (1 << (1 << top)) - 1
-    return tuple(repunit // ((1 << (2 << v)) - 1) * (((1 << (1 << v)) - 1) << (1 << v))
+    return tuple((repunit // ((1 << (2 << v)) - 1) * (((1 << (1 << v)) - 1) << (1 << v)), 1 << v)
                  for v in range(top))
 
 
@@ -150,21 +150,45 @@ def _image_subsets(f: dict, bits: int) -> int:
     return out
 
 
-# Encoding texts, one per pair, subset or block: bounded like the bit kernel's cache.
-@lru_cache(maxsize=4096)
-def _pair_text(k: int) -> tuple:
-    """(sort key, text) of the pair (i, j) at bit k: the key orders pairs
-    lexicographically (j < 2^16), the text is "i-j"."""
-    i, j = _pair_of(k)
-    return i << 16 | j, f"{i}-{j}"
+class _PartTable(dict):
+    """{byte value b: {sort key: text} of the parts at b's set bits} for the
+    byte from bit t of a subset int or from bit t - MAX_BITS of a pair int,
+    each entry built on first use, as wide labels meet many tables.  A pair
+    (i, j) is keyed i << 16 | j, lexicographic as j < 2^16, and printed
+    "i-j"; a subset m is keyed |m| << 16 | (0xFFFF - m reversed in 16 bits),
+    (size, lex) order as every hyperedge and face lies in 0..15, and printed
+    as its members joined by ","."""
+
+    __slots__ = ("parts",)  # the (key, text) of the byte's 8 bits
+
+    def __init__(self, t: int):
+        pairs, low = divmod(t, MAX_BITS)
+        self.parts = parts = []
+        for k in range(low, low + 8):
+            if pairs:
+                i, j = _pair_of(k)
+                parts.append((i << 16 | j, f"{i}-{j}"))
+            else:
+                key = k.bit_count() << 16 | 0xFFFF - int(f"{k:016b}"[::-1], 2)
+                parts.append((key, ",".join([str(v) for v in range(16) if k >> v & 1])))
+
+    def __missing__(self, b):
+        return self.setdefault(b, dict([self.parts[i] for i in range(8) if b >> i & 1]))
 
 
-@lru_cache(maxsize=4096)
-def _subset_text(m: int) -> tuple:
-    """(sort key, text) of the subset at bit m: the key orders subsets by
-    (size, lex), the text is its members joined by ","."""
-    members = _positions(m)
-    return (len(members), members), ",".join(map(str, members))
+_part_table = lru_cache(maxsize=64)(_PartTable)  # one per byte an encoded int reaches
+
+
+def _parts(bits: int, base: int) -> list:
+    """The texts of the parts of a subset int (base 0) or a pair int (base
+    MAX_BITS) in key order, read a nonzero byte at a time from the top."""
+    texts = {}
+    while bits:
+        low = bits.bit_length() - 1 & -8
+        b = bits >> low
+        texts |= _part_table(base + low)[b]
+        bits ^= b << low
+    return list(map(texts.__getitem__, sorted(texts)))
 
 
 @lru_cache(maxsize=4096)
@@ -252,8 +276,7 @@ class Graph(_Structure):
         return frozenset(frozenset(_pair_of(k)) for k in _positions(self.bits))
 
     def encode(self) -> str:
-        edges = [text for _, text in sorted(map(_pair_text, _positions(self.bits)))]
-        return f"G:n={len(self.labels)};E=" + ",".join(edges)
+        return f"G:n={len(self.labels)};E=" + ",".join(_parts(self.bits, MAX_BITS))
 
     def complement(self) -> "Graph":
         return _of(Graph, self.labels, _pairs_in(self.labels) & ~self.bits)
@@ -277,7 +300,7 @@ class Hypergraph(_Structure):
         return frozenset(map(frozenset, map(_positions, _positions(self.bits))))
 
     def encode(self) -> str:
-        edges = [text for _, text in sorted(map(_subset_text, _positions(self.bits)))]
+        edges = _parts(self.bits, 0)
         body = "{" + "};{".join(edges) + "}" if edges else ""
         return f"H:n={len(self.labels)};E=" + body
 
@@ -314,14 +337,12 @@ class SimplicialComplex(_Structure):
         """The bits of the facets, the faces under no face one label larger."""
         faces = self.bits
         covered = 0
-        for v, holding in enumerate(_holding((faces.bit_length() - 1).bit_length())):
-            covered |= (faces & holding) >> (1 << v)
+        for holding, shift in _holding((faces.bit_length() - 1).bit_length()):
+            covered |= (faces & holding) >> shift
         return faces & ~covered
 
     def encode(self) -> str:
-        facets = sorted(map(_subset_text, _positions(self._facet_bits())))
-        facets = [text for _, text in facets]
-        return f"S:n={len(self.labels)};F=" + ";F=".join(facets)
+        return f"S:n={len(self.labels)};F=" + ";F=".join(_parts(self._facet_bits(), 0))
 
     @classmethod
     def from_facets(cls, labels, facets) -> "SimplicialComplex":

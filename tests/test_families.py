@@ -17,10 +17,10 @@ from hsl.families import (FAMILIES, GRAPHS, HYPERGRAPHS, PARTITIONS,
                           closed_form_antipode_sc, contract, graph_components,
                           graph_flats, graph_free_product, graph_rank,
                           hypergraph_free_product, is_connected, is_flat,
-                          parse_structure,
+                          parse_structure, _part_table,
                           sc_gamma_of_flat, sc_one_skeleton)
 from hsl import families
-from hsl.posets import IntPolynomial
+from hsl.posets import IntPolynomial, _word
 from hsl.species import subsets
 from hsl.vectors import FreeVector
 from literal_oracle import (_bits, acyclic_orientations_sweep, factorize, grading,
@@ -73,7 +73,7 @@ def test_partition_encoding_wide_labels():
 
 
 def test_encode_matches_the_old_bodies():
-    """The encodings joined from cached texts against the bodies that
+    """The encodings read from per-byte tables against the bodies that
     decode and print every structure afresh (`encode_oracle`): every
     carrier up to 5-7 labels, carried onto the label set {2, 5, 9, 11, 13,
     14, 15}, onto labels led by 10 (the least top label that puts commas
@@ -91,6 +91,56 @@ def test_encode_matches_the_old_bodies():
                 for f in (None, *fixed, at_random):
                     y = x if f is None else fam.relabel(f, x)
                     assert y.encode() == encode_oracle.encode(y), encode_oracle.encode(y)
+
+
+def test_widest_encodings_match_the_oracle_and_parse_back():
+    """Parts at the top of the label range (subsets in 0..15, pairs up to
+    label 361) and set bits on both sides of the byte boundaries at 7/8 and
+    63/64."""
+    full = frozenset(range(16))
+    wide = frozenset(range(362))
+    cases = [
+        SimplicialComplex.from_facets(full, [{0, 15}, {3, 4, 5}, {7}]),
+        Hypergraph(full, [{14, 15}, full]),
+        Graph(wide, [{0, 361}, {360, 361}, {7, 8}]),
+        SetPartition(wide, [{0, 361}, {5, 360}] + [{v} for v in range(1, 360) if v != 5]),
+        # pair bits 7, 8 = (1, 4), (2, 4) and 63, 64 = (8, 11), (9, 11)
+        Graph(frozenset(range(12)), [{1, 4}, {2, 4}, {8, 11}, {9, 11}]),
+        # facet bits 7, 8 = {0,1,2}, {3} and 63, 64 = {0..5}, {6}
+        SimplicialComplex.from_facets(range(4), [{0, 1, 2}, {3}]),
+        SimplicialComplex.from_facets(range(7), [set(range(6)), {6}]),
+        # hyperedge bits 7, 9 and 63, 65
+        Hypergraph(frozenset(range(7)), [{0, 1, 2}, {0, 3}, set(range(6)), {0, 6}]),
+    ]
+    for x in cases:
+        assert x.encode() == encode_oracle.encode(x)
+        assert parse_structure(x.encode()) == x
+    assert cases[0].encode() == "S:n=16;F=7;F=0,15;F=3,4,5"
+    assert cases[1].encode() == "H:n=16;E={14,15};{" + ",".join(map(str, range(16))) + "}"
+    assert cases[2].encode() == "G:n=362;E=0-361,7-8,360-361"
+    assert cases[4].encode() == "G:n=12;E=1-4,2-4,8-11,9-11"
+
+
+def test_encodings_skip_the_bit_kernel_cache_and_keep_their_tables_bounded():
+    """Encoding a complex or hypergraph reads no `_word` entry, so the bit
+    kernel's cache is not flooded with one-off facet ints; the part tables
+    stay at their bound across labels up to 15 (subsets) and 361 (pairs)."""
+    complexes = SIMPLICIAL.enumerate(range(5))
+    hypergraphs = HYPERGRAPHS.enumerate(range(4))
+    _word.cache_clear()
+    for x in complexes + hypergraphs:
+        x.encode()
+    assert _word.cache_info().currsize == 0
+    _part_table.cache_clear()
+    bound = _part_table.cache_info().maxsize
+    assert bound is not None
+    rng = random.Random(33)
+    for fam, k, widest in ((SIMPLICIAL, 4, 15), (HYPERGRAPHS, 4, 15), (GRAPHS, 5, 361)):
+        for x in fam.enumerate(range(k)):
+            y = fam.relabel(dict(zip(range(k), rng.sample(range(widest + 1), k))), x)
+            assert y.encode() == encode_oracle.encode(y)
+    info = _part_table.cache_info()
+    assert info.currsize == bound < info.misses, info
 
 
 def test_parse_errors():
