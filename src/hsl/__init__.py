@@ -8,8 +8,7 @@ from .errors import (AmbientMismatch, CarrierOverflow, DEFAULT_BUDGET,
                      NotSelfAdjoint, ParseError)
 from .posets import (FinitePoset, IntPolynomial, check_galois, interval,
                      mobius, rota_transfer_check)
-from .species import (Family, bell, fubini, verify_axioms,
-                      verify_delta_after_mult_identity)
+from .species import Family, bell, fubini, verify_axioms
 from .vectors import (FreeVector, TensorVector, inverted_basis,
                       product_of_inverted_check, tensor)
 from .families import (FAMILIES, GRAPHS, HYPERGRAPHS, PARTITIONS, SIMPLICIAL,

@@ -22,8 +22,9 @@ from .errors import (DEFAULT_BUDGET, AmbientMismatch, EngineError,
 from .families import SetPartition, _of, _split, _union, partition_masks
 from .posets import (FinitePoset, GaloisReport, _Record, _containment_upsets,
                      _positions, check_galois)
-from .species import (Family, _Memo, _partitions, check_set_partition_budget,
-                      check_subset_budget, reassemble, subsets)
+from .species import (Family, _Memo, _partitions, _splits,
+                      check_set_partition_budget, check_subset_budget,
+                      reassemble, subsets)
 from .vectors import FreeVector, _galois_splits, inverted_basis, split_galois_setup
 
 
@@ -305,11 +306,6 @@ def takeuchi_antipode(fam: Family, x, budget: int = DEFAULT_BUDGET,
     return FreeVector(fam.tag, x.labels, {image(y): c for y, c in terms.items()})
 
 
-def takeuchi_on_vector(fam: Family, v: FreeVector,
-                       budget: int = DEFAULT_BUDGET) -> FreeVector:
-    return v.bind(lambda x: takeuchi_antipode(fam, x, budget))
-
-
 # ---------------------------------------------------------------------------
 # closed form
 
@@ -438,7 +434,7 @@ def antipode_on_inverted_check(fam: Family, x, budget: int = DEFAULT_BUDGET):
     Returns (equal, lhs, rhs)."""
     elems, ell, mu, _, _ = _upset_walk(fam, x, budget)
     omega = FreeVector(fam.tag, x.labels, dict(zip(elems, mu)))
-    lhs = takeuchi_on_vector(fam, omega, budget)
+    lhs = omega.bind(lambda y: takeuchi_antipode(fam, y, budget))
     rhs = omega * ((-1) ** ell[0])  # elems[0] is x
     return lhs == rhs, lhs, rhs
 
@@ -458,8 +454,8 @@ def antipode_axiom_check(fam: Family, n: int, antipode=None,
         unit_vec = FreeVector.basis(fam.tag, fam.unit) if k == 0 else None
         for x in fam.enumerate(labels, budget):
             terms = []  # one vector at the end, not a running sum
-            for S in subsets(labels):
-                x1, x2 = fam.comult(x, S, labels - S)
+            for S, T in _splits(labels):
+                x1, x2 = fam.comult(x, S, T)
                 piece = values[x1]
                 if piece.family_tag != fam.tag:
                     raise AmbientMismatch(piece._mismatch)

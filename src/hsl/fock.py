@@ -11,7 +11,7 @@ from math import comb, factorial, prod
 
 from .errors import CarrierOverflow, DEFAULT_BUDGET, EngineError
 from .posets import IntPolynomial, _Record, _accumulate, _as_fraction
-from .species import Family, _count_upward, bell, subsets
+from .species import Family, _count_upward, _splits, bell
 from .symfunc import SymFunc, power_sum_monomial
 
 _MAX_ORBIT_DEGREE = 7
@@ -67,8 +67,7 @@ def fock_coproduct(fam: Family, oc: OrbitClass) -> dict:
     Returns {(OrbitClass, OrbitClass): Fraction}."""
     x = oc.rep
     out: dict = {}
-    for S in subsets(x.labels):
-        T = x.labels - S
+    for S, T in _splits(x.labels):
         a, b = fam.comult(x, S, T)
         key = (orbit_canonicalize(fam, a), orbit_canonicalize(fam, b))
         out[key] = out.get(key, Fraction(0)) + 1

@@ -350,10 +350,6 @@ class IntPolynomial(_Combination):
     def __init__(self, terms=()):
         self._fill(terms)
 
-    @property
-    def coeffs(self) -> dict:
-        return self.terms
-
     @classmethod
     def falling_factorial(cls, n: int) -> "IntPolynomial":
         """t (t-1) (t-2) ... (t-n+1)."""

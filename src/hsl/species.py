@@ -539,19 +539,3 @@ _CHECKS = (("relabel_functorial", _check_relabel_functorial),
            ("cocommutativity", _check_cocommutativity),
            ("order_preservation_mult", _check_order_mult),
            ("order_preservation_comult", _check_order_comult))
-
-
-def verify_delta_after_mult_identity(fam: Family, n: int,
-                                     budget: int = DEFAULT_BUDGET):
-    """Check that splitting a product along its own decomposition recovers
-    the factors: Delta_{S,T}(m_{S,T}(x, y)) == (x, y).
-
-    Returns (ok, witness)."""
-    for k in range(n + 1):
-        labels = frozenset(range(k))
-        for S, T in _splits(labels):
-            for x in fam.enumerate(S, budget):
-                for y in fam.enumerate(T, budget):
-                    if fam.comult(fam.mult(x, y), S, T) != (x, y):
-                        return False, (x, y, S, T)
-    return True, None

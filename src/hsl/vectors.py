@@ -23,7 +23,7 @@ from operator import attrgetter
 
 from .errors import AmbientMismatch
 from .posets import FinitePoset, GaloisReport, _Combination, check_galois
-from .species import subsets
+from .species import _splits
 
 _labels = attrgetter("labels")
 
@@ -165,11 +165,6 @@ def inverted_basis(p: FinitePoset, x) -> FreeVector:
     return FreeVector(p.family_tag, x.labels, {p.elems[w]: c for w, c in row.items()})
 
 
-def corank_inverted_basis(p: FinitePoset, x) -> FreeVector:
-    """The down-set twin: sum over y <= x of mu(y, x) * y, read off p's kept opposite."""
-    return inverted_basis(p.reverse(), x)
-
-
 def split_galois_setup(fam, poset_for, box, S, T) -> tuple:
     """(p, q, f, g) for the Galois check on the split (S, T): the order on
     S | T, the product order P(S) x P(T), the split and the merge `box`."""
@@ -181,8 +176,7 @@ def split_galois_setup(fam, poset_for, box, S, T) -> tuple:
 def _galois_splits(fam, poset_for, box, labels) -> GaloisReport:
     """`check_galois` on each split (S, labels - S), S in bitmask order;
     the first failure's witness is (x, y, z, S, T)."""
-    for S in subsets(labels):
-        T = labels - S
+    for S, T in _splits(labels):
         report = check_galois(*split_galois_setup(fam, poset_for, box, S, T))
         if not report.ok:
             x, (y, z) = report.witness

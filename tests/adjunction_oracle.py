@@ -32,7 +32,7 @@ Galois check replaced, kept as the oracle for them.
   form's pass over the images.
 """
 
-from hsl.antipode import _reassembly_images, require_self_adjoint, takeuchi_on_vector
+from hsl.antipode import _reassembly_images, require_self_adjoint, takeuchi_antipode
 from hsl.posets import FinitePoset, GaloisReport, mobius
 from hsl.species import subsets
 from hsl.vectors import (FreeVector, TensorVector, comult_vector,
@@ -161,6 +161,6 @@ def inverted_check_by_view(fam, x):
     images, its up-sets their transpose."""
     elems, down, ell = _reassembly_images(x, require_self_adjoint(fam, x))
     omega = inverted_basis(FinitePoset(elems, transpose(down), down, fam.tag), x)
-    lhs = takeuchi_on_vector(fam, omega)
+    lhs = omega.bind(lambda y: takeuchi_antipode(fam, y))
     rhs = omega * ((-1) ** ell[0])
     return lhs == rhs, lhs, rhs

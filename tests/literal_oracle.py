@@ -29,7 +29,9 @@ it, so none of them reads the kernel it checks.
 
 It also keeps the sweep of all 2^|E| orientations of a graph, each tested
 for a cycle by peeling sinks, as the oracle for the cut search of
-`hsl.families.acyclic_orientations_brute`.
+`hsl.families.acyclic_orientations_brute`, and `delta_after_mult`, the
+loop over every product that compatibility, unitality and counitality in
+`hsl.species.verify_axioms` decide between them.
 """
 
 from dataclasses import dataclass
@@ -40,7 +42,7 @@ from hsl.errors import (DEFAULT_BUDGET, CarrierOverflow, LabelMismatch,
                         NonUniqueFactorization)
 from hsl.families import _mask, _pair_of
 from hsl.posets import FinitePoset, IntPolynomial, interval, mobius
-from hsl.species import check_set_partition_budget
+from hsl.species import _splits, check_set_partition_budget
 
 from partition_oracle import set_partitions
 
@@ -165,6 +167,23 @@ def _literal_view(fam, labels: frozenset) -> FinitePoset:
     index = {x: i for i, x in enumerate(elems)}
     up = [sum(1 << index[y] for y in reassembly_upset(fam, x)) for x in elems]
     return FinitePoset(elems, up, transpose(up), fam.tag)
+
+
+def delta_after_mult(fam, n: int, budget: int = DEFAULT_BUDGET) -> tuple:
+    """(ok, witness): whether splitting each product along its own
+    decomposition recovers the factors, Delta_{S,T}(m_{S,T}(x, y)) ==
+    (x, y), on every split (S, T) of 0..k-1 for k <= n; the witness is
+    the first failing (x, y, S, T).  It is the loop of the sweep that
+    `hsl` exported as `verify_delta_after_mult_identity`: compatibility at
+    the split T = S with the unit and counit axioms gives the identity, so
+    `verify_axioms` decides it."""
+    for k in range(n + 1):
+        for S, T in _splits(frozenset(range(k))):
+            for x in fam.enumerate(S, budget):
+                for y in fam.enumerate(T, budget):
+                    if fam.comult(fam.mult(x, y), S, T) != (x, y):
+                        return False, (x, y, S, T)
+    return True, None
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,30 @@ def test_antipode_unit(capsys):
     assert data["agree"] is True
 
 
+def test_antipode_disagreement_exits_verify(capsys, monkeypatch):
+    # a closed form whose upper vector is twice the true one: the two
+    # routes disagree, and `both` reports it and exits 4
+    real = cli.closed_form_antipode
+
+    def doubled(fam, x, budget):
+        closed = real(fam, x, budget)
+        return ap.ClosedFormAntipode(closed.family, closed.labels,
+                                     {y: 2 * c for y, c in closed.upper.items()},
+                                     closed.lower)
+
+    monkeypatch.setattr(cli, "closed_form_antipode", doubled)
+    args = ("antipode", "--family", "graphs", "--object", "G:n=2;E=0-1",
+            "--method", "both", "--jobs", "1")
+    code, out, err = run(capsys, *args)
+    assert (code, err) == (4, "")
+    data = json.loads(out)
+    assert data["agree"] is False
+    assert data["results"][1]["vector"]["terms"] == {"G:n=2;E=": "4", "G:n=2;E=0-1": "-2"}
+    code, out, err = run(capsys, *args, "--format", "text")
+    assert (code, err) == (4, "")
+    assert out.endswith("  agree: false\n")
+
+
 def test_primitives_text_matches_the_object_rendering(capsys):
     # the text view reads the JSON payload, whose vectors are read by
     # position off one encoding per element; this is the rendering from
@@ -275,8 +299,7 @@ _EXPORTS = {
                "NotSelfAdjoint", "ParseError"],
     "posets": ["FinitePoset", "IntPolynomial", "check_galois", "interval",
                "mobius", "rota_transfer_check"],
-    "species": ["Family", "bell", "fubini", "verify_axioms",
-                "verify_delta_after_mult_identity"],
+    "species": ["Family", "bell", "fubini", "verify_axioms"],
     "vectors": ["FreeVector", "TensorVector", "inverted_basis",
                 "product_of_inverted_check", "tensor"],
     "families": ["FAMILIES", "GRAPHS", "HYPERGRAPHS", "PARTITIONS", "SIMPLICIAL",
@@ -408,6 +431,17 @@ def test_verify_duality_flag_is_the_full_pairing(capsys, monkeypatch):
         assert code == (0 if expected else 4)
         verdicts.append(expected)
     assert verdicts == [True, True, False, False]
+
+
+def test_primitives_on_a_failing_adjunction_exits_verify(capsys, monkeypatch):
+    # the native order of graphs with the merge for its box fails the
+    # Galois check on two labels: no basis is printed, and main reports
+    # the EngineError on stderr
+    monkeypatch.setattr(Adjunction, "box", lambda self, x, y: self.family.mult(x, y))
+    code, out, err = run(capsys, "primitives", "--family", "graphs", "--n", "2",
+                         "--jobs", "1")
+    assert (code, out) == (4, "")
+    assert err.startswith("verification failure: adjunction fails on [0, 1]")
 
 
 def test_primitives_command(capsys):

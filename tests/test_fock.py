@@ -349,5 +349,5 @@ def test_partition_char_poly_lower_side_never_matches_beyond_degree_1():
     # frozen degree-2 values: the lower/block-count evaluation is the
     # negative of the printed polynomial there
     r2 = partition_char_poly_check(2)
-    assert r2.polynomials[("lower", "blocks")].coeffs == {1: 1, 2: -1}
-    assert r2.falling.coeffs == {1: -1, 2: 1}
+    assert r2.polynomials[("lower", "blocks")].terms == {1: 1, 2: -1}
+    assert r2.falling.terms == {1: -1, 2: 1}

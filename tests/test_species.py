@@ -12,13 +12,12 @@ from hsl.families import (FAMILIES, GRAPHS, HYPERGRAPHS, PARTITIONS,
 from hsl.antipode import _reassembly_images, _restrictions
 from hsl.species import (AxiomReport, AxiomResult, Family, _bijections,
                          _partitions, _splits, bell, fubini, reassemble,
-                         subsets, verify_axioms,
-                         verify_delta_after_mult_identity)
+                         subsets, verify_axioms)
 from family_replace import replace
-from literal_oracle import (_bits, compose_comult, compose_mult,
+from literal_oracle import (_bits, compose_comult, compose_mult, delta_after_mult,
                             reassemble as literal_reassemble)
 from partition_oracle import compositions, partition_masks_by_fold, set_partitions
-from test_antipode import _skewed_graphs
+from test_antipode import _join_complexes, _skewed_graphs
 
 
 def test_ordered_set_partition_validation():
@@ -285,10 +284,8 @@ def test_order_checks_catch_order_breaking_mutants():
 
 
 def test_delta_after_mult_identity():
-    assert verify_delta_after_mult_identity(GRAPHS, 3)[0]
-    assert verify_delta_after_mult_identity(SIMPLICIAL, 3)[0]
-    assert verify_delta_after_mult_identity(HYPERGRAPHS, 3)[0]
-    assert verify_delta_after_mult_identity(PARTITIONS, 3)[0]
+    for fam in (GRAPHS, SIMPLICIAL, HYPERGRAPHS, PARTITIONS):
+        assert delta_after_mult(fam, 3) == (True, None), fam.tag
 
 
 def test_relabeling_is_poset_isomorphism():
@@ -658,6 +655,22 @@ def test_verify_axioms_matches_literal_oracle_on_mutants():
     broken = {r.name for r in verify_axioms(_twisted_relabel_graphs(), 3).results
               if not r.passed}
     assert {"relabel_functorial", "naturality_mult"} <= broken
+
+
+def test_verify_axioms_decides_delta_after_mult():
+    # wherever splitting a product along its own decomposition loses a
+    # factor, verify_axioms fails on the same carriers
+    families = [GRAPHS, SIMPLICIAL, HYPERGRAPHS, PARTITIONS,
+                _mutant_graphs(), _flip_graphs(), _box_graphs(),
+                _twisted_relabel_graphs(), _off_carrier_partitions(),
+                _skewed_graphs(), _join_complexes()]
+    failing = set()
+    for fam in families:
+        for n in range(4):
+            if not delta_after_mult(fam, n)[0]:
+                failing.add((fam.tag, n))
+                assert not verify_axioms(fam, n).passed, (fam.tag, n)
+    assert failing == {("graphs-flip", 2), ("graphs-flip", 3), ("partitions-lossy", 3)}
 
 
 def test_value_table_positions_off_carrier_structures():

@@ -254,12 +254,12 @@ def test_delta_on_inverted_simplicial_reversed_order():
             assert ok
 
 
-def test_corank_inverted_basis_is_downset_twin():
-    from hsl.vectors import corank_inverted_basis
-    p = GRAPHS.poset(K2.labels)
-    omega_down = corank_inverted_basis(p, K2)
+def test_inverted_basis_of_the_opposite_order_is_downset_twin():
+    # on the opposite order omega_x sums mu(y, x) * y over y <= x
+    p = GRAPHS.poset(K2.labels).reverse()
+    omega_down = inverted_basis(p, K2)
     assert omega_down == FreeVector("graphs", K2.labels, [(K2, 1), (EMPTY2, -1)])
-    assert corank_inverted_basis(p, EMPTY2) == FreeVector.basis("graphs", EMPTY2)
+    assert inverted_basis(p, EMPTY2) == FreeVector.basis("graphs", EMPTY2)
 
 
 def test_delta_on_inverted_exhaustive_n2_hypergraphs():
