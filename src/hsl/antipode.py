@@ -7,8 +7,9 @@ The closed form's normative coefficient of y in S(x) is
     sum over x <=r z <=r y of (-1)^ell(z) * mu(z, y)
 
 (the upper-side evaluation).  The lower-side evaluation
-sum of mu(x, z) * (-1)^ell(z) is computed alongside and reported, because
-the two disagree already on two-element chains; see the discrepancy tests.
+sum of mu(x, z) * (-1)^ell(z) is folded where it is read and reported,
+because the two disagree already on two-element chains; see the
+discrepancy tests.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from math import factorial
 from .errors import (DEFAULT_BUDGET, AmbientMismatch, EngineError,
                      LabelMismatch, NonUniqueFactorization, NotSelfAdjoint)
 from .families import SetPartition, _of, _split, _union, partition_masks
-from .posets import (FinitePoset, GaloisReport, _Record, _containment_upsets,
+from .posets import (FinitePoset, GaloisReport, _Record, _containment_stream,
                      _positions, check_galois)
 from .species import (Family, _Memo, _partitions, _splits,
                       check_set_partition_budget, check_subset_budget,
@@ -315,13 +316,46 @@ class ClosedFormAntipode(_Record):
 
     `vector` carries the upper-side coefficients (the form that matches
     the defining sum); `literal_lower_vector` carries the lower-side
-    evaluation of the characteristic polynomial at -1."""
+    evaluation of the characteristic polynomial at -1.
+
+    A record from `closed_form_antipode` holds the fold over the images of
+    x (`_upset_walk`) until a row is read, and folds each row on its first
+    read: `upper` alone, while the first read of `lower` folds mu and the
+    lower row, with the upper row where it is still unread, in one stream.
+    Comparing or printing a record reads both rows."""
 
     def __init__(self, family: str, labels: frozenset, upper: dict, lower: dict):
         self.family = family
         self.labels = labels
         self.upper = upper
         self.lower = lower
+
+    @classmethod
+    def _unread(cls, family: str, labels: frozenset, elems: list, fold):
+        out = cls.__new__(cls)
+        out.family, out.labels, out._walk = family, labels, (elems, fold)
+        return out
+
+    def __getattr__(self, name):
+        # called only for an attribute that is not set: a row not yet read
+        walk = self.__dict__.get("_walk")
+        if walk is None or name not in ("upper", "lower"):
+            raise AttributeError(name)
+        elems, fold = walk
+        rows = ["upper"] if name == "upper" else ["mu", "lower"]
+        if name == "lower" and "upper" not in self.__dict__:
+            rows.append("upper")
+        folded = fold(rows)
+        for row in ("upper", "lower"):  # the fields in the constructor's order
+            if row in folded:
+                setattr(self, row, dict(zip(elems, folded[row])))
+        if name == "lower":
+            del self._walk
+        return self.__dict__[name]
+
+    def _fields(self) -> dict:
+        self.lower  # its first read folds every row still unread
+        return vars(self)
 
     @property
     def vector(self) -> FreeVector:
@@ -333,11 +367,12 @@ class ClosedFormAntipode(_Record):
 
 
 def _reassembly_images(x, table: tuple) -> tuple:
-    """(elems, down, ell) for the up-set of x in the reassembly order, from
+    """(elems, keys, ell) for the up-set of x in the reassembly order, from
     the restriction table of x that passed the gate: `elems` are the
-    distinct images of the table, one structure each, down[i] is the
-    bitmask over `elems` of the images at or below elems[i], and ell[i] is
-    the grading of elems[i].  No image is encoded, and nothing is built
+    distinct images of the table, one structure each, keys[i] is the
+    same-block pair mask of the finest partition giving elems[i], and
+    ell[i] is the grading of elems[i].  z <= y iff keys[y] has no bit
+    outside keys[z] (below).  No image is encoded, and nothing is built
     per partition of the labels.
 
     The images are in the order of their finest partitions pi0 in
@@ -360,8 +395,8 @@ def _reassembly_images(x, table: tuple) -> tuple:
     some img(rho) with rho refining pi0(y), and pi0(z) refines that rho;
     the converse takes rho = pi0(z).  A partition refines another iff its
     same-block pairs lie among the other's, inside(pi) of `SetPartition`,
-    so the down-sets are one containment compile over the inside(pi0(y))
-    of the distinct images (`_containment_upsets`).
+    so the down-sets are a containment order on the keys inside(pi0(y))
+    (`_containment_stream`).
 
     ell is the table's grades at the pi0(y) (`_restrictions`).  On the
     kernel that is |pi0(y)|, and it is ell(y): there img(pi) = x &
@@ -373,35 +408,45 @@ def _reassembly_images(x, table: tuple) -> tuple:
     img, image, grades = table
     pi0 = sorted(dict(zip(img, range(len(img)))).values())  # each image's last partition
     masks = partition_masks(SetPartition, frozenset(range(len(x.labels))))
-    down = _containment_upsets([masks[j] for j in pi0])
-    return [image(img[j]) for j in pi0], down, grades(pi0)
+    return [image(img[j]) for j in pi0], [masks[j] for j in pi0], grades(pi0)
+
+
+def _fold_rows(keys: list, sign: list, rows) -> dict:
+    """{row: its values over the images} for each row named in `rows`:
+    "mu" for mu(x, .), "upper" and "lower" for the closed form's values,
+    "lower" only with "mu".  With s(z) = sign[z] = (-1)^ell(z), the lower
+    value at y is the sum of mu(x, z) s(z) over z <= y.  The upper value
+    u(y), the sum of mu(z, y) s(z) over x <= z <= y, sums over [x, w] to
+    s(w): it is the Möbius inversion of s along the up-set of x, as
+    mu(x, .) is that of the delta at x.  Every image lies above x, so
+    [x, w] is the down-set of w, and one pass over the images in their
+    order, a linear extension (`_reassembly_images`), folds every named
+    row.  Each down-set is formed from the keys when the pass reaches it,
+    read once from the bit kernel and dropped (`_containment_stream`)."""
+    out = {row: [0] * len(keys) for row in rows}
+    mu, upper, lower = map(out.get, ("mu", "upper", "lower"))
+    signed = [0] * len(keys)  # mu(x, w) s(w), for the lower row
+    for w, down in enumerate(_containment_stream(keys)):
+        below = _positions(down ^ 1 << w)
+        if mu is not None:
+            mu[w] = (w == 0) - sum(map(mu.__getitem__, below))  # elems[0] is x
+        if upper is not None:
+            upper[w] = sign[w] - sum(map(upper.__getitem__, below))
+        if lower is not None:
+            signed[w] = mu[w] * sign[w]
+            lower[w] = signed[w] + sum(map(signed.__getitem__, below))
+    return out
 
 
 def _upset_walk(fam: Family, x, budget: int) -> tuple:
-    """(elems, ell, mu, upper, lower) on the up-set of x in the reassembly
-    order, where the gate (`require_self_adjoint`) holds on x: the images
-    and their grading from `_reassembly_images`, then mu(x, .) and the
-    closed form's upper and lower values, each a list over `elems`.
-
-    With s(z) = (-1)^ell(z), the lower value at y is the sum of
-    mu(x, z) s(z) over z <= y.  The upper value u(y), the sum of
-    mu(z, y) s(z) over x <= z <= y, sums over [x, w] to s(w): it is the
-    Möbius inversion of s along the up-set of x, as mu(x, .) is that of
-    the delta at x.  Every image lies above x, so [x, w] is the down-set
-    of w, and one pass over the images in their order, which is a linear
-    extension (`_reassembly_images`), gives all three, each below-set
-    read once from the bit kernel."""
+    """(elems, ell, fold) on the up-set of x in the reassembly order,
+    where the gate (`require_self_adjoint`) holds on x: the images and
+    their grading from `_reassembly_images`, and fold(rows), which folds
+    the rows of `_fold_rows` that its caller reads, each a list over
+    `elems`, in one stream over the images."""
     check_set_partition_budget(len(x.labels), budget)
-    elems, down, ell = _reassembly_images(x, require_self_adjoint(fam, x))
-    sign = [(-1) ** k for k in ell]
-    mu, upper, signed, lower = ([0] * len(elems) for _ in range(4))
-    for w, mask in enumerate(down):
-        below = _positions(mask ^ 1 << w)
-        mu[w] = (w == 0) - sum(map(mu.__getitem__, below))  # elems[0] is x
-        upper[w] = sign[w] - sum(map(upper.__getitem__, below))
-        signed[w] = mu[w] * sign[w]  # mu(x, w) s(w)
-        lower[w] = signed[w] + sum(map(signed.__getitem__, below))
-    return elems, ell, mu, upper, lower
+    elems, keys, ell = _reassembly_images(x, require_self_adjoint(fam, x))
+    return elems, ell, partial(_fold_rows, keys, [(-1) ** k for k in ell])
 
 
 def closed_form_antipode(fam: Family, x,
@@ -410,14 +455,14 @@ def closed_form_antipode(fam: Family, x,
     upper characteristic evaluation at -1 over the interval [x, y] graded
     by factorization length.  The lower evaluation is reported alongside.
 
-    Both come from one pass over the images of x in its restriction table
-    (`_upset_walk`), which raises NotSelfAdjoint where the gate fails on x
-    and NonUniqueFactorization where the grading is not unique.  `upper`
-    and `lower` hold the images in the order of `_reassembly_images`, not
-    in encoding order."""
-    elems, _, _, upper, lower = _upset_walk(fam, x, budget)
-    return ClosedFormAntipode(fam.tag, x.labels, dict(zip(elems, upper)),
-                              dict(zip(elems, lower)))
+    The gate and the images of x in its restriction table (`_upset_walk`)
+    are read here, which raises NotSelfAdjoint where the gate fails on x
+    and NonUniqueFactorization where the grading is not unique; each row
+    is folded on its first read (`ClosedFormAntipode`).  `upper` and
+    `lower` hold the images in the order of `_reassembly_images`, not in
+    encoding order."""
+    elems, _, fold = _upset_walk(fam, x, budget)
+    return ClosedFormAntipode._unread(fam.tag, x.labels, elems, fold)
 
 
 # ---------------------------------------------------------------------------
@@ -428,12 +473,13 @@ def antipode_on_inverted_check(fam: Family, x, budget: int = DEFAULT_BUDGET):
     """Check S(omega_x) == (-1)^ell(x) * omega_x on the reassembly order,
     an identity of commutative, cocommutative families: omega_x, the sum
     of mu(x, y) y over the up-set of x, and ell(x) come from the closed
-    form's pass over x's images (`_upset_walk`), and where the gate fails
-    on x it raises NotSelfAdjoint, as `closed_form_antipode` does.
+    form's pass over x's images (`_upset_walk`), which folds the row
+    mu(x, .) alone, and where the gate fails on x it raises
+    NotSelfAdjoint, as `closed_form_antipode` does.
 
     Returns (equal, lhs, rhs)."""
-    elems, ell, mu, _, _ = _upset_walk(fam, x, budget)
-    omega = FreeVector(fam.tag, x.labels, dict(zip(elems, mu)))
+    elems, ell, fold = _upset_walk(fam, x, budget)
+    omega = FreeVector(fam.tag, x.labels, dict(zip(elems, fold(("mu",))["mu"])))
     lhs = omega.bind(lambda y: takeuchi_antipode(fam, y, budget))
     rhs = omega * ((-1) ** ell[0])  # elems[0] is x
     return lhs == rhs, lhs, rhs

@@ -7,8 +7,8 @@
 
 Every command supports --format json|text; JSON output is byte-identical
 across runs.  --jobs is accepted and ignored: everything runs in one
-process.  Exit codes: 0 success, 2 parse error, 3 element budget
-exceeded, 4 verification failure.
+process.  Exit codes: 0 success, 2 parse error, 3 element budget or
+memory exceeded, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -90,9 +90,12 @@ def cmd_antipode(args) -> int:
         vectors["takeuchi"] = takeuchi_antipode(fam, x, budget)
     if args.method in ("closed", "both"):
         closed = closed_form_antipode(fam, x, budget)
+        # the first read of the lower row folds it with mu and the upper
+        # row in one stream; `--method closed` reads the upper row alone
+        lower = closed.literal_lower_vector if args.method == "both" else None
         vectors["closed-upper"] = closed.vector
-        if args.method == "both":
-            vectors["closed-lower-paper-literal"] = closed.literal_lower_vector
+        if lower is not None:
+            vectors["closed-lower-paper-literal"] = lower
 
     results = [{"method": route, "vector": vec.to_json_dict()}
                for route, vec in vectors.items()]
@@ -276,6 +279,9 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except CarrierOverflow as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError:
+        print("budget exceeded: out of memory", file=sys.stderr)
         return EXIT_BUDGET
     except EngineError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)

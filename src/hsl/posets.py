@@ -51,16 +51,24 @@ def _positions(m: int) -> tuple:
 
 def _containment_upsets(keys) -> list:
     """The up-sets, as bitsets over positions, of the order x <= y iff
-    keys[x] has no bit outside keys[y].  Each bit e of a key gets the
-    bitset has[e] of the positions whose key holds it; the up-set of x is
-    the `&` of has[e] over the bits e of keys[x]."""
+    keys[x] has no bit outside keys[y] (`_containment_stream`)."""
+    return list(_containment_stream(keys))
+
+
+def _containment_stream(keys):
+    """The up-sets of `_containment_upsets`, one at a time, in the order
+    of `keys`.  Each bit e of a key gets the bitset has[e] of the
+    positions whose key holds it, built once; the up-set of x, the `&` of
+    has[e] over the bits e of keys[x], is formed when it is reached, so a
+    reader that drops each one holds only the has[e]."""
     members = list(map(_positions, keys))  # the bits of each key
     has: dict = {}
     for i, bits in enumerate(members):
         for e in bits:
             has[e] = has.get(e, 0) | 1 << i
     everything = (1 << len(keys)) - 1
-    return [reduce(and_, map(has.__getitem__, bits), everything) for bits in members]
+    for bits in members:
+        yield reduce(and_, map(has.__getitem__, bits), everything)
 
 
 class FinitePoset:
@@ -147,18 +155,22 @@ def mobius(p: FinitePoset, x, y) -> int:
 
 class _Record:
     """A result report: two reports are equal when they are of one class
-    and their attributes are equal, a report is unhashable, and its repr
-    lists its attributes in the order its constructor sets them."""
+    and their fields are equal, a report is unhashable, and its repr
+    lists its fields.  The fields are its attributes in the order its
+    constructor sets them, unless a report says otherwise (`_fields`)."""
 
     __hash__ = None
+
+    def _fields(self) -> dict:
+        return vars(self)
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return vars(self) == vars(other)
+        return self._fields() == other._fields()
 
     def __repr__(self):
-        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        fields = ", ".join(f"{k}={v!r}" for k, v in self._fields().items())
         return f"{type(self).__name__}({fields})"
 
 

@@ -26,10 +26,11 @@ Galois check replaced, kept as the oracle for them.
   omega_{x1} (x) omega_{x2} over x1 box x2 = x, as vectors, for one x,
   where `hsl.posets.rota_transfer_check` on `hsl.vectors.split_galois_setup`
   checks the same coefficients for every x of the split in one scan.
-- `inverted_check_by_view` compiles x's images into a `FinitePoset`
-  and reads omega_x with `inverted_basis`, where
-  `hsl.antipode.antipode_on_inverted_check` reads mu(x, .) off the closed
-  form's pass over the images.
+- `inverted_check_by_view` compiles x's images into a `FinitePoset`,
+  their down-sets from the keys by `literal_oracle.down_sets`, and reads
+  omega_x with `inverted_basis`, where
+  `hsl.antipode.antipode_on_inverted_check` folds mu(x, .) alone over
+  the images, each down-set formed when it is reached.
 """
 
 from hsl.antipode import _reassembly_images, require_self_adjoint, takeuchi_antipode
@@ -37,7 +38,7 @@ from hsl.posets import FinitePoset, GaloisReport, mobius
 from hsl.species import subsets
 from hsl.vectors import (FreeVector, TensorVector, comult_vector,
                          inverted_basis, tensor)
-from literal_oracle import _bits, transpose
+from literal_oracle import _bits, down_sets, transpose
 
 
 def biconditional_failure(p: FinitePoset, q: FinitePoset, fx, gy):
@@ -159,7 +160,8 @@ def inverted_check_by_view(fam, x):
     """(equal, lhs, rhs) for S(omega_x) == (-1)^ell(x) * omega_x, omega_x
     the inverted basis of the order compiled from the down-sets of x's
     images, its up-sets their transpose."""
-    elems, down, ell = _reassembly_images(x, require_self_adjoint(fam, x))
+    elems, keys, ell = _reassembly_images(x, require_self_adjoint(fam, x))
+    down = down_sets(keys)
     omega = inverted_basis(FinitePoset(elems, transpose(down), down, fam.tag), x)
     lhs = omega.bind(lambda y: takeuchi_antipode(fam, y))
     rhs = omega * ((-1) ** ell[0])

@@ -7,6 +7,9 @@ and every grading in `hsl`.
   `reassemble` is the one after the other.
 - `reassembly_upset` reassembles x along every set partition of its
   labels; `literal_poset` compiles the reassembly order from it.
+- `materialized_walk` compiles the down-sets of x's images all at once
+  (`down_sets`) and folds mu(x, .) and both closed-form rows together,
+  where `hsl.antipode` streams the down-sets and folds the rows read.
 - `factorize` finds the indecomposable factors by two recursive
   bipartition sweeps that must agree; `grading` counts them.
 - `graded_char_poly`/`graded_char_eval` are the Möbius-weighted rank
@@ -38,10 +41,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from hsl.antipode import _reassembly_images, require_self_adjoint
 from hsl.errors import (DEFAULT_BUDGET, CarrierOverflow, LabelMismatch,
                         NonUniqueFactorization)
 from hsl.families import _mask, _pair_of
-from hsl.posets import FinitePoset, IntPolynomial, interval, mobius
+from hsl.posets import (FinitePoset, IntPolynomial, _containment_upsets,
+                        interval, mobius)
 from hsl.species import _splits, check_set_partition_budget
 
 from partition_oracle import set_partitions
@@ -123,6 +128,33 @@ def literal_poset(fam, labels) -> FinitePoset:
     order, each up-set from `reassembly_upset`; compiled once per family
     and label set."""
     return _literal_view(fam, frozenset(labels))
+
+
+def down_sets(keys) -> list:
+    """The down-sets of the images of `hsl.antipode._reassembly_images`
+    from their keys, all compiled at once and kept: z <= y iff keys[y]
+    has no bit outside keys[z]."""
+    return _containment_upsets(keys)
+
+
+def materialized_walk(fam, x, budget: int = DEFAULT_BUDGET) -> tuple:
+    """(elems, ell, mu, upper, lower) on the up-set of x in the reassembly
+    order: the images and their grading from `_reassembly_images`, every
+    down-set compiled at once (`down_sets`), then mu(x, .) and the closed
+    form's upper and lower values folded together, each a list over
+    `elems`, where `hsl.antipode._fold_rows` forms each down-set when it
+    reaches it and folds only the rows its caller names."""
+    check_set_partition_budget(len(x.labels), budget)
+    elems, keys, ell = _reassembly_images(x, require_self_adjoint(fam, x))
+    sign = [(-1) ** k for k in ell]
+    mu, upper, signed, lower = ([0] * len(elems) for _ in range(4))
+    for w, mask in enumerate(down_sets(keys)):
+        below = list(_bits(mask ^ 1 << w))
+        mu[w] = (w == 0) - sum(mu[z] for z in below)  # elems[0] is x
+        upper[w] = sign[w] - sum(upper[z] for z in below)
+        signed[w] = mu[w] * sign[w]
+        lower[w] = signed[w] + sum(signed[z] for z in below)
+    return elems, ell, mu, upper, lower
 
 
 def transpose(up) -> tuple:

@@ -3,13 +3,13 @@ from math import factorial
 import pytest
 
 import hsl.antipode as ap
-from hsl.antipode import (Adjunction, antipode_axiom_check,
+from hsl.antipode import (Adjunction, ClosedFormAntipode, antipode_axiom_check,
                           antipode_on_inverted_check, box_indecomposables,
                           closed_form_antipode, declared_adjunctions,
                           primitives_basis, reassembly_poset,
                           reassembly_upset, takeuchi_antipode)
-from hsl.errors import (AmbientMismatch, CarrierOverflow, EngineError,
-                        NotSelfAdjoint)
+from hsl.errors import (DEFAULT_BUDGET, AmbientMismatch, CarrierOverflow,
+                        EngineError, NotSelfAdjoint)
 from hsl.families import (FAMILIES, GRAPHS, HYPERGRAPHS, PARTITIONS,
                           SIMPLICIAL, Graph, SimplicialComplex,
                           closed_form_antipode_graphs,
@@ -403,21 +403,53 @@ def test_closed_form_matches_literal_oracle():
                     == [(y, want[y]) for y in _by_encoding(want)]), x.encode()
 
 
+def test_streamed_rows_match_the_materialized_walk():
+    # each row the stream folds, alone as its callers ask for it and all
+    # three together, against the walk that compiles every down-set at
+    # once and folds the three rows together: the images in order, mu,
+    # upper and lower; the records read in either order, compare and
+    # print as records built from the two dicts.  Every structure of each
+    # family on 0-4 labels, graphs and partitions on 5, the one-block
+    # partition on 7 and 8, and graphs on 0-4 through wrapped maps
+    cases = [(fam, x) for fam in FAMILIES.values() for n in range(5)
+             for x in fam.enumerate(frozenset(range(n)))]
+    cases += [(fam, x) for fam in (GRAPHS, PARTITIONS)
+              for x in fam.enumerate(frozenset(range(5)))]
+    cases += [(PARTITIONS, G("P:n=7;B=0123456")), (PARTITIONS, G("P:n=8;B=01234567"))]
+    checked = _checked(GRAPHS)
+    cases += [(checked, x) for n in range(5) for x in GRAPHS.enumerate(frozenset(range(n)))]
+    for fam, x in cases:
+        elems, ell, mu, upper, lower = lit.materialized_walk(fam, x)
+        streamed, streamed_ell, fold = ap._upset_walk(fam, x, DEFAULT_BUDGET)
+        assert (streamed, streamed_ell) == (elems, ell), x.encode()
+        assert fold(("mu",)) == {"mu": mu}, x.encode()
+        assert fold(("upper",)) == {"upper": upper}, x.encode()
+        assert fold(("mu", "lower", "upper")) == {"mu": mu, "upper": upper,
+                                                  "lower": lower}, x.encode()
+        built = ClosedFormAntipode(fam.tag, x.labels, dict(zip(elems, upper)),
+                                   dict(zip(elems, lower)))
+        upper_first, lower_first = closed_form_antipode(fam, x), closed_form_antipode(fam, x)
+        assert list(upper_first.upper.items()) == list(zip(elems, upper)), x.encode()
+        assert list(lower_first.lower.items()) == list(zip(elems, lower)), x.encode()
+        for closed in (upper_first, lower_first):
+            assert closed == built and repr(closed) == repr(built), x.encode()
+
+
 def test_closed_form_compiles_the_order_of_the_distinct_images_only(monkeypatch):
-    # one containment compile per closed form, with one key per distinct
+    # one containment stream per closed form, with one key per distinct
     # image of x and none per partition of its labels: 2 for one edge on
     # 10 labels, 2^9 for the 9-edge star, all 877 for the one-block
     # partition on 7; on the one edge the closed form is the defining sum
     sizes = []
-    compile_order = ap._containment_upsets
-    monkeypatch.setattr(ap, "_containment_upsets",
-                        lambda keys: sizes.append(len(keys)) or compile_order(keys))
+    stream = ap._containment_stream
+    monkeypatch.setattr(ap, "_containment_stream",
+                        lambda keys: sizes.append(len(keys)) or stream(keys))
     star = "G:n=10;E=" + ",".join(f"0-{j}" for j in range(1, 10))
     for fam, text, count in ((GRAPHS, "G:n=10;E=0-1", 2), (GRAPHS, star, 512),
                              (PARTITIONS, "P:n=7;B=0123456", 877)):
         del sizes[:]
-        closed = closed_form_antipode(fam, G(text))
-        assert sizes == [count] == [len(closed.upper)], text
+        upper = closed_form_antipode(fam, G(text)).upper
+        assert sizes == [count] == [len(upper)], text
     edge = G("G:n=10;E=0-1")
     assert closed_form_antipode(GRAPHS, edge).vector == takeuchi_antipode(GRAPHS, edge)
 
@@ -478,7 +510,8 @@ def test_derived_upsets_match_reassembly_upset():
     # down-set holds it, against the literal sweep from that image
     for fam, x in _closed_form_cases():
         table = ap.require_self_adjoint(fam, x)
-        elems, down, _ = ap._reassembly_images(x, table)
+        elems, keys, _ = ap._reassembly_images(x, table)
+        down = lit.down_sets(keys)
         assert elems[0] == x
         assert _by_encoding(elems) == lit.reassembly_upset(fam, x), x.encode()
         assert reassembly_upset(fam, x) == lit.reassembly_upset(fam, x), x.encode()

@@ -15,7 +15,7 @@ from hsl import cli
 from hsl.antipode import (Adjunction, box_indecomposables, declared_adjunctions,
                           primitives_basis)
 from hsl.errors import CarrierOverflow
-from hsl.families import FAMILIES, free_vector_from_json, parse_structure
+from hsl.families import FAMILIES, PARTITIONS, free_vector_from_json, parse_structure
 from hsl.posets import FinitePoset
 from adjunction_oracle import duality_by_triples
 from literal_oracle import transpose
@@ -175,6 +175,51 @@ def test_budget_exit_code(capsys):
                        "--object", "P:n=5;B=01234", "--budget", "50",
                        "--jobs", "1")
     assert code == 3 and "budget exceeded" in err
+
+
+def test_memory_exhaustion_exits_budget_without_a_traceback(capsys, monkeypatch):
+    # a command that runs out of memory exits 3 with one stderr line, as
+    # an element budget does, and prints nothing
+    def exhausted(args):
+        raise MemoryError
+    monkeypatch.setattr(cli, "cmd_primitives", exhausted)
+    code, out, err = run(capsys, "primitives", "--family", "hypergraphs", "--n", "4",
+                         "--jobs", "1")
+    assert (code, out) == (3, "")
+    assert err.startswith("budget exceeded: out of memory") and err.count("\n") == 1, err
+
+
+def test_closed_form_callers_fold_the_rows_they_read(capsys, monkeypatch):
+    # the closed form's pass checks the gate and reads the images once per
+    # call, and folds the rows its caller reads: the upper row for the
+    # vector and `--method closed`, mu for the inverted check; `--method
+    # both` folds all three in one stream, and a later read folds nothing
+    calls = []  # the name of each gate check and image pass, the rows of each fold
+
+    def counted(name, real):
+        def call(*args):
+            calls.append(sorted(args[-1]) if name == "_fold_rows" else name)
+            return real(*args)
+        return call
+    for name in ("require_self_adjoint", "_reassembly_images", "_fold_rows"):
+        monkeypatch.setattr(ap, name, counted(name, getattr(ap, name)))
+    x = parse_structure("P:n=4;B=0123")
+    gate, images = "require_self_adjoint", "_reassembly_images"
+    closed = ap.closed_form_antipode(PARTITIONS, x)
+    assert calls == [gate, images]
+    closed.vector, closed.upper
+    assert calls == [gate, images, ["upper"]]
+    closed.literal_lower_vector, closed.lower, closed.vector
+    assert calls == [gate, images, ["upper"], ["lower", "mu"]]
+    del calls[:]
+    ap.antipode_on_inverted_check(PARTITIONS, x)
+    assert calls == [gate, images, ["mu"]]
+    for method, rows in (("closed", ["upper"]), ("both", ["lower", "mu", "upper"])):
+        del calls[:]
+        code, out, _ = run(capsys, "antipode", "--family", "partitions", "--object",
+                           x.encode(), "--method", method, "--jobs", "1")
+        assert code == 0 and calls == [gate, images, rows], method
+    assert json.loads(out)["agree"] is True
 
 
 def test_antipode_budget_counts_set_partitions(capsys):
