@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache, reduce
-from itertools import combinations, product
+from itertools import combinations
 from math import factorial, isqrt
 from operator import or_
 
@@ -99,13 +99,19 @@ def _pairs_in(S: frozenset) -> int:
 
 
 @lru_cache(maxsize=4096)
-def _subsets_in(S: frozenset) -> int:
-    """The bits of the subsets of S, the empty one included."""
-    _bit(_mask(S))  # the widest subset, S itself
+def _subsets_in(m: int) -> int:
+    """The bits of the subsets of the label bitmask m, the empty one included."""
+    _bit(m)  # the widest subset, m itself
     out = 1
-    for v in S:
+    for v in _positions(m):
         out |= out << (1 << v)
     return out
+
+
+def _subsets_inside(S) -> int:
+    """The restriction mask of hypergraphs and complexes: `_subsets_in` of
+    the label set S."""
+    return _subsets_in(_mask(S))
 
 
 # One table per (class, label set): the bound is far above the label sets
@@ -285,7 +291,7 @@ class Graph(_Structure):
 class Hypergraph(_Structure):
     __slots__ = ()
     _view = "edges"
-    _inside = staticmethod(_subsets_in)
+    _inside = staticmethod(_subsets_inside)
 
     @staticmethod
     def _validated(labels, edges) -> int:
@@ -307,7 +313,7 @@ class Hypergraph(_Structure):
     def complement(self) -> "Hypergraph":
         labels = self.labels
         small = 1 | sum(1 << (1 << v) for v in labels)  # empty, singletons
-        return _of(Hypergraph, labels, _subsets_in(labels) & ~(small | self.bits))
+        return _of(Hypergraph, labels, _subsets_inside(labels) & ~(small | self.bits))
 
 
 class SimplicialComplex(_Structure):
@@ -316,7 +322,7 @@ class SimplicialComplex(_Structure):
 
     __slots__ = ()
     _view = "faces"
-    _inside = staticmethod(_subsets_in)
+    _inside = staticmethod(_subsets_inside)
 
     @staticmethod
     def _validated(labels, faces) -> int:
@@ -353,7 +359,7 @@ class SimplicialComplex(_Structure):
         for f in facets:
             if not f <= labels:
                 raise LabelMismatch(f"face {sorted(f)} outside the ground set")
-        return _of(cls, labels, reduce(or_, map(_subsets_in, facets), 1))
+        return _of(cls, labels, reduce(or_, map(_subsets_inside, facets), 1))
 
 
 class SetPartition(_Structure):
@@ -488,16 +494,6 @@ def _components(labels, groups) -> tuple:
 
 def graph_components(g: Graph) -> tuple:
     return _components(g.labels, (_mask(_pair_of(k)) for k in _positions(g.bits)))
-
-
-def is_connected(x) -> bool:
-    if isinstance(x, SimplicialComplex):
-        x = sc_one_skeleton(x)
-    if isinstance(x, Graph):
-        return len(graph_components(x)) == 1
-    if isinstance(x, Hypergraph):  # each hyperedge bit is its label bitmask
-        return len(_components(x.labels, _positions(x.bits))) == 1
-    raise TypeError(f"no connectivity notion for {type(x)}")
 
 
 # ---------------------------------------------------------------------------
@@ -662,11 +658,12 @@ def _flats(g: Graph) -> list:
     sweep runs over the Bell(n) set partitions of the positions of g's
     sorted labels (`_partitions`), not over every graph on them (Benedetti
     and Sagan, 2017): the flat along pi is g.bits & inside(pi)
-    (`partition_masks`).  The blocks are the flat's components as label
-    masks, by lowest label.  The quotient g/flat is the int of the graph
-    on 0..k-1 whose label i is block i, with i-j an edge where g joins
-    blocks i and j."""
-    labels = tuple(sorted(g.labels))
+    (`partition_masks`).  The blocks are the flat's components as the
+    position masks of pi, the tuple `_partitions` holds, by lowest
+    position; position i is g's i-th label.  The quotient g/flat is the
+    int of the graph on 0..k-1 whose label i is block i, with i-j an edge
+    where g joins blocks i and j."""
+    labels = sorted(g.labels)
     n = len(labels)
     check_set_partition_budget(n, DEFAULT_BUDGET)
     position = {v: 1 << i for i, v in enumerate(labels)}
@@ -676,23 +673,23 @@ def _flats(g: Graph) -> list:
         adjacent[a] |= position[b]
         adjacent[b] |= position[a]
     near = _or_of_every_subset(adjacent.values())  # positions next to each mask
-    span = _or_of_every_subset(1 << v for v in labels)  # the labels at each mask
     connected = []  # by mask: does g restricted to it connect it
     for m in range(1 << n):
         reach = m & -m
         while (grown := reach | near[reach] & m) != reach:
             reach = grown
         connected.append(reach == m)
-    out = []
+    out, bits = [], g.bits
     for blocks, inside in zip(_partitions(n), partition_masks(Graph, g.labels)):
         if all(map(connected.__getitem__, blocks)):
-            quotient = 0
+            quotient = low = 0  # low: the bit of the pair (0, j)
             for j, b in enumerate(blocks):
-                low = j * (j - 1) // 2  # the bit of the pair (0, j)
+                touched = near[b]
                 for i in range(j):
-                    if near[blocks[i]] & b:
+                    if touched & blocks[i]:
                         quotient |= 1 << low + i
-            out.append((g.bits & inside, tuple(map(span.__getitem__, blocks)), quotient))
+                low += j
+            out.append((bits & inside, blocks, quotient))
     return out
 
 
@@ -700,11 +697,6 @@ def graph_flats(g: Graph) -> tuple:
     """All flats of g, sorted by encoding (see `_flats`)."""
     return tuple(sorted((_of(Graph, g.labels, bits) for bits, _, _ in _flats(g)),
                         key=Graph.encode))
-
-
-def graph_rank(g: Graph) -> int:
-    """Size of a spanning forest: |vertices| - number of components."""
-    return len(g.labels) - len(graph_components(g))
 
 
 def contract(g: Graph, h: Graph) -> Graph:
@@ -720,34 +712,6 @@ def _quotient(g: Graph, blocks) -> Graph:
     """g with each block merged into its minimum."""
     name = {v: min(block) for block in blocks for v in block}
     return _of(Graph, frozenset(name.values()), _image_pairs(name, g.bits))
-
-
-def acyclic_orientations_brute(g: Graph) -> int:
-    """Count the orientations with no directed cycle by building each one;
-    only sensible for |E| <= 20.  Edges are oriented one at a time, on
-    label positions; reach[v] is the bitset of positions v reaches, v
-    included.  tail->head closes a cycle exactly when reach[head] holds
-    tail, and every completion of that branch keeps the cycle, so the
-    branch is cut: it counts 0 per orientation, as a sweep of all 2^|E|
-    would.  Otherwise every reach holding tail gains reach[head].  Each
-    acyclic orientation is one leaf, built once: an exhaustive count,
-    independent of the chromatic polynomial it is checked against."""
-    edges = sorted(map(_pair_of, _positions(g.bits)))
-    if len(edges) > 20:
-        raise CarrierOverflow(
-            f"{len(edges)} edges is too many for brute-force orientation")
-    at = {v: i for i, v in enumerate(sorted(g.labels))}
-    arcs = [((at[a], at[b]), (at[b], at[a])) for a, b in edges]
-
-    def count(i: int, reach: list) -> int:  # acyclic orientations of edges i..
-        out = 0
-        for tail, head in arcs[i]:
-            gained, bit = reach[head], 1 << tail
-            if not gained & bit:  # after the last edge, a leaf counts 1
-                out += 1 if i == len(arcs) - 1 else count(
-                    i + 1, [r | gained if r & bit else r for r in reach])
-        return out
-    return count(0, [1 << i for i in range(len(at))]) if arcs else 1
 
 
 def _canonical(g: Graph) -> tuple:
@@ -789,8 +753,9 @@ def _acyclic(k: int, bits: int) -> int:
 
 def acyclic_orientation_count(g: Graph) -> int:
     """Number of acyclic orientations, |chi(-1)| (Stanley, 1973), by integer
-    deletion-contraction, a(G) = a(G - e) + a(G / e) and 1 with no edge;
-    `acyclic_orientations_brute`, one by one, is its oracle."""
+    deletion-contraction, a(G) = a(G - e) + a(G / e) and 1 with no edge.
+    The tests' cut search, which builds the orientations one by one
+    (`literal_oracle.acyclic_orientations_brute`), is its oracle."""
     return _acyclic(*_canonical(g))
 
 
@@ -809,14 +774,13 @@ def sc_gamma_of_flat(c: SimplicialComplex, f: Graph) -> SimplicialComplex:
     skel = sc_one_skeleton(c)
     if not is_flat(f, skel):
         raise NotAFlat(f"{f.encode()} is not a flat of the 1-skeleton")
-    return _gamma(c, map(_mask, graph_components(f)))
+    return _of(SimplicialComplex, c.labels, c.bits & _gamma(map(_mask, graph_components(f))))
 
 
-def _gamma(c: SimplicialComplex, blocks) -> SimplicialComplex:
-    """The faces of c inside one of the blocks (label masks), and the
-    empty face."""
-    inside = reduce(or_, (_subsets_in(frozenset(_positions(b))) for b in blocks), 1)
-    return _of(SimplicialComplex, c.labels, c.bits & inside)
+def _gamma(blocks) -> int:
+    """The bits of the faces inside one of the blocks (label masks), and of
+    the empty face: the `|` of the blocks' subset ints (`_subsets_in`)."""
+    return reduce(or_, map(_subsets_in, blocks), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -826,8 +790,8 @@ def _gamma(c: SimplicialComplex, blocks) -> SimplicialComplex:
 def _flat_terms(g: Graph):
     """(bits, blocks, coefficient) for each flat of g in the closed form:
     (-1)^(|I| - rank) * acyc(g/flat).  The flat's components are its
-    blocks, so rank = |I| - #blocks, and g/flat comes canonical from the
-    sweep."""
+    blocks (position masks, as `_flats` gives them), so rank = |I| -
+    #blocks, and g/flat comes canonical from the sweep."""
     for bits, blocks, quotient in _flats(g):
         k = len(blocks)
         yield bits, blocks, (-1) ** k * _acyclic(k, quotient)
@@ -835,39 +799,61 @@ def _flat_terms(g: Graph):
 
 def closed_form_antipode_graphs(g: Graph) -> FreeVector:
     """Sum over flats h of (-1)^(|I| - rank(h)) * acyc(g/h) * h."""
-    terms = {_of(Graph, g.labels, bits): coeff for bits, _, coeff in _flat_terms(g)}
-    return FreeVector(GRAPHS.tag, g.labels, terms)
+    labels = g.labels
+    terms = {_of(Graph, labels, bits): coeff for bits, _, coeff in _flat_terms(g)}
+    return FreeVector(GRAPHS.tag, labels, terms)
 
 
-def _refinements(p: SetPartition):
-    """All partitions refining p, with the per-block refinement shape."""
-    per_block = [zip(partition_masks(SetPartition, frozenset(_positions(m))),
-                     map(len, _partitions(m.bit_count())))
-                 for m in p.block_masks()]
-    for choice in product(*per_block):
-        bits = 0
-        for same, _ in choice:
-            bits |= same
-        yield _of(SetPartition, p.labels, bits), tuple(k for _, k in choice)
+# One tuple per block size, bounded like `_partitions`.
+@lru_cache(maxsize=16)
+def _refinement_weights(k: int) -> tuple:
+    """(-1)^j j! for each set partition of `_partitions(k)`, j its block
+    count."""
+    weights = [(-1) ** j * factorial(j) for j in range(k + 1)]
+    return tuple(weights[len(blocks)] for blocks in _partitions(k))
+
+
+# One table per label bitmask of a block: the bound is that of
+# `partition_masks`, whose tables these re-key.
+@lru_cache(maxsize=256)
+def _block_refinements(m: int) -> tuple:
+    """(same-block mask, weight) for each set partition of the labels of
+    the bitmask m: its refinement masks (`partition_masks`) and their
+    `_refinement_weights`."""
+    return tuple(zip(partition_masks(SetPartition, frozenset(_positions(m))),
+                     _refinement_weights(m.bit_count())))
 
 
 def closed_form_antipode_partitions(p: SetPartition) -> FreeVector:
     """Sum over refinements tau of (-1)^len(tau) * prod(lambda_i!) * tau,
-    where lambda_i counts the blocks of tau inside the i-th block of p."""
-    check_set_partition_budget(len(p.labels), DEFAULT_BUDGET)
-    terms: dict = {}
-    for tau, shape in _refinements(p):
-        coeff = (-1) ** sum(shape)
-        for lam in shape:
-            coeff *= factorial(lam)
-        terms[tau] = terms.get(tau, 0) + coeff
-    return FreeVector(PARTITIONS.tag, p.labels, terms)
+    where lambda_i counts the blocks of tau inside the i-th block of p.
+
+    A refinement of p is one partition of each block of p, its int the `|`
+    of their same-block masks, and its coefficient the product of their
+    weights (-1)^lambda_i lambda_i!: the terms are the product, over the
+    blocks, of each block's table (`_block_refinements`).  The blocks are
+    disjoint, so no two products share an int."""
+    labels = p.labels
+    check_set_partition_budget(len(labels), DEFAULT_BUDGET)
+    terms = {0: 1}
+    for m in p.block_masks():
+        table = _block_refinements(m)
+        terms = {a | b: c * w for a, c in terms.items() for b, w in table}
+    return FreeVector(PARTITIONS.tag, labels,
+                      {_of(SetPartition, labels, bits): c for bits, c in terms.items()})
 
 
 def closed_form_antipode_sc(c: SimplicialComplex) -> FreeVector:
     """Sum over flats F of the 1-skeleton of
     (-1)^(|I| - rank(F)) * acyc(skeleton/F) * Gamma(F), with coefficients
-    of identical images accumulated."""
-    terms = [(_gamma(c, blocks), coeff)
-             for _, blocks, coeff in _flat_terms(sc_one_skeleton(c))]
-    return FreeVector(SIMPLICIAL.tag, c.labels, terms)
+    of identical images accumulated.  Each flat's blocks, position masks,
+    are read as label masks through one table per call (`span`), and
+    Gamma(F) is c.bits & `_gamma` of them, accumulated by that int."""
+    labels = c.labels
+    span = _or_of_every_subset(1 << v for v in sorted(labels))  # the labels at each mask
+    terms: dict = {}
+    for _, blocks, coeff in _flat_terms(sc_one_skeleton(c)):
+        bits = c.bits & _gamma(map(span.__getitem__, blocks))
+        terms[bits] = terms.get(bits, 0) + coeff
+    return FreeVector(SIMPLICIAL.tag, labels,
+                      {_of(SimplicialComplex, labels, bits): k for bits, k in terms.items()})

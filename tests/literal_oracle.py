@@ -30,10 +30,14 @@ and every grading in `hsl`.
 kernel `hsl.posets._positions`; the oracles in `tests/` decode ints with
 it, so none of them reads the kernel it checks.
 
-It also keeps the sweep of all 2^|E| orientations of a graph, each tested
-for a cycle by peeling sinks, as the oracle for the cut search of
-`hsl.families.acyclic_orientations_brute`, and `delta_after_mult`, the
-loop over every product that compatibility, unitality and counitality in
+It also keeps the graph oracles that no route in `hsl` runs:
+`acyclic_orientations_brute`, the cut search that builds each acyclic
+orientation once, the oracle for the deletion-contraction count
+`hsl.families.acyclic_orientation_count`; the sweep of all 2^|E|
+orientations, each tested for a cycle by peeling sinks, as the oracle for
+that cut search; `is_connected` and `graph_rank`, read off the components
+that `hsl.families` finds; and `delta_after_mult`, the loop over every
+product that compatibility, unitality and counitality in
 `hsl.species.verify_axioms` decide between them.
 """
 
@@ -44,7 +48,8 @@ from functools import lru_cache
 from hsl.antipode import _reassembly_images, require_self_adjoint
 from hsl.errors import (DEFAULT_BUDGET, CarrierOverflow, LabelMismatch,
                         NonUniqueFactorization)
-from hsl.families import _mask, _pair_of
+from hsl.families import (Graph, Hypergraph, SimplicialComplex, _components,
+                          _mask, _pair_of, graph_components, sc_one_skeleton)
 from hsl.posets import (FinitePoset, IntPolynomial, _containment_upsets,
                         interval, mobius)
 from hsl.species import _splits, check_set_partition_budget
@@ -311,7 +316,54 @@ def graded_char_eval(p: FinitePoset, x, y, grading, side: str, t: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# acyclic orientations, all 2^|E| of them
+# connectivity and rank
+
+
+def is_connected(x) -> bool:
+    if isinstance(x, SimplicialComplex):
+        x = sc_one_skeleton(x)
+    if isinstance(x, Graph):
+        return len(graph_components(x)) == 1
+    if isinstance(x, Hypergraph):  # each hyperedge bit is its label bitmask
+        return len(_components(x.labels, _bits(x.bits))) == 1
+    raise TypeError(f"no connectivity notion for {type(x)}")
+
+
+def graph_rank(g: Graph) -> int:
+    """Size of a spanning forest: |vertices| - number of components."""
+    return len(g.labels) - len(graph_components(g))
+
+
+# ---------------------------------------------------------------------------
+# acyclic orientations, by a cut search and all 2^|E| of them
+
+
+def acyclic_orientations_brute(g: Graph) -> int:
+    """Count the orientations with no directed cycle by building each one;
+    only sensible for |E| <= 20.  Edges are oriented one at a time, on
+    label positions; reach[v] is the bitset of positions v reaches, v
+    included.  tail->head closes a cycle exactly when reach[head] holds
+    tail, and every completion of that branch keeps the cycle, so the
+    branch is cut: it counts 0 per orientation, as a sweep of all 2^|E|
+    would.  Otherwise every reach holding tail gains reach[head].  Each
+    acyclic orientation is one leaf, built once: an exhaustive count,
+    independent of the chromatic polynomial it is checked against."""
+    edges = sorted(map(_pair_of, _bits(g.bits)))
+    if len(edges) > 20:
+        raise CarrierOverflow(
+            f"{len(edges)} edges is too many for brute-force orientation")
+    at = {v: i for i, v in enumerate(sorted(g.labels))}
+    arcs = [((at[a], at[b]), (at[b], at[a])) for a, b in edges]
+
+    def count(i: int, reach: list) -> int:  # acyclic orientations of edges i..
+        out = 0
+        for tail, head in arcs[i]:
+            gained, bit = reach[head], 1 << tail
+            if not gained & bit:  # after the last edge, a leaf counts 1
+                out += 1 if i == len(arcs) - 1 else count(
+                    i + 1, [r | gained if r & bit else r for r in reach])
+        return out
+    return count(0, [1 << i for i in range(len(at))]) if arcs else 1
 
 
 def acyclic_orientations_sweep(g) -> int:

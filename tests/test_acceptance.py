@@ -12,8 +12,8 @@ from hsl.antipode import (Adjunction, antipode_axiom_check,
                           closed_form_antipode, primitives_basis,
                           reassembly_poset, takeuchi_antipode)
 from hsl.families import (GRAPHS, HYPERGRAPHS, PARTITIONS, SIMPLICIAL,
-                          Hypergraph, acyclic_orientations_brute,
-                          chromatic_polynomial, closed_form_antipode_graphs,
+                          Hypergraph, chromatic_polynomial,
+                          closed_form_antipode_graphs,
                           closed_form_antipode_partitions,
                           closed_form_antipode_sc, parse_structure)
 from hsl.posets import check_galois, rota_transfer_check
@@ -21,6 +21,7 @@ from hsl.species import subsets, verify_axioms
 from hsl.vectors import comult_vector, split_galois_setup
 from hsl.fock import partition_char_poly_check, power_sum_identity_check
 from adjunction_oracle import duality_by_triples
+from literal_oracle import acyclic_orientations_brute
 
 
 def _report(num, name, ok):

@@ -14,8 +14,7 @@ from hsl.families import (FAMILIES, GRAPHS, HYPERGRAPHS, PARTITIONS,
                           SIMPLICIAL, Graph, SimplicialComplex,
                           closed_form_antipode_graphs,
                           closed_form_antipode_partitions,
-                          closed_form_antipode_sc, is_connected,
-                          parse_structure)
+                          closed_form_antipode_sc, parse_structure)
 from hsl.posets import check_galois
 from hsl.species import _native_poset, _partitions, subsets
 from hsl.vectors import FreeVector, comult_vector, inverted_basis
@@ -23,7 +22,7 @@ import literal_oracle as lit
 from adjunction_oracle import (first_failing_triple, inverted_check_by_view,
                                merge_split_setup)
 from literal_oracle import (factorize, graded_char_eval, grading,
-                            literal_poset, reassemble)
+                            is_connected, literal_poset, reassemble)
 from partition_oracle import compositions, set_partitions
 
 G = parse_structure

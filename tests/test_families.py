@@ -11,20 +11,22 @@ from hsl.errors import (DEFAULT_BUDGET, CarrierOverflow, LabelMismatch,
 from hsl.families import (FAMILIES, GRAPHS, HYPERGRAPHS, PARTITIONS,
                           SIMPLICIAL, Graph, Hypergraph, SetPartition,
                           SimplicialComplex, acyclic_orientation_count,
-                          acyclic_orientations_brute, chromatic_polynomial,
-                          closed_form_antipode_graphs,
+                          chromatic_polynomial, closed_form_antipode_graphs,
                           closed_form_antipode_partitions,
                           closed_form_antipode_sc, contract, graph_components,
-                          graph_flats, graph_free_product, graph_rank,
-                          hypergraph_free_product, is_connected, is_flat,
+                          graph_flats, graph_free_product,
+                          hypergraph_free_product, is_flat,
                           parse_structure, _part_table,
                           sc_gamma_of_flat, sc_one_skeleton)
 from hsl import families
 from hsl.posets import IntPolynomial, _word
 from hsl.species import subsets
 from hsl.vectors import FreeVector
-from literal_oracle import (_bits, acyclic_orientations_sweep, factorize, grading,
-                            is_indecomposable, reassembly_upset)
+import literal_oracle
+from literal_oracle import (_bits, acyclic_orientations_brute,
+                            acyclic_orientations_sweep, factorize, graph_rank,
+                            grading, is_connected, is_indecomposable,
+                            reassembly_upset)
 from partition_oracle import set_partitions
 from complex_oracle import sc_enumerate_by_faces
 import encode_oracle
@@ -662,10 +664,12 @@ def test_orientation_count_matches_the_cut_search_from_13_to_20_edges():
 
 
 def test_runtime_orientation_route_never_runs_the_cut_search(monkeypatch):
+    # the cut search is a test oracle: `hsl.families` no longer holds it
     def cut_search(g):
         raise AssertionError("the runtime route ran the cut search")
 
-    monkeypatch.setattr(families, "acyclic_orientations_brute", cut_search)
+    assert not hasattr(families, "acyclic_orientations_brute")
+    monkeypatch.setattr(literal_oracle, "acyclic_orientations_brute", cut_search)
     families._chromatic.cache_clear()
     k5 = Graph(range(5), combinations(range(5), 2))
     assert acyclic_orientation_count(k5) == factorial(5)
@@ -762,14 +766,17 @@ def _flat_terms_literal(g, orientations, chromatic):
             for h, blocks in _flats_literal(g).items()}
 
 
-def _as_label_sets(blocks):
-    return frozenset(frozenset(_bits(b)) for b in blocks)
+def _as_label_sets(blocks, labels):
+    """The blocks of a flat, position masks over the sorted labels, as
+    label sets."""
+    order = sorted(labels)
+    return frozenset(frozenset(order[i] for i in _bits(b)) for b in blocks)
 
 
 def test_flats_and_quotients_match_the_frozenset_sweep():
     for g in _pinned_graphs():
         got = {families._of(Graph, g.labels, bits):
-               (_as_label_sets(blocks),
+               (_as_label_sets(blocks, g.labels),
                 families._of(Graph, frozenset(range(len(blocks))), quotient).encode())
                for bits, blocks, quotient in families._flats(g)}
         want = {h: (blocks, _canonical_encoding(contract(g, h)))
@@ -781,7 +788,7 @@ def test_flat_terms_and_family_formulas_match_the_encoding_route():
     orientations, chromatic = {}, {}
     for g in _pinned_graphs():
         terms = _flat_terms_literal(g, orientations, chromatic)
-        got = {families._of(Graph, g.labels, bits): (_as_label_sets(blocks), c)
+        got = {families._of(Graph, g.labels, bits): (_as_label_sets(blocks, g.labels), c)
                for bits, blocks, c in families._flat_terms(g)}
         assert got == terms, g.encode()
         assert closed_form_antipode_graphs(g) == FreeVector(
@@ -891,8 +898,9 @@ def test_closed_form_partitions_frozen_examples():
 
 
 def test_closed_form_partitions_matches_defining_sum():
-    for n in range(5):
-        for q in PARTITIONS.enumerate(frozenset(range(n))):
+    # up to 5 labels, and on labels that are not 0..n-1, one of them past 9
+    for labels in [range(n) for n in range(6)] + [{2, 5, 7, 11}]:
+        for q in PARTITIONS.enumerate(frozenset(labels)):
             assert closed_form_antipode_partitions(q) == takeuchi_antipode(PARTITIONS, q)
 
 
@@ -906,8 +914,9 @@ def test_closed_form_sc_frozen_examples():
 
 
 def test_closed_form_sc_matches_defining_sum():
-    for n in range(4):
-        for c in SIMPLICIAL.enumerate(frozenset(range(n))):
+    # up to 3 labels, and on the labels 1, 4, 6
+    for labels in [range(n) for n in range(4)] + [{1, 4, 6}]:
+        for c in SIMPLICIAL.enumerate(frozenset(labels)):
             assert closed_form_antipode_sc(c) == takeuchi_antipode(SIMPLICIAL, c)
 
 
@@ -927,19 +936,21 @@ def _closed_form_sc_literal(c):
 
 
 def test_partition_formula_counts_bell_before_its_sweep(monkeypatch):
-    # Bell(13) = 27,644,437 refinements of the one-block partition
-    def refinements(p):
+    # Bell(13) = 27,644,437 refinements of the one-block partition; the
+    # per-block table is what would build them
+    def refinements(m):
         raise AssertionError("the refinement sweep ran past its budget")
 
-    monkeypatch.setattr(families, "_refinements", refinements)
+    monkeypatch.setattr(families, "_block_refinements", refinements)
     with pytest.raises(CarrierOverflow):
         closed_form_antipode_partitions(SetPartition(range(13), [range(13)]))
 
 
 def test_closed_forms_read_components_off_the_flat_sweep(monkeypatch):
     # the family formulas take each flat's components from the blocks of
-    # its sweep; the public graph_rank, contract and sc_gamma_of_flat,
-    # which search components and check flatness, are the oracle
+    # its sweep; graph_rank (`literal_oracle`), contract and
+    # sc_gamma_of_flat, which search components and check flatness, are
+    # the oracle
     graphs = [g for n in range(5) for g in GRAPHS.enumerate(frozenset(range(n)))]
     complexes = [c for n in range(4) for c in SIMPLICIAL.enumerate(frozenset(range(n)))]
     complexes += list(islice(SIMPLICIAL.enumerate(frozenset(range(4))), 0, None, 7))
