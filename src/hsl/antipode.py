@@ -46,21 +46,7 @@ def _upset_images(fam: Family, x, budget: int):
     partition, in no fixed order, for one pass.  They are read off the
     restriction table of x (`_restrictions`), one structure built per
     distinct image, and reassembled one partition at a time only where
-    `_restrictions` fails on x."""
-    check_set_partition_budget(len(x.labels), budget)
-    table = _restrictions(fam, x)
-    if table is not None:
-        img, image, _ = table
-        return map(image, set(img))
-    return {reassemble(fam, blocks, x) for blocks in _label_partitions(x.labels)}
-
-
-def reassembly_upset(fam: Family, x, budget: int = DEFAULT_BUDGET) -> tuple:
-    """All images of x under split-then-merge along a set partition,
-    deduplicated, in encoding order; always contains x via the trivial
-    partition.  The one function of the reassembly order that sorts by
-    encoding: the orders, the closed form and the inverted-basis check
-    read the images unsorted (`_upset_images`, `_reassembly_images`).
+    `_restrictions` fails on x.
 
     The order they make (x below each of its images) is transitive: by
     compatibility and coassociativity, the piece of img_pi(x) on a block C
@@ -68,7 +54,12 @@ def reassembly_upset(fam: Family, x, budget: int = DEFAULT_BUDGET) -> tuple:
     associativity and commutativity img_rho(img_pi(x)) is the image of x
     along the common refinement of pi and rho.  `verify` checks those
     axioms and the order itself (`hsl.cli._reassembly_poset_axioms`)."""
-    return tuple(sorted(_upset_images(fam, x, budget), key=lambda y: y.encode()))
+    check_set_partition_budget(len(x.labels), budget)
+    table = _restrictions(fam, x)
+    if table is not None:
+        img, image, _ = table
+        return map(image, set(img))
+    return {reassemble(fam, blocks, x) for blocks in _label_partitions(x.labels)}
 
 
 @lru_cache(maxsize=256)

@@ -38,7 +38,6 @@ by a graph's canonical (k, bits) on 0..k-1.
 
 from __future__ import annotations
 
-import json
 from functools import lru_cache, reduce
 from itertools import combinations
 from math import factorial, isqrt
@@ -629,15 +628,6 @@ PARTITIONS = Family(
 )
 
 FAMILIES = {f.tag: f for f in (GRAPHS, HYPERGRAPHS, SIMPLICIAL, PARTITIONS)}
-
-def free_vector_from_json(data) -> FreeVector:
-    if isinstance(data, str):
-        data = json.loads(data)
-    tag, _, labeltext = data["ambient"].partition(":")
-    labels = frozenset(int(v) for v in labeltext.split(",") if v != "")
-    terms = [(parse_structure(enc), coeff) for enc, coeff in data["terms"].items()]
-    return FreeVector(tag, labels, terms)
-
 
 # ---------------------------------------------------------------------------
 # flats, contraction, acyclic orientations

@@ -74,12 +74,6 @@ def fock_coproduct(fam: Family, oc: OrbitClass) -> dict:
     return out
 
 
-def fock_mult(fam: Family, left: OrbitClass, right: OrbitClass) -> OrbitClass:
-    shift = {i: i + left.degree for i in range(right.degree)}
-    moved = fam.relabel(shift, right.rep)
-    return orbit_canonicalize(fam, fam.mult(left.rep, moved))
-
-
 def fock_primitive_check(fam: Family, vector: dict) -> bool:
     """True when the reduced coproduct (both trivial splits dropped) of a
     homogeneous orbit combination vanishes."""

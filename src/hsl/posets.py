@@ -18,7 +18,6 @@ combination maps keys to nonzero coefficients, exact rationals or, in an
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import and_, index, or_
 
@@ -196,7 +195,7 @@ def check_galois(p: FinitePoset, q: FinitePoset, f, g) -> GaloisReport:
     the argument for g is dual (Erné et al. 1993; Davey and Priestley
     2002, ch. 7).  Every order the engine compiles meets the premise:
     containment orders, products and the reassembly order (transitive by
-    the argument at `reassembly_upset`, and checked by `verify`).
+    the argument at `hsl.antipode._upset_images`, and checked by `verify`).
 
     f and g are applied once per element.  The scan is read one y at a
     time, folding over the down-sets of Q: in the adjunction checks and
@@ -248,8 +247,12 @@ def rota_transfer_check(p: FinitePoset, q: FinitePoset, f, g) -> GaloisReport:
 def _as_fraction(value) -> int | Fraction:
     """An exact coefficient: an int or a Fraction as it is, a bool or a str
     as a Fraction.  Ints stay ints until a Fraction joins them, and print
-    alike: str(2) == str(Fraction(2))."""
-    if type(value) is int or isinstance(value, Fraction):
+    alike: str(2) == str(Fraction(2)).  `fractions` is imported past the
+    int case, so a process that makes no rational never loads it."""
+    if type(value) is int:
+        return value
+    from fractions import Fraction
+    if isinstance(value, Fraction):
         return value
     if isinstance(value, (int, str)):
         return Fraction(value)

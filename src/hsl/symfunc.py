@@ -16,7 +16,7 @@ import json
 from functools import lru_cache
 
 from .errors import EngineError
-from .posets import _accumulate, _Combination
+from .posets import _Combination
 
 
 def _as_partition(lam) -> tuple:
@@ -165,26 +165,3 @@ def newton_p_in_h(n: int) -> SymFunc:
     for i in range(1, n):
         total = total - newton_p_in_h(i) * h(n - i)
     return total
-
-
-def h_coproduct(sf: SymFunc) -> dict:
-    """Coproduct of an h-basis element, extended multiplicatively:
-    each h_k splits as the sum of h_i (x) h_{k-i}.
-
-    Returns {(left_partition, right_partition): coefficient}."""
-    if sf.basis != "h":
-        raise EngineError("coproduct implemented on the h basis")
-    out: dict = {}
-    for lam, c in sf.terms.items():
-        pieces = [((), ())]
-        for part in lam:
-            grown = []
-            for left, right in pieces:
-                for i in range(part + 1):
-                    new_left = left + (i,) if i else left
-                    new_right = right + (part - i,) if part - i else right
-                    grown.append((new_left, new_right))
-            pieces = grown
-        for left, right in pieces:
-            _accumulate(out, (_as_partition(left), _as_partition(right)), c)
-    return out

@@ -1,7 +1,7 @@
 """Free vector spaces over structure carriers with exact rational
-coefficients: the Möbius-inverted basis, the split set-up that the
-Galois checks of `hsl.posets` read, and the product identity as an
-executable check.  The duality pairing <Delta_{S,T}(x), y (x) z> ==
+coefficients (an absent term's coefficient is the int 0): the
+Möbius-inverted basis and the split set-up that the Galois checks of
+`hsl.posets` read.  The duality pairing <Delta_{S,T}(x), y (x) z> ==
 <x, y box z> is the zeta function of the product order, so on a split it
 is the Galois biconditional that `_galois_splits` scans.
 
@@ -18,7 +18,6 @@ No floating point anywhere; every check is an exact identity.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import attrgetter
 
 from .errors import AmbientMismatch
@@ -67,8 +66,9 @@ class FreeVector(_Combination):
     def zero(cls, family_tag: str, labels) -> "FreeVector":
         return cls(family_tag, labels)
 
-    def coefficient(self, x) -> Fraction:
-        return self.terms.get(x, Fraction(0))
+    def coefficient(self, x) -> int | Fraction:
+        """The coefficient of x; the int 0 where x is not a term."""
+        return self.terms.get(x, 0)
 
     def items(self):
         return sorted(self.terms.items(), key=lambda kv: kv[0].encode())
@@ -127,8 +127,9 @@ class TensorVector(_Combination):
     def _show(pair) -> str:
         return f"{pair[0].encode()}(x){pair[1].encode()}"
 
-    def coefficient(self, a, b) -> Fraction:
-        return self.terms.get((a, b), Fraction(0))
+    def coefficient(self, a, b) -> int | Fraction:
+        """The coefficient of a (x) b; the int 0 where it is not a term."""
+        return self.terms.get((a, b), 0)
 
     def items(self):
         return sorted(self.terms.items(),
@@ -140,19 +141,6 @@ def tensor(v: FreeVector, w: FreeVector) -> TensorVector:
         raise AmbientMismatch("tensor factors from different families")
     terms = {(a, b): ca * cb for a, ca in v.terms.items() for b, cb in w.terms.items()}
     return TensorVector(v.family_tag, v.labels, w.labels, terms)
-
-
-def comult_vector(fam, v: FreeVector, S, T) -> TensorVector:
-    """Linear extension of the split map to a vector."""
-    S, T = frozenset(S), frozenset(T)
-    terms = [(fam.comult(x, S, T), c) for x, c in v.terms.items()]
-    return TensorVector(fam.tag, S, T, terms)
-
-
-def mult_tensor(fam, tv: TensorVector) -> FreeVector:
-    """Linear extension of the merge map to a tensor."""
-    terms = [(fam.mult(a, b), c) for (a, b), c in tv.terms.items()]
-    return FreeVector(fam.tag, tv.left_labels | tv.right_labels, terms)
 
 
 def inverted_basis(p: FinitePoset, x) -> FreeVector:
@@ -182,15 +170,3 @@ def _galois_splits(fam, poset_for, box, labels) -> GaloisReport:
             x, (y, z) = report.witness
             return GaloisReport(False, report.reason, (x, y, z, S, T))
     return GaloisReport(True)
-
-
-def product_of_inverted_check(fam, poset_for, x, y):
-    """Check omega_x * omega_y == omega_{x * y} by expanding both sides.
-
-    Returns (equal, lhs, rhs)."""
-    ps = poset_for(x.labels)
-    pt = poset_for(y.labels)
-    lhs = mult_tensor(fam, tensor(inverted_basis(ps, x), inverted_basis(pt, y)))
-    p = poset_for(x.labels | y.labels)
-    rhs = inverted_basis(p, fam.mult(x, y))
-    return lhs == rhs, lhs, rhs

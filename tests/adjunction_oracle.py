@@ -31,13 +31,17 @@ Galois check replaced, kept as the oracle for them.
   omega_x with `inverted_basis`, where
   `hsl.antipode.antipode_on_inverted_check` folds mu(x, .) alone over
   the images, each down-set formed when it is reached.
+- `comult_vector` and `mult_tensor` extend the split and the merge
+  linearly, one structure per term; `product_of_inverted_check` expands
+  both sides of omega_x * omega_y == omega_{x * y} with them, the
+  multiplicativity that `hsl.vectors.split_galois_setup` and
+  `hsl.posets.rota_transfer_check` read as Rota's transfer on a split.
 """
 
 from hsl.antipode import _reassembly_images, require_self_adjoint, takeuchi_antipode
 from hsl.posets import FinitePoset, GaloisReport, mobius
 from hsl.species import subsets
-from hsl.vectors import (FreeVector, TensorVector, comult_vector,
-                         inverted_basis, tensor)
+from hsl.vectors import FreeVector, TensorVector, inverted_basis, tensor
 from literal_oracle import _bits, down_sets, transpose
 
 
@@ -130,6 +134,31 @@ def merge_split_setup(fam, S, T, budget):
 def inverted_basis_by_mobius(p: FinitePoset, x) -> FreeVector:
     """omega_x = sum over y >= x of mu(x, y) * y, one `mobius` per y."""
     return FreeVector(p.family_tag, x.labels, [(y, mobius(p, x, y)) for y in p.upset(x)])
+
+
+def comult_vector(fam, v: FreeVector, S, T) -> TensorVector:
+    """Linear extension of the split map to a vector."""
+    S, T = frozenset(S), frozenset(T)
+    terms = [(fam.comult(x, S, T), c) for x, c in v.terms.items()]
+    return TensorVector(fam.tag, S, T, terms)
+
+
+def mult_tensor(fam, tv: TensorVector) -> FreeVector:
+    """Linear extension of the merge map to a tensor."""
+    terms = [(fam.mult(a, b), c) for (a, b), c in tv.terms.items()]
+    return FreeVector(fam.tag, tv.left_labels | tv.right_labels, terms)
+
+
+def product_of_inverted_check(fam, poset_for, x, y):
+    """Check omega_x * omega_y == omega_{x * y} by expanding both sides.
+
+    Returns (equal, lhs, rhs)."""
+    ps = poset_for(x.labels)
+    pt = poset_for(y.labels)
+    lhs = mult_tensor(fam, tensor(inverted_basis(ps, x), inverted_basis(pt, y)))
+    p = poset_for(x.labels | y.labels)
+    rhs = inverted_basis(p, fam.mult(x, y))
+    return lhs == rhs, lhs, rhs
 
 
 def delta_on_inverted_by_vectors(fam, poset_for, box, x, S, T) -> tuple:

@@ -6,7 +6,9 @@ and every grading in `hsl`.
   partition and merge the pieces back, checking labels at each step;
   `reassemble` is the one after the other.
 - `reassembly_upset` reassembles x along every set partition of its
-  labels; `literal_poset` compiles the reassembly order from it.
+  labels; `literal_poset` compiles the reassembly order from it, and
+  `upset_by_encoding` sorts the images that `hsl.antipode._upset_images`
+  reads off the restriction table into the same order.
 - `materialized_walk` compiles the down-sets of x's images all at once
   (`down_sets`) and folds mu(x, .) and both closed-form rows together,
   where `hsl.antipode` streams the down-sets and folds the rows read.
@@ -38,14 +40,14 @@ orientations, each tested for a cycle by peeling sinks, as the oracle for
 that cut search; `is_connected` and `graph_rank`, read off the components
 that `hsl.families` finds; and `delta_after_mult`, the loop over every
 product that compatibility, unitality and counitality in
-`hsl.species.verify_axioms` decide between them.
+`hsl.axioms.verify_axioms` decide between them.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from hsl.antipode import _reassembly_images, require_self_adjoint
+from hsl.antipode import _reassembly_images, _upset_images, require_self_adjoint
 from hsl.errors import (DEFAULT_BUDGET, CarrierOverflow, LabelMismatch,
                         NonUniqueFactorization)
 from hsl.families import (Graph, Hypergraph, SimplicialComplex, _components,
@@ -126,6 +128,12 @@ def reassembly_upset(fam, x, budget: int = DEFAULT_BUDGET) -> tuple:
         y = reassemble(fam, blocks, x)
         seen.setdefault(y.encode(), y)
     return tuple(seen[k] for k in sorted(seen))
+
+
+def upset_by_encoding(fam, x, budget: int = DEFAULT_BUDGET) -> tuple:
+    """The images of x from the restriction table (`_upset_images`), in
+    the encoding order of `reassembly_upset`."""
+    return tuple(sorted(_upset_images(fam, x, budget), key=lambda y: y.encode()))
 
 
 def literal_poset(fam, labels) -> FinitePoset:

@@ -3,10 +3,19 @@ kept as the oracle of its differential test.  Each repeats checks that the
 family's validating constructor also makes (arity, range, empty or
 uncovered blocks), raising ParseError; a set partition whose blocks cover
 the labels but overlap gets past them, and its constructor's LabelMismatch
-comes out as it is."""
+comes out as it is.
+
+`free_vector_from_json` reads a vector back from the JSON form that
+`FreeVector.to_json_dict` writes and `hsl antipode` prints, each term
+through `hsl.families.parse_structure`, so the tests can compare printed
+vectors as vectors."""
+
+import json
 
 from hsl.errors import ParseError
 from hsl.families import Graph, Hypergraph, SetPartition, SimplicialComplex
+from hsl.families import parse_structure as _hsl_parse
+from hsl.vectors import FreeVector
 
 
 def _parse_int(text: str, what: str) -> int:
@@ -108,3 +117,12 @@ def parse_structure(text: str):
     if not text or text[0] not in _PARSERS:
         raise ParseError(f"unknown structure encoding {text!r}")
     return _PARSERS[text[0]](text)
+
+
+def free_vector_from_json(data) -> FreeVector:
+    if isinstance(data, str):
+        data = json.loads(data)
+    tag, _, labeltext = data["ambient"].partition(":")
+    labels = frozenset(int(v) for v in labeltext.split(",") if v != "")
+    terms = [(_hsl_parse(enc), coeff) for enc, coeff in data["terms"].items()]
+    return FreeVector(tag, labels, terms)

@@ -17,10 +17,11 @@ from hsl.families import (GRAPHS, HYPERGRAPHS, PARTITIONS, SIMPLICIAL,
                           closed_form_antipode_partitions,
                           closed_form_antipode_sc, parse_structure)
 from hsl.posets import check_galois, rota_transfer_check
-from hsl.species import subsets, verify_axioms
-from hsl.vectors import comult_vector, split_galois_setup
+from hsl.axioms import verify_axioms
+from hsl.species import subsets
+from hsl.vectors import split_galois_setup
 from hsl.fock import partition_char_poly_check, power_sum_identity_check
-from adjunction_oracle import duality_by_triples
+from adjunction_oracle import comult_vector, duality_by_triples
 from literal_oracle import acyclic_orientations_brute
 
 

@@ -6,8 +6,7 @@ import hsl.antipode as ap
 from hsl.antipode import (Adjunction, ClosedFormAntipode, antipode_axiom_check,
                           antipode_on_inverted_check, box_indecomposables,
                           closed_form_antipode, declared_adjunctions,
-                          primitives_basis, reassembly_poset,
-                          reassembly_upset, takeuchi_antipode)
+                          primitives_basis, reassembly_poset, takeuchi_antipode)
 from hsl.errors import (DEFAULT_BUDGET, AmbientMismatch, CarrierOverflow,
                         EngineError, NotSelfAdjoint)
 from hsl.families import (FAMILIES, GRAPHS, HYPERGRAPHS, PARTITIONS,
@@ -17,12 +16,13 @@ from hsl.families import (FAMILIES, GRAPHS, HYPERGRAPHS, PARTITIONS,
                           closed_form_antipode_sc, parse_structure)
 from hsl.posets import check_galois
 from hsl.species import _native_poset, _partitions, subsets
-from hsl.vectors import FreeVector, comult_vector, inverted_basis
+from hsl.vectors import FreeVector, inverted_basis
 import literal_oracle as lit
-from adjunction_oracle import (first_failing_triple, inverted_check_by_view,
-                               merge_split_setup)
+from adjunction_oracle import (comult_vector, first_failing_triple,
+                               inverted_check_by_view, merge_split_setup)
 from literal_oracle import (factorize, graded_char_eval, grading,
-                            is_connected, literal_poset, reassemble)
+                            is_connected, literal_poset, reassemble,
+                            upset_by_encoding)
 from partition_oracle import compositions, set_partitions
 
 G = parse_structure
@@ -30,12 +30,12 @@ G = parse_structure
 
 def test_reassembly_upset_examples():
     pt = Graph(frozenset({0}), frozenset())
-    assert reassembly_upset(GRAPHS, pt) == (pt,)
-    assert reassembly_upset(GRAPHS, GRAPHS.unit) == (GRAPHS.unit,)
+    assert upset_by_encoding(GRAPHS, pt) == (pt,)
+    assert upset_by_encoding(GRAPHS, GRAPHS.unit) == (GRAPHS.unit,)
     k2 = G("G:n=2;E=0-1")
-    assert set(reassembly_upset(GRAPHS, k2)) == {k2, G("G:n=2;E=")}
+    assert set(upset_by_encoding(GRAPHS, k2)) == {k2, G("G:n=2;E=")}
     one_block = G("P:n=3;B=012")
-    assert set(reassembly_upset(PARTITIONS, one_block)) == set(
+    assert set(upset_by_encoding(PARTITIONS, one_block)) == set(
         PARTITIONS.enumerate(frozenset(range(3))))
 
 
@@ -99,7 +99,7 @@ def test_hypergraph_reassembly_order_is_not_cover_graded():
     # edgeless hypergraph and the factor count jumps from 1 to 3 across a
     # covering pair; every antipode identity still holds on the nose
     x = G("H:n=3;E={0,1,2}")
-    ups = reassembly_upset(HYPERGRAPHS, x)
+    ups = upset_by_encoding(HYPERGRAPHS, x)
     assert [u.encode() for u in ups] == ["H:n=3;E=", "H:n=3;E={0,1,2}"]
     assert grading(HYPERGRAPHS, x) == 1
     assert grading(HYPERGRAPHS, G("H:n=3;E=")) == 3
@@ -513,7 +513,7 @@ def test_derived_upsets_match_reassembly_upset():
         down = lit.down_sets(keys)
         assert elems[0] == x
         assert _by_encoding(elems) == lit.reassembly_upset(fam, x), x.encode()
-        assert reassembly_upset(fam, x) == lit.reassembly_upset(fam, x), x.encode()
+        assert upset_by_encoding(fam, x) == lit.reassembly_upset(fam, x), x.encode()
         for i, y in enumerate(elems):
             derived = _by_encoding(z for z, mask in zip(elems, down) if mask >> i & 1)
             assert derived == lit.reassembly_upset(fam, y), (x.encode(), y.encode())

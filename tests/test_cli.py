@@ -15,10 +15,11 @@ from hsl import cli
 from hsl.antipode import (Adjunction, box_indecomposables, declared_adjunctions,
                           primitives_basis)
 from hsl.errors import CarrierOverflow
-from hsl.families import FAMILIES, PARTITIONS, free_vector_from_json, parse_structure
+from hsl.families import FAMILIES, PARTITIONS, parse_structure
 from hsl.posets import FinitePoset
 from adjunction_oracle import duality_by_triples
 from literal_oracle import transpose
+from parse_oracle import free_vector_from_json
 
 
 def run(capsys, *argv):
@@ -344,9 +345,9 @@ _EXPORTS = {
                "NotSelfAdjoint", "ParseError"],
     "posets": ["FinitePoset", "IntPolynomial", "check_galois", "interval",
                "mobius", "rota_transfer_check"],
-    "species": ["Family", "bell", "fubini", "verify_axioms"],
-    "vectors": ["FreeVector", "TensorVector", "inverted_basis",
-                "product_of_inverted_check", "tensor"],
+    "species": ["Family", "bell", "fubini"],
+    "axioms": ["verify_axioms"],
+    "vectors": ["FreeVector", "TensorVector", "inverted_basis", "tensor"],
     "families": ["FAMILIES", "GRAPHS", "HYPERGRAPHS", "PARTITIONS", "SIMPLICIAL",
                  "Graph", "Hypergraph", "SetPartition", "SimplicialComplex",
                  "acyclic_orientation_count", "chromatic_polynomial",
@@ -357,7 +358,7 @@ _EXPORTS = {
     "antipode": ["Adjunction", "antipode_axiom_check", "antipode_on_inverted_check",
                  "box_indecomposables", "closed_form_antipode",
                  "declared_adjunctions", "primitives_basis", "reassembly_poset",
-                 "reassembly_upset", "takeuchi_antipode"],
+                 "takeuchi_antipode"],
     "fock": ["OrbitClass", "fock_coproduct", "fock_primitive_check",
              "orbit_canonicalize", "partition_char_poly_check",
              "power_sum_identity_check", "symfunc_bridge"],
@@ -367,10 +368,12 @@ _EXPORTS = {
 
 def test_cold_import_loads_only_what_commands_share():
     # a fresh interpreter: the modules `import hsl.cli` adds must not
-    # include dataclasses (which pulls in inspect, ast, dis and tokenize)
-    # or the symmetric-function modules, which only `hsl fock` reads;
-    # comparing against the modules loaded before the import keeps this
-    # valid where `site` preloads some of them
+    # include dataclasses (which pulls in inspect, ast, dis and tokenize),
+    # the symmetric-function modules, which only `hsl fock` reads, the
+    # axiom sweep, which only `hsl verify` runs, or fractions (with
+    # decimal), which only a rational coefficient needs; comparing
+    # against the modules loaded before the import keeps this valid where
+    # `site` preloads some of them
     src = os.path.dirname(os.path.dirname(hsl.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys\n"
@@ -382,7 +385,8 @@ def test_cold_import_loads_only_what_commands_share():
     assert proc.returncode == 0, proc.stderr
     new = set(proc.stdout.split())
     assert "hsl.cli" in new
-    assert not new & {"dataclasses", "inspect", "hsl.fock", "hsl.symfunc"}
+    assert not new & {"dataclasses", "inspect", "hsl.fock", "hsl.symfunc",
+                      "hsl.axioms", "fractions", "decimal"}
     # every exported name still resolves, to the object its module defines
     for module, names in _EXPORTS.items():
         defined = importlib.import_module(f"hsl.{module}")
@@ -431,14 +435,14 @@ def test_verify_pass_and_failure_paths(capsys, monkeypatch):
     assert data["passed"] is True
     assert all(entry["passed"] for entry in data["adjunctions"])
 
-    from hsl.species import AxiomReport, AxiomResult
+    from hsl import axioms
 
     def broken_axioms(fam, n, budget):
-        report = AxiomReport(fam.tag, n)
-        report.results.append(AxiomResult("associativity", False, "witness"))
+        report = axioms.AxiomReport(fam.tag, n)
+        report.results.append(axioms.AxiomResult("associativity", False, "witness"))
         return report
 
-    monkeypatch.setattr(cli, "verify_axioms", broken_axioms)
+    monkeypatch.setattr(axioms, "verify_axioms", broken_axioms)
     code, out, _ = run(capsys, "verify", "--family", "graphs", "--n", "2",
                        "--jobs", "1")
     assert code == 4

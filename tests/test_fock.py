@@ -8,13 +8,12 @@ from hsl.antipode import Adjunction, primitives_basis
 from hsl.errors import CarrierOverflow, EngineError
 from hsl.families import (GRAPHS, PARTITIONS, Graph, SetPartition,
                           parse_structure)
-from hsl.fock import (fock_coproduct, fock_mult,
-                      fock_primitive_check, integer_partition_of,
+from hsl.fock import (fock_coproduct, fock_primitive_check, integer_partition_of,
                       orbit_canonicalize, partition_char_poly_check,
                       power_sum_identity_check, symfunc_bridge)
 from hsl import symfunc
-from hsl.symfunc import (SymFunc, h, h_coproduct, newton_p_in_h,
-                         power_sum_monomial)
+from hsl.symfunc import SymFunc, h, newton_p_in_h, power_sum_monomial
+from fock_oracle import fock_mult, h_coproduct
 
 G = parse_structure
 

@@ -3,16 +3,16 @@ from math import factorial
 
 import pytest
 
-import hsl.species as sp
+import hsl.axioms as ax
 from hsl.errors import DEFAULT_BUDGET, LabelMismatch
 from hsl.families import (FAMILIES, GRAPHS, HYPERGRAPHS, PARTITIONS,
                           SIMPLICIAL, Graph, Hypergraph, SetPartition,
                           SimplicialComplex, _of, _split,
                           parse_structure, partition_masks)
 from hsl.antipode import _reassembly_images, _restrictions
-from hsl.species import (AxiomReport, AxiomResult, Family, _bijections,
-                         _partitions, _splits, bell, fubini, reassemble,
-                         subsets, verify_axioms)
+from hsl.axioms import AxiomReport, AxiomResult, _bijections, verify_axioms
+from hsl.species import (Family, _partitions, _splits, bell, fubini, reassemble,
+                         subsets)
 from family_replace import replace
 from literal_oracle import (_bits, compose_comult, compose_mult, delta_after_mult,
                             down_sets, reassemble as literal_reassemble)
@@ -677,10 +677,10 @@ def test_value_table_positions_off_carrier_structures():
     # the lossy piece of the one-block partition is in no carrier: it takes
     # the next free position, after every carrier element
     mutant = _off_carrier_partitions()
-    table = sp._Carriers(mutant, 3, DEFAULT_BUDGET)
+    table = ax._Carriers(mutant, 3, DEFAULT_BUDGET)
     enumerated = len(table.elems)
     assert enumerated == sum(map(len, table.values()))
-    witness = sp._check_counitality(table)
+    witness = ax._check_counitality(table)
     assert witness == "counit (I, empty) fails on P:n=3;B=012"
     assert len(table.elems) > enumerated
     piece = table.elems[-1]

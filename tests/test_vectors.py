@@ -1,6 +1,9 @@
 import functools
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,17 +11,17 @@ import pytest
 from hsl.antipode import Adjunction, declared_adjunctions, reassembly_poset
 from hsl.errors import AmbientMismatch
 from hsl.families import (FAMILIES, GRAPHS, HYPERGRAPHS, PARTITIONS,
-                          SIMPLICIAL, Graph, SetPartition,
-                          free_vector_from_json, parse_structure)
+                          SIMPLICIAL, Graph, SetPartition, parse_structure)
 from hsl.posets import (FinitePoset, GaloisReport, IntPolynomial, check_galois,
                         rota_transfer_check)
 from hsl.species import subsets
-from hsl.vectors import (FreeVector, TensorVector, _galois_splits, comult_vector,
-                         inverted_basis, mult_tensor, product_of_inverted_check,
+from hsl.vectors import (FreeVector, TensorVector, _galois_splits, inverted_basis,
                          split_galois_setup, tensor)
-from adjunction_oracle import (delta_on_inverted_by_vectors, duality_by_triples,
-                               inverted_basis_by_mobius)
+from adjunction_oracle import (comult_vector, delta_on_inverted_by_vectors,
+                               duality_by_triples, inverted_basis_by_mobius,
+                               mult_tensor, product_of_inverted_check)
 from literal_oracle import rota_transfer_pair, zeta_pairing
+from parse_oracle import free_vector_from_json
 from test_acceptance import kronecker_row
 
 K2 = parse_structure("G:n=2;E=0-1")
@@ -56,6 +59,36 @@ def test_bind_sums_its_images_in_one_space():
     for other in (FreeVector.basis("graphs", pt), FreeVector.basis("other", K2)):
         with pytest.raises(AmbientMismatch):
             u.bind(lambda x: both if x == K2 else other)
+
+
+def test_rationals_load_fractions_only_where_they_are_made():
+    # a fresh interpreter: int coefficients, and the coefficient of an
+    # absent term, the int 0, load no `fractions`; a Fraction(1, 2) still
+    # round-trips through the JSON form and prints as before
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(tests), "src")
+    code = (
+        "import sys\n"
+        "loaded = 'fractions' in sys.modules\n"
+        "from hsl.families import parse_structure\n"
+        "from hsl.vectors import FreeVector\n"
+        "from parse_oracle import free_vector_from_json\n"
+        "x, y = parse_structure('G:n=2;E=0-1'), parse_structure('G:n=2;E=')\n"
+        "v = FreeVector('graphs', x.labels, {x: 2})\n"
+        "zero = v.coefficient(y)\n"
+        "assert type(zero) is int and zero == 0, zero\n"
+        "assert loaded or 'fractions' not in sys.modules\n"
+        "from fractions import Fraction\n"
+        "w = FreeVector('graphs', x.labels, {x: Fraction(1, 2)})\n"
+        "assert w.to_json_dict()['terms'] == {'G:n=2;E=0-1': '1/2'}\n"
+        "back = free_vector_from_json(w.to_json())\n"
+        "assert back == w and back.coefficient(x) == Fraction(1, 2)\n"
+        "zero = back.coefficient(y)\n"
+        "assert type(zero) is int and zero == 0, zero\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((src, tests)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_free_vector_json_round_trip():
