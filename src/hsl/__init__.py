@@ -9,7 +9,7 @@ from .errors import (AmbientMismatch, CarrierOverflow, DEFAULT_BUDGET,
 from .posets import (FinitePoset, IntPolynomial, check_galois, interval,
                      mobius, rota_transfer_check)
 from .species import Family, bell, fubini
-from .vectors import FreeVector, TensorVector, inverted_basis, tensor
+from .vectors import FreeVector, inverted_basis
 from .families import (FAMILIES, GRAPHS, HYPERGRAPHS, PARTITIONS, SIMPLICIAL,
                        Graph, Hypergraph, SetPartition, SimplicialComplex,
                        acyclic_orientation_count, chromatic_polynomial,

@@ -542,7 +542,9 @@ def _sc_enumerate(labels, budget):
     """The complexes by their links, over the labels in ascending order: a
     complex on the labels up to v is its deletion a of v plus the cone
     over its link b, a subcomplex of a (0: v is no vertex), whose faces,
-    b's with v added, lie 2^v bits above b's."""
+    b's with v added, lie 2^v bits above b's.  They come out in the order
+    the recursion builds them, as every carrier does: encoding order
+    belongs to the output."""
     _bit((2 << max(labels, default=0)) - 1)  # every face's bit is below 2^(top label + 1)
     level = [1]
     for v in sorted(labels):
@@ -552,8 +554,7 @@ def _sc_enumerate(labels, budget):
             if len(row) > budget:
                 raise CarrierOverflow(f"simplicial carrier exceeds budget {budget}")
         level = row
-    return tuple(sorted((_of(SimplicialComplex, labels, b) for b in level),
-                        key=SimplicialComplex.encode))
+    return tuple(_of(SimplicialComplex, labels, b) for b in level)
 
 
 def _partition_enumerate(labels, budget):

@@ -1,7 +1,7 @@
 """Finite-poset kernel: one compiled order class, Möbius functions,
 intervals and Galois-connection checks; the one sparse exact
-combination (`_Combination`) that vectors, tensors, symmetric functions
-and integer polynomials share; and `_Record`, the value equality of the
+combination (`_Combination`) that vectors, symmetric functions and
+integer polynomials share; and `_Record`, the value equality of the
 engine's result reports.
 
 A `FinitePoset` keeps its elements (hashable frozen structures, or pairs

@@ -94,55 +94,6 @@ class FreeVector(_Combination):
         return {"ambient": self.ambient_string(), "terms": dict(sorted(terms.items()))}
 
 
-class TensorVector(_Combination):
-    """Exact-rational combination of structure pairs on a fixed split."""
-
-    __slots__ = ("family_tag", "left_labels", "right_labels", "terms")
-    _mismatch = "tensors live on different splits"
-
-    def __init__(self, family_tag: str, left_labels, right_labels, terms=()):
-        self.family_tag = family_tag
-        self.left_labels = frozenset(left_labels)
-        self.right_labels = frozenset(right_labels)
-        self._fill(terms)
-
-    @property
-    def _ambient(self) -> tuple:
-        return self.family_tag, self.left_labels, self.right_labels
-
-    def _key(self, pair):
-        a, b = pair
-        if a.labels != self.left_labels or b.labels != self.right_labels:
-            raise AmbientMismatch("tensor factor on the wrong label set")
-        return pair
-
-    def _keys_fit(self, terms) -> bool:
-        split = self.left_labels, self.right_labels
-        try:
-            return {(a.labels, b.labels) for a, b in terms} <= {split}
-        except (AttributeError, TypeError, ValueError):  # not a pair of structures
-            return False
-
-    @staticmethod
-    def _show(pair) -> str:
-        return f"{pair[0].encode()}(x){pair[1].encode()}"
-
-    def coefficient(self, a, b) -> int | Fraction:
-        """The coefficient of a (x) b; the int 0 where it is not a term."""
-        return self.terms.get((a, b), 0)
-
-    def items(self):
-        return sorted(self.terms.items(),
-                      key=lambda kv: (kv[0][0].encode(), kv[0][1].encode()))
-
-
-def tensor(v: FreeVector, w: FreeVector) -> TensorVector:
-    if v.family_tag != w.family_tag:
-        raise AmbientMismatch("tensor factors from different families")
-    terms = {(a, b): ca * cb for a, ca in v.terms.items() for b, cb in w.terms.items()}
-    return TensorVector(v.family_tag, v.labels, w.labels, terms)
-
-
 def inverted_basis(p: FinitePoset, x) -> FreeVector:
     """omega_x = sum over y >= x of mu(x, y) * y.
 

@@ -31,6 +31,9 @@ Galois check replaced, kept as the oracle for them.
   omega_x with `inverted_basis`, where
   `hsl.antipode.antipode_on_inverted_check` folds mu(x, .) alone over
   the images, each down-set formed when it is reached.
+- `TensorVector` holds exact combinations of structure pairs on one
+  split, and `tensor` multiplies two vectors into one, where hsl reads a
+  split as a product order and never forms a tensor.
 - `comult_vector` and `mult_tensor` extend the split and the merge
   linearly, one structure per term; `product_of_inverted_check` expands
   both sides of omega_x * omega_y == omega_{x * y} with them, the
@@ -38,10 +41,13 @@ Galois check replaced, kept as the oracle for them.
   `hsl.posets.rota_transfer_check` read as Rota's transfer on a split.
 """
 
+from __future__ import annotations
+
 from hsl.antipode import _reassembly_images, require_self_adjoint, takeuchi_antipode
-from hsl.posets import FinitePoset, GaloisReport, mobius
+from hsl.errors import AmbientMismatch
+from hsl.posets import FinitePoset, GaloisReport, _Combination, mobius
 from hsl.species import subsets
-from hsl.vectors import FreeVector, TensorVector, inverted_basis, tensor
+from hsl.vectors import FreeVector, inverted_basis
 from literal_oracle import _bits, down_sets, transpose
 
 
@@ -134,6 +140,55 @@ def merge_split_setup(fam, S, T, budget):
 def inverted_basis_by_mobius(p: FinitePoset, x) -> FreeVector:
     """omega_x = sum over y >= x of mu(x, y) * y, one `mobius` per y."""
     return FreeVector(p.family_tag, x.labels, [(y, mobius(p, x, y)) for y in p.upset(x)])
+
+
+class TensorVector(_Combination):
+    """Exact-rational combination of structure pairs on a fixed split."""
+
+    __slots__ = ("family_tag", "left_labels", "right_labels", "terms")
+    _mismatch = "tensors live on different splits"
+
+    def __init__(self, family_tag: str, left_labels, right_labels, terms=()):
+        self.family_tag = family_tag
+        self.left_labels = frozenset(left_labels)
+        self.right_labels = frozenset(right_labels)
+        self._fill(terms)
+
+    @property
+    def _ambient(self) -> tuple:
+        return self.family_tag, self.left_labels, self.right_labels
+
+    def _key(self, pair):
+        a, b = pair
+        if a.labels != self.left_labels or b.labels != self.right_labels:
+            raise AmbientMismatch("tensor factor on the wrong label set")
+        return pair
+
+    def _keys_fit(self, terms) -> bool:
+        split = self.left_labels, self.right_labels
+        try:
+            return {(a.labels, b.labels) for a, b in terms} <= {split}
+        except (AttributeError, TypeError, ValueError):  # not a pair of structures
+            return False
+
+    @staticmethod
+    def _show(pair) -> str:
+        return f"{pair[0].encode()}(x){pair[1].encode()}"
+
+    def coefficient(self, a, b) -> int | Fraction:
+        """The coefficient of a (x) b; the int 0 where it is not a term."""
+        return self.terms.get((a, b), 0)
+
+    def items(self):
+        return sorted(self.terms.items(),
+                      key=lambda kv: (kv[0][0].encode(), kv[0][1].encode()))
+
+
+def tensor(v: FreeVector, w: FreeVector) -> TensorVector:
+    if v.family_tag != w.family_tag:
+        raise AmbientMismatch("tensor factors from different families")
+    terms = {(a, b): ca * cb for a, ca in v.terms.items() for b, cb in w.terms.items()}
+    return TensorVector(v.family_tag, v.labels, w.labels, terms)
 
 
 def comult_vector(fam, v: FreeVector, S, T) -> TensorVector:

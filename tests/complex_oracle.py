@@ -4,7 +4,8 @@ oracle for `hsl.families._sc_enumerate`, which builds them by their links.
 Complexes grow from {()} one face at a time, the face's boundary present;
 each frontier holds the complexes one face larger than the last.  Like
 the library's, the enumeration raises CarrierOverflow once it has found
-more complexes than the budget and returns them in encoding order."""
+more complexes than the budget.  It returns them in encoding order, which
+the library's carrier does not keep: compare `by_encoding` of that."""
 
 from itertools import combinations
 
@@ -25,5 +26,8 @@ def sc_enumerate_by_faces(labels, budget):
         if len(seen) + len(frontier) > budget:
             raise CarrierOverflow(f"simplicial carrier exceeds budget {budget}")
         seen = seen | frontier
-    return tuple(sorted((_of(SimplicialComplex, labels, b) for b in seen),
-                        key=SimplicialComplex.encode))
+    return by_encoding(_of(SimplicialComplex, labels, b) for b in seen)
+
+
+def by_encoding(complexes):
+    return tuple(sorted(complexes, key=SimplicialComplex.encode))

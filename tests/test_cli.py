@@ -347,7 +347,7 @@ _EXPORTS = {
                "mobius", "rota_transfer_check"],
     "species": ["Family", "bell", "fubini"],
     "axioms": ["verify_axioms"],
-    "vectors": ["FreeVector", "TensorVector", "inverted_basis", "tensor"],
+    "vectors": ["FreeVector", "inverted_basis"],
     "families": ["FAMILIES", "GRAPHS", "HYPERGRAPHS", "PARTITIONS", "SIMPLICIAL",
                  "Graph", "Hypergraph", "SetPartition", "SimplicialComplex",
                  "acyclic_orientation_count", "chromatic_polynomial",

@@ -15,11 +15,10 @@ from hsl.families import (FAMILIES, GRAPHS, HYPERGRAPHS, PARTITIONS,
 from hsl.posets import (FinitePoset, GaloisReport, IntPolynomial, check_galois,
                         rota_transfer_check)
 from hsl.species import subsets
-from hsl.vectors import (FreeVector, TensorVector, _galois_splits, inverted_basis,
-                         split_galois_setup, tensor)
-from adjunction_oracle import (comult_vector, delta_on_inverted_by_vectors,
+from hsl.vectors import FreeVector, _galois_splits, inverted_basis, split_galois_setup
+from adjunction_oracle import (TensorVector, comult_vector, delta_on_inverted_by_vectors,
                                duality_by_triples, inverted_basis_by_mobius,
-                               mult_tensor, product_of_inverted_check)
+                               mult_tensor, product_of_inverted_check, tensor)
 from literal_oracle import rota_transfer_pair, zeta_pairing
 from parse_oracle import free_vector_from_json
 from test_acceptance import kronecker_row
